@@ -93,61 +93,6 @@ def test_sharded_speedup(benchmark):
         )
 
 
-def test_process_backend_batch_throughput(benchmark):
-    """Process-backend batched throughput vs the per-query loop (>= 5x).
-
-    The ISSUE-level gate for the GEMM + process-shard stack: forked
-    workers sidestep the GIL entirely, so on >= 4 real cores and the
-    full-size dataset a batched fan-out must beat a loop of monolithic
-    single queries by >= 5x.  Skip-guarded on fork availability, core
-    count, and dataset scale like the thread-backend gate above; answers
-    are asserted bit-identical against the monolithic batch first.
-    """
-    import pytest
-
-    from repro.parallel.process import fork_available
-
-    if not fork_available():
-        pytest.skip("process backend requires the fork start method")
-    points, model, normals, offsets = _workload(_N_POINTS)
-    mono = FunctionIndex(points, model, n_indices=_N_INDICES, rng=0)
-    engine = ShardedFunctionIndex(
-        points,
-        model,
-        n_indices=_N_INDICES,
-        rng=0,
-        n_shards=_SHARDS,
-        max_workers=_SHARDS,
-        backend="process",
-    )
-
-    def measure():
-        mono.query_batch(normals[:4], offsets[:4])  # warm
-        engine.query_batch(normals[:4], offsets[:4])  # fork + warm the pool
-        batch_answers, batch_s = _best_of(lambda: engine.query_batch(normals, offsets))
-        loop_answers, loop_s = _best_of(
-            lambda: [mono.query(n, o) for n, o in zip(normals, offsets)]
-        )
-        for one, many in zip(loop_answers, batch_answers):
-            assert np.array_equal(one.ids, many.ids)
-        return {
-            "n_points": len(points),
-            "queries": len(offsets),
-            "loop_ms": loop_s * 1000,
-            "process_batch_ms": batch_s * 1000,
-            "speedup_x": loop_s / batch_s,
-        }
-
-    row = benchmark.pedantic(measure, rounds=1, iterations=1)
-    print_table(f"Process-backend batch throughput ({_SHARDS} shards)", [row])
-    engine.close()
-    if row["n_points"] >= 200_000 and (os.cpu_count() or 1) >= _SHARDS:
-        assert row["speedup_x"] >= 5.0, (
-            f"process backend reached only {row['speedup_x']:.2f}x "
-            f"over the per-query loop"
-        )
-
-
 def test_single_shard_overhead(benchmark):
     """1-shard engine must track the monolithic facade within 10%."""
     points, model, normals, offsets = _workload(max(20_000, _N_POINTS // 4))

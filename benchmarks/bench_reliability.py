@@ -27,7 +27,8 @@ import time
 
 import numpy as np
 
-from repro import QueryModel, ScalarProductQuery, ShardedFunctionIndex
+from repro import QueryModel, ShardedFunctionIndex
+from repro.core.function_index import _merge_answer
 from repro.bench import print_table
 from repro.reliability import faults as _flt
 
@@ -68,19 +69,16 @@ def _build(rng: np.random.Generator):
 
 def _bare_query(engine: ShardedFunctionIndex, normal: np.ndarray, offset: float):
     """The exact disarmed fan-out pipeline with every reliability hook removed."""
-    spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset)
-    engine._check_dim(spq)
-    engine._working_or_raise(spq)
-    collections = engine._collections
-    if engine._executor is None:
-        results = [collections[0].query(spq)]
-    else:
-        futures = [
-            engine._executor.submit(collections[shard].query, spq)
-            for shard in range(engine.n_shards)
-        ]
-        results = [future.result() for future in futures]
-    return engine._merge_inequality(results)
+    spq = engine._query(normal, offset, "<=")
+    wq = engine._working(spq)
+    *pooled, last = engine.collections
+    futures = (
+        [engine._ensure_executor().submit(collection.query, wq) for collection in pooled]
+        if pooled
+        else []
+    )
+    tail = last.query(wq)  # the wave runs its last shard on the calling thread
+    return _merge_answer([future.result() for future in futures] + [tail], None)
 
 
 def test_disarmed_fault_overhead_below_two_percent(benchmark):

@@ -85,7 +85,8 @@ def _drive(engine, window_s: float, workload: list) -> dict:
         elapsed = time.perf_counter() - start
         stats = handle.service.stats()
         assert answered == _N_CLIENTS * _REQUESTS_PER_CLIENT
-        assert stats["shed"] == {"quota": 0, "queue_full": 0, "brownout": 0}
+        for reason in ("quota", "queue_full", "brownout", "breaker", "draining", "fault"):
+            assert stats["shed"][reason] == 0, (reason, stats["shed"])
         return {
             "window_ms": window_s * 1000,
             "answered": answered,

@@ -125,7 +125,7 @@ def main() -> None:
         status, _, health = http_json(host, port, "GET", "/healthz")
         assert status == 200, health
         print(f"healthz           : {health['points']:,} points, "
-              f"{health['shards']} shard(s), backend {health['backend']}")
+              f"{health['shards']} shard(s)")
 
         # -- concurrent mixed-tenant load ----------------------------- #
         # 8 dashboard clients race 6 requests each (3 inequality + 3

@@ -370,7 +370,7 @@ class PlanarIndexCollection:
             return best.finish_query(wq, r_lo, r_hi), "intervals"
         return self._scan_result(wq, best, r_lo, r_hi, n), "scan"
 
-    def query(self, query: ScalarProductQuery) -> QueryResult:
+    def query(self, query: ScalarProductQuery | WorkingQuery) -> QueryResult:
         """Answer an inequality query via the best index (or a scan).
 
         After best-index selection, a cost-based router checks the size of
@@ -380,12 +380,14 @@ class PlanarIndexCollection:
         computed by one matmul over all live features instead — same
         answer, better worst case (the paper's "query time gets close to
         the baseline" regime).  Pruning statistics stay interval-based.
+        A :class:`WorkingQuery` (the facade's octant check) is used as is.
         """
+        wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
         if not _ort.active():
-            return self._query_impl(self.working_query(query))[0]
+            return self._query_impl(wq)[0]
         started = time.perf_counter()
         with _osp.span("collection.query", strategy=self._strategy.value):
-            result, route = self._query_impl(self.working_query(query))
+            result, route = self._query_impl(wq)
         _om.queries_total().inc(
             kind="inequality", route=route, strategy=self._strategy.value
         )
@@ -580,7 +582,7 @@ class PlanarIndexCollection:
 
     def topk(
         self,
-        query: ScalarProductQuery,
+        query: ScalarProductQuery | WorkingQuery,
         k: int,
         cutoff: "SharedCutoff | None" = None,
     ) -> TopKResult:
@@ -591,12 +593,11 @@ class PlanarIndexCollection:
         across sibling shards so the globally best k-th distance prunes
         every shard's scan (see :meth:`PlanarIndex.topk`).
         """
+        wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
         if not _ort.active():
-            wq = self.working_query(query)
             return self.select(wq).topk(wq, k, cutoff=cutoff)
         started = time.perf_counter()
         with _osp.span("collection.topk", strategy=self._strategy.value, k=k):
-            wq = self.working_query(query)
             result = self.select(wq).topk(wq, k, cutoff=cutoff)
         _om.queries_total().inc(
             kind="topk", route="intervals", strategy=self._strategy.value

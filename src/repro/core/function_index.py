@@ -15,17 +15,24 @@
 Queries whose parameters fall outside the indexed octant cannot use the
 interval argument; by default they transparently fall back to a sequential
 scan (and are flagged as such in the answer) instead of failing.
+
+The sharded engine (:class:`~repro.parallel.engine.ShardedFunctionIndex`)
+subclasses :class:`FunctionIndex` and only replaces how one
+per-collection call runs (:meth:`FunctionIndex._fan_out`) and how a
+mutation reaches the owning collections
+(:meth:`FunctionIndex._maintain_each`).
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
 from .._util import as_2d_float, as_rng, require_finite_rows
-from ..exceptions import DimensionMismatchError, InvalidQueryError
+from ..exceptions import DimensionMismatchError, IndexBuildError, InvalidQueryError
 from ..geometry.translation import Translator
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
@@ -36,10 +43,10 @@ from .collection import PlanarIndexCollection
 from .domains import QueryModel
 from .feature_store import FeatureStore
 from .phi import FeatureMap, identity_map
-from .planar import QueryStats
+from .planar import QueryStats, WorkingQuery
 from .query import Comparison, ScalarProductQuery
 from .selection import SelectionStrategy
-from .topk import TopKResult
+from .topk import SharedCutoff, TopKBuffer, TopKResult
 
 # Workload recording hook (repro.tuning).  Import-order safe: the recorder
 # module itself depends only on repro.exceptions / repro.obs, and the
@@ -49,7 +56,9 @@ from .topk import TopKResult
 # recording is disarmed.
 from ..tuning import recorder as _tnr
 
-__all__ = ["FunctionIndex", "QueryAnswer"]
+__all__ = ["FunctionIndex", "QueryAnswer", "scan_store"]
+
+_T = TypeVar("_T")
 
 
 @dataclass(frozen=True)
@@ -76,15 +85,78 @@ class QueryAnswer:
         return int(self.ids.size)
 
 
-def _merge_batch_stats(parts: list[QueryStats]) -> QueryStats:
-    """Sum per-query diagnostics of a batch for its trace's cost record."""
-    return QueryStats(
-        n_total=sum(p.n_total for p in parts),
-        si_size=sum(p.si_size for p in parts),
-        ii_size=sum(p.ii_size for p in parts),
-        li_size=sum(p.li_size for p in parts),
-        n_verified=sum(p.n_verified for p in parts),
-        n_results=sum(p.n_results for p in parts),
+def scan_store(
+    store: Any,
+    kind: str,
+    queries: Sequence[ScalarProductQuery],
+    k: int | None = None,
+) -> list:
+    """Exact answers over every live row of ``store``, without an index.
+
+    One entry per query: a :class:`TopKResult` from
+    :class:`~repro.scan.baseline.SequentialScan` when ``k`` is given,
+    else the ascending ids satisfying the query.  A ``"range"`` task's
+    ``(>= low, <= high)`` pair is one BETWEEN query with one entry.
+    Inequalities evaluate the same product the scan baseline does, but
+    without its ``baseline`` metric series (the callers report their own
+    route).  Backs both the octant fallback and the sharded engine's
+    recovery of a failed shard.
+    """
+    from ..scan.baseline import SequentialScan
+
+    ids, rows = store.get_all()
+    if k is not None:
+        scan = SequentialScan(rows, ids)
+        return [scan.topk(query, k) for query in queries]
+    if kind == "range":
+        low_q, high_q = queries
+        return [np.sort(ids[low_q.evaluate(rows) & high_q.evaluate(rows)])]
+    return [np.sort(ids[query.evaluate(rows)]) for query in queries]
+
+
+def _merge_answer(
+    parts: Sequence[Any], degraded: DegradedInfo | None
+) -> QueryAnswer:
+    """Disjoint sorted per-collection id sets merge into one sorted answer.
+
+    ``None`` entries (unrecovered shards under a degrading policy) are
+    skipped; their absence is what ``degraded.completeness`` accounts.
+    """
+    present = [part for part in parts if part is not None]
+    if len(present) == 1:
+        only = present[0]
+        return QueryAnswer(only.ids, only.stats, False, degraded)
+    ids = np.sort(np.concatenate([part.ids for part in present]))
+    stats = QueryStats.merged(part.stats for part in present)
+    return QueryAnswer(ids, stats, False, degraded)
+
+
+def _merge_topk(
+    parts: Sequence[TopKResult | None],
+    k: int,
+    n_total: int,
+    degraded: DegradedInfo | None,
+) -> TopKResult:
+    """Merge one query's per-collection top-k slices into the global answer.
+
+    One :class:`TopKBuffer` applies the distance-then-id tie-break, so the
+    merged ids, distances and ties equal one scan over the union.
+    """
+    if len(parts) == 1 and degraded is None and parts[0] is not None:
+        return parts[0]
+    present = [part for part in parts if part is not None]
+    buffer = TopKBuffer(k)
+    for part in present:
+        buffer.offer_many(part.distances, part.ids)
+    ids, distances = buffer.as_sorted()
+    stats = [part.stats for part in present]
+    return TopKResult(
+        ids=ids,
+        distances=distances,
+        n_checked=sum(part.n_checked for part in present),
+        n_total=n_total,
+        stats=QueryStats.merged(stats) if all(p is not None for p in stats) else None,
+        degraded=degraded,
     )
 
 
@@ -116,6 +188,14 @@ class FunctionIndex:
         Translation slack forwarded to :class:`Translator`.
     rng:
         Seed or generator for index-normal sampling.
+
+    Every query validates, records its workload sketch, octant-checks,
+    then runs one call per Planar index collection through
+    :meth:`_fan_out` and merges the slices; the whole call is one trace
+    (:meth:`_traced`).  The sharded engine
+    (:class:`~repro.parallel.engine.ShardedFunctionIndex`) is this class
+    with one collection per shard: it overrides :meth:`_fan_out` and
+    :meth:`_maintain_each` only.
     """
 
     def __init__(
@@ -130,6 +210,21 @@ class FunctionIndex:
         margin: float = 0.0,
         rng: np.random.Generator | int | None = None,
     ) -> None:
+        self._bind(points, query_model, feature_map, scan_fallback, margin, rng)
+        self._collections = self._index_collections(
+            [(self._features, "")], n_indices, normals, strategy
+        )
+
+    def _bind(
+        self,
+        points: np.ndarray,
+        query_model: QueryModel,
+        feature_map: FeatureMap | None,
+        scan_fallback: bool,
+        margin: float,
+        rng: np.random.Generator | int | None,
+    ) -> None:
+        """Validate and store the points, ``phi(points)`` and the translator."""
         pts = as_2d_float(points, "points")
         if feature_map is None:
             feature_map = identity_map(pts.shape[1])
@@ -153,19 +248,486 @@ class FunctionIndex:
         self._features = FeatureStore(features)
         self._translator = Translator(query_model.octant(), margin=margin)
         self._translator.observe(features)
-        if normals is not None:
-            self._collection = PlanarIndexCollection(
-                self._features, self._translator, normals, strategy, self._rng
+
+    def _index_collections(
+        self,
+        stores: Sequence[tuple[Any, str]],
+        n_indices: int,
+        normals: np.ndarray | None,
+        strategy: SelectionStrategy | str,
+    ) -> list[PlanarIndexCollection]:
+        """One collection per ``(store, obs prefix)``, all on the same normals.
+
+        Without explicit ``normals``, ``n_indices`` are sampled from the
+        query model (Section 5.2) with the facade's generator.
+        """
+        if normals is None:
+            if n_indices <= 0:
+                raise IndexBuildError(
+                    f"index budget must be positive, got {n_indices}"
+                )
+            normals = self._model.sample_normals(n_indices, self._rng)
+        return [
+            PlanarIndexCollection(
+                store, self._translator, normals, strategy, self._rng, obs_prefix=prefix
             )
-        else:
-            self._collection = PlanarIndexCollection.from_model(
-                self._features,
-                self._translator,
-                query_model,
-                n_indices,
-                strategy,
-                self._rng,
+            for store, prefix in stores
+        ]
+
+    # ------------------------------------------------------------------ #
+    # Introspection
+    # ------------------------------------------------------------------ #
+
+    def __len__(self) -> int:
+        """Number of live indexed points."""
+        return len(self._features)
+
+    @property
+    def feature_map(self) -> FeatureMap:
+        """The indexed function ``phi``."""
+        return self._phi
+
+    @property
+    def query_model(self) -> QueryModel:
+        """The configured query-parameter domains."""
+        return self._model
+
+    @property
+    def translator(self) -> Translator:
+        """The octant translator shared by every collection."""
+        return self._translator
+
+    @property
+    def n_indices(self) -> int:
+        """Number of live Planar indices (per collection)."""
+        return len(self._collections[0])
+
+    def memory_bytes(self) -> int:
+        """Footprint of features, raw points, and all key structures."""
+        return (
+            self._features.memory_bytes()
+            + self._points.memory_bytes()
+            + sum(collection.memory_bytes() for collection in self._collections)
+        )
+
+    def get_points(self, ids: np.ndarray) -> np.ndarray:
+        """Raw data points for the given ids."""
+        return self._points.get(ids)
+
+    def get_features(self, ids: np.ndarray) -> np.ndarray:
+        """Feature vectors ``phi(x)`` for the given ids."""
+        return self._features.get(ids)
+
+    def live_ids(self) -> np.ndarray:
+        """All live point ids (ascending)."""
+        return self._features.live_ids()
+
+    # ------------------------------------------------------------------ #
+    # Execution hooks
+    # ------------------------------------------------------------------ #
+
+    def _fan_out(
+        self,
+        kind: str,
+        call: Callable[[PlanarIndexCollection], _T],
+        queries: Sequence[ScalarProductQuery],
+        k: int | None = None,
+        timeout_s: float | None = None,
+    ) -> tuple[list[_T | None], DegradedInfo | None]:
+        """Run ``call`` on every collection: ``(slices, degraded)``.
+
+        ``queries`` (and ``k``) describe the task so an implementation can
+        recompute a lost slice exactly; ``timeout_s`` bounds the wait.  One
+        collection answers inline, so neither is needed here.
+        """
+        return [call(self._collections[0])], None
+
+    def _maintain_each(
+        self,
+        action: str,
+        ids: np.ndarray | None,
+        apply: Callable[[PlanarIndexCollection, Any], _T],
+    ) -> list[_T]:
+        """Apply a mutation to the collections owning ``ids`` (all if None).
+
+        ``apply(collection, rows)`` receives the index selecting the
+        collection's share of ``ids``; the single collection owns them all.
+        """
+        return [apply(self._collections[0], slice(None))]
+
+    # ------------------------------------------------------------------ #
+    # Queries
+    # ------------------------------------------------------------------ #
+
+    def _traced(self, kind: str, body: Callable[..., _T], *args: Any) -> _T:
+        """Run ``body(*args)`` as one ``kind`` trace (see :mod:`repro.obs.trace`).
+
+        Completeness is observed for every trace, sampled or not, so the
+        SLO completeness floor is evaluated over exact data; the summed
+        cost counters ride the query-log record.
+        """
+        shards = len(self._collections)
+        ctx = _otr.begin(kind, shards=shards)
+        if ctx is None:
+            return body(*args)
+        try:
+            result = body(*args)
+        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
+            _otr.abort(ctx, exc)
+            raise
+        answers: list = result if isinstance(result, list) else [result]
+        degraded = next(
+            (answer.degraded for answer in answers if answer.degraded is not None),
+            None,
+        )
+        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
+            _om.answer_completeness().observe(
+                degraded.completeness if degraded is not None else 1.0, kind=kind
             )
+
+        def cost() -> dict:
+            parts = [answer.stats for answer in answers if answer.stats is not None]
+            counters = QueryStats.merged(parts).to_dict() if parts else {}
+            if isinstance(answers[0], TopKResult):
+                counters["lbs_checked"] = sum(int(a.n_checked) for a in answers)
+            return counters
+
+        _otr.finish(
+            ctx,
+            stats=cost,
+            degraded=degraded,
+            shards=shards,
+            retries=degraded.retries if degraded is not None else 0,
+            n_queries=len(answers),
+            results=sum(int(answer.ids.size) for answer in answers),
+        )
+        return result
+
+    def _query(
+        self, normal: np.ndarray, offset: float, op: Comparison | str
+    ) -> ScalarProductQuery:
+        """Build one query, checking it against the feature dimension."""
+        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
+        if spq.dim != self._phi.out_dim:
+            raise DimensionMismatchError(
+                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
+            )
+        return spq
+
+    def _working(self, spq: ScalarProductQuery) -> WorkingQuery | None:
+        """Octant-translate ``spq`` once (the translator is shared).
+
+        ``None`` when the query does not fit the octant and must be
+        answered by the fallback scan; raises instead when
+        ``scan_fallback`` is off.
+        """
+        try:
+            return self._collections[0].working_query(spq)
+        except InvalidQueryError:
+            if not self._scan_fallback:
+                raise
+            return None
+
+    def _fallback(
+        self, kind: str, queries: Sequence[ScalarProductQuery], k: int | None
+    ) -> list:
+        """Octant fallback: one scan over the shared store, its own route."""
+        obs_on = _ort.active()
+        started = time.perf_counter() if obs_on else 0.0
+        answers = scan_store(self._features, kind, queries, k)
+        if obs_on:
+            label = kind if k is None else "topk"
+            _om.queries_total().inc(kind=label, route="octant-fallback", strategy="none")
+            if k is None:
+                _om.verified_points().inc(len(self), kind=label)
+            _om.query_latency().observe(
+                time.perf_counter() - started, kind=label, route="octant-fallback"
+            )
+        if k is not None:
+            return answers
+        return [QueryAnswer(ids, None, True) for ids in answers]
+
+    def _batch_inputs(
+        self, normals: np.ndarray, offsets: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Shape-checked ``(normals, offsets)`` of a batch call."""
+        normals = as_2d_float(normals, "normals")
+        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
+        if offsets.ndim != 1 or offsets.size != normals.shape[0]:
+            raise DimensionMismatchError(
+                f"{offsets.size} offsets for {normals.shape[0]} normals"
+            )
+        return normals, offsets
+
+    def _batch(
+        self,
+        normals: np.ndarray,
+        offsets: np.ndarray,
+        op: Comparison | str,
+        k: int | None,
+        timeout_s: float | None,
+    ) -> list:
+        """Body of both batch calls; ``k`` selects top-k."""
+        if normals.shape[1] != self._phi.out_dim:
+            raise DimensionMismatchError(
+                f"queries have dimension {normals.shape[1]}, feature space "
+                f"has {self._phi.out_dim}"
+            )
+        kind = "batch" if k is None else "batch_topk"
+        queries = [
+            ScalarProductQuery(normals[row], float(offsets[row]), op)
+            for row in range(normals.shape[0])
+        ]
+        if _tnr.RECORDING:
+            sketch_kind = "batch" if k is None else "topk"
+            for spq in queries:
+                _tnr.record_query(spq.normal, spq.offset, spq.op.value, sketch_kind, k or 0)
+        answers: list = [None] * len(queries)
+        plannable: list[int] = []
+        for position, spq in enumerate(queries):
+            if self._working(spq) is None:
+                answers[position] = self._fallback(kind, [spq], k)[0]
+            else:
+                plannable.append(position)
+        if plannable:
+            subset = [queries[position] for position in plannable]
+            call = (
+                (lambda collection: collection.query_batch(subset))
+                if k is None
+                else (lambda collection: collection.topk_batch(subset, k))
+            )
+            per_collection, degraded = self._fan_out(kind, call, subset, k, timeout_s)
+            for slot, position in enumerate(plannable):
+                parts = [None if part is None else part[slot] for part in per_collection]
+                answers[position] = (
+                    _merge_answer(parts, degraded)
+                    if k is None
+                    else _merge_topk(parts, k, len(self._features), degraded)
+                )
+        return answers
+
+    def query(
+        self,
+        normal: np.ndarray,
+        offset: float,
+        op: Comparison | str = Comparison.LE,
+    ) -> QueryAnswer:
+        """Answer the inequality query ``<normal, phi(x)> OP offset`` exactly."""
+        return self._traced("inequality", self._query_one, normal, offset, op)
+
+    def _query_one(
+        self, normal: np.ndarray, offset: float, op: Comparison | str
+    ) -> QueryAnswer:
+        spq = self._query(normal, offset, op)
+        if _tnr.RECORDING:
+            _tnr.record_query(spq.normal, spq.offset, spq.op.value, "inequality")
+        wq = self._working(spq)
+        if wq is None:
+            return self._fallback("inequality", [spq], None)[0]
+        parts, degraded = self._fan_out(
+            "inequality", lambda collection: collection.query(wq), [spq]
+        )
+        return _merge_answer(parts, degraded)
+
+    def query_range(
+        self,
+        normal: np.ndarray,
+        low: float,
+        high: float,
+    ) -> QueryAnswer:
+        """Exact BETWEEN query: ``low <= <normal, phi(x)> <= high``.
+
+        Served by a single Planar index pass over both thresholds (see
+        :meth:`PlanarIndex.query_range`); falls back to a scan for
+        octant-incompatible normals.
+        """
+        return self._traced("range", self._query_range, normal, low, high)
+
+    def _query_range(self, normal: np.ndarray, low: float, high: float) -> QueryAnswer:
+        if not low <= high:
+            raise InvalidQueryError(f"empty range ({low}, {high})")
+        low_q = self._query(normal, low, ">=")
+        high_q = self._query(normal, high, "<=")
+        if _tnr.RECORDING:
+            # One sketch per bound (same normal, both operators).
+            _tnr.record_query(low_q.normal, low, ">=", "range")
+            _tnr.record_query(high_q.normal, high, "<=", "range")
+        wq_low, wq_high = self._working(low_q), self._working(high_q)
+        if wq_low is None or wq_high is None:
+            return self._fallback("range", [low_q, high_q], None)[0]
+        parts, degraded = self._fan_out(
+            "range",
+            lambda collection: collection.query_range(wq_low, wq_high),
+            [low_q, high_q],
+        )
+        return _merge_answer(parts, degraded)
+
+    def query_batch(
+        self,
+        normals: np.ndarray,
+        offsets: np.ndarray,
+        op: Comparison | str = Comparison.LE,
+        *,
+        timeout_s: float | None = None,
+    ) -> list[QueryAnswer]:
+        """Answer a batch of inequality queries sharing one operator.
+
+        ``normals`` is ``(m, d')`` and ``offsets`` has length ``m``.
+        Binary searches are batched per selected index (see
+        :meth:`PlanarIndexCollection.query_batch`); octant-incompatible
+        queries fall back to scans individually.  The batch is one trace.
+        Validation and the empty-batch short-circuit run before the trace
+        opens, so a malformed or empty batch emits no telemetry.
+
+        ``timeout_s`` overrides a sharded engine's ``query_timeout_s`` for
+        this call (the serving layer passes each batch's remaining
+        deadline); a :class:`FunctionIndex` answers inline and ignores it.
+        """
+        normals, offsets = self._batch_inputs(normals, offsets)
+        if normals.shape[0] == 0:
+            return []
+        return self._traced("batch", self._batch, normals, offsets, op, None, timeout_s)
+
+    def topk(
+        self,
+        normal: np.ndarray,
+        offset: float,
+        k: int,
+        op: Comparison | str = Comparison.LE,
+    ) -> TopKResult:
+        """Top-k satisfying points nearest the query hyperplane (Problem 2).
+
+        With several collections, a :class:`~repro.core.topk.SharedCutoff`
+        publishes the best k-th distance seen by any of them into every
+        LBS termination test, and the slices merge through one
+        :class:`~repro.core.topk.TopKBuffer`.
+        """
+        return self._traced("topk", self._topk_one, normal, offset, k, op)
+
+    def _topk_one(
+        self, normal: np.ndarray, offset: float, k: int, op: Comparison | str
+    ) -> TopKResult:
+        if k <= 0:
+            raise InvalidQueryError(f"k must be positive, got {k}")
+        spq = self._query(normal, offset, op)
+        if _tnr.RECORDING:
+            _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
+        wq = self._working(spq)
+        if wq is None:
+            return self._fallback("topk", [spq], k)[0]
+        cutoff = SharedCutoff() if len(self._collections) > 1 else None
+        parts, degraded = self._fan_out(
+            "topk", lambda collection: collection.topk(wq, k, cutoff=cutoff), [spq], k
+        )
+        return _merge_topk(parts, k, len(self._features), degraded)
+
+    def topk_batch(
+        self,
+        normals: np.ndarray,
+        offsets: np.ndarray,
+        k: int,
+        op: Comparison | str = Comparison.LE,
+        *,
+        timeout_s: float | None = None,
+    ) -> list[TopKResult]:
+        """Answer a batch of top-k queries sharing one operator and ``k``.
+
+        Candidate verification is batched per selected index with one
+        GEMM (see :meth:`PlanarIndexCollection.topk_batch`); each query's
+        LBS cutoff scan still runs individually.  Octant-incompatible
+        queries fall back to sequential-scan top-k one by one.  Like
+        :meth:`query_batch`: one trace, validated (``k`` included) and
+        short-circuited when empty before it opens, same ``timeout_s``.
+        """
+        normals, offsets = self._batch_inputs(normals, offsets)
+        if k <= 0:
+            raise InvalidQueryError(f"k must be positive, got {k}")
+        if normals.shape[0] == 0:
+            return []
+        return self._traced("batch_topk", self._batch, normals, offsets, op, k, timeout_s)
+
+    # ------------------------------------------------------------------ #
+    # Dynamic maintenance (Section 4.4)
+    # ------------------------------------------------------------------ #
+
+    def _ingest(self, new_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Validated ``(points, phi(points))``, observed by the translator."""
+        new_points = as_2d_float(new_points, "new_points")
+        require_finite_rows(new_points, "new_points")
+        features = self._phi(new_points)
+        # Validate *before* the translator observes the new extremes: a NaN
+        # feature row would poison the translator's running min/max and
+        # corrupt every later octant translation even though the store
+        # rejects the row.
+        require_finite_rows(features, "features(new_points)")
+        # Growing the translator first keeps Claim 1 valid for the new
+        # extremes; stored keys are translation-invariant so no rebuild.
+        self._translator.observe(features)
+        return new_points, features
+
+    def update_points(self, ids: np.ndarray, new_points: np.ndarray) -> None:
+        """Change the raw values of existing points and re-key every index."""
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        new_points, features = self._ingest(new_points)
+        self._points.update(ids, new_points)
+        self._features.update(ids, features)
+        self._maintain_each(
+            "update", ids, lambda collection, rows: collection.rekey(ids[rows], features[rows])
+        )
+
+    def insert_points(self, new_points: np.ndarray) -> np.ndarray:
+        """Add new data points; returns their assigned ids."""
+        new_points, features = self._ingest(new_points)
+        point_ids = self._points.append(new_points)
+        feature_ids = self._features.append(features)
+        if not np.array_equal(point_ids, feature_ids):  # pragma: no cover
+            raise RuntimeError("point/feature stores diverged")
+        self._maintain_each(
+            "insert",
+            feature_ids,
+            lambda collection, rows: collection.insert(feature_ids[rows], features[rows]),
+        )
+        return feature_ids
+
+    def delete_points(self, ids: np.ndarray) -> None:
+        """Remove points from the index."""
+        # Fail before touching the collections: deleting from the indices
+        # first and then hitting a read-only (memmap) store would leave
+        # the two out of lockstep.
+        if not self._features.writable:
+            self._features.delete(np.empty(0, dtype=np.int64))  # raises
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        self._maintain_each(
+            "delete", ids, lambda collection, rows: collection.delete(ids[rows])
+        )
+        self._features.delete(ids)
+        self._points.delete(ids)
+
+    def add_index(self, normal: np.ndarray) -> bool:
+        """Dynamically add one more Planar index (Section 4.2 adaptation).
+
+        Every collection applies the same cosine redundancy rule to the
+        same normals, so their verdicts agree; the common one is returned.
+        """
+        verdicts = self._maintain_each(
+            "add_index", None, lambda collection, _rows: collection.add_index(normal)
+        )
+        if len(set(verdicts)) != 1:  # pragma: no cover - collections share normals
+            raise RuntimeError("collections diverged on add_index redundancy verdict")
+        return verdicts[0]
+
+    def drop_index(self, position: int) -> None:
+        """Drop the Planar index at ``position`` (Section 4.2 adaptation).
+
+        At least one index must remain; see
+        :meth:`~repro.core.collection.PlanarIndexCollection.drop_index`.
+        The tuning advisor's :func:`~repro.tuning.advisor.apply_plan`
+        retires workload-mismatched normals through this hook.
+        """
+        self._maintain_each(
+            "drop_index", None, lambda collection, _rows: collection.drop_index(position)
+        )
+
 
     @classmethod
     def _from_prebuilt(
@@ -193,16 +755,8 @@ class FunctionIndex:
         self._points = points
         self._features = features
         self._translator = translator
-        self._collection = collection
+        self._collections = [collection]
         return self
-
-    # ------------------------------------------------------------------ #
-    # Introspection
-    # ------------------------------------------------------------------ #
-
-    def __len__(self) -> int:
-        """Number of live indexed points."""
-        return len(self._features)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -211,420 +765,10 @@ class FunctionIndex:
         )
 
     @property
-    def feature_map(self) -> FeatureMap:
-        """The indexed function ``phi``."""
-        return self._phi
-
-    @property
-    def query_model(self) -> QueryModel:
-        """The configured query-parameter domains."""
-        return self._model
-
-    @property
     def collection(self) -> PlanarIndexCollection:
         """The underlying Planar index collection."""
-        return self._collection
+        return self._collections[0]
 
-    @property
-    def translator(self) -> Translator:
-        """The shared octant translator."""
-        return self._translator
-
-    @property
-    def n_indices(self) -> int:
-        """Number of live Planar indices."""
-        return len(self._collection)
-
-    def memory_bytes(self) -> int:
-        """Footprint of features, raw points, and all key structures."""
-        return (
-            self._features.memory_bytes()
-            + self._points.memory_bytes()
-            + self._collection.memory_bytes()
-        )
-
-    def get_points(self, ids: np.ndarray) -> np.ndarray:
-        """Raw data points for the given ids."""
-        return self._points.get(ids)
-
-    def get_features(self, ids: np.ndarray) -> np.ndarray:
-        """Feature vectors ``phi(x)`` for the given ids."""
-        return self._features.get(ids)
-
-    def live_ids(self) -> np.ndarray:
-        """All live point ids."""
-        return self._features.live_ids()
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-
-    def _scan(self, query: ScalarProductQuery) -> np.ndarray:
-        ids, rows = self._features.get_all()
-        mask = query.evaluate(rows)
-        return np.sort(ids[mask])
-
-    def _finish_trace(
-        self, ctx: _otr.TraceContext, answer: QueryAnswer, n_queries: int = 1
-    ) -> None:
-        """Close a monolithic facade trace (shards=1, never degraded)."""
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(1.0, kind=ctx.kind)
-        _otr.finish(
-            ctx,
-            stats=answer.stats.to_dict if answer.stats is not None else None,
-            shards=1,
-            n_queries=n_queries,
-            results=len(answer),
-        )
-
-    def query(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        op: Comparison | str = Comparison.LE,
-    ) -> QueryAnswer:
-        """Answer the inequality query ``<normal, phi(x)> OP offset`` exactly."""
-        ctx = _otr.begin("inequality")
-        if ctx is None:
-            return self._query_impl(normal, offset, op)
-        try:
-            answer = self._query_impl(normal, offset, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(ctx, answer)
-        return answer
-
-    def _query_impl(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        op: Comparison | str = Comparison.LE,
-    ) -> QueryAnswer:
-        """Untraced body of :meth:`query` (shared by the trace wrapper)."""
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        if spq.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
-            )
-        if _tnr.RECORDING:
-            _tnr.record_query(spq.normal, spq.offset, spq.op.value, "inequality")
-        try:
-            result = self._collection.query(spq)
-        except InvalidQueryError:
-            if not self._scan_fallback:
-                raise
-            return QueryAnswer(self._fallback_scan(spq, "inequality"), None, True)
-        return QueryAnswer(result.ids, result.stats, False)
-
-    def _fallback_scan(self, query: ScalarProductQuery, kind: str) -> np.ndarray:
-        """Octant-fallback scan, reported under its own metric route."""
-        obs_on = _ort.active()
-        started = time.perf_counter() if obs_on else 0.0
-        ids = self._scan(query)
-        if obs_on:
-            _om.queries_total().inc(kind=kind, route="octant-fallback", strategy="none")
-            _om.verified_points().inc(len(self), kind=kind)
-            _om.query_latency().observe(
-                time.perf_counter() - started, kind=kind, route="octant-fallback"
-            )
-        return ids
-
-    def query_range(
-        self,
-        normal: np.ndarray,
-        low: float,
-        high: float,
-    ) -> QueryAnswer:
-        """Exact BETWEEN query: ``low <= <normal, phi(x)> <= high``.
-
-        Served by a single Planar index pass over both thresholds (see
-        :meth:`PlanarIndex.query_range`); falls back to a scan for
-        octant-incompatible normals.
-        """
-        ctx = _otr.begin("range")
-        if ctx is None:
-            return self._query_range_impl(normal, low, high)
-        try:
-            answer = self._query_range_impl(normal, low, high)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(ctx, answer)
-        return answer
-
-    def _query_range_impl(
-        self,
-        normal: np.ndarray,
-        low: float,
-        high: float,
-    ) -> QueryAnswer:
-        """Untraced body of :meth:`query_range`."""
-        if not low <= high:
-            raise InvalidQueryError(f"empty range ({low}, {high})")
-        low_q = ScalarProductQuery(np.asarray(normal, dtype=np.float64), low, ">=")
-        high_q = ScalarProductQuery(np.asarray(normal, dtype=np.float64), high, "<=")
-        if low_q.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {low_q.dim}, feature space has {self._phi.out_dim}"
-            )
-        if _tnr.RECORDING:
-            # One sketch per bound (same normal, both operators).
-            _tnr.record_query(low_q.normal, low, ">=", "range")
-            _tnr.record_query(high_q.normal, high, "<=", "range")
-        try:
-            wq_low = self._collection.working_query(low_q)
-            wq_high = self._collection.working_query(high_q)
-        except InvalidQueryError:
-            if not self._scan_fallback:
-                raise
-            obs_on = _ort.active()
-            started = time.perf_counter() if obs_on else 0.0
-            ids, rows = self._features.get_all()
-            values = rows @ low_q.normal  # repro: noqa(REP001) — explicit opt-in scan fallback (guarded above)
-            mask = (values >= low) & (values <= high)
-            if obs_on:
-                _om.queries_total().inc(
-                    kind="range", route="octant-fallback", strategy="none"
-                )
-                _om.verified_points().inc(len(self), kind="range")
-                _om.query_latency().observe(
-                    time.perf_counter() - started, kind="range", route="octant-fallback"
-                )
-            return QueryAnswer(np.sort(ids[mask]), None, True)
-        result = self._collection.query_range(wq_low, wq_high)
-        return QueryAnswer(result.ids, result.stats, False)
-
-    def query_batch(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        op: Comparison | str = Comparison.LE,
-    ) -> list[QueryAnswer]:
-        """Answer a batch of inequality queries sharing one operator.
-
-        ``normals`` is ``(m, d')`` and ``offsets`` has length ``m``.
-        Binary searches are batched per selected index (see
-        :meth:`PlanarIndexCollection.query_batch`); octant-incompatible
-        queries fall back to scans individually.  The batch is one trace.
-        """
-        ctx = _otr.begin("batch")
-        if ctx is None:
-            return self._query_batch_impl(normals, offsets, op)
-        try:
-            answers = self._query_batch_impl(normals, offsets, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        parts = [answer.stats for answer in answers if answer.stats is not None]
-        merged = QueryAnswer(
-            np.empty(0, dtype=np.int64),
-            _merge_batch_stats(parts) if parts else None,
-            False,
-        )
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(1.0, kind=ctx.kind)
-        _otr.finish(
-            ctx,
-            stats=merged.stats.to_dict if merged.stats is not None else None,
-            shards=1,
-            n_queries=len(answers),
-            results=sum(len(answer) for answer in answers),
-        )
-        return answers
-
-    def _query_batch_impl(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        op: Comparison | str = Comparison.LE,
-    ) -> list[QueryAnswer]:
-        """Untraced body of :meth:`query_batch`."""
-        normals = as_2d_float(normals, "normals")
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if offsets.ndim != 1 or offsets.size != normals.shape[0]:
-            raise DimensionMismatchError(
-                f"{offsets.size} offsets for {normals.shape[0]} normals"
-            )
-        queries = [
-            ScalarProductQuery(normals[row], float(offsets[row]), op)
-            for row in range(normals.shape[0])
-        ]
-        if _tnr.RECORDING:
-            for spq in queries:
-                _tnr.record_query(spq.normal, spq.offset, spq.op.value, "batch")
-        plannable: list[int] = []
-        answers: list[QueryAnswer | None] = [None] * len(queries)
-        for position, spq in enumerate(queries):
-            try:
-                self._collection.working_query(spq)
-            except InvalidQueryError:
-                if not self._scan_fallback:
-                    raise
-                answers[position] = QueryAnswer(
-                    self._fallback_scan(spq, "batch"), None, True
-                )
-                continue
-            plannable.append(position)
-        if plannable:
-            results = self._collection.query_batch([queries[p] for p in plannable])
-            for position, result in zip(plannable, results):
-                answers[position] = QueryAnswer(result.ids, result.stats, False)
-        return answers  # type: ignore[return-value]
-
-    def topk(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        k: int,
-        op: Comparison | str = Comparison.LE,
-    ) -> TopKResult:
-        """Top-k satisfying points nearest the query hyperplane (Problem 2)."""
-        ctx = _otr.begin("topk")
-        if ctx is None:
-            return self._topk_impl(normal, offset, k, op)
-        try:
-            result = self._topk_impl(normal, offset, k, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(1.0, kind=ctx.kind)
-        def cost() -> dict:
-            counters = result.stats.to_dict() if result.stats is not None else {}
-            counters["lbs_checked"] = int(result.n_checked)
-            return counters
-
-        _otr.finish(
-            ctx, stats=cost, shards=1, results=int(result.ids.size)
-        )
-        return result
-
-    def _topk_impl(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        k: int,
-        op: Comparison | str = Comparison.LE,
-    ) -> TopKResult:
-        """Untraced body of :meth:`topk`."""
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        if spq.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
-            )
-        if _tnr.RECORDING:
-            _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
-        try:
-            return self._collection.topk(spq, k)
-        except InvalidQueryError:
-            if not self._scan_fallback:
-                raise
-            from ..scan.baseline import SequentialScan
-
-            obs_on = _ort.active()
-            started = time.perf_counter() if obs_on else 0.0
-            ids, rows = self._features.get_all()
-            result = SequentialScan(rows, ids).topk(spq, k)
-            if obs_on:
-                _om.queries_total().inc(
-                    kind="topk", route="octant-fallback", strategy="none"
-                )
-                _om.query_latency().observe(
-                    time.perf_counter() - started, kind="topk", route="octant-fallback"
-                )
-            return result
-
-    def topk_batch(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        k: int,
-        op: Comparison | str = Comparison.LE,
-    ) -> list[TopKResult]:
-        """Answer a batch of top-k queries sharing one operator and ``k``.
-
-        Candidate verification is batched per selected index with one
-        GEMM (see :meth:`PlanarIndexCollection.topk_batch`); each query's
-        LBS cutoff scan still runs individually.  Octant-incompatible
-        queries fall back to sequential-scan top-k one by one.  The batch
-        is one trace.
-        """
-        ctx = _otr.begin("batch_topk")
-        if ctx is None:
-            return self._topk_batch_impl(normals, offsets, k, op)
-        try:
-            results = self._topk_batch_impl(normals, offsets, k, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(1.0, kind=ctx.kind)
-        parts = [result.stats for result in results if result.stats is not None]
-        merged = _merge_batch_stats(parts) if parts else None
-
-        def cost() -> dict:
-            counters = merged.to_dict() if merged is not None else {}
-            counters["lbs_checked"] = sum(int(r.n_checked) for r in results)
-            return counters
-
-        _otr.finish(
-            ctx,
-            stats=cost,
-            shards=1,
-            n_queries=len(results),
-            results=sum(int(r.ids.size) for r in results),
-        )
-        return results
-
-    def _topk_batch_impl(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        k: int,
-        op: Comparison | str = Comparison.LE,
-    ) -> list[TopKResult]:
-        """Untraced body of :meth:`topk_batch`."""
-        normals = as_2d_float(normals, "normals")
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if offsets.ndim != 1 or offsets.size != normals.shape[0]:
-            raise DimensionMismatchError(
-                f"{offsets.size} offsets for {normals.shape[0]} normals"
-            )
-        if normals.shape[0] and normals.shape[1] != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"queries have dimension {normals.shape[1]}, feature space "
-                f"has {self._phi.out_dim}"
-            )
-        queries = [
-            ScalarProductQuery(normals[row], float(offsets[row]), op)
-            for row in range(normals.shape[0])
-        ]
-        if _tnr.RECORDING:
-            for spq in queries:
-                _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
-        plannable: list[int] = []
-        results: list[TopKResult | None] = [None] * len(queries)
-        for position, spq in enumerate(queries):
-            try:
-                self._collection.working_query(spq)
-            except InvalidQueryError:
-                if not self._scan_fallback:
-                    raise
-                from ..scan.baseline import SequentialScan
-
-                ids, rows = self._features.get_all()
-                results[position] = SequentialScan(rows, ids).topk(spq, k)
-                continue
-            plannable.append(position)
-        if plannable:
-            batched = self._collection.topk_batch(
-                [queries[p] for p in plannable], k
-            )
-            for position, result in zip(plannable, batched):
-                results[position] = result
-        return results  # type: ignore[return-value]
 
     def explain(
         self,
@@ -644,15 +788,15 @@ class FunctionIndex:
 
         spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
         try:
-            wq = self._collection.working_query(spq)
+            wq = self.collection.working_query(spq)
         except InvalidQueryError as exc:
             return {
                 "route": "octant-fallback",
                 "reason": str(exc),
                 "n_total": len(self),
             }
-        position = self._collection._select_position(wq)
-        index = self._collection[position]
+        position = self.collection._select_position(wq)
+        index = self.collection[position]
         r_lo, r_hi, n = index.interval_ranks(wq)
         intermediate = r_hi - r_lo
         route = (
@@ -660,7 +804,7 @@ class FunctionIndex:
         )
         return {
             "route": route,
-            "strategy": self._collection.strategy.value,
+            "strategy": self.collection.strategy.value,
             "index_position": position,
             "index_normal": index.normal.copy(),
             "si_size": r_lo,
@@ -685,17 +829,13 @@ class FunctionIndex:
         the sequential-scan fallback route instead of raising (when
         ``scan_fallback`` is set).
         """
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        if spq.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
-            )
+        spq = self._query(normal, offset, op)
         try:
-            return self._collection.explain(spq)
+            return self.collection.explain(spq)
         except InvalidQueryError as exc:
             if not self._scan_fallback:
                 raise
-            ids = self._scan(spq)
+            ids = scan_store(self._features, "inequality", [spq])[0]
             if _ort.active():
                 _om.explain_total().inc(route="octant-fallback")
             n = len(self)
@@ -724,7 +864,7 @@ class FunctionIndex:
             else:
                 built.append(ScalarProductQuery(*constraint))
         return answer_disjunction(
-            self._collection, DisjunctiveQuery(built), self._features
+            self.collection, DisjunctiveQuery(built), self._features
         )
 
     def query_conjunction(self, constraints) -> "ConstraintAnswer":
@@ -744,69 +884,5 @@ class FunctionIndex:
             else:
                 built.append(ScalarProductQuery(*constraint))
         return answer_conjunction(
-            self._collection, ConjunctiveQuery(built), self._features
+            self.collection, ConjunctiveQuery(built), self._features
         )
-
-    # ------------------------------------------------------------------ #
-    # Dynamic maintenance (Section 4.4)
-    # ------------------------------------------------------------------ #
-
-    def update_points(self, ids: np.ndarray, new_points: np.ndarray) -> None:
-        """Change the raw values of existing points and re-key every index."""
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        new_points = as_2d_float(new_points, "new_points")
-        require_finite_rows(new_points, "new_points")
-        features = self._phi(new_points)
-        # Validate *before* the translator observes the new extremes: a NaN
-        # feature row would poison the translator's running min/max and
-        # corrupt every later octant translation even though the store
-        # rejects the row.
-        require_finite_rows(features, "features(new_points)")
-        # Growing the translator first keeps Claim 1 valid for the new
-        # extremes; stored keys are translation-invariant so no rebuild.
-        self._translator.observe(features)
-        self._points.update(ids, new_points)
-        self._features.update(ids, features)
-        self._collection.rekey(ids, features)
-
-    def insert_points(self, new_points: np.ndarray) -> np.ndarray:
-        """Add new data points; returns their assigned ids."""
-        new_points = as_2d_float(new_points, "new_points")
-        require_finite_rows(new_points, "new_points")
-        features = self._phi(new_points)
-        # Same ordering concern as update_points: reject non-finite feature
-        # rows before the translator can absorb them into its extremes.
-        require_finite_rows(features, "features(new_points)")
-        self._translator.observe(features)
-        point_ids = self._points.append(new_points)
-        feature_ids = self._features.append(features)
-        if not np.array_equal(point_ids, feature_ids):  # pragma: no cover
-            raise RuntimeError("point/feature stores diverged")
-        self._collection.insert(feature_ids, features)
-        return feature_ids
-
-    def delete_points(self, ids: np.ndarray) -> None:
-        """Remove points from the index."""
-        # Fail before touching the collection: deleting from the indices
-        # first and then hitting a read-only (memmap) store would leave
-        # the two out of lockstep.
-        if not self._features.writable:
-            self._features.delete(np.empty(0, dtype=np.int64))  # raises
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        self._collection.delete(ids)
-        self._features.delete(ids)
-        self._points.delete(ids)
-
-    def add_index(self, normal: np.ndarray) -> bool:
-        """Dynamically add one more Planar index (Section 4.2 adaptation)."""
-        return self._collection.add_index(normal)
-
-    def drop_index(self, position: int) -> None:
-        """Drop the Planar index at ``position`` (Section 4.2 adaptation).
-
-        At least one index must remain; see
-        :meth:`~repro.core.collection.PlanarIndexCollection.drop_index`.
-        The tuning advisor's :func:`~repro.tuning.advisor.apply_plan`
-        retires workload-mismatched normals through this hook.
-        """
-        self._collection.drop_index(position)

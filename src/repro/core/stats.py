@@ -12,6 +12,7 @@ working.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 __all__ = ["QueryStats"]
 
@@ -32,6 +33,24 @@ class QueryStats:
     li_size: int
     n_verified: int
     n_results: int
+
+    @classmethod
+    def merged(cls, parts: "Iterable[QueryStats]") -> "QueryStats":
+        """Field-wise sum of ``parts``: the stats of their union.
+
+        Every field is additive over disjoint point sets (shards) and over
+        the queries of a batch, so the merged fractions are the
+        point-weighted means of the parts' fractions.
+        """
+        parts = list(parts)
+        return cls(
+            n_total=sum(p.n_total for p in parts),
+            si_size=sum(p.si_size for p in parts),
+            ii_size=sum(p.ii_size for p in parts),
+            li_size=sum(p.li_size for p in parts),
+            n_verified=sum(p.n_verified for p in parts),
+            n_results=sum(p.n_results for p in parts),
+        )
 
     @property
     def pruned_fraction(self) -> float:

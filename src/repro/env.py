@@ -96,11 +96,6 @@ ENV_VARS: Tuple[EnvVar, ...] = (
         help="default shard fan-out for the CLI and test fixtures",
     ),
     EnvVar(
-        name="REPRO_SHARD_BACKEND",
-        default="thread",
-        help="default shard execution backend (thread or process) for engines built without one",
-    ),
-    EnvVar(
         name="REPRO_TUNE_RECORD",
         default="0",
         help="arm workload sketch recording in the query facades",

@@ -69,7 +69,7 @@ def active() -> bool:
     how head sampling (:mod:`repro.obs.trace`) silences the per-query
     telemetry of unsampled traces while the layer stays armed.
     """
-    if not ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
+    if not ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
         return False
     return not _MUTED.depth  # repro: noqa(REP012) — threading.local by construction; each worker sees its own depth
 

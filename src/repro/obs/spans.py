@@ -195,8 +195,8 @@ def _finish(rec: SpanRecord, stack: List[SpanRecord]) -> None:
         stack[-1].children.append(rec)
     else:
         with _traces_lock:
-            _traces.append(rec)  # repro: noqa(REP012) — trace ring is thread-shared; a process-pool backend would need a collector
-    if _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
+            _traces.append(rec)  # repro: noqa(REP012) — trace ring is thread-shared by design; shard threads append under its lock
+    if _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
         _metrics.span_seconds().observe(rec.duration, name=rec.name)
 
 

@@ -23,18 +23,21 @@ the armed-but-unsampled cost is bounded by the ≤5% gate in
 ``repro_traces_total{kind,sampled}`` counter records *every* trace so
 throughput numbers never need extrapolating by the sample rate.
 
-Facade protocol (see ``FunctionIndex.query`` / ``ShardedFunctionIndex``)::
+Facade protocol: every query of ``FunctionIndex`` (and so of its
+subclass ``ShardedFunctionIndex``) runs through one helper,
+``FunctionIndex._traced`` in :mod:`repro.core.function_index`::
 
-    ctx = trace.begin("inequality")
-    if ctx is None:                  # disarmed, or nested in a trace
-        return self._query_impl(...)
-    try:
-        answer = self._query_impl(...)
-    except BaseException as exc:
-        trace.abort(ctx, exc)
-        raise
-    trace.finish(ctx, stats=..., degraded=..., shards=..., retries=...)
-    return answer
+    def _traced(self, kind, body, *args):
+        ctx = trace.begin(kind, shards=...)
+        if ctx is None:              # disarmed, or nested in a trace
+            return body(*args)
+        try:
+            result = body(*args)
+        except BaseException as exc:
+            trace.abort(ctx, exc)
+            raise
+        trace.finish(ctx, stats=..., degraded=..., shards=..., retries=...)
+        return result
 
 Executor submission sites capture the issuing thread's context with
 :func:`current` and re-enter it on the worker via ``with attach(ctx):``.
@@ -226,7 +229,7 @@ def begin(kind: str, **attrs: Any) -> Optional[TraceContext]:
     instead of starting their own).  Callers must balance a non-``None``
     return with exactly one :func:`finish` or :func:`abort`.
     """
-    if not _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; process-pool backends re-arm per worker
+    if not _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
         return None
     if _CURRENT.ctx is not None:
         return None
@@ -315,7 +318,7 @@ def finish(
         resolved = _resolve_stats(stats)
         if resolved:
             ctx.root.attrs.update(resolved)
-    if _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; process-pool backends re-arm per worker
+    if _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
         _traces_counter().inc(kind=ctx.kind, sampled="1" if ctx.sampled else "0")
     if _events.armed():
         slow = latency * 1000.0 >= _events.slow_ms()
@@ -342,7 +345,7 @@ def abort(ctx: TraceContext, error: BaseException) -> None:
     if ctx.root is not None:
         ctx.root.attrs["error"] = type(error).__name__
     latency = _close(ctx)
-    if _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; process-pool backends re-arm per worker
+    if _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
         _traces_counter().inc(kind=ctx.kind, sampled="1" if ctx.sampled else "0")
     if _events.armed():
         record = _build_record(ctx, latency, slow=latency * 1000.0 >= _events.slow_ms())

@@ -1,18 +1,13 @@
 """Sharded parallel query execution over the Planar index machinery.
 
-:class:`ShardedFunctionIndex` mirrors the
-:class:`~repro.core.function_index.FunctionIndex` facade but partitions the
-data into ``S`` shards, each owning its own
+:class:`ShardedFunctionIndex` is a
+:class:`~repro.core.function_index.FunctionIndex` — same query surface,
+same code — that partitions the data into ``S`` shards, each owning its own
 :class:`~repro.core.collection.PlanarIndexCollection` over a
 :class:`~repro.parallel.view.FeatureStoreView` of one shared feature store.
-Queries fan out across shards on a thread pool by default — numpy releases
-the GIL inside ``matmul`` and ``searchsorted``, so the per-shard interval
-splits and verification products genuinely overlap without process-level
-parallelism.  ``backend="process"`` (or ``REPRO_SHARD_BACKEND=process``)
-switches query fan-outs to forked worker processes
-(:mod:`repro.parallel.process`), which also overlap the pure-Python
-sections and share memmap'd store pages; answers are bit-identical across
-backends.
+Queries fan out across shards on a thread pool — numpy releases the GIL
+inside ``matmul`` and ``searchsorted``, so the per-shard interval splits
+and verification products genuinely overlap.
 
 Exactness
 ---------
@@ -34,9 +29,9 @@ Results are *bit-identical* to the monolithic path:
   so tie-breaks by id survive the merge through
   :class:`~repro.core.topk.TopKBuffer` unchanged.
 
-The single-shard configuration bypasses both the view and the executor —
-shard 0 *is* the monolithic collection — so ``n_shards=1`` costs only the
-facade indirection.
+The single-shard configuration bypasses the view — shard 0 *is* the
+monolithic collection — and a fan-out without a deadline runs its last
+shard on the calling thread, so ``n_shards=1`` never starts a pool.
 
 Fault tolerance (see ``docs/reliability.md``)
 ---------------------------------------------
@@ -72,50 +67,38 @@ import random
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as _FutTimeout
-from concurrent.futures.process import BrokenProcessPool
-from typing import Callable, Sequence, TypeVar
+from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .._util import as_2d_float, as_rng, require_finite_rows
 from ..core.collection import PlanarIndexCollection
 from ..core.domains import QueryModel
 from ..core.feature_store import FeatureStore
-from ..core.function_index import QueryAnswer
-from ..core.phi import FeatureMap, identity_map
-from ..core.planar import QueryResult, WorkingQuery
-from ..core.query import Comparison, ScalarProductQuery
+from ..core.function_index import FunctionIndex, scan_store
+from ..core.phi import FeatureMap
+from ..core.planar import QueryResult
+from ..core.query import ScalarProductQuery
 from ..core.selection import SelectionStrategy
 from ..core.stats import QueryStats
-from ..core.topk import SharedCutoff, TopKBuffer, TopKResult
 from ..exceptions import (
     DegradedAnswerError,
-    DimensionMismatchError,
-    IndexBuildError,
     InjectedFaultError,
-    InvalidQueryError,
     QueryTimeoutError,
     ReproError,
     ShardFailureError,
 )
-from ..geometry.translation import Translator
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
 from ..obs import spans as _osp
 from ..obs import trace as _otr
 from ..reliability import faults as _flt
 from ..reliability.degraded import DegradedInfo, FailurePolicy
-from ..tuning import recorder as _tnr
-from .process import ProcessShardPool, fork_available
 from .sharding import SHARD_POLICIES, assign_shards
 from .view import FeatureStoreView
 
-__all__ = ["ShardedFunctionIndex", "SHARD_BACKENDS"]
+__all__ = ["ShardedFunctionIndex"]
 
 _T = TypeVar("_T")
-
-#: Supported shard fan-out backends.
-SHARD_BACKENDS = ("thread", "process")
 
 #: Exception families treated as *caller errors* during maintenance:
 #: deterministic validation failures that every shard would report
@@ -134,24 +117,20 @@ def _is_shard_fault(error: BaseException) -> bool:
     return True
 
 
-def _merge_stats(parts: Sequence[QueryStats]) -> QueryStats:
-    """Sum per-shard pruning diagnostics into one global view.
+class _SingleCollectionOnly:
+    """Hides a :class:`FunctionIndex` member that reads one collection only."""
 
-    Every field is additive over a disjoint partition of the points, so
-    the merged fractions (pruned/verified) are the point-weighted means of
-    the shard fractions.
-    """
-    return QueryStats(
-        n_total=sum(p.n_total for p in parts),
-        si_size=sum(p.si_size for p in parts),
-        ii_size=sum(p.ii_size for p in parts),
-        li_size=sum(p.li_size for p in parts),
-        n_verified=sum(p.n_verified for p in parts),
-        n_results=sum(p.n_results for p in parts),
-    )
+    def __set_name__(self, owner: type, name: str) -> None:
+        self._name = name
+
+    def __get__(self, instance: object, owner: type | None = None) -> Any:
+        raise AttributeError(
+            f"{self._name} reads a single Planar index collection; a sharded "
+            f"engine has one per shard (use a FunctionIndex)"
+        )
 
 
-class ShardedFunctionIndex:
+class ShardedFunctionIndex(FunctionIndex):
     """Sharded drop-in for :class:`~repro.core.function_index.FunctionIndex`.
 
     Parameters follow the monolithic facade, plus:
@@ -165,14 +144,6 @@ class ShardedFunctionIndex:
     max_workers:
         Worker-pool size for the fan-out; defaults to
         ``min(n_shards, cpu_count)``.
-    backend:
-        Fan-out backend, ``"thread"`` (default) or ``"process"``.
-        Threads overlap the GIL-releasing numpy sections; processes
-        (fork-based, see :mod:`repro.parallel.process`) overlap the
-        pure-Python sections too and share memmap'd store pages.
-        ``None`` resolves ``REPRO_SHARD_BACKEND`` at construction,
-        falling back to ``thread``.  Answers are bit-identical across
-        backends.
     failure_policy:
         What to do when a shard of a fan-out fails:
         :class:`~repro.reliability.degraded.FailurePolicy` or its string
@@ -193,10 +164,22 @@ class ShardedFunctionIndex:
         the engine's ``rng`` — so retries never perturb index-selection
         draws and answers stay bit-identical to the monolithic path.
 
+    The single-collection extras of :class:`FunctionIndex` (``collection``,
+    ``explain``, ``explain_report``, conjunctions and disjunctions) raise
+    :class:`AttributeError` here: answered over shard 0 they would be
+    wrong.
+
     The engine is also a context manager; :meth:`close` shuts the pool
     down (idempotent, never raises, runs on ``__exit__`` even when the
     body raised).
     """
+
+    collection = _SingleCollectionOnly()
+    explain = _SingleCollectionOnly()
+    explain_report = _SingleCollectionOnly()
+    query_conjunction = _SingleCollectionOnly()
+    query_disjunction = _SingleCollectionOnly()
+    _from_prebuilt = _SingleCollectionOnly()
 
     def __init__(
         self,
@@ -216,24 +199,12 @@ class ShardedFunctionIndex:
         query_timeout_s: float | None = None,
         max_retries: int = 2,
         retry_backoff_s: float = 0.05,
-        backend: str | None = None,
     ) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
         if policy not in SHARD_POLICIES:
             raise ValueError(
                 f"unknown shard policy {policy!r}; choose from {SHARD_POLICIES}"
-            )
-        if backend is None:
-            backend = os.environ.get("REPRO_SHARD_BACKEND", "").strip() or "thread"
-        if backend not in SHARD_BACKENDS:
-            raise ValueError(
-                f"unknown shard backend {backend!r}; choose from {SHARD_BACKENDS}"
-            )
-        if backend == "process" and not fork_available():
-            raise ValueError(
-                "backend='process' requires the fork start method, which this "
-                "platform does not provide; use backend='thread'"
             )
         if query_timeout_s is not None and not query_timeout_s > 0:
             raise ValueError(
@@ -243,23 +214,9 @@ class ShardedFunctionIndex:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
         if retry_backoff_s < 0:
             raise ValueError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
-        pts = as_2d_float(points, "points")
-        if feature_map is None:
-            feature_map = identity_map(pts.shape[1])
-        if feature_map.in_dim != pts.shape[1]:
-            raise DimensionMismatchError(
-                f"points have dimension {pts.shape[1]}, feature map expects "
-                f"{feature_map.in_dim}"
-            )
-        if query_model.dim != feature_map.out_dim:
-            raise DimensionMismatchError(
-                f"query model has dimension {query_model.dim}, feature map "
-                f"produces {feature_map.out_dim}"
-            )
-        self._phi = feature_map
-        self._model = query_model
-        self._scan_fallback = bool(scan_fallback)
-        self._rng = as_rng(rng)
+        # Not FunctionIndex.__init__: the engine builds one collection per
+        # shard instead of one over the whole store.
+        self._bind(points, query_model, feature_map, scan_fallback, margin, rng)
         self._n_shards = int(n_shards)
         self._policy = str(policy)
         self._max_workers = (
@@ -268,8 +225,6 @@ class ShardedFunctionIndex:
             else int(max_workers)
         )
         self._executor: ThreadPoolExecutor | None = None
-        self._backend = str(backend)
-        self._process_pool: ProcessShardPool | None = None
         self._failure_policy = FailurePolicy.parse(failure_policy)
         self._query_timeout_s = (
             None if query_timeout_s is None else float(query_timeout_s)
@@ -281,45 +236,22 @@ class ShardedFunctionIndex:
         # draw here would desynchronize sharded answers from FunctionIndex.
         self._jitter = random.Random(0)
 
-        self._points = FeatureStore(pts)
-        features = feature_map(pts)
-        self._features = FeatureStore(features)
-        self._translator = Translator(query_model.octant(), margin=margin)
-        self._translator.observe(features)
-
-        if normals is None:
-            if n_indices <= 0:
-                raise IndexBuildError(
-                    f"index budget must be positive, got {n_indices}"
-                )
-            normals = query_model.sample_normals(n_indices, self._rng)
-        normals = np.ascontiguousarray(normals, dtype=np.float64)
-
         # Every shard indexes the same normals over its own slice of the
         # shared store; the single-shard layout *is* the monolithic one.
-        self._stores: list[FeatureStore | FeatureStoreView] = []
-        self._collections: list[PlanarIndexCollection] = []
-        for shard in range(self._n_shards):
-            store: FeatureStore | FeatureStoreView
-            if self._n_shards == 1:
-                store = self._features
-                prefix = ""
-            else:
-                store = FeatureStoreView(
-                    self._features, shard, self._n_shards, self._policy
-                )
-                prefix = f"s{shard}:"
-            self._stores.append(store)
-            self._collections.append(
-                PlanarIndexCollection(
-                    store,
-                    self._translator,
-                    normals,
-                    strategy,
-                    self._rng,
-                    obs_prefix=prefix,
-                )
-            )
+        self._stores: list[FeatureStore | FeatureStoreView] = (
+            [self._features]
+            if self._n_shards == 1
+            else [
+                FeatureStoreView(self._features, shard, self._n_shards, self._policy)
+                for shard in range(self._n_shards)
+            ]
+        )
+        prefixes = (
+            [""] if self._n_shards == 1 else [f"s{s}:" for s in range(self._n_shards)]
+        )
+        self._collections = self._index_collections(
+            list(zip(self._stores, prefixes)), n_indices, normals, strategy
+        )
         self._record_shard_sizes()
 
     # ------------------------------------------------------------------ #
@@ -327,41 +259,19 @@ class ShardedFunctionIndex:
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Shut down the fan-out worker pools (thread and process).
+        """Shut down the fan-out thread pool.
 
-        Idempotent and exception-safe: each pool reference is cleared
+        Idempotent and exception-safe: the pool reference is cleared
         *before* shutdown, so a second :meth:`close` (or closing after an
         in-query failure) is a no-op, and shutdown errors are swallowed —
         teardown must never mask the exception that triggered it.
         """
-        pool, self._process_pool = self._process_pool, None
-        if pool is not None:
-            try:
-                pool.shutdown()
-            except Exception:  # repro: noqa(REP005) — close() must never raise (teardown path)
-                pass
         executor, self._executor = self._executor, None
         if executor is None:
             return
         try:
             executor.shutdown(wait=True, cancel_futures=True)
         except Exception:  # repro: noqa(REP005) — close() must never raise (teardown path)
-            pass
-
-    def _invalidate_process_pool(self) -> None:
-        """Discard the forked worker pool (mutation barrier / teardown).
-
-        Workers snapshot the engine at fork time, so every mutation calls
-        this before changing state; the next process fan-out forks a
-        fresh pool that sees the current stores, keys, and translator.
-        Never raises — it runs on teardown paths too.
-        """
-        pool, self._process_pool = self._process_pool, None
-        if pool is None:
-            return
-        try:
-            pool.shutdown()
-        except Exception:  # repro: noqa(REP005) — teardown must never mask the mutation/exception that triggered it
             pass
 
     def __enter__(self) -> "ShardedFunctionIndex":
@@ -378,25 +288,9 @@ class ShardedFunctionIndex:
             )
         return self._executor
 
-    def _ensure_process_pool(self) -> ProcessShardPool:
-        pool = self._process_pool
-        if pool is not None and pool.fault_generation != _flt.GENERATION:
-            # arm()/disarm() happened after the workers forked; their
-            # inherited plan is stale, so refork under the current one.
-            self._invalidate_process_pool()
-            pool = None
-        if pool is None:
-            pool = ProcessShardPool(self, self._max_workers)
-            self._process_pool = pool
-        return pool
-
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-
-    def __len__(self) -> int:
-        """Number of live indexed points (across all shards)."""
-        return len(self._features)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -415,11 +309,6 @@ class ShardedFunctionIndex:
         return self._policy
 
     @property
-    def backend(self) -> str:
-        """Resolved fan-out backend (``thread`` or ``process``)."""
-        return self._backend
-
-    @property
     def failure_policy(self) -> FailurePolicy:
         """The resolved shard-failure policy (fixed at construction)."""
         return self._failure_policy
@@ -430,60 +319,22 @@ class ShardedFunctionIndex:
         return self._query_timeout_s
 
     @property
-    def feature_map(self) -> FeatureMap:
-        """The indexed function ``phi``."""
-        return self._phi
-
-    @property
-    def query_model(self) -> QueryModel:
-        """The configured query-parameter domains."""
-        return self._model
-
-    @property
-    def translator(self) -> Translator:
-        """The octant translator shared by every shard."""
-        return self._translator
-
-    @property
     def collections(self) -> tuple[PlanarIndexCollection, ...]:
         """Per-shard Planar index collections."""
         return tuple(self._collections)
-
-    @property
-    def n_indices(self) -> int:
-        """Number of live Planar indices per shard."""
-        return len(self._collections[0])
 
     def shard_sizes(self) -> list[int]:
         """Live point count owned by each shard."""
         return [len(store) for store in self._stores]
 
-    def live_ids(self) -> np.ndarray:
-        """All live point ids (global, ascending)."""
-        return self._features.live_ids()
-
-    def get_points(self, ids: np.ndarray) -> np.ndarray:
-        """Raw data points for the given ids."""
-        return self._points.get(ids)
-
-    def get_features(self, ids: np.ndarray) -> np.ndarray:
-        """Feature vectors ``phi(x)`` for the given ids."""
-        return self._features.get(ids)
-
-    def memory_bytes(self) -> int:
-        """Footprint of features, raw points, and all shard key structures."""
-        return (
-            self._features.memory_bytes()
-            + self._points.memory_bytes()
-            + sum(collection.memory_bytes() for collection in self._collections)
-        )
-
     def _record_shard_sizes(self) -> None:
+        # A shard's keyed point count: its collection is mutated before
+        # the shared store on delete, so the stores would lag here.
         if not _ort.active():
             return
         gauge = _om.shard_points()
-        for shard, store in enumerate(self._stores):
-            gauge.set(len(store), shard=str(shard))
+        for shard, collection in enumerate(self._collections):
+            gauge.set(len(collection[0]), shard=str(shard))
 
     # ------------------------------------------------------------------ #
     # Fan-out machinery
@@ -493,28 +344,24 @@ class ShardedFunctionIndex:
     def _shard_cost(result: object) -> dict[str, int]:
         """Per-shard cost counters for span annotation (small scalars only).
 
-        Understands the three fan-out result shapes: ``QueryResult``,
+        Understands the fan-out result shapes: ``QueryResult``,
         ``TopKResult`` (adds the LBS ``lbs_checked`` counter), and a
-        batch's ``list[QueryResult]`` (cell-wise sums).  These are the
-        counters the stitched-trace property test reconciles against the
-        merged answer's stats, so they must mirror ``_merge_stats``.
+        batch's list of either (cell-wise sums).  These are the counters
+        the stitched-trace property test reconciles against the merged
+        answer's stats, so they must mirror ``QueryStats.merged``.
         """
-        if isinstance(result, list):
-            parts = [entry.stats for entry in result if entry.stats is not None]
-            return {
-                "verified": sum(part.n_verified for part in parts),
-                "ii": sum(part.ii_size for part in parts),
-                "results": sum(part.n_results for part in parts),
-            }
-        stats = getattr(result, "stats", None)
+        parts = result if isinstance(result, list) else [result]
+        stats = [part.stats for part in parts if part.stats is not None]
         cost: dict[str, int] = {}
-        if stats is not None:
+        if stats:
             cost.update(
-                verified=stats.n_verified, ii=stats.ii_size, results=stats.n_results
+                verified=sum(s.n_verified for s in stats),
+                ii=sum(s.ii_size for s in stats),
+                results=sum(s.n_results for s in stats),
             )
-        n_checked = getattr(result, "n_checked", None)
-        if n_checked is not None:
-            cost["lbs_checked"] = int(n_checked)
+        checked = [part.n_checked for part in parts if hasattr(part, "n_checked")]
+        if checked:
+            cost["lbs_checked"] = int(sum(checked))
         return cost
 
     def _run_shard(
@@ -530,7 +377,7 @@ class ShardedFunctionIndex:
         carrying the trace id and per-shard cost counters, so the inner
         collection spans nest under it in the stitched tree.
         """
-        if _flt.ARMED:  # repro: noqa(REP012) — thread-shared by design; a process-pool backend must re-arm faults per worker
+        if _flt.ARMED:  # repro: noqa(REP012) — thread-shared by design: arming is process-wide and every pool thread must see it
             _flt.check("shard.query", shard=shard, kind=kind)
         if not _ort.active():
             return fn(self._collections[shard])
@@ -571,30 +418,42 @@ class ShardedFunctionIndex:
         shards: Sequence[int],
         deadline: float | None,
         fail_fast: bool,
-        timeout_s: float | None = None,
+        timeout_s: float | None,
     ) -> tuple[dict[int, _T], dict[int, BaseException]]:
         """Run ``fn`` on ``shards``; collect per-shard results and failures.
 
-        With a ``deadline`` (monotonic timestamp), each pending result is
-        awaited only for the remaining budget; misses become
-        :class:`QueryTimeoutError` and the stale future is cancelled.
-        Under ``fail_fast`` the first failure cancels every not-yet-started
-        future instead of leaking queued work.
+        With a ``deadline`` (monotonic timestamp), every shard runs on the
+        pool and each pending result is awaited only for the remaining
+        budget; misses become :class:`QueryTimeoutError` and the stale
+        future is cancelled.  Without one the calling thread would only
+        block, so it runs the last shard itself — a one-shard wave never
+        starts the pool.  Under ``fail_fast`` the first failure cancels
+        every not-yet-started future instead of leaking queued work.
         """
         results: dict[int, _T] = {}
         failures: dict[int, BaseException] = {}
-        if self._n_shards == 1 and deadline is None:
+        inline = shards[-1] if deadline is None else None
+        pooled = [shard for shard in shards if shard != inline]
+        futures = {}
+        if pooled:
+            executor = self._ensure_executor()
+            ctx = _otr.current()
+            # Without a trace there is nothing to re-enter on the worker;
+            # skipping the attach frame keeps the disarmed fan-out within
+            # bench_reliability's 2% of a hook-free one.
+            futures = {
+                shard: (
+                    executor.submit(self._run_shard, kind, shard, fn)
+                    if ctx is None
+                    else executor.submit(self._run_shard_traced, ctx, kind, shard, fn)
+                )
+                for shard in pooled
+            }
+        if inline is not None:
             try:
-                results[0] = self._run_shard(kind, 0, fn)
+                results[inline] = self._run_shard(kind, inline, fn)
             except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                failures[0] = exc
-            return results, failures
-        executor = self._ensure_executor()
-        ctx = _otr.current()
-        futures = {
-            shard: executor.submit(self._run_shard_traced, ctx, kind, shard, fn)
-            for shard in shards
-        }
+                failures[inline] = exc
         for shard, future in futures.items():
             if fail_fast and failures:
                 future.cancel()
@@ -607,131 +466,12 @@ class ShardedFunctionIndex:
             except _FutTimeout:
                 future.cancel()
                 failures[shard] = QueryTimeoutError(
-                    f"shard {shard} missed the "
-                    f"{timeout_s if timeout_s is not None else self._query_timeout_s}s "
-                    f"deadline during {kind} fan-out",
+                    f"shard {shard} missed the {timeout_s}s deadline during "
+                    f"{kind} fan-out",
                     shard=shard,
                     kind=kind,
                 )
             except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                failures[shard] = exc
-        return results, failures
-
-    def _execute_process_wave(
-        self,
-        kind: str,
-        task: tuple,
-        shards: Sequence[int],
-        deadline: float | None,
-        fail_fast: bool,
-        timeout_s: float | None = None,
-    ) -> tuple[dict[int, _T], dict[int, BaseException]]:
-        """Run a task descriptor on ``shards`` via forked worker processes.
-
-        Mirrors :meth:`_execute_wave` semantics — per-shard deadline
-        budgets, ``fail_fast`` cancellation of queued work — over the
-        process backend.  Workers return ``(result, span, metrics)``;
-        sampled traces get the worker's ``shard.<kind>`` span tree
-        grafted under the query root here, on the issuing thread, and the
-        worker's counter/histogram deltas folded into the parent registry
-        — so stitched traces and per-query series look identical across
-        backends.  Faults that *fired* in a worker and surfaced as
-        :class:`InjectedFaultError` are re-counted here (the worker-side
-        increment died with its registry copy).  A broken pool (worker
-        hard death) fails the affected shards and discards the pool so
-        the next fan-out forks a fresh one.
-        """
-        results: dict[int, _T] = {}
-        failures: dict[int, BaseException] = {}
-        pool = self._ensure_process_pool()
-        ctx = _otr.current()
-        sampled = bool(ctx is not None and ctx.sampled and _ort.ENABLED)
-        trace_id = ctx.trace_id if sampled and ctx is not None else None
-        graft = ctx.root if sampled and ctx is not None else None
-        futures = {
-            shard: pool.submit(shard, kind, task, trace_id, sampled)
-            for shard in shards
-        }
-        obs_on = _ort.active()
-        broken = False
-        for shard, future in futures.items():
-            if fail_fast and failures:
-                future.cancel()
-                continue
-            remaining: float | None = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
-            try:
-                result, span, metrics = future.result(timeout=remaining)
-            except _FutTimeout:
-                future.cancel()
-                failures[shard] = QueryTimeoutError(
-                    f"shard {shard} missed the "
-                    f"{timeout_s if timeout_s is not None else self._query_timeout_s}s "
-                    f"deadline during {kind} fan-out",
-                    shard=shard,
-                    kind=kind,
-                )
-                continue
-            except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                failures[shard] = exc
-                if isinstance(exc, BrokenProcessPool):
-                    broken = True
-                elif _ort.ENABLED and isinstance(exc, InjectedFaultError) and exc.site:
-                    # The worker counted the fire into its own registry
-                    # copy and then died with it; mirror the thread
-                    # backend by counting it here.
-                    _om.faults_injected_total().inc(site=exc.site, kind="error")
-                continue
-            results[shard] = result
-            if span is not None and graft is not None:
-                span.attrs.update(self._shard_cost(result))
-                graft.children.append(span)
-            if metrics is not None:
-                _om.registry().restore(metrics)
-            if obs_on:
-                _om.shard_queries_total().inc(kind=kind, shard=str(shard))
-        if broken:
-            self._invalidate_process_pool()
-        return results, failures
-
-    def _gather_fast(
-        self,
-        kind: str,
-        fn: Callable[[PlanarIndexCollection], _T],
-        policy: FailurePolicy,
-    ) -> tuple[dict[int, _T], dict[int, BaseException]]:
-        """Minimal-overhead fan-out for the disarmed/no-deadline case.
-
-        Submits ``fn`` against each collection directly — no
-        :meth:`_run_shard` wrapper frame, no per-future deadline math, no
-        fault-site or telemetry probes (the caller checked those are all
-        off).  Failure handling matches :meth:`_execute_wave`: under
-        ``RAISE`` the first failure cancels the not-yet-started futures
-        and propagates with shard identity; degrading policies collect
-        every shard's outcome for the retry/recovery machinery.
-        """
-        results: dict[int, _T] = {}
-        failures: dict[int, BaseException] = {}
-        collections = self._collections
-        if self._n_shards == 1:
-            try:
-                results[0] = fn(collections[0])
-            except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                if policy is FailurePolicy.RAISE:
-                    raise self._wrap_failure(kind, 0, exc) from exc
-                failures[0] = exc
-            return results, failures
-        executor = self._ensure_executor()
-        futures = [executor.submit(fn, collection) for collection in collections]
-        for shard, future in enumerate(futures):
-            try:
-                results[shard] = future.result()
-            except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                if policy is FailurePolicy.RAISE:
-                    for pending in futures[shard + 1 :]:
-                        pending.cancel()
-                    raise self._wrap_failure(kind, shard, exc) from exc
                 failures[shard] = exc
         return results, failures
 
@@ -761,7 +501,7 @@ class ShardedFunctionIndex:
     ) -> None:
         # Reliability counters stay exact under head sampling (ENABLED),
         # while the span only joins sampled traces (active()).
-        if not _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
+        if not _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
             return
         _om.shard_retries_total().inc(len(shards), kind=kind)
         if _ort.active():
@@ -770,7 +510,7 @@ class ShardedFunctionIndex:
             )
 
     def _record_degraded(self, kind: str, degraded: DegradedInfo) -> None:
-        if not _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
+        if not _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
             return
         _om.degraded_queries_total().inc(kind=kind)
         if _ort.active():
@@ -783,32 +523,49 @@ class ShardedFunctionIndex:
                 completeness=round(degraded.completeness, 6),
             )
 
-    def _map_shards(
+    def _recover(
         self,
         kind: str,
-        fn: Callable[[PlanarIndexCollection], _T],
-        recover: Callable[[int], _T] | None = None,
-        task: tuple | None = None,
+        queries: Sequence[ScalarProductQuery],
+        k: int | None,
+        shard: int,
+    ) -> Any:
+        """Exact stand-in for a failed shard's slice: scan its live points.
+
+        The octant fallback's scan over the shard's own rows, shaped like
+        the slice it replaces; its stats count every row as verified and
+        none as pruned.
+        """
+        store = self._stores[shard]
+        answers = scan_store(store, kind, queries, k)
+        if k is None:
+            n = len(store)
+            answers = [
+                QueryResult(ids, QueryStats(n, 0, n, 0, n, int(ids.size)))
+                for ids in answers
+            ]
+        return answers if kind.startswith("batch") else answers[0]
+
+    def _fan_out(
+        self,
+        kind: str,
+        call: Callable[[PlanarIndexCollection], _T],
+        queries: Sequence[ScalarProductQuery],
+        k: int | None = None,
         timeout_s: float | None = None,
     ) -> tuple[list[_T | None], DegradedInfo | None]:
-        """Run ``fn`` against every shard under the failure policy.
+        """Run ``call`` against every shard under the failure policy.
 
         ``timeout_s`` overrides the engine's construction-time
         ``query_timeout_s`` for this one fan-out — the serving layer
         passes a request's remaining deadline budget here so the engine
         wave honors the end-to-end contract instead of a static knob.
 
-        ``task`` is the fan-out's picklable descriptor for the process
-        backend (see :mod:`repro.parallel.process`); when the engine was
-        built with ``backend="process"`` and the layout is actually
-        sharded, the wave executes on forked workers instead of ``fn`` on
-        threads — same answers, same failure handling.  Fan-outs without
-        a descriptor (maintenance) always run in the parent.
-
         Returns ``(results, degraded)`` where ``results[shard]`` is the
         shard's slice (or ``None`` for an unrecovered shard under a
         degrading policy) and ``degraded`` is ``None`` unless at least one
-        shard failed its primary execution.  Raises
+        shard failed its primary execution.  Failed shards are recovered
+        by :meth:`_recover` over ``queries``.  Raises
         :class:`ShardFailureError` (with shard identity) under
         ``FailurePolicy.RAISE`` and :class:`DegradedAnswerError` when no
         shard survives.
@@ -817,44 +574,15 @@ class ShardedFunctionIndex:
         timeout = self._query_timeout_s if timeout_s is None else float(timeout_s)
         if timeout is not None and not timeout > 0:
             raise ValueError(f"timeout_s must be positive, got {timeout}")
-        use_process = (
-            task is not None and self._backend == "process" and self._n_shards > 1
-        )
-        if (
-            self._n_shards == 1
-            and timeout is None
-            and policy is FailurePolicy.RAISE
-            and not _flt.ARMED
-        ):
-            # Hot path: monolithic layout, no reliability features active.
-            return [self._run_shard(kind, 0, fn)], None
         shards = list(range(self._n_shards))
-        if use_process:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            results, failures = self._execute_process_wave(
-                kind,
-                task,
-                shards,
-                deadline,
-                fail_fast=policy is FailurePolicy.RAISE,
-                timeout_s=timeout,
-            )
-        elif timeout is None and not _flt.ARMED and not _ort.ENABLED:
-            # Disarmed fast path: no deadlines to track, no fault sites to
-            # probe, no telemetry to stamp — submit the shard work directly
-            # (skipping the `_run_shard` wrapper frame) and only pay for
-            # failure bookkeeping when something actually fails.
-            results, failures = self._gather_fast(kind, fn, policy)
-        else:
-            deadline = None if timeout is None else time.monotonic() + timeout
-            results, failures = self._execute_wave(
-                kind,
-                fn,
-                shards,
-                deadline,
-                fail_fast=policy is FailurePolicy.RAISE,
-                timeout_s=timeout,
-            )
+        results, failures = self._execute_wave(
+            kind,
+            call,
+            shards,
+            None if timeout is None else time.monotonic() + timeout,
+            fail_fast=policy is FailurePolicy.RAISE,
+            timeout_s=timeout,
+        )
         if not failures:
             return [results[shard] for shard in shards], None
         first_shard = min(failures)
@@ -870,27 +598,14 @@ class ShardedFunctionIndex:
                 retry_shards = sorted(failures)
                 started = time.perf_counter()
                 self._backoff(attempt)
-                wave_deadline = (
-                    None if timeout is None else time.monotonic() + timeout
+                recovered_wave, failures = self._execute_wave(
+                    kind,
+                    call,
+                    retry_shards,
+                    None if timeout is None else time.monotonic() + timeout,
+                    fail_fast=False,
+                    timeout_s=timeout,
                 )
-                if use_process:
-                    recovered_wave, failures = self._execute_process_wave(
-                        kind,
-                        task,
-                        retry_shards,
-                        wave_deadline,
-                        fail_fast=False,
-                        timeout_s=timeout,
-                    )
-                else:
-                    recovered_wave, failures = self._execute_wave(
-                        kind,
-                        fn,
-                        retry_shards,
-                        wave_deadline,
-                        fail_fast=False,
-                        timeout_s=timeout,
-                    )
                 retries += len(retry_shards)
                 results.update(recovered_wave)
                 retry_recovered.extend(recovered_wave)
@@ -898,15 +613,12 @@ class ShardedFunctionIndex:
         scan_recovered: list[int] = []
         failed: list[int] = []
         for shard in sorted(failures):
-            if recover is None:
-                failed.append(shard)
-                continue
             try:
                 if _flt.ARMED:
                     _flt.check("shard.scan", shard=shard, kind=kind)
                 obs_on = _ort.active()
                 started = time.perf_counter() if obs_on else 0.0
-                results[shard] = recover(shard)
+                results[shard] = self._recover(kind, queries, k, shard)
                 scan_recovered.append(shard)
                 if obs_on:
                     _osp.record(
@@ -937,584 +649,6 @@ class ShardedFunctionIndex:
         )
         self._record_degraded(kind, degraded)
         return [results.get(shard) for shard in shards], degraded
-
-    def _owned(self, ids: np.ndarray) -> list[np.ndarray]:
-        """Boolean ownership masks of ``ids`` for every shard."""
-        assignment = assign_shards(ids, self._n_shards, self._policy)
-        return [assignment == shard for shard in range(self._n_shards)]
-
-    def _working_or_raise(self, spq: ScalarProductQuery) -> WorkingQuery:
-        """Octant-validate once (the translator is shared by all shards)."""
-        return WorkingQuery.build(spq, self._translator)
-
-    def _check_dim(self, spq: ScalarProductQuery) -> None:
-        if spq.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
-            )
-
-    def _fallback_scan(self, spq: ScalarProductQuery, kind: str) -> np.ndarray:
-        """Octant-fallback: one scan over the shared store (all shards)."""
-        obs_on = _ort.active()
-        started = time.perf_counter() if obs_on else 0.0
-        ids, rows = self._features.get_all()
-        mask = spq.evaluate(rows)
-        result = np.sort(ids[mask])
-        if obs_on:
-            _om.queries_total().inc(kind=kind, route="octant-fallback", strategy="none")
-            _om.verified_points().inc(len(self), kind=kind)
-            _om.query_latency().observe(
-                time.perf_counter() - started, kind=kind, route="octant-fallback"
-            )
-        return result
-
-    # ------------------------------------------------------------------ #
-    # Exact recovery scans (degraded mode)
-    # ------------------------------------------------------------------ #
-
-    def _shard_scan_stats(self, n_rows: int, n_results: int) -> QueryStats:
-        """Diagnostics for a recovery scan: every row verified, none pruned."""
-        return QueryStats(
-            n_total=n_rows,
-            si_size=n_rows,
-            ii_size=n_rows,
-            li_size=0,
-            n_verified=n_rows,
-            n_results=n_results,
-        )
-
-    def _recover_inequality(
-        self, spq: ScalarProductQuery, shard: int
-    ) -> QueryResult:
-        """Exact fallback for one failed shard: scan its live points."""
-        ids, rows = self._stores[shard].get_all()
-        hits = np.sort(ids[spq.evaluate(rows)])
-        return QueryResult(hits, self._shard_scan_stats(int(ids.size), int(hits.size)))
-
-    def _recover_batch(
-        self, queries: Sequence[ScalarProductQuery], shard: int
-    ) -> list[QueryResult]:
-        """Exact fallback for one failed shard of a batch fan-out."""
-        ids, rows = self._stores[shard].get_all()
-        out: list[QueryResult] = []
-        for spq in queries:
-            hits = np.sort(ids[spq.evaluate(rows)])
-            out.append(
-                QueryResult(hits, self._shard_scan_stats(int(ids.size), int(hits.size)))
-            )
-        return out
-
-    def _recover_range(
-        self,
-        low_q: ScalarProductQuery,
-        high_q: ScalarProductQuery,
-        shard: int,
-    ) -> QueryResult:
-        """Exact fallback for one failed shard of a range fan-out."""
-        ids, rows = self._stores[shard].get_all()
-        mask = low_q.evaluate(rows) & high_q.evaluate(rows)
-        hits = np.sort(ids[mask])
-        return QueryResult(hits, self._shard_scan_stats(int(ids.size), int(hits.size)))
-
-    def _recover_topk(
-        self, spq: ScalarProductQuery, k: int, shard: int
-    ) -> TopKResult:
-        """Exact fallback for one failed shard of a top-k fan-out."""
-        from ..scan.baseline import SequentialScan
-
-        ids, rows = self._stores[shard].get_all()
-        return SequentialScan(rows, ids).topk(spq, k)
-
-    def _recover_topk_batch(
-        self, queries: Sequence[ScalarProductQuery], k: int, shard: int
-    ) -> list[TopKResult]:
-        """Exact fallback for one failed shard of a batched top-k fan-out."""
-        from ..scan.baseline import SequentialScan
-
-        ids, rows = self._stores[shard].get_all()
-        scan = SequentialScan(rows, ids)
-        return [scan.topk(spq, k) for spq in queries]
-
-    @staticmethod
-    def _merge_inequality(
-        results: Sequence[QueryResult | None],
-        degraded: DegradedInfo | None = None,
-    ) -> QueryAnswer:
-        """Disjoint sorted id sets merge into the monolithic sorted array.
-
-        ``None`` entries (unrecovered shards under a degrading policy) are
-        skipped; their absence is what ``degraded.completeness`` accounts.
-        """
-        present = [result for result in results if result is not None]
-        if len(present) == 1:
-            only = present[0]
-            return QueryAnswer(only.ids, only.stats, False, degraded)
-        ids = np.sort(np.concatenate([result.ids for result in present]))
-        return QueryAnswer(
-            ids, _merge_stats([result.stats for result in present]), False, degraded
-        )
-
-    # ------------------------------------------------------------------ #
-    # Queries
-    # ------------------------------------------------------------------ #
-
-    def _finish_trace(
-        self,
-        ctx: _otr.TraceContext,
-        *,
-        stats: QueryStats | None,
-        degraded: DegradedInfo | None,
-        results: int,
-        n_queries: int = 1,
-        lbs_checked: int | None = None,
-    ) -> None:
-        """Close a facade trace: completeness observation + query-log record.
-
-        Completeness is observed for *every* trace (sampled or not) so
-        the SLO completeness floor is evaluated over exact data; the
-        per-stage cost counters ride the query-log record, which is
-        emitted per the head-sampling / slow-query rules in
-        :mod:`repro.obs.trace`.
-        """
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; a process-pool backend must re-enable obs per worker
-            _om.answer_completeness().observe(
-                degraded.completeness if degraded is not None else 1.0,
-                kind=ctx.kind,
-            )
-        def cost() -> dict:
-            counters = stats.to_dict() if stats is not None else {}
-            if lbs_checked is not None:
-                counters = dict(counters)
-                counters["lbs_checked"] = lbs_checked
-            return counters
-
-        _otr.finish(
-            ctx,
-            stats=cost,
-            degraded=degraded,
-            shards=self._n_shards,
-            retries=degraded.retries if degraded is not None else 0,
-            n_queries=n_queries,
-            results=results,
-        )
-
-    def query(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        op: Comparison | str = Comparison.LE,
-    ) -> QueryAnswer:
-        """Answer ``<normal, phi(x)> OP offset`` exactly, fanned across shards."""
-        ctx = _otr.begin("inequality", shards=self._n_shards)
-        if ctx is None:
-            return self._query_impl(normal, offset, op)
-        try:
-            answer = self._query_impl(normal, offset, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(
-            ctx, stats=answer.stats, degraded=answer.degraded, results=len(answer)
-        )
-        return answer
-
-    def _query_impl(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        op: Comparison | str = Comparison.LE,
-    ) -> QueryAnswer:
-        """Untraced body of :meth:`query` (shared by the trace wrapper)."""
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        self._check_dim(spq)
-        if _tnr.RECORDING:
-            _tnr.record_query(spq.normal, spq.offset, spq.op.value, "inequality")
-        try:
-            self._working_or_raise(spq)
-        except InvalidQueryError:
-            if not self._scan_fallback:
-                raise
-            return QueryAnswer(self._fallback_scan(spq, "inequality"), None, True)
-        results, degraded = self._map_shards(
-            "inequality",
-            lambda collection: collection.query(spq),
-            recover=lambda shard: self._recover_inequality(spq, shard),
-            task=("inequality", spq),
-        )
-        return self._merge_inequality(results, degraded)
-
-    def query_batch(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        op: Comparison | str = Comparison.LE,
-        *,
-        timeout_s: float | None = None,
-    ) -> list[QueryAnswer]:
-        """Answer a batch of inequality queries sharing one operator.
-
-        The whole plannable batch is shipped to every shard as *one* task
-        (each shard batches its own binary searches per selected index),
-        so fan-out overhead is per shard, not per query.  The batch is
-        one trace: per-query shard work appears as children of a single
-        ``query.batch`` root.
-
-        ``timeout_s`` overrides the engine's ``query_timeout_s`` for this
-        call — the serving layer passes each coalesced batch's remaining
-        deadline budget here.
-
-        Validation and the empty-batch short-circuit run *before* the
-        trace opens: a malformed or zero-query batch emits no trace, no
-        spans, and no counters (it did no fan-out work to account for).
-        """
-        normals = as_2d_float(normals, "normals")
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if offsets.ndim != 1 or offsets.size != normals.shape[0]:
-            raise DimensionMismatchError(
-                f"{offsets.size} offsets for {normals.shape[0]} normals"
-            )
-        if normals.shape[0] == 0:
-            return []
-        ctx = _otr.begin("batch", shards=self._n_shards)
-        if ctx is None:
-            return self._query_batch_impl(normals, offsets, op, timeout_s=timeout_s)
-        try:
-            answers = self._query_batch_impl(normals, offsets, op, timeout_s=timeout_s)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        parts = [answer.stats for answer in answers if answer.stats is not None]
-        degraded = next(
-            (answer.degraded for answer in answers if answer.degraded is not None), None
-        )
-        self._finish_trace(
-            ctx,
-            stats=_merge_stats(parts) if parts else None,
-            degraded=degraded,
-            results=sum(len(answer) for answer in answers),
-            n_queries=len(answers),
-        )
-        return answers
-
-    def _query_batch_impl(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        op: Comparison | str = Comparison.LE,
-        *,
-        timeout_s: float | None = None,
-    ) -> list[QueryAnswer]:
-        """Untraced body of :meth:`query_batch` (inputs pre-validated)."""
-        queries = [
-            ScalarProductQuery(normals[row], float(offsets[row]), op)
-            for row in range(normals.shape[0])
-        ]
-        if _tnr.RECORDING:
-            for spq in queries:
-                _tnr.record_query(spq.normal, spq.offset, spq.op.value, "batch")
-        plannable: list[int] = []
-        answers: list[QueryAnswer | None] = [None] * len(queries)
-        for position, spq in enumerate(queries):
-            self._check_dim(spq)
-            try:
-                self._working_or_raise(spq)
-            except InvalidQueryError:
-                if not self._scan_fallback:
-                    raise
-                answers[position] = QueryAnswer(
-                    self._fallback_scan(spq, "batch"), None, True
-                )
-                continue
-            plannable.append(position)
-        if plannable:
-            subset = [queries[position] for position in plannable]
-            per_shard, degraded = self._map_shards(
-                "batch",
-                lambda collection: collection.query_batch(subset),
-                recover=lambda shard: self._recover_batch(subset, shard),
-                task=("batch", subset),
-                timeout_s=timeout_s,
-            )
-            for slot, position in enumerate(plannable):
-                answers[position] = self._merge_inequality(
-                    [
-                        shard_results[slot] if shard_results is not None else None
-                        for shard_results in per_shard
-                    ],
-                    degraded,
-                )
-        return answers  # type: ignore[return-value]
-
-    def query_range(
-        self,
-        normal: np.ndarray,
-        low: float,
-        high: float,
-    ) -> QueryAnswer:
-        """Exact BETWEEN query: ``low <= <normal, phi(x)> <= high``."""
-        ctx = _otr.begin("range", shards=self._n_shards)
-        if ctx is None:
-            return self._query_range_impl(normal, low, high)
-        try:
-            answer = self._query_range_impl(normal, low, high)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(
-            ctx, stats=answer.stats, degraded=answer.degraded, results=len(answer)
-        )
-        return answer
-
-    def _query_range_impl(
-        self,
-        normal: np.ndarray,
-        low: float,
-        high: float,
-    ) -> QueryAnswer:
-        """Untraced body of :meth:`query_range`."""
-        if not low <= high:
-            raise InvalidQueryError(f"empty range ({low}, {high})")
-        low_q = ScalarProductQuery(np.asarray(normal, dtype=np.float64), low, ">=")
-        high_q = ScalarProductQuery(np.asarray(normal, dtype=np.float64), high, "<=")
-        self._check_dim(low_q)
-        if _tnr.RECORDING:
-            # One sketch per bound (same normal, both operators).
-            _tnr.record_query(low_q.normal, low, ">=", "range")
-            _tnr.record_query(high_q.normal, high, "<=", "range")
-        try:
-            wq_low = self._working_or_raise(low_q)
-            wq_high = self._working_or_raise(high_q)
-        except InvalidQueryError:
-            if not self._scan_fallback:
-                raise
-            obs_on = _ort.active()
-            started = time.perf_counter() if obs_on else 0.0
-            ids, rows = self._features.get_all()
-            values = rows @ low_q.normal  # repro: noqa(REP001) — explicit opt-in scan fallback (guarded above)
-            mask = (values >= low) & (values <= high)
-            if obs_on:
-                _om.queries_total().inc(
-                    kind="range", route="octant-fallback", strategy="none"
-                )
-                _om.verified_points().inc(len(self), kind="range")
-                _om.query_latency().observe(
-                    time.perf_counter() - started, kind="range", route="octant-fallback"
-                )
-            return QueryAnswer(np.sort(ids[mask]), None, True)
-        results, degraded = self._map_shards(
-            "range",
-            lambda collection: collection.query_range(wq_low, wq_high),
-            recover=lambda shard: self._recover_range(low_q, high_q, shard),
-            task=("range", low_q, high_q),
-        )
-        return self._merge_inequality(results, degraded)
-
-    def topk(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        k: int,
-        op: Comparison | str = Comparison.LE,
-    ) -> TopKResult:
-        """Top-k satisfying points nearest the query hyperplane (Problem 2).
-
-        Each shard runs Algorithm 2 over its slice; a shared cutoff
-        publishes the best k-th distance seen by *any* shard into every
-        shard's LBS termination test, and the per-shard top-k sets merge
-        through one :class:`~repro.core.topk.TopKBuffer` — identical ids,
-        distances, and tie-breaks as the monolithic scan.
-        """
-        ctx = _otr.begin("topk", shards=self._n_shards)
-        if ctx is None:
-            return self._topk_impl(normal, offset, k, op)
-        try:
-            result = self._topk_impl(normal, offset, k, op)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        self._finish_trace(
-            ctx,
-            stats=result.stats,
-            degraded=result.degraded,
-            results=int(result.ids.size),
-            lbs_checked=int(result.n_checked),
-        )
-        return result
-
-    def _topk_impl(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        k: int,
-        op: Comparison | str = Comparison.LE,
-    ) -> TopKResult:
-        """Untraced body of :meth:`topk`."""
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        self._check_dim(spq)
-        if _tnr.RECORDING:
-            _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
-        try:
-            self._working_or_raise(spq)
-        except InvalidQueryError:
-            if not self._scan_fallback:
-                raise
-            from ..scan.baseline import SequentialScan
-
-            obs_on = _ort.active()
-            started = time.perf_counter() if obs_on else 0.0
-            ids, rows = self._features.get_all()
-            result = SequentialScan(rows, ids).topk(spq, k)
-            if obs_on:
-                _om.queries_total().inc(
-                    kind="topk", route="octant-fallback", strategy="none"
-                )
-                _om.query_latency().observe(
-                    time.perf_counter() - started, kind="topk", route="octant-fallback"
-                )
-            return result
-        # SharedCutoff publishes cross-shard pruning bounds between threads;
-        # the process backend runs per-shard cutoffs instead (the worker
-        # passes cutoff=None) — still exact, see repro.parallel.process.
-        cutoff = SharedCutoff()
-        results, degraded = self._map_shards(
-            "topk",
-            lambda collection: collection.topk(spq, k, cutoff=cutoff),
-            recover=lambda shard: self._recover_topk(spq, k, shard),
-            task=("topk", spq, k),
-        )
-        return self._merge_topk(results, k, degraded)
-
-    def topk_batch(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        k: int,
-        op: Comparison | str = Comparison.LE,
-        *,
-        timeout_s: float | None = None,
-    ) -> list[TopKResult]:
-        """Answer a batch of top-k queries sharing one operator and ``k``.
-
-        The whole plannable batch ships to every shard as *one* task (each
-        shard runs :meth:`PlanarIndexCollection.topk_batch`, batching its
-        candidate verification per selected index), and each query's
-        per-shard top-k sets merge through one
-        :class:`~repro.core.topk.TopKBuffer` — identical ids, distances,
-        and tie-breaks as per-query :meth:`topk` calls.  Like
-        :meth:`query_batch`, validation and the empty-batch short-circuit
-        run before the trace opens, and ``timeout_s`` overrides the
-        engine's ``query_timeout_s`` for this one call.
-        """
-        normals = as_2d_float(normals, "normals")
-        offsets = np.ascontiguousarray(offsets, dtype=np.float64)
-        if offsets.ndim != 1 or offsets.size != normals.shape[0]:
-            raise DimensionMismatchError(
-                f"{offsets.size} offsets for {normals.shape[0]} normals"
-            )
-        if k <= 0:
-            raise InvalidQueryError(f"k must be positive, got {k}")
-        if normals.shape[0] == 0:
-            return []
-        ctx = _otr.begin("batch_topk", shards=self._n_shards)
-        if ctx is None:
-            return self._topk_batch_impl(normals, offsets, k, op, timeout_s=timeout_s)
-        try:
-            results = self._topk_batch_impl(
-                normals, offsets, k, op, timeout_s=timeout_s
-            )
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        parts = [result.stats for result in results if result.stats is not None]
-        degraded = next(
-            (result.degraded for result in results if result.degraded is not None),
-            None,
-        )
-        self._finish_trace(
-            ctx,
-            stats=_merge_stats(parts) if parts else None,
-            degraded=degraded,
-            results=sum(int(result.ids.size) for result in results),
-            n_queries=len(results),
-            lbs_checked=sum(int(result.n_checked) for result in results),
-        )
-        return results
-
-    def _topk_batch_impl(
-        self,
-        normals: np.ndarray,
-        offsets: np.ndarray,
-        k: int,
-        op: Comparison | str = Comparison.LE,
-        *,
-        timeout_s: float | None = None,
-    ) -> list[TopKResult]:
-        """Untraced body of :meth:`topk_batch` (inputs pre-validated)."""
-        queries = [
-            ScalarProductQuery(normals[row], float(offsets[row]), op)
-            for row in range(normals.shape[0])
-        ]
-        if _tnr.RECORDING:
-            for spq in queries:
-                _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
-        plannable: list[int] = []
-        results: list[TopKResult | None] = [None] * len(queries)
-        for position, spq in enumerate(queries):
-            self._check_dim(spq)
-            try:
-                self._working_or_raise(spq)
-            except InvalidQueryError:
-                if not self._scan_fallback:
-                    raise
-                from ..scan.baseline import SequentialScan
-
-                ids, rows = self._features.get_all()
-                results[position] = SequentialScan(rows, ids).topk(spq, k)
-                continue
-            plannable.append(position)
-        if plannable:
-            subset = [queries[position] for position in plannable]
-            per_shard, degraded = self._map_shards(
-                "batch_topk",
-                lambda collection: collection.topk_batch(subset, k),
-                recover=lambda shard: self._recover_topk_batch(subset, k, shard),
-                task=("batch_topk", subset, k),
-                timeout_s=timeout_s,
-            )
-            for slot, position in enumerate(plannable):
-                shard_slices = [
-                    shard_results[slot] if shard_results is not None else None
-                    for shard_results in per_shard
-                ]
-                results[position] = self._merge_topk(shard_slices, k, degraded)
-        return results  # type: ignore[return-value]
-
-    def _merge_topk(
-        self,
-        results: Sequence[TopKResult | None],
-        k: int,
-        degraded: DegradedInfo | None,
-    ) -> TopKResult:
-        """Merge one query's per-shard top-k slices into the global answer."""
-        if len(results) == 1 and degraded is None and results[0] is not None:
-            return results[0]
-        present = [result for result in results if result is not None]
-        buffer = TopKBuffer(k)
-        for result in present:
-            buffer.offer_many(result.distances, result.ids)
-        ids, distances = buffer.as_sorted()
-        stats_parts = [result.stats for result in present]
-        merged_stats = (
-            _merge_stats(stats_parts) if all(p is not None for p in stats_parts) else None
-        )
-        return TopKResult(
-            ids=ids,
-            distances=distances,
-            n_checked=sum(result.n_checked for result in present),
-            n_total=len(self._features),
-            stats=merged_stats,
-            degraded=degraded,
-        )
 
     # ------------------------------------------------------------------ #
     # Dynamic maintenance (fans out to owning shards)
@@ -1552,93 +686,28 @@ class ShardedFunctionIndex:
                     continue
                 raise self._wrap_failure(kind, shard, exc) from exc
 
-    def insert_points(self, new_points: np.ndarray) -> np.ndarray:
-        """Add new data points; returns their assigned (global) ids."""
-        self._invalidate_process_pool()
-        new_points = as_2d_float(new_points, "new_points")
-        require_finite_rows(new_points, "new_points")
-        features = self._phi(new_points)
-        # Validate before the translator observes the new extremes — a NaN
-        # row would otherwise poison every shard's octant translation.
-        require_finite_rows(features, "features(new_points)")
-        self._translator.observe(features)
-        point_ids = self._points.append(new_points)
-        feature_ids = self._features.append(features)
-        if not np.array_equal(point_ids, feature_ids):  # pragma: no cover
-            raise RuntimeError("point/feature stores diverged")
-        for shard, mask in enumerate(self._owned(feature_ids)):
-            if np.any(mask):
-                self._maintain(
-                    "insert",
-                    shard,
-                    lambda s=shard, m=mask: self._collections[s].insert(
-                        feature_ids[m], features[m]
-                    ),
-                )
-        self._record_shard_sizes()
-        return feature_ids
+    def _maintain_each(
+        self,
+        action: str,
+        ids: np.ndarray | None,
+        apply: Callable[[PlanarIndexCollection, Any], _T],
+    ) -> list[_T]:
+        """Apply a mutation to each owning shard (every shard if ``ids`` is None).
 
-    def delete_points(self, ids: np.ndarray) -> None:
-        """Remove points from the engine."""
-        self._invalidate_process_pool()
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        for shard, mask in enumerate(self._owned(ids)):
-            if np.any(mask):
-                self._maintain(
-                    "delete",
-                    shard,
-                    lambda s=shard, m=mask: self._collections[s].delete(ids[m]),
-                )
-        self._features.delete(ids)
-        self._points.delete(ids)
-        self._record_shard_sizes()
-
-    def update_points(self, ids: np.ndarray, new_points: np.ndarray) -> None:
-        """Change the raw values of existing points; re-key owning shards."""
-        self._invalidate_process_pool()
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
-        new_points = as_2d_float(new_points, "new_points")
-        require_finite_rows(new_points, "new_points")
-        features = self._phi(new_points)
-        require_finite_rows(features, "features(new_points)")
-        self._translator.observe(features)
-        self._points.update(ids, new_points)
-        self._features.update(ids, features)
-        for shard, mask in enumerate(self._owned(ids)):
-            if np.any(mask):
-                self._maintain(
-                    "update",
-                    shard,
-                    lambda s=shard, m=mask: self._collections[s].rekey(
-                        ids[m], features[m]
-                    ),
-                )
-
-    def add_index(self, normal: np.ndarray) -> bool:
-        """Add one Planar index to *every* shard (or none, when redundant).
-
-        All shards share the same normals and the same cosine redundancy
-        rule, so their verdicts agree; the common verdict is returned.
+        Ownership masks come from :func:`assign_shards`; shards owning none
+        of ``ids`` are skipped.
         """
-        self._invalidate_process_pool()
-        verdicts = [
+        if ids is None:
+            targets = [(shard, slice(None)) for shard in range(self._n_shards)]
+        else:
+            assignment = assign_shards(ids, self._n_shards, self._policy)
+            masks = [assignment == shard for shard in range(self._n_shards)]
+            targets = [(shard, mask) for shard, mask in enumerate(masks) if mask.any()]
+        done = [
             self._maintain(
-                "add_index",
-                shard,
-                lambda s=shard: self._collections[s].add_index(normal),
+                action, shard, lambda s=shard, rows=rows: apply(self._collections[s], rows)
             )
-            for shard in range(self._n_shards)
+            for shard, rows in targets
         ]
-        if len(set(verdicts)) != 1:  # pragma: no cover - shards share normals
-            raise RuntimeError("shards diverged on add_index redundancy verdict")
-        return verdicts[0]
-
-    def drop_index(self, position: int) -> None:
-        """Drop the index at ``position`` from every shard."""
-        self._invalidate_process_pool()
-        for shard in range(self._n_shards):
-            self._maintain(
-                "drop_index",
-                shard,
-                lambda s=shard: self._collections[s].drop_index(position),
-            )
+        self._record_shard_sizes()
+        return done

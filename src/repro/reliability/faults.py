@@ -80,12 +80,6 @@ KINDS = ("error", "stall", "torn")
 #: call :func:`check` when it is True; mutated via :func:`arm`/:func:`disarm`.
 ARMED: bool = False
 
-#: Monotonic arming generation, bumped by every :func:`arm` / :func:`disarm`.
-#: Forked worker pools snapshot the armed plan at fork time; comparing the
-#: generation they forked under against this value tells them the plan
-#: changed and the workers must be reforked (see ``repro.parallel.process``).
-GENERATION: int = 0
-
 _FLOAT_OPTIONS = ("p", "ms", "frac")
 _INT_OPTIONS = ("every", "times", "after", "seed")
 
@@ -347,23 +341,21 @@ _PLAN: FaultPlan | None = None
 
 def arm(plan: FaultPlan | str, seed: int | None = None) -> FaultPlan:
     """Arm ``plan`` (a :class:`FaultPlan` or a spec string) process-wide."""
-    global ARMED, _PLAN, GENERATION
+    global ARMED, _PLAN
     if isinstance(plan, str):
         plan = FaultPlan.parse(plan, seed=0 if seed is None else seed)
     elif seed is not None:
         raise FaultSpecError("seed= only applies when arming from a spec string")
     _PLAN = plan
     ARMED = True
-    GENERATION += 1
     return plan
 
 
 def disarm() -> None:
     """Return fault injection to its zero-cost no-op mode."""
-    global ARMED, _PLAN, GENERATION
+    global ARMED, _PLAN
     ARMED = False
     _PLAN = None
-    GENERATION += 1
 
 
 def is_armed() -> bool:

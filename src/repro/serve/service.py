@@ -255,7 +255,6 @@ class QueryService:
             "phase": self._phase,
             "points": len(self._engine),
             "shards": self._engine.n_shards,
-            "backend": self._engine.backend,
             "outstanding": self._batcher.outstanding,
             "brownout_depth": self._admission.brownout_depth,
             "breakers": self._breakers.summary(),

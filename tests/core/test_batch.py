@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from repro import FunctionIndex, QueryModel, ScalarProductQuery
-from repro.exceptions import DimensionMismatchError
+from repro.exceptions import DimensionMismatchError, InvalidQueryError
+from repro.obs import metrics as obs_metrics
+from repro.obs import runtime as obs_runtime
 
 from ..conftest import brute_force_ids
 
@@ -82,4 +84,21 @@ class TestCollectionBatch:
 
     def test_empty_batch(self, setup):
         _, _, index = setup
-        assert index.query_batch(np.empty((0, 4)), np.empty(0)) == []
+        empty_normals, empty_offsets = np.empty((0, 4)), np.empty(0)
+        traces = obs_metrics.traces_total()
+        samples = [(kind, sampled) for kind in ("batch", "batch_topk") for sampled in "01"]
+        was_enabled = obs_runtime.ENABLED
+        obs_runtime.enable()
+        try:
+            before = [traces.value(kind=kind, sampled=s) for kind, s in samples]
+            assert index.query_batch(empty_normals, empty_offsets) == []
+            assert index.topk_batch(empty_normals, empty_offsets, 3) == []
+            # Validation runs before the empty-batch short-circuit, as on
+            # the sharded engine: k=0 is rejected with nothing to answer.
+            with pytest.raises(InvalidQueryError, match="k must be positive"):
+                index.topk_batch(empty_normals, empty_offsets, 0)
+            # ... and an empty batch opens no trace.
+            assert [traces.value(kind=kind, sampled=s) for kind, s in samples] == before
+        finally:
+            if not was_enabled:
+                obs_runtime.disable()

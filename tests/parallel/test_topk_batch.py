@@ -1,11 +1,10 @@
-"""Sharded ``topk_batch`` identity: batch ≡ loop ≡ monolithic ≡ process.
+"""Sharded ``topk_batch`` identity: batch ≡ loop ≡ monolithic.
 
 The serving layer leans on ``ShardedFunctionIndex.topk_batch`` for every
 coalesced /topk window, so its bit-identity guarantees are pinned here
 at the engine level: the sharded batch call must return exactly the ids,
-distances, and tie-breaks of (a) a loop of sharded single ``topk`` calls,
-(b) the monolithic ``FunctionIndex.topk_batch``, and (c) the same batch
-on a process-backed engine.
+distances, and tie-breaks of (a) a loop of sharded single ``topk`` calls
+and (b) the monolithic ``FunctionIndex.topk_batch``.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import pytest
 from repro import FunctionIndex, QueryModel
 from repro.exceptions import InvalidQueryError
 from repro.parallel.engine import ShardedFunctionIndex
-from repro.parallel.process import fork_available
 
 
 @pytest.fixture(scope="module")
@@ -62,28 +60,6 @@ def test_batch_equals_monolithic(dataset, sharded):
     for ours, theirs in zip(sharded_batch, mono_batch):
         assert np.array_equal(ours.ids, theirs.ids)
         assert np.array_equal(ours.distances, theirs.distances)
-
-
-@pytest.mark.skipif(
-    not fork_available(), reason="process backend requires the fork start method"
-)
-def test_batch_identical_across_backends(dataset, n_shards):
-    points, model, normals, offsets = dataset
-    thread_engine = ShardedFunctionIndex(
-        points, model, n_indices=8, rng=42, n_shards=n_shards, backend="thread"
-    )
-    process_engine = ShardedFunctionIndex(
-        points, model, n_indices=8, rng=42, n_shards=n_shards, backend="process"
-    )
-    try:
-        threaded = thread_engine.topk_batch(normals, offsets, 5)
-        processed = process_engine.topk_batch(normals, offsets, 5)
-        for ours, theirs in zip(threaded, processed):
-            assert np.array_equal(ours.ids, theirs.ids)
-            assert np.array_equal(ours.distances, theirs.distances)
-    finally:
-        thread_engine.close()
-        process_engine.close()
 
 
 def test_validation_and_degenerate_batch(dataset, sharded):

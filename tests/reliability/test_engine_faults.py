@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro import ScalarProductQuery
+from repro.scan.baseline import SequentialScan
 from repro.exceptions import (
     DegradedAnswerError,
     QueryTimeoutError,
@@ -21,6 +22,46 @@ def _query_args(points):
     normal = np.array([2.0, 1.0, 3.0, 1.0])
     offset = float(np.round(0.35 * normal @ points.max(axis=0)))
     return normal, offset
+
+
+_OPS = ("inequality", "range", "batch", "topk", "batch_topk")
+_K = 7
+
+
+def _batch_args(normal, offset):
+    normals = np.vstack([normal, normal[::-1], normal + 1.0])
+    offsets = np.array([offset, np.round(0.8 * offset), np.round(1.2 * offset)])
+    return normals, offsets
+
+
+def _run_op(engine, op, normal, offset):
+    """The answers of one ``op`` call, as a list (one per query)."""
+    normals, offsets = _batch_args(normal, offset)
+    if op == "inequality":
+        return [engine.query(normal, offset)]
+    if op == "range":
+        return [engine.query_range(normal, np.round(0.5 * offset), offset)]
+    if op == "batch":
+        return engine.query_batch(normals, offsets)
+    if op == "topk":
+        return [engine.topk(normal, offset, _K)]
+    return engine.topk_batch(normals, offsets, _K)
+
+
+def _scan_oracle(features, ids, op, normal, offset):
+    """What ``_run_op`` must return, by a sequential scan of ``features``."""
+    scan = SequentialScan(features, ids)
+    normals, offsets = _batch_args(normal, offset)
+    if op == "inequality":
+        return [scan.query(ScalarProductQuery(normal, offset))]
+    if op == "range":
+        low = scan.query(ScalarProductQuery(normal, np.round(0.5 * offset), ">="))
+        return [np.intersect1d(low, scan.query(ScalarProductQuery(normal, offset)))]
+    if op == "batch":
+        return [scan.query(ScalarProductQuery(n, o)) for n, o in zip(normals, offsets)]
+    pairs = [(normal, offset)] if op == "topk" else list(zip(normals, offsets))
+    results = [scan.topk(ScalarProductQuery(n, o), _K) for n, o in pairs]
+    return [(result.ids, result.distances) for result in results]
 
 
 class TestRaisePolicy:
@@ -46,22 +87,34 @@ class TestRaisePolicy:
 
 
 class TestDegradePolicy:
-    def test_recovery_scan_restores_the_complete_answer(self):
+    @pytest.mark.parametrize("op", _OPS)
+    def test_recovery_scan_restores_the_complete_answer(self, op):
         _flt.disarm()  # pristine baseline even under an ambient REPRO_FAULTS
         engine, points, _ = build_engine(failure_policy="degrade")
         normal, offset = _query_args(points)
         with engine:
-            baseline = engine.query(normal, offset)
-            assert baseline.degraded is None
+            baseline = _run_op(engine, op, normal, offset)
+            assert all(answer.degraded is None for answer in baseline)
             with _flt.injected("shard.query:error:shard=1"):
-                answer = engine.query(normal, offset)
-        assert np.array_equal(answer.ids, baseline.ids)
-        info = answer.degraded
-        assert info is not None
-        assert info.recovered_shards == (1,)
-        assert info.failed_shards == ()
-        assert info.completeness == 1.0
-        assert info.is_complete
+                answers = _run_op(engine, op, normal, offset)
+            live = engine.live_ids()
+        expected = _scan_oracle(points[live], live, op, normal, offset)
+        assert len(answers) == len(expected) == len(baseline)
+        for answer, truth, clean in zip(answers, expected, baseline):
+            if op in ("topk", "batch_topk"):
+                truth_ids, truth_distances = truth
+                assert np.array_equal(answer.ids, truth_ids)
+                assert np.array_equal(answer.distances, truth_distances)
+                assert np.array_equal(answer.distances, clean.distances)
+            else:
+                assert np.array_equal(answer.ids, truth)
+            assert np.array_equal(answer.ids, clean.ids)
+            info = answer.degraded
+            assert info is not None
+            assert info.recovered_shards == (1,)
+            assert info.failed_shards == ()
+            assert info.completeness == 1.0
+            assert info.is_complete
 
     def test_unrecoverable_shard_yields_partial_answer(self):
         engine, points, _ = build_engine(failure_policy="degrade")

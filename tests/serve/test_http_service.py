@@ -155,7 +155,6 @@ class TestReadEndpoints:
         assert body["phase"] == "running"
         assert body["points"] == len(engine)
         assert body["shards"] == engine.n_shards
-        assert body["backend"] == engine.backend
         assert body["breakers"]["open"] == 0
 
     def test_metrics_exposes_serve_families(self, served):
