@@ -17,10 +17,10 @@ Arms:
     code at all, reproducing the pre-instrumentation module.
 
 A second gate covers production telemetry (ISSUE 7): armed at
-``REPRO_OBS_SAMPLE=0.01`` — always-on tracing with 1% head sampling —
-the same query must stay within **5%** of the uninstrumented pipeline,
-because unsampled traces mute every per-query span/metric and pay only
-the trace-id draw plus the ``repro_traces_total`` bump.
+``REPRO_OBS=0.01`` — always-on tracing with 1% head sampling — the same
+query must stay within **5%** of the uninstrumented pipeline, because
+unsampled traces mute every per-query span/metric and pay only the
+trace-id draw plus the ``repro_traces_total`` bump.
 
 An informational test also measures the fully-armed (sample everything)
 cost, which is allowed to be visible (it is opt-in) but must stay
@@ -37,7 +37,6 @@ from repro.bench import print_table
 from repro.core import PlanarIndex, ScalarProductQuery
 from repro.core.planar import QueryStats
 from repro.obs import runtime as obs_runtime
-from repro.obs import trace as obs_trace
 
 from conftest import scaled
 
@@ -162,11 +161,11 @@ def test_disabled_obs_overhead_below_two_percent(benchmark):
 def test_armed_sampled_overhead_below_five_percent(benchmark):
     """Empirical gate: armed at 1% head sampling vs uninstrumented.
 
-    This is the production-telemetry contract: ``REPRO_OBS=1`` with
-    ``REPRO_OBS_SAMPLE=0.01`` keeps tracing and the query log always on
-    while unsampled queries (the ~99%) skip all span/metric bookkeeping
-    via the per-trace mute, so the median per-query cost stays within 5%
-    of the uninstrumented pipeline.
+    This is the production-telemetry contract: ``REPRO_OBS=0.01`` keeps
+    tracing and the query log always on while unsampled queries (the
+    ~99%) skip all span/metric bookkeeping because their trace is
+    sampled out, so the median per-query cost stays within 5% of the
+    uninstrumented pipeline.
     """
     if obs_runtime.ENABLED:
         import pytest
@@ -186,8 +185,7 @@ def test_armed_sampled_overhead_below_five_percent(benchmark):
 
     uninstrumented()  # warm up caches and BLAS threads
 
-    previous_rate = obs_trace.set_sample_rate(0.01)
-    obs_runtime.enable()
+    previous = obs_runtime.enable(0.01)
     try:
         armed_sampled()  # warm up armed structures
         # Query-level interleave: both arms run the *same* query
@@ -224,8 +222,7 @@ def test_armed_sampled_overhead_below_five_percent(benchmark):
             ratios.append(armed_total / base_total)
         benchmark.pedantic(armed_sampled, rounds=1, iterations=1)
     finally:
-        obs_runtime.disable()
-        obs_trace.set_sample_rate(previous_rate)
+        obs_runtime.enable(previous)
 
     med_inst = float(np.median(times_inst)) / N_QUERIES
     med_base = float(np.median(times_base)) / N_QUERIES
@@ -266,8 +263,7 @@ def test_armed_obs_cost_is_bounded(benchmark):
     run()
     disabled_elapsed = time.perf_counter() - start
 
-    was_enabled = obs_runtime.ENABLED
-    obs_runtime.enable()
+    previous = obs_runtime.enable()
     try:
         run()  # warm up armed structures
         benchmark.pedantic(run, rounds=1, iterations=1)
@@ -275,8 +271,7 @@ def test_armed_obs_cost_is_bounded(benchmark):
         run()
         armed_elapsed = time.perf_counter() - start
     finally:
-        if not was_enabled:
-            obs_runtime.disable()
+        obs_runtime.enable(previous)
 
     print_table(
         "Armed-obs cost on PlanarIndex.query",

@@ -13,10 +13,11 @@ about:
   writes, where, whether the write is lexically inside a
   ``with self._lock:``-style guard, and which attributes *are* locks
   (``self._lock = threading.Lock()``);
-* the **call graph seeds** — every ``<executor>.submit(fn, …)`` site with
-  ``fn`` resolved when it is a plain name, a ``self.method``, or a
-  ``module_alias.function``, plus per-function call references so
-  reachability from submission sites can be computed;
+* the **call graph seeds** — every ``<executor>.submit(fn, …)`` site
+  (and ``submit(contextvars.copy_context().run, fn, …)``, which runs
+  ``fn``) with ``fn`` resolved when it is a plain name, a
+  ``self.method``, or a ``module_alias.function``, plus per-function call
+  references so reachability from submission sites can be computed;
 * **module-global mutable state** — names rebound through a ``global``
   statement anywhere in their module (the repo's arming-guard idiom:
   ``obs.runtime.ENABLED``, ``reliability.faults.ARMED``, …), and every
@@ -544,7 +545,8 @@ class _ModuleScanner(ast.NodeVisitor):
             ):
                 self._record_env_read(node.args[0] if node.args else None, node)
             elif func.attr == "submit":
-                callee = self._call_ref(node.args[0]) if node.args else None
+                submitted = _submitted_callable(node.args)
+                callee = self._call_ref(submitted) if submitted is not None else None
                 self.info.submissions.append(
                     SubmissionSite(
                         module=self.info.name,
@@ -600,6 +602,29 @@ class _ModuleScanner(ast.NodeVisitor):
                 )
             )
         self.generic_visit(node)
+
+
+def _submitted_callable(args: list) -> Optional[ast.expr]:
+    """The callable an ``<executor>.submit(...)`` call runs.
+
+    ``fn`` for ``submit(fn, ...)``, and also for
+    ``submit(contextvars.copy_context().run, fn, ...)`` — the form that
+    carries the submitting context onto the worker.
+    """
+    if not args:
+        return None
+    first = args[0]
+    if (
+        len(args) > 1
+        and isinstance(first, ast.Attribute)
+        and first.attr == "run"
+        and isinstance(first.value, ast.Call)
+    ):
+        factory = first.value.func
+        name = factory.attr if isinstance(factory, ast.Attribute) else getattr(factory, "id", None)
+        if name == "copy_context":
+            return args[1]
+    return first
 
 
 # --------------------------------------------------------------------- #

@@ -469,7 +469,7 @@ class PlanarIndexCollection:
         union_ids, values = self._gemm_values(index, working, members)
         if obs_on and union_ids is not None:
             _osp.record(
-                "verify_II_batch", started,
+                "verify_II", started,
                 index=index.obs_label,
                 n_rows=int(union_ids.size),
                 n_queries=len(members),
@@ -505,7 +505,7 @@ class PlanarIndexCollection:
         )
         ids, values = self._store.scan_values_many(normals)
         if obs_on:
-            _osp.record("scan_batch", started, n_queries=len(members))
+            _osp.record("scan", started, n_queries=len(members))
         for column, (member, index, r_lo, r_hi, n) in enumerate(members):
             wq = working[member]
             mask = wq.op.evaluate(values[:, column], wq.query.offset)

@@ -367,40 +367,35 @@ class FunctionIndex:
         cost counters ride the query-log record.
         """
         shards = len(self._collections)
-        ctx = _otr.begin(kind, shards=shards)
-        if ctx is None:
-            return body(*args)
-        try:
+        with _otr.root(kind, shards=shards) as trace:
             result = body(*args)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        answers: list = result if isinstance(result, list) else [result]
-        degraded = next(
-            (answer.degraded for answer in answers if answer.degraded is not None),
-            None,
-        )
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
-            _om.answer_completeness().observe(
-                degraded.completeness if degraded is not None else 1.0, kind=kind
+            if not trace:
+                return result
+            answers: list = result if isinstance(result, list) else [result]
+            degraded = next(
+                (answer.degraded for answer in answers if answer.degraded is not None),
+                None,
             )
+            if _ort.enabled():
+                _om.answer_completeness().observe(
+                    degraded.completeness if degraded is not None else 1.0, kind=kind
+                )
 
-        def cost() -> dict:
-            parts = [answer.stats for answer in answers if answer.stats is not None]
-            counters = QueryStats.merged(parts).to_dict() if parts else {}
-            if isinstance(answers[0], TopKResult):
-                counters["lbs_checked"] = sum(int(a.n_checked) for a in answers)
-            return counters
+            def cost() -> dict:
+                parts = [answer.stats for answer in answers if answer.stats is not None]
+                counters = QueryStats.merged(parts).to_dict() if parts else {}
+                if isinstance(answers[0], TopKResult):
+                    counters["lbs_checked"] = sum(int(a.n_checked) for a in answers)
+                return counters
 
-        _otr.finish(
-            ctx,
-            stats=cost,
-            degraded=degraded,
-            shards=shards,
-            retries=degraded.retries if degraded is not None else 0,
-            n_queries=len(answers),
-            results=sum(int(answer.ids.size) for answer in answers),
-        )
+            trace.set(
+                stats=cost,
+                degraded=degraded,
+                shards=shards,
+                retries=degraded.retries if degraded is not None else 0,
+                n_queries=len(answers),
+                results=sum(int(answer.ids.size) for answer in answers),
+            )
         return result
 
     def _query(

@@ -396,17 +396,10 @@ class PlanarIndex:
         gets the same head sampling and query-log records as the
         collection routes.
         """
-        ctx = _otr.begin("inequality")
-        if ctx is None:
-            return self._query_impl(query)
-        try:
+        with _otr.root("inequality") as trace:
             result = self._query_impl(query)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        _otr.finish(
-            ctx, stats=result.stats.to_dict, results=result.stats.n_results
-        )
+            if trace:
+                trace.set(stats=result.stats.to_dict, results=result.stats.n_results)
         return result
 
     def _query_impl(self, query: ScalarProductQuery | WorkingQuery) -> QueryResult:
@@ -655,22 +648,18 @@ class PlanarIndex:
 
         Opens a ``query.topk`` trace root when obs is armed and no outer
         facade already owns the trace (shard scans dispatched by the
-        sharded engine attach to the engine's trace instead).
+        sharded engine join the engine's trace instead).
         """
-        ctx = _otr.begin("topk")
-        if ctx is None:
-            return self._topk_impl(query, k, cutoff)
-        try:
+        with _otr.root("topk") as trace:
             result = self._topk_impl(query, k, cutoff)
-        except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-            _otr.abort(ctx, exc)
-            raise
-        def cost() -> dict:
-            counters = result.stats.to_dict()
-            counters["lbs_checked"] = int(result.n_checked)
-            return counters
+            if trace:
 
-        _otr.finish(ctx, stats=cost, results=int(result.ids.size))
+                def cost() -> dict:
+                    counters = result.stats.to_dict()
+                    counters["lbs_checked"] = int(result.n_checked)
+                    return counters
+
+                trace.set(stats=cost, results=int(result.ids.size))
         return result
 
     def _topk_impl(

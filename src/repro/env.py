@@ -53,17 +53,13 @@ ENV_VARS: Tuple[EnvVar, ...] = (
     EnvVar(
         name="REPRO_OBS",
         default="0",
-        help="arm the observability layer (metrics, spans, EXPLAIN counters)",
+        help="arm the observability layer at this head-sampling rate "
+        "(1/true/on = 1.0, a value in (0, 1] = that rate, 0/off = disarmed)",
     ),
     EnvVar(
         name="REPRO_OBS_STATE",
         default=".repro-obs.json",
         help="path of the obs state file CLI runs merge their samples into",
-    ),
-    EnvVar(
-        name="REPRO_OBS_SAMPLE",
-        default="1",
-        help="head-sampling rate in [0, 1] for per-query traces and log records",
     ),
     EnvVar(
         name="REPRO_OBS_SEED",

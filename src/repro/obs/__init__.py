@@ -15,8 +15,12 @@ Three cooperating pieces (see ``docs/observability.md``):
 Production telemetry on top (this is what the serving layer consumes):
 
 * :mod:`~repro.obs.trace` — deterministic per-query trace ids, head
-  sampling (``REPRO_OBS_SAMPLE``), and cross-thread trace stitching so
-  a sharded query is one tree, not a pile of orphan roots.
+  sampling at the rate ``REPRO_OBS`` arms the layer with, and one
+  trace-root helper (:func:`~repro.obs.trace.root`).  The trace and its
+  innermost span live in one context variable
+  (:data:`~repro.obs.runtime.CONTEXT`) that executor hops carry with
+  ``contextvars.copy_context().run``, so a sharded query is one tree,
+  not a pile of orphan roots.
 * :mod:`~repro.obs.events` — a rotating JSONL query log
   (``REPRO_OBS_LOG``): one record per sampled query with latency, cost
   counters, shard fan-out, retries, and ``DegradedInfo``.
@@ -27,8 +31,10 @@ Production telemetry on top (this is what the serving layer consumes):
 Everything is **off by default**: the instrumented hot paths check one
 call (:func:`runtime.active`) and skip all bookkeeping, with a measured
 cost under 2% on ``PlanarIndex.query`` — and under 5% when armed at 1%
-head sampling (``benchmarks/bench_obs_overhead.py``).  Arm with
-``REPRO_OBS=1`` in the environment or :func:`enable` at runtime.
+head sampling (``benchmarks/bench_obs_overhead.py``).  One switch arms
+it: ``REPRO_OBS=1`` (or a head-sampling rate such as ``REPRO_OBS=0.01``)
+in the environment, or :func:`enable` (``enable(rate)``) at runtime;
+rate 0 means off.
 
 This package never imports :mod:`repro.core` — the cores import *us*.
 """
@@ -67,16 +73,7 @@ from .spans import (
     span,
     traced,
 )
-from .trace import (
-    TraceContext,
-    attach,
-    begin,
-    current,
-    find_trace,
-    finish,
-    sample_rate,
-    set_sample_rate,
-)
+from .trace import TraceContext, begin, current, find_trace, finish, root
 
 __all__ = [
     # runtime switch
@@ -86,13 +83,11 @@ __all__ = [
     "active",
     # traces
     "TraceContext",
+    "root",
     "begin",
     "finish",
     "current",
-    "attach",
     "find_trace",
-    "sample_rate",
-    "set_sample_rate",
     # query log
     "configure_query_log",
     "tail_query_log",

@@ -114,8 +114,7 @@ def _run_demo_workload() -> None:
     from ..core.domains import QueryModel
     from ..core.function_index import FunctionIndex
 
-    was_enabled = _runtime.ENABLED
-    _runtime.enable()
+    previous = _runtime.enable(_runtime.rate() or 1.0)
     try:
         rng = np.random.default_rng(0)
         points = rng.uniform(0.0, 10.0, size=(2_000, 4))
@@ -128,8 +127,7 @@ def _run_demo_workload() -> None:
         index.topk(model.sample_normal(99), 40.0, k=10)
         index.explain_report(model.sample_normal(7), 35.0)
     finally:
-        if not was_enabled:
-            _runtime.disable()
+        _runtime.enable(previous)
 
 
 def _merged_registry(state: Path) -> MetricsRegistry:

@@ -34,13 +34,13 @@ Two APIs, two cost profiles:
         if obs_on:
             record("binary_search", t0)
 
-Spans are thread-local by default, but a trace can be *stitched* across
-threads: :mod:`repro.obs.trace` captures the root span on the issuing
-thread and :func:`adopt`/:func:`release` re-parent a worker thread's
-span stack under it, so sharded queries produce one tree instead of a
-pile of orphan roots.  Child-append is the only cross-thread mutation
-(``list.append``, atomic under the GIL) and the root closes only after
-all workers have been joined.
+The innermost open span lives in :data:`repro.obs.runtime.CONTEXT`, so
+spans nest per execution context, not per thread: shard work submitted
+with ``contextvars.copy_context().run`` opens its spans under the issuing
+query's root and a sharded query produces one tree instead of a pile of
+orphan roots.  A span that closes after its parent has closed (a worker
+abandoned at a deadline) is not attached — the parent's tree may
+already be published — but still feeds ``repro_span_seconds``.
 
 Everything here is O(1) per span — no per-point work ever happens in
 this module (REP006 stays structurally impossible).
@@ -64,10 +64,7 @@ __all__ = [
     "record",
     "traced",
     "current_span",
-    "open_span",
-    "close_span",
-    "adopt",
-    "release",
+    "complete",
     "recent_traces",
     "clear_traces",
     "set_trace_capacity",
@@ -86,7 +83,8 @@ class SpanRecord:
 
     ``duration`` is in seconds and is ``0.0`` until the span closes.
     ``attrs`` holds small scalar annotations (sizes, labels) — never
-    arrays.  ``children`` are sub-spans in completion order.
+    arrays.  ``children`` are sub-spans in completion order; ``closed``
+    turns true when the span completes, after which no child attaches.
     """
 
     name: str
@@ -94,6 +92,7 @@ class SpanRecord:
     duration: float = 0.0
     attrs: Dict[str, Any] = field(default_factory=dict)
     children: List["SpanRecord"] = field(default_factory=list)
+    closed: bool = field(default=False, repr=False, compare=False)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly nested representation."""
@@ -129,16 +128,10 @@ class SpanRecord:
             yield from child.walk()
 
 
-class _TraceState(threading.local):
-    """Per-thread span stack (traces never cross threads)."""
-
-    def __init__(self) -> None:  # pragma: no cover - trivial
-        self.stack: List[SpanRecord] = []
-
-
-_state = _TraceState()
 _traces: Deque[SpanRecord] = deque(maxlen=DEFAULT_TRACE_CAPACITY)
-_traces_lock = threading.Lock()
+#: Guards the ring buffer and every parent/child link, so a span closing
+#: on a worker thread cannot attach to a parent that is closing.
+_tree_lock = threading.Lock()
 
 
 class _NullSpan:
@@ -160,9 +153,9 @@ _NULL_SPAN = _NullSpan()
 
 
 class _ActiveSpan:
-    """Context manager that opens a :class:`SpanRecord` on the stack."""
+    """Context manager that opens a :class:`SpanRecord` in the context."""
 
-    __slots__ = ("_record",)
+    __slots__ = ("_record", "_token")
 
     def __init__(self, name: str, attrs: Dict[str, Any]) -> None:
         self._record = SpanRecord(name=name, start=0.0, attrs=attrs)
@@ -172,31 +165,31 @@ class _ActiveSpan:
         self._record.attrs.update(attrs)
 
     def __enter__(self) -> "_ActiveSpan":
-        _state.stack.append(self._record)
+        trace = _rt.CONTEXT.get()[0]
+        self._token = _rt.CONTEXT.set((trace, self._record))
         self._record.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc: object) -> None:
         rec = self._record
         rec.duration = time.perf_counter() - rec.start
-        stack = _state.stack
-        # The record may not be stack[-1] if user code mismatched exits;
-        # recover by popping through it rather than corrupting the tree.
-        while stack:
-            top = stack.pop()
-            if top is rec:
-                break
-        _finish(rec, stack)
+        _rt.CONTEXT.reset(self._token)
+        complete(rec, _rt.CONTEXT.get()[1])
 
 
-def _finish(rec: SpanRecord, stack: List[SpanRecord]) -> None:
-    """Attach a completed span to its parent or publish it as a trace."""
-    if stack:
-        stack[-1].children.append(rec)
-    else:
-        with _traces_lock:
+def complete(rec: SpanRecord, parent: Optional[SpanRecord]) -> None:
+    """Attach a finished span to ``parent``, or publish it as a trace.
+
+    A span whose parent has already closed is dropped from the tree:
+    the parent may be published, and a late child must not change it.
+    """
+    with _tree_lock:
+        rec.closed = True
+        if parent is None:
             _traces.append(rec)  # repro: noqa(REP012) — trace ring is thread-shared by design; shard threads append under its lock
-    if _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
+        elif not parent.closed:
+            parent.children.append(rec)
+    if _rt.enabled():
         _metrics.span_seconds().observe(rec.duration, name=rec.name)
 
 
@@ -204,63 +197,13 @@ def span(name: str, **attrs: Any):
     """Open a timed section; nests under any currently-open span.
 
     Returns a no-op singleton when the observability layer is disabled
-    (or this thread is sampling-muted), so the call is safe (and cheap)
-    on hot paths — though the hottest inner sections should prefer
-    :func:`record`.
+    (or the current trace is sampled out), so the call is safe (and
+    cheap) on hot paths — though the hottest inner sections should
+    prefer :func:`record`.
     """
     if not _rt.active():
         return _NULL_SPAN
     return _ActiveSpan(name, attrs)
-
-
-def open_span(name: str, **attrs: Any) -> SpanRecord:
-    """Unconditionally open a span and return its in-flight record.
-
-    Building block for :mod:`repro.obs.trace`, which manages root spans
-    whose lifetime does not fit a ``with`` block (opened at a facade's
-    entry, closed after the answer is merged).  Pair every call with
-    :func:`close_span` on the *same thread*.
-    """
-    rec = SpanRecord(name=name, start=0.0, attrs=attrs)
-    _state.stack.append(rec)
-    rec.start = time.perf_counter()
-    return rec
-
-
-def close_span(rec: SpanRecord) -> None:
-    """Close a span opened by :func:`open_span`.
-
-    Mismatched closes recover the same way :func:`span` exits do: the
-    stack is popped through the record rather than corrupting the tree.
-    """
-    rec.duration = time.perf_counter() - rec.start
-    stack = _state.stack
-    while stack:
-        top = stack.pop()
-        if top is rec:
-            break
-    _finish(rec, stack)
-
-
-def adopt(parent: SpanRecord) -> None:
-    """Re-parent this thread's span stack under ``parent``.
-
-    Used by :func:`repro.obs.trace.attach` on executor worker threads:
-    spans opened afterwards become children of ``parent`` (a root span
-    owned by the issuing thread) instead of orphan roots.  The append
-    into ``parent.children`` happens in :func:`_finish` via
-    ``list.append`` — atomic under the GIL — and the owner closes the
-    parent only after joining every worker.  Pair with :func:`release`.
-    """
-    _state.stack.append(parent)
-
-
-def release(parent: SpanRecord) -> None:
-    """Undo :func:`adopt` without closing ``parent``."""
-    stack = _state.stack
-    while stack:
-        if stack.pop() is parent:
-            break
 
 
 def record(name: str, started: float, **attrs: Any) -> None:
@@ -268,21 +211,21 @@ def record(name: str, started: float, **attrs: Any) -> None:
 
     ``started`` is a ``time.perf_counter()`` snapshot taken by the
     caller *before* the work; the span closes now.  The caller is
-    responsible for guarding the call with ``runtime.ENABLED`` — this
+    responsible for guarding the call with ``runtime.active()`` — this
     function records unconditionally so a locally-captured flag stays
     consistent even if the layer is toggled mid-query.
     """
     now = time.perf_counter()
     rec = SpanRecord(name=name, start=started, duration=now - started, attrs=attrs)
-    _finish(rec, _state.stack)
+    complete(rec, _rt.CONTEXT.get()[1])
 
 
 def traced(name: Optional[str] = None) -> Callable[[_F], _F]:
     """Decorator form of :func:`span`.
 
     The wrapper checks ``runtime.active()`` first and calls the function
-    directly when disabled (or sampling-muted), so the overhead off-mode
-    is one attribute read and a branch.
+    directly when disabled (or sampled out), so the overhead off-mode is
+    one attribute read and a branch.
     """
 
     def decorate(func: _F) -> _F:
@@ -301,14 +244,13 @@ def traced(name: Optional[str] = None) -> Callable[[_F], _F]:
 
 
 def current_span() -> Optional[SpanRecord]:
-    """The innermost open span on this thread, if any."""
-    stack = _state.stack
-    return stack[-1] if stack else None
+    """The innermost open span in this context, if any."""
+    return _rt.CONTEXT.get()[1]
 
 
 def recent_traces(limit: Optional[int] = None) -> List[SpanRecord]:
     """Most recent completed root traces, oldest first."""
-    with _traces_lock:
+    with _tree_lock:
         traces = list(_traces)
     if limit is not None and limit >= 0:
         traces = traces[-limit:]
@@ -317,7 +259,7 @@ def recent_traces(limit: Optional[int] = None) -> List[SpanRecord]:
 
 def clear_traces() -> None:
     """Drop all retained traces (capacity is preserved)."""
-    with _traces_lock:
+    with _tree_lock:
         _traces.clear()
 
 
@@ -326,11 +268,11 @@ def set_trace_capacity(capacity: int) -> None:
     if capacity < 1:
         raise ValueError("trace capacity must be >= 1")
     global _traces
-    with _traces_lock:
+    with _tree_lock:
         _traces = deque(_traces, maxlen=capacity)
 
 
 def trace_capacity() -> int:
     """Current ring-buffer capacity."""
-    with _traces_lock:
+    with _tree_lock:
         return _traces.maxlen or DEFAULT_TRACE_CAPACITY

@@ -1,4 +1,4 @@
-"""Trace contexts: deterministic ids, head sampling, cross-thread stitching.
+"""Trace contexts: deterministic ids, head sampling, one tree per query.
 
 A *trace* wraps one facade query end to end.  Each trace carries:
 
@@ -7,40 +7,36 @@ A *trace* wraps one facade query end to end.  Each trace carries:
   assign identical ids to identical query sequences and a log line can
   be replayed to the exact query that produced it;
 * a **head-sampling decision** computed purely from the id bits against
-  ``REPRO_OBS_SAMPLE`` (default 1.0).  The decision is made once, at the
-  root, and inherited by everything the query touches — including shard
-  work on executor threads — so a trace is always complete or absent,
-  never half-recorded;
-* a **root span** that shard spans from worker threads stitch into via
-  :func:`attach`, turning what used to be orphan per-thread roots into
-  one tree per query.
+  the rate ``REPRO_OBS`` armed the layer at.  The decision is made once,
+  at the root, and inherited by everything the query touches — including
+  shard work on executor threads — so a trace is always complete or
+  absent, never half-recorded;
+* a **root span** that every span of the query nests under.
 
-Unsampled traces mute per-query telemetry on every participating thread
-(:func:`repro.obs.runtime.mute`), which is what lets tracing and the
-query log stay armed in production at ``REPRO_OBS_SAMPLE=0.01`` —
-the armed-but-unsampled cost is bounded by the ≤5% gate in
-``benchmarks/bench_obs_overhead.py``.  The always-on
-``repro_traces_total{kind,sampled}`` counter records *every* trace so
-throughput numbers never need extrapolating by the sample rate.
+The trace and its innermost open span live in one context variable,
+:data:`repro.obs.runtime.CONTEXT`.  Executor submissions run their work
+under ``contextvars.copy_context().run``, so shard spans stitch into the
+issuing query's tree and an unsampled trace mutes its shard work too
+(:func:`repro.obs.runtime.active` is false while the current trace is
+unsampled).  That is what lets tracing and the query log stay armed in
+production at ``REPRO_OBS=0.01`` — the armed-but-unsampled cost is
+bounded by the ≤5% gate in ``benchmarks/bench_obs_overhead.py``.  The
+always-on ``repro_traces_total{kind,sampled}`` counter records *every*
+trace so throughput numbers never need extrapolating by the sample rate.
 
-Facade protocol: every query of ``FunctionIndex`` (and so of its
-subclass ``ShardedFunctionIndex``) runs through one helper,
-``FunctionIndex._traced`` in :mod:`repro.core.function_index`::
+Facade protocol: every traced entry point (``FunctionIndex._traced``,
+``PlanarIndex.query``/``topk``, the serve dispatch) opens its trace with
+:func:`root`::
 
-    def _traced(self, kind, body, *args):
-        ctx = trace.begin(kind, shards=...)
-        if ctx is None:              # disarmed, or nested in a trace
-            return body(*args)
-        try:
-            result = body(*args)
-        except BaseException as exc:
-            trace.abort(ctx, exc)
-            raise
-        trace.finish(ctx, stats=..., degraded=..., shards=..., retries=...)
-        return result
+    with trace.root(kind, shards=n) as tr:
+        result = body()
+        if tr:
+            tr.set(stats=result.stats.to_dict, results=len(result))
 
-Executor submission sites capture the issuing thread's context with
-:func:`current` and re-enter it on the worker via ``with attach(ctx):``.
+``root`` returns a falsy null handle when the layer is disarmed or a
+trace is already open (nested facade calls contribute spans to the outer
+trace), aborts the trace when the body raises, and finishes it with
+whatever ``set`` handed over otherwise.
 """
 
 from __future__ import annotations
@@ -48,8 +44,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, Mapping, Optional, Union
+from typing import Any, Callable, Dict, Mapping, Optional, Union
 
 from . import events as _events
 from . import metrics as _metrics
@@ -58,14 +53,12 @@ from . import spans as _spans
 
 __all__ = [
     "TraceContext",
+    "root",
     "begin",
     "finish",
     "abort",
     "current",
-    "attach",
     "is_sampled",
-    "sample_rate",
-    "set_sample_rate",
     "set_seed",
     "reset_ids",
     "find_trace",
@@ -83,17 +76,6 @@ def _splitmix64(value: int) -> int:
     return (value ^ (value >> 31)) & _MASK64
 
 
-def _parse_float(raw: str, default: float) -> float:
-    """Parse a float env value, falling back to ``default`` on junk."""
-    raw = raw.strip()
-    if not raw:
-        return default
-    try:
-        return float(raw)
-    except ValueError:
-        return default
-
-
 def _parse_int(raw: str, default: int) -> int:
     """Parse an int env value, falling back to ``default`` on junk."""
     raw = raw.strip()
@@ -105,28 +87,9 @@ def _parse_int(raw: str, default: int) -> int:
         return default
 
 
-#: Head-sampling rate in [0, 1]; 1.0 keeps every trace (the historical
-#: behaviour, and what the instrumented test lanes run with).
-SAMPLE_RATE: float = min(
-    1.0, max(0.0, _parse_float(os.environ.get("REPRO_OBS_SAMPLE", ""), 1.0))
-)
-
 _id_lock = threading.Lock()
 _seed: int = _parse_int(os.environ.get("REPRO_OBS_SEED", ""), 0) & _MASK64
 _counter: int = 0
-
-
-def sample_rate() -> float:
-    """The current head-sampling rate."""
-    return SAMPLE_RATE
-
-
-def set_sample_rate(rate: float) -> float:
-    """Set the head-sampling rate (clamped to [0, 1]); returns the old one."""
-    global SAMPLE_RATE
-    previous = SAMPLE_RATE
-    SAMPLE_RATE = min(1.0, max(0.0, float(rate)))
-    return previous
 
 
 def set_seed(seed: int) -> None:
@@ -162,7 +125,7 @@ def is_sampled(trace_id64: int, rate: Optional[float] = None) -> bool:
     be replayed under the same seed and *will* be sampled again.
     """
     if rate is None:
-        rate = SAMPLE_RATE
+        rate = _rt.rate()
     if rate >= 1.0:
         return True
     if rate <= 0.0:
@@ -173,7 +136,7 @@ def is_sampled(trace_id64: int, rate: Optional[float] = None) -> bool:
 class TraceContext:
     """Mutable per-query trace state threaded through a facade call."""
 
-    __slots__ = ("_hex", "id64", "kind", "sampled", "root", "started", "attrs")
+    __slots__ = ("_hex", "id64", "kind", "sampled", "root", "started", "attrs", "token")
 
     def __init__(
         self,
@@ -190,6 +153,7 @@ class TraceContext:
         self.root = root
         self.started = started
         self.attrs: Dict[str, Any] = {}
+        self.token: Optional[Any] = None
 
     @property
     def trace_id(self) -> str:
@@ -205,46 +169,37 @@ class TraceContext:
         return hex_id
 
 
-class _Current(threading.local):
-    """Per-thread active trace context (at most one; traces never nest)."""
-
-    def __init__(self) -> None:  # pragma: no cover - trivial
-        self.ctx: Optional[TraceContext] = None
-
-
-_CURRENT = _Current()
-
-
 def current() -> Optional[TraceContext]:
-    """The trace context active on this thread, if any."""
-    return _CURRENT.ctx  # repro: noqa(REP012) — threading.local by construction; workers see their own slot
+    """The trace context active in this execution context, if any."""
+    return _rt.CONTEXT.get()[0]
 
 
 def begin(kind: str, **attrs: Any) -> Optional[TraceContext]:
     """Open a trace root for a facade query; ``None`` when not tracing.
 
     Returns ``None`` when the obs layer is disarmed *or* a trace is
-    already active on this thread (nested facade calls — e.g. a batch
+    already active in this context (nested facade calls — e.g. a batch
     fanning into per-query calls — contribute spans to the outer trace
     instead of starting their own).  Callers must balance a non-``None``
-    return with exactly one :func:`finish` or :func:`abort`.
+    return with exactly one :func:`finish` or :func:`abort` in the same
+    context; :func:`root` does that for them.
     """
-    if not _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
+    rate = _rt.rate()
+    if not rate:
         return None
-    if _CURRENT.ctx is not None:
+    outer, parent = _rt.CONTEXT.get()
+    if outer is not None:
         return None
     id64 = _next_id()
-    sampled = is_sampled(id64)
-    started = time.perf_counter()
-    root: Optional[_spans.SpanRecord] = None
-    ctx = TraceContext(id64, kind, sampled, root, started)
+    sampled = is_sampled(id64, rate)
+    ctx = TraceContext(id64, kind, sampled, None, time.perf_counter())
     if sampled:
-        ctx.root = _spans.open_span(f"query.{kind}", trace_id=ctx.trace_id, **attrs)
-    else:
-        _rt.mute()
+        ctx.root = _spans.SpanRecord(
+            f"query.{kind}", ctx.started, attrs={"trace_id": ctx.trace_id, **attrs}
+        )
     if attrs:
         ctx.attrs.update(attrs)
-    _CURRENT.ctx = ctx
+    ctx.token = _rt.CONTEXT.set((ctx, ctx.root if sampled else parent))
     return ctx
 
 
@@ -280,13 +235,12 @@ def _resolve_stats(stats: StatsArg) -> Optional[Mapping[str, Any]]:
 
 
 def _close(ctx: TraceContext) -> float:
-    """Tear down thread state for ``ctx``; returns the latency in seconds."""
+    """Restore the context ``ctx`` was opened in; returns the latency."""
     latency = time.perf_counter() - ctx.started
-    _CURRENT.ctx = None
-    if ctx.sampled and ctx.root is not None:
-        _spans.close_span(ctx.root)
-    elif not ctx.sampled:
-        _rt.unmute()
+    _rt.CONTEXT.reset(ctx.token)
+    if ctx.root is not None:
+        ctx.root.duration = latency
+        _spans.complete(ctx.root, _rt.CONTEXT.get()[1])
     return latency
 
 
@@ -318,7 +272,7 @@ def finish(
         resolved = _resolve_stats(stats)
         if resolved:
             ctx.root.attrs.update(resolved)
-    if _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
+    if _rt.enabled():
         _traces_counter().inc(kind=ctx.kind, sampled="1" if ctx.sampled else "0")
     if _events.armed():
         slow = latency * 1000.0 >= _events.slow_ms()
@@ -345,7 +299,7 @@ def abort(ctx: TraceContext, error: BaseException) -> None:
     if ctx.root is not None:
         ctx.root.attrs["error"] = type(error).__name__
     latency = _close(ctx)
-    if _rt.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
+    if _rt.enabled():
         _traces_counter().inc(kind=ctx.kind, sampled="1" if ctx.sampled else "0")
     if _events.armed():
         record = _build_record(ctx, latency, slow=latency * 1000.0 >= _events.slow_ms())
@@ -387,35 +341,64 @@ def _build_record(
     return record
 
 
-@contextmanager
-def attach(ctx: Optional[TraceContext]) -> Iterator[None]:
-    """Re-enter a captured trace context on an executor worker thread.
+class _NullRoot:
+    """Handle :func:`root` returns when the query is not traced."""
 
-    Inside the block the worker inherits the trace's sampling decision:
-    sampled traces get the root span adopted (worker spans stitch into
-    the issuing query's tree), unsampled traces mute the worker's
-    telemetry for the duration.  ``attach(None)`` is a no-op so callers
-    can pass :func:`current`'s result unconditionally.
+    __slots__ = ()
+
+    trace_id: Optional[str] = None
+
+    def __bool__(self) -> bool:
+        return False
+
+    def __enter__(self) -> "_NullRoot":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        return None
+
+
+_NULL_ROOT = _NullRoot()
+
+
+class _Root:
+    """Handle on an open trace: finishes it on exit, aborts it on error."""
+
+    __slots__ = ("ctx", "_outcome")
+
+    def __init__(self, ctx: TraceContext) -> None:
+        self.ctx = ctx
+        self._outcome: Dict[str, Any] = {}
+
+    @property
+    def trace_id(self) -> str:
+        return self.ctx.trace_id
+
+    def set(self, **outcome: Any) -> None:
+        """Hand over :func:`finish` keywords (stats, degraded, results...)."""
+        self._outcome.update(outcome)
+
+    def __enter__(self) -> "_Root":
+        return self
+
+    def __exit__(self, exc_type: Any, exc: Optional[BaseException], tb: Any) -> None:
+        if exc is None:
+            finish(self.ctx, **self._outcome)
+        else:
+            abort(self.ctx, exc)
+
+
+def root(kind: str, **attrs: Any) -> Union[_Root, _NullRoot]:
+    """Open a ``kind`` trace for the ``with`` block it is entered by.
+
+    Returns a falsy null handle (``trace_id`` ``None``) when the layer is
+    disarmed or a trace is already open here, so callers build the
+    outcome they hand to :meth:`_Root.set` only ``if tr:``.
     """
-    if ctx is None:
-        yield
-        return
-    previous = _CURRENT.ctx
-    _CURRENT.ctx = ctx
-    if ctx.sampled and ctx.root is not None:
-        _spans.adopt(ctx.root)
-        try:
-            yield
-        finally:
-            _spans.release(ctx.root)
-            _CURRENT.ctx = previous
-    else:
-        _rt.mute()
-        try:
-            yield
-        finally:
-            _rt.unmute()
-            _CURRENT.ctx = previous
+    if not _rt.rate():  # the disarmed fast path skips begin's call
+        return _NULL_ROOT
+    ctx = begin(kind, **attrs)
+    return _NULL_ROOT if ctx is None else _Root(ctx)
 
 
 def find_trace(prefix: str) -> Optional[_spans.SpanRecord]:
@@ -428,8 +411,8 @@ def find_trace(prefix: str) -> Optional[_spans.SpanRecord]:
     prefix = prefix.strip().lower()
     if not prefix:
         return None
-    for root in reversed(_spans.recent_traces()):
-        trace_id = str(root.attrs.get("trace_id", ""))
+    for candidate in reversed(_spans.recent_traces()):
+        trace_id = str(candidate.attrs.get("trace_id", ""))
         if trace_id.startswith(prefix):
-            return root
+            return candidate
     return None

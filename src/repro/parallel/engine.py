@@ -62,6 +62,7 @@ shard's update would corrupt the partition.
 
 from __future__ import annotations
 
+import contextvars
 import os
 import random
 import time
@@ -369,13 +370,14 @@ class ShardedFunctionIndex(FunctionIndex):
     ) -> _T:
         """Execute one shard's slice of a query, with per-shard telemetry.
 
-        Span recording uses thread-local stacks, so emitting from pool
-        workers is safe; counters take one lock per increment.  The
-        ``shard.query`` fault site fires *before* the work, so injected
-        failures never leave partial shard state behind.  When a trace is
-        attached, the shard's work runs inside a ``shard.<kind>`` span
-        carrying the trace id and per-shard cost counters, so the inner
-        collection spans nest under it in the stitched tree.
+        Pool workers run it under a copy of the submitting context, so
+        their spans nest under the issuing query's open span; counters
+        take one lock per increment.  The ``shard.query`` fault site fires
+        *before* the work, so injected failures never leave partial shard
+        state behind.  Inside a trace, the shard's work runs in a
+        ``shard.<kind>`` span carrying the trace id and per-shard cost
+        counters, so the inner collection spans nest under it in the
+        stitched tree.
         """
         if _flt.ARMED:  # repro: noqa(REP012) — thread-shared by design: arming is process-wide and every pool thread must see it
             _flt.check("shard.query", shard=shard, kind=kind)
@@ -394,22 +396,6 @@ class ShardedFunctionIndex(FunctionIndex):
             shard_span.annotate(**self._shard_cost(result))
         _om.shard_queries_total().inc(kind=kind, shard=str(shard))
         return result
-
-    def _run_shard_traced(
-        self,
-        ctx: _otr.TraceContext | None,
-        kind: str,
-        shard: int,
-        fn: Callable[[PlanarIndexCollection], _T],
-    ) -> _T:
-        """Worker-thread entry: restore the issuing query's trace context.
-
-        ``ctx`` is captured on the submitting thread (``_otr.current()``)
-        and re-entered here so the worker inherits both the stitched span
-        tree (sampled traces) and the sampling mute (unsampled ones).
-        """
-        with _otr.attach(ctx):
-            return self._run_shard(kind, shard, fn)
 
     def _execute_wave(
         self,
@@ -437,15 +423,11 @@ class ShardedFunctionIndex(FunctionIndex):
         futures = {}
         if pooled:
             executor = self._ensure_executor()
-            ctx = _otr.current()
-            # Without a trace there is nothing to re-enter on the worker;
-            # skipping the attach frame keeps the disarmed fan-out within
-            # bench_reliability's 2% of a hook-free one.
+            # Each shard runs in a copy of this context: it inherits the
+            # query's trace and open span, and what it sets stays there.
             futures = {
-                shard: (
-                    executor.submit(self._run_shard, kind, shard, fn)
-                    if ctx is None
-                    else executor.submit(self._run_shard_traced, ctx, kind, shard, fn)
+                shard: executor.submit(
+                    contextvars.copy_context().run, self._run_shard, kind, shard, fn
                 )
                 for shard in pooled
             }
@@ -501,7 +483,7 @@ class ShardedFunctionIndex(FunctionIndex):
     ) -> None:
         # Reliability counters stay exact under head sampling (ENABLED),
         # while the span only joins sampled traces (active()).
-        if not _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
+        if not _ort.enabled():
             return
         _om.shard_retries_total().inc(len(shards), kind=kind)
         if _ort.active():
@@ -510,7 +492,7 @@ class ShardedFunctionIndex(FunctionIndex):
             )
 
     def _record_degraded(self, kind: str, degraded: DegradedInfo) -> None:
-        if not _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; enabling obs is process-wide by design
+        if not _ort.enabled():
             return
         _om.degraded_queries_total().inc(kind=kind)
         if _ort.active():

@@ -83,8 +83,8 @@ def _run_group(
     """Execute one coalesced engine call on an executor thread.
 
     Opens the serve-level trace *here*, on the thread the engine call
-    runs on: the engine's facade ``begin`` then returns ``None`` (traces
-    never nest) and its shard fan-out stitches under this root instead,
+    runs on: the engine's facade trace root is then a null handle
+    (traces never nest) and its shard fan-out stitches under this root,
     so one coalesced call yields one trace.  Returns the positionally
     aligned answers plus the trace id the member responses share.
 
@@ -94,8 +94,9 @@ def _run_group(
     """
     if _flt.ARMED:
         _flt.check("serve.dispatch", op=op, n=len(offsets))
-    ctx = _otr.begin("serve", shards=engine.n_shards, op=op, n_requests=len(offsets))
-    try:
+    with _otr.root(
+        "serve", shards=engine.n_shards, op=op, n_requests=len(offsets)
+    ) as trace:
         if op == "query":
             answers: list = engine.query_batch(
                 normals, offsets, comparison, timeout_s=timeout_s
@@ -104,29 +105,23 @@ def _run_group(
             answers = engine.topk_batch(
                 normals, offsets, k, comparison, timeout_s=timeout_s
             )
-    except BaseException as exc:  # repro: noqa(REP005) — trace-abort boundary; telemetry closes, exception re-raised unchanged
-        if ctx is not None:
-            _otr.abort(ctx, exc)
-        raise
-    if ctx is not None:
-        degraded = next(
-            (answer.degraded for answer in answers if answer.degraded is not None),
-            None,
-        )
-        if _ort.ENABLED:  # repro: noqa(REP012) — thread-shared flag; serve runs in the parent process only
-            _om.answer_completeness().observe(
-                degraded.completeness if degraded is not None else 1.0,
-                kind="serve",
+        if trace:
+            degraded = next(
+                (answer.degraded for answer in answers if answer.degraded is not None),
+                None,
             )
-        _otr.finish(
-            ctx,
-            degraded=degraded,
-            shards=engine.n_shards,
-            n_queries=len(offsets),
-            results=sum(int(np.asarray(answer.ids).size) for answer in answers),
-        )
-        return answers, ctx.trace_id
-    return answers, None
+            if _ort.enabled():
+                _om.answer_completeness().observe(
+                    degraded.completeness if degraded is not None else 1.0,
+                    kind="serve",
+                )
+            trace.set(
+                degraded=degraded,
+                shards=engine.n_shards,
+                n_queries=len(offsets),
+                results=sum(int(np.asarray(answer.ids).size) for answer in answers),
+            )
+    return answers, trace.trace_id
 
 
 class MicroBatcher:

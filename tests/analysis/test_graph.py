@@ -257,6 +257,19 @@ class TestSubmissionsAndReachability:
         assert "app.state.helper" in reachable
         assert "app.state.arm" not in reachable  # never called from the pool
 
+    def test_copy_context_run_submits_the_wrapped_callable(self, tmp_path):
+        source = dict(self.SOURCE)
+        source["engine.py"] = source["engine.py"].replace(
+            "pool.submit(self._work, 1)",
+            "pool.submit(contextvars.copy_context().run, self._work, 1)",
+        ).replace("from app import state", "import contextvars\n            from app import state")
+        graph = build_graph(write_package(tmp_path, "app", source))
+        (site,) = graph.submission_sites()
+        assert site.callee is not None and site.callee.name == "_work"
+        reachable = graph.reachable_from_submissions()
+        assert "app.engine.Engine._work" in reachable
+        assert "app.state.helper" in reachable
+
 
 class TestResolution:
     def test_resolve_class_through_reexport(self, tmp_path):

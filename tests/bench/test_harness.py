@@ -45,14 +45,12 @@ class TestTimeCall:
         from repro.obs import runtime as obs_runtime
 
         registry = obs_metrics.registry()
-        was_enabled = obs_runtime.ENABLED
         before = registry.n_samples()
-        obs_runtime.enable()
+        previous = obs_runtime.enable()
         try:
             time_call(lambda: None, repeat=2, name="harness-test")
         finally:
-            if not was_enabled:
-                obs_runtime.disable()
+            obs_runtime.enable(previous)
         histogram = obs_metrics.bench_seconds()
         assert histogram.count(bench="harness-test") >= 2
         assert registry.n_samples() >= before + 2

@@ -87,8 +87,7 @@ class TestCollectionBatch:
         empty_normals, empty_offsets = np.empty((0, 4)), np.empty(0)
         traces = obs_metrics.traces_total()
         samples = [(kind, sampled) for kind in ("batch", "batch_topk") for sampled in "01"]
-        was_enabled = obs_runtime.ENABLED
-        obs_runtime.enable()
+        previous = obs_runtime.enable()
         try:
             before = [traces.value(kind=kind, sampled=s) for kind, s in samples]
             assert index.query_batch(empty_normals, empty_offsets) == []
@@ -100,5 +99,4 @@ class TestCollectionBatch:
             # ... and an empty batch opens no trace.
             assert [traces.value(kind=kind, sampled=s) for kind, s in samples] == before
         finally:
-            if not was_enabled:
-                obs_runtime.disable()
+            obs_runtime.enable(previous)

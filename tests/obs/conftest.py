@@ -6,35 +6,28 @@ import pytest
 
 from repro.obs import clear_traces
 from repro.obs import runtime as obs_runtime
-from repro.obs import trace as obs_trace
 
 
 @pytest.fixture
 def obs_enabled():
     """Arm observability for one test, restoring the prior state after.
 
-    The suite may itself run with ``REPRO_OBS=1`` (the armed CI job) and
-    with ``REPRO_OBS_SAMPLE`` below 1 (the sampled chaos lane), so the
-    fixture pins full sampling — tests using it assert on recorded spans
-    and metrics — and restores whatever was set rather than blindly
-    disabling.
+    The suite may itself run armed (``REPRO_OBS=1``) or armed at a
+    head-sampling rate below 1 (``REPRO_OBS=0.1``, the sampled chaos
+    lane), so the fixture pins full sampling — tests using it assert on
+    recorded spans and metrics — and restores whatever was set rather
+    than blindly disabling.
     """
-    was_enabled = obs_runtime.ENABLED
-    obs_runtime.enable()
-    rate = obs_trace.set_sample_rate(1.0)
+    previous = obs_runtime.enable()
     clear_traces()
     yield
     clear_traces()
-    obs_trace.set_sample_rate(rate)
-    if not was_enabled:
-        obs_runtime.disable()
+    obs_runtime.enable(previous)
 
 
 @pytest.fixture
 def obs_disabled():
     """Force the disabled path for one test, restoring the prior state."""
-    was_enabled = obs_runtime.ENABLED
-    obs_runtime.disable()
+    previous = obs_runtime.disable()
     yield
-    if was_enabled:
-        obs_runtime.enable()
+    obs_runtime.enable(previous)

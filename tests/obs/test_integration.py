@@ -125,6 +125,31 @@ class TestMetricsRecorded:
         assert "binary_search" in child_names
         assert child_names & {"verify_II", "materialize", "scan"}
 
+    def test_batch_stages_use_single_query_names(
+        self, small_index, uniform_points, uniform_model, obs_enabled
+    ):
+        """A batched trace names its stages as the single-query path does."""
+        normals = np.stack([uniform_model.sample_normal(s) for s in range(8)])
+        top = uniform_points.max(axis=0)
+        fractions = np.linspace(0.05, 0.95, len(normals))
+        offsets = fractions * (normals @ top)
+
+        def stages(roots):
+            return {
+                span.name
+                for root in roots
+                for span in root.walk()
+                if not span.name.startswith(("query.", "collection."))
+            }
+
+        for normal, offset in zip(normals, offsets):
+            small_index.query(normal, offset)
+        single = stages(recent_traces(len(normals)))
+        small_index.query_batch(normals, offsets)
+        batch = stages(recent_traces(1))
+        assert {"verify_II", "scan"} <= batch, "batch must take both routes"
+        assert batch <= single
+
     def test_topk_span_tree(self, small_index, uniform_model, obs_enabled):
         normal = uniform_model.sample_normal(5)
         small_index.topk(normal, 80.0 * float(normal.sum()), k=10)

@@ -30,14 +30,9 @@ def obs_enabled():
     """Arm observability (full sampling) for one test, restoring after."""
     from repro.obs import clear_traces
     from repro.obs import runtime as obs_runtime
-    from repro.obs import trace as obs_trace
 
-    was_enabled = obs_runtime.ENABLED
-    obs_runtime.enable()
-    rate = obs_trace.set_sample_rate(1.0)
+    previous = obs_runtime.enable()
     clear_traces()
     yield
     clear_traces()
-    obs_trace.set_sample_rate(rate)
-    if not was_enabled:
-        obs_runtime.disable()
+    obs_runtime.enable(previous)

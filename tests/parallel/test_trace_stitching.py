@@ -9,12 +9,14 @@ and the per-shard cost counters annotated on the shard spans (including
 reconciliation must hold under injected shard *error* faults too, where
 retries and recovery scans contribute extra child spans.
 
-Error faults only: stall/timeout faults abandon workers that still
-finish and record their spans, so their counters legitimately
-double-count against the merged answer.
+The property tests inject error faults only.  A stall fault abandons a
+worker at the query deadline; :class:`TestLateShardSpans` pins that the
+abandoned worker's span never reaches the already-published tree.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 from hypothesis import given, settings
@@ -22,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro import QueryModel, ShardedFunctionIndex
 from repro.obs import clear_traces, recent_traces
+from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
-from repro.obs import trace as obs_trace
 from repro.reliability import faults as _flt
 
 
@@ -88,15 +90,11 @@ class TestStitchedTraces:
     """Each facade kind yields one reconciled tree per query."""
 
     def setup_method(self):
-        self._was_enabled = obs_runtime.ENABLED
-        obs_runtime.enable()
-        self._rate = obs_trace.set_sample_rate(1.0)
+        self._previous = obs_runtime.enable()
 
     def teardown_method(self):
-        obs_trace.set_sample_rate(self._rate)
         clear_traces()
-        if not self._was_enabled:
-            obs_runtime.disable()
+        obs_runtime.enable(self._previous)
 
     @settings(max_examples=40, deadline=None)
     @given(case=stitching_cases())
@@ -174,3 +172,40 @@ class TestStitchedTraces:
                 if span.name != "shard.recover":
                     assert span.attrs["trace_id"] == root.attrs["trace_id"]
             assert sum(span.attrs["lbs_checked"] for span in costed) == result.n_checked
+
+
+class TestLateShardSpans:
+    """A worker abandoned at the deadline must not mutate a published trace."""
+
+    def test_timed_out_shard_span_is_not_attached(self, obs_enabled):
+        rng = np.random.default_rng(3)
+        points = rng.integers(1, 30, size=(200, 3)).astype(np.float64)
+        model = QueryModel.uniform(dim=3, low=1.0, high=5.0, rq=4)
+        normals = np.array([[1.0, 2.0, 3.0], [2.0, 1.0, 1.0]])
+        offsets = np.array([60.0, 40.0])
+        histogram = obs_metrics.span_seconds()
+        engine = ShardedFunctionIndex(
+            points,
+            model,
+            n_indices=2,
+            rng=0,
+            n_shards=2,
+            failure_policy="degrade",
+            query_timeout_s=0.05,
+        )
+        with engine:
+            before = histogram.count(name="shard.batch")
+            with _flt.injected("shard.query:stall:ms=300:shard=0"):
+                answers = engine.query_batch(normals, offsets)
+                assert answers[0].degraded is not None
+                (root,) = recent_traces()
+                published = [child.name for child in root.children]
+                assert published == ["shard.batch", "shard.recover", "shard.degrade"]
+                # The stalled worker still finishes its span afterwards:
+                # it feeds the histogram but stays out of the tree.
+                waited = time.monotonic() + 10.0
+                while histogram.count(name="shard.batch") < before + 2:
+                    assert time.monotonic() < waited, "stalled worker never finished"
+                    time.sleep(0.01)
+            assert [child.name for child in root.children] == published
+            assert recent_traces() == [root]

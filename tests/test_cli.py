@@ -112,20 +112,15 @@ class TestObsCommand:
         state = tmp_path / "state.json"
         monkeypatch.setenv("REPRO_OBS_STATE", str(state))
         from repro.obs import runtime as obs_runtime
-        from repro.obs import trace as obs_trace
 
-        was_enabled = obs_runtime.ENABLED
-        obs_runtime.enable()
-        # Pin full sampling: the sampled chaos lane runs this suite with
-        # REPRO_OBS_SAMPLE below 1, which would mute the per-query
-        # counters this test asserts on.
-        rate = obs_trace.set_sample_rate(1.0)
+        # Pin full sampling: the sampled chaos lane runs this suite armed
+        # at a rate below 1, which would mute the per-query counters this
+        # test asserts on.
+        previous = obs_runtime.enable()
         try:
             assert main(["demo", "quickstart", "--n", "2000"]) == 0
         finally:
-            obs_trace.set_sample_rate(rate)
-            if not was_enabled:
-                obs_runtime.disable()
+            obs_runtime.enable(previous)
         capsys.readouterr()
         assert state.exists()
         payload = json.loads(state.read_text())
@@ -191,18 +186,14 @@ class TestTelemetryCommands:
         from repro.obs import runtime as obs_runtime
         from repro.obs import trace as obs_trace
 
-        was_enabled = obs_runtime.ENABLED
-        obs_runtime.enable()
-        rate = obs_trace.set_sample_rate(1.0)
+        previous = obs_runtime.enable()
         try:
             ctx = obs_trace.begin("inequality")
             obs_trace.finish(ctx, stats={"n_verified": 9})
             assert main(["obs", "trace", ctx.trace_id[:8]]) == 0
         finally:
-            obs_trace.set_sample_rate(rate)
             clear_traces()
-            if not was_enabled:
-                obs_runtime.disable()
+            obs_runtime.enable(previous)
         out = capsys.readouterr().out
         assert "query.inequality" in out
         assert ctx.trace_id in out
