@@ -134,7 +134,7 @@ def test_serve_batching_amortization(benchmark):
     # Throughput gate: needs real cores (the baseline saturates the
     # executor with per-request engine calls) and the full-size dataset
     # (tiny engines answer faster than HTTP overhead, hiding the
-    # amortization).  Guarded like bench_batch's GEMM gate.
+    # amortization).  Guarded like the core-count gates in bench_parallel.
     if _N_POINTS >= 40_000 and (os.cpu_count() or 1) >= 4:
         assert ratio >= 3.0, (
             f"micro-batching reached only {ratio:.2f}x over the "

@@ -396,189 +396,15 @@ class PlanarIndexCollection:
         )
         return result
 
-    def _group_ranks(
-        self, index: PlanarIndex, working: list[WorkingQuery], members: list[int]
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Interval ranks of every group member via one vectorized search."""
-        lows = np.empty(len(members))
-        highs = np.empty(len(members))
-        for slot, member in enumerate(members):
-            t_lo, t_hi, tol = index._thresholds(working[member])
-            lows[slot] = t_lo - tol
-            highs[slot] = t_hi + tol
-        keys = index._keys.sorted_keys
-        rank_los = np.searchsorted(keys, lows, side="right")
-        rank_his = np.searchsorted(keys, highs, side="right")
-        return rank_los, rank_his
+    def query_batch(
+        self, queries: Sequence[ScalarProductQuery | WorkingQuery]
+    ) -> list[QueryResult]:
+        """Answer many inequality queries; positionally aligned with ``queries``.
 
-    @staticmethod
-    def _merged_windows(members: list[tuple[int, int, int]]) -> list[list[int]]:
-        """Disjoint union of the members' ``[r_lo, r_hi)`` rank windows.
-
-        Merging overlapping windows bounds the union gather by the live
-        row count even when every member verifies nearly the same
-        interval — the GEMM then touches each candidate row once.
+        A loop over :meth:`query`, so every member is answered, routed and
+        counted exactly as a single call would be.
         """
-        merged: list[list[int]] = []
-        for r_lo, r_hi in sorted((m[1], m[2]) for m in members if m[2] > m[1]):
-            if merged and r_lo <= merged[-1][1]:
-                if r_hi > merged[-1][1]:
-                    merged[-1][1] = r_hi
-            else:
-                merged.append([r_lo, r_hi])
-        return merged
-
-    def _gemm_values(
-        self,
-        index: PlanarIndex,
-        working: list[WorkingQuery],
-        members: list[tuple[int, int, int]],
-    ) -> tuple[np.ndarray | None, np.ndarray | None]:
-        """``(union_ids, values)`` of one group's candidate verification.
-
-        ``union_ids`` is the ascending union of every member's
-        intermediate-interval ids and ``values[i, j]`` is
-        ``<normal_j, phi(union_ids[i])>`` for member ``j``'s canonical
-        query normal — one ``(rows × queries)`` GEMM over a contiguous
-        gather instead of one matrix-vector product per member.  Returns
-        ``(None, None)`` when every member's interval is empty.
-        """
-        merged = self._merged_windows(members)
-        if not merged:
-            return None, None
-        union_ids = np.sort(
-            np.concatenate(
-                [index._keys.ids_in_rank_range(lo, hi) for lo, hi in merged]
-            )
-        )
-        rows = self._store.take_rows(union_ids)
-        normals = np.vstack([working[m].query.normal for m, _, _ in members])
-        values = rows @ normals.T
-        return union_ids, values
-
-    def _finish_group(
-        self,
-        index: PlanarIndex,
-        working: list[WorkingQuery],
-        members: list[tuple[int, int, int]],
-        results: list[QueryResult | None],
-    ) -> None:
-        """Finish one index group's interval-routed members off one GEMM."""
-        obs_on = _ort.active()
-        started = time.perf_counter() if obs_on else 0.0
-        union_ids, values = self._gemm_values(index, working, members)
-        if obs_on and union_ids is not None:
-            _osp.record(
-                "verify_II", started,
-                index=index.obs_label,
-                n_rows=int(union_ids.size),
-                n_queries=len(members),
-            )
-        for column, (member, r_lo, r_hi) in enumerate(members):
-            wq = working[member]
-            if union_ids is None or r_hi <= r_lo:
-                results[member] = index.finish_query(wq, r_lo, r_hi)
-                continue
-            member_ids = np.sort(index._keys.ids_in_rank_range(r_lo, r_hi))
-            positions = np.searchsorted(union_ids, member_ids)
-            results[member] = index.finish_query(
-                wq, r_lo, r_hi, precomputed=(member_ids, values[positions, column])
-            )
-
-    def _scan_group(
-        self,
-        working: list[WorkingQuery],
-        members: list[tuple[int, PlanarIndex, int, int, int]],
-        results: list[QueryResult | None],
-    ) -> None:
-        """Answer every scan-routed member (across all groups) off one GEMM.
-
-        Batched twin of :meth:`_scan_result`: one
-        :meth:`FeatureStore.scan_values_many` call replaces one streamed
-        matmul per query; per-query stats and partition counters are
-        recorded exactly as the single-query path records them.
-        """
-        obs_on = _ort.active()
-        started = time.perf_counter() if obs_on else 0.0
-        normals = np.vstack(
-            [working[member].query.normal for member, *_ in members]
-        )
-        ids, values = self._store.scan_values_many(normals)
-        if obs_on:
-            _osp.record("scan", started, n_queries=len(members))
-        for column, (member, index, r_lo, r_hi, n) in enumerate(members):
-            wq = working[member]
-            mask = wq.op.evaluate(values[:, column], wq.query.offset)
-            result_ids = ids[mask]
-            if obs_on:
-                index._record_partition(
-                    "inequality", r_lo, r_hi - r_lo, n - r_hi, n
-                )
-            results[member] = QueryResult(
-                result_ids,
-                QueryStats(
-                    n_total=n,
-                    si_size=r_lo,
-                    ii_size=r_hi - r_lo,
-                    li_size=n - r_hi,
-                    n_verified=n,
-                    n_results=int(result_ids.size),
-                ),
-            )
-
-    def query_batch(self, queries: Sequence[ScalarProductQuery]) -> list[QueryResult]:
-        """Answer many inequality queries with batched searches and GEMMs.
-
-        Queries are grouped by their selected index; each group's interval
-        boundaries come from one vectorized ``searchsorted`` over the
-        group's thresholds, the group's candidate verification is one
-        ``(rows × queries)`` matrix product over the union of the
-        members' intermediate intervals, and scan-routed queries from
-        *all* groups share one multi-normal store scan.  Results are
-        positionally aligned with ``queries`` and identical to per-query
-        :meth:`query` calls (including the cost-based scan routing);
-        ``QueryStats`` are still computed per query.
-        """
-        obs_on = _ort.active()
-        batch_started = time.perf_counter() if obs_on else 0.0
-        working = [self.working_query(query) for query in queries]
-        cache = self._cache
-        groups: dict[int, list[int]] = {}
-        for position, wq in enumerate(working):
-            groups.setdefault(self._select_position(wq, cache), []).append(position)
-
-        results: list[QueryResult | None] = [None] * len(queries)
-        scan_members: list[tuple[int, PlanarIndex, int, int, int]] = []
-        n_intervals = 0
-        for index_position, members in groups.items():
-            index = cache.indices[index_position]
-            rank_los, rank_his = self._group_ranks(index, working, members)
-            n = len(index)
-            interval_members: list[tuple[int, int, int]] = []
-            for slot, member in enumerate(members):
-                r_lo, r_hi = int(rank_los[slot]), int(rank_his[slot])
-                if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n:
-                    interval_members.append((member, r_lo, r_hi))
-                    n_intervals += 1
-                else:
-                    scan_members.append((member, index, r_lo, r_hi, n))
-            if interval_members:
-                self._finish_group(index, working, interval_members, results)
-        n_scans = len(scan_members)
-        if scan_members:
-            self._scan_group(working, scan_members, results)
-        if obs_on:
-            strategy = self._strategy.value
-            counter = _om.queries_total()
-            if n_intervals:
-                counter.inc(n_intervals, kind="batch", route="intervals", strategy=strategy)
-            if n_scans:
-                counter.inc(n_scans, kind="batch", route="scan", strategy=strategy)
-            _osp.record("collection.query_batch", batch_started, n_queries=len(queries))
-            _om.query_latency().observe(
-                time.perf_counter() - batch_started, kind="batch", route="mixed"
-            )
-        return results  # type: ignore[return-value]
+        return [self.query(query) for query in queries]
 
     def topk(
         self,
@@ -608,63 +434,12 @@ class PlanarIndexCollection:
         return result
 
     def topk_batch(
-        self, queries: Sequence[ScalarProductQuery], k: int
+        self, queries: Sequence[ScalarProductQuery | WorkingQuery], k: int
     ) -> list[TopKResult]:
-        """Answer many top-k queries, batching selection and II verification.
-
-        Queries are grouped by their selected index; each group's
-        intermediate-interval candidates are verified with one
-        ``(rows × queries)`` GEMM (the same union-window gather as
-        :meth:`query_batch`), after which each member runs its own LBS
-        cutoff scan — that walk is adaptive per query and inherently
-        sequential (Algorithm 2), so only the verification stage batches.
-        Results are positionally aligned and identical to per-query
-        :meth:`topk` calls.
-        """
+        """Answer many top-k queries; a loop over :meth:`topk`."""
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
-        obs_on = _ort.active()
-        batch_started = time.perf_counter() if obs_on else 0.0
-        working = [self.working_query(query) for query in queries]
-        cache = self._cache
-        groups: dict[int, list[int]] = {}
-        for position, wq in enumerate(working):
-            groups.setdefault(self._select_position(wq, cache), []).append(position)
-
-        results: list[TopKResult | None] = [None] * len(queries)
-        for index_position, members in groups.items():
-            index = cache.indices[index_position]
-            rank_los, rank_his = self._group_ranks(index, working, members)
-            n = len(index)
-            bounded = [
-                (member, int(rank_los[slot]), int(rank_his[slot]))
-                for slot, member in enumerate(members)
-            ]
-            union_ids, values = self._gemm_values(index, working, bounded)
-            for column, (member, r_lo, r_hi) in enumerate(bounded):
-                wq = working[member]
-                if union_ids is None or r_hi <= r_lo:
-                    ids_ii = np.sort(index._keys.ids_in_rank_range(r_lo, r_hi))
-                    values_ii = None
-                else:
-                    ids_ii = np.sort(index._keys.ids_in_rank_range(r_lo, r_hi))
-                    positions = np.searchsorted(union_ids, ids_ii)
-                    values_ii = values[positions, column]
-                results[member] = index._topk_from_ii(
-                    wq, k, None, r_lo, r_hi, n, ids_ii, values_ii
-                )
-        if obs_on:
-            _om.queries_total().inc(
-                len(queries), kind="topk", route="intervals",
-                strategy=self._strategy.value,
-            )
-            _osp.record(
-                "collection.topk_batch", batch_started, n_queries=len(queries), k=k
-            )
-            _om.query_latency().observe(
-                time.perf_counter() - batch_started, kind="batch", route="topk"
-            )
-        return results  # type: ignore[return-value]
+        return [self.topk(query, k) for query in queries]
 
     def query_range(self, wq_low: WorkingQuery, wq_high: WorkingQuery) -> QueryResult:
         """Exact BETWEEN query routed through best-index selection.

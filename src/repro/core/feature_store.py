@@ -187,9 +187,10 @@ class FeatureStore:
         """``(ids, values)`` of every live row under ``m`` normals at once.
 
         ``values`` has shape ``(n_live, m)`` with column ``j`` equal to
-        ``scan_values(normals[j])[1]`` — one GEMM instead of ``m``
-        matrix-vector products, which is what makes batched scan-routed
-        queries cheap.  Counts ``m`` store scans (each column is one
+        ``scan_values(normals[j])[1]`` — one matrix product instead of
+        ``m`` matrix-vector products.  No query path calls it; the batch
+        calls loop over :meth:`scan_values` so they sum in the same order
+        as single queries.  Counts ``m`` store scans (each column is one
         logical scan).
         """
         normals = as_2d_float(normals, "normals")

@@ -479,17 +479,21 @@ class FunctionIndex:
                 _tnr.record_query(spq.normal, spq.offset, spq.op.value, sketch_kind, k or 0)
         answers: list = [None] * len(queries)
         plannable: list[int] = []
+        working: list[WorkingQuery] = []
+        member_kind = "inequality" if k is None else "topk"
         for position, spq in enumerate(queries):
-            if self._working(spq) is None:
-                answers[position] = self._fallback(kind, [spq], k)[0]
+            wq = self._working(spq)
+            if wq is None:
+                answers[position] = self._fallback(member_kind, [spq], k)[0]
             else:
                 plannable.append(position)
+                working.append(wq)
         if plannable:
             subset = [queries[position] for position in plannable]
             call = (
-                (lambda collection: collection.query_batch(subset))
+                (lambda collection: collection.query_batch(working))
                 if k is None
-                else (lambda collection: collection.topk_batch(subset, k))
+                else (lambda collection: collection.topk_batch(working, k))
             )
             per_collection, degraded = self._fan_out(kind, call, subset, k, timeout_s)
             for slot, position in enumerate(plannable):
@@ -568,9 +572,11 @@ class FunctionIndex:
         """Answer a batch of inequality queries sharing one operator.
 
         ``normals`` is ``(m, d')`` and ``offsets`` has length ``m``.
-        Binary searches are batched per selected index (see
-        :meth:`PlanarIndexCollection.query_batch`); octant-incompatible
-        queries fall back to scans individually.  The batch is one trace.
+        Each member is answered by the single-query path (see
+        :meth:`PlanarIndexCollection.query_batch`), so the answers equal
+        a loop of :meth:`query` calls; octant-incompatible queries fall
+        back to scans individually.  The batch is one trace and, on a
+        sharded engine, one fan-out wave.
         Validation and the empty-batch short-circuit run before the trace
         opens, so a malformed or empty batch emits no telemetry.
 
@@ -627,10 +633,10 @@ class FunctionIndex:
     ) -> list[TopKResult]:
         """Answer a batch of top-k queries sharing one operator and ``k``.
 
-        Candidate verification is batched per selected index with one
-        GEMM (see :meth:`PlanarIndexCollection.topk_batch`); each query's
-        LBS cutoff scan still runs individually.  Octant-incompatible
-        queries fall back to sequential-scan top-k one by one.  Like
+        Each member runs the single-query Algorithm 2 (see
+        :meth:`PlanarIndexCollection.topk_batch`), so the answers equal a
+        loop of :meth:`topk` calls.  Octant-incompatible queries fall
+        back to sequential-scan top-k one by one.  Like
         :meth:`query_batch`: one trace, validated (``k`` included) and
         short-circuited when empty before it opens, same ``timeout_s``.
         """

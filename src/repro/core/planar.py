@@ -432,17 +432,12 @@ class PlanarIndex:
         wq: WorkingQuery,
         r_lo: int,
         r_hi: int,
-        precomputed: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> QueryResult:
-        """Complete an inequality query from precomputed interval ranks.
+        """Complete an inequality query from its interval ranks.
 
-        Split out of :meth:`query` so batch evaluation can compute the
-        ranks of many queries with one vectorized binary search and then
-        finish each query individually.  ``precomputed`` optionally
-        carries ``(verify_ids, values)`` — the sorted intermediate-interval
-        ids and their scalar products ``<a, phi(x)>`` under the canonical
-        query normal — produced by the collection's batched GEMM so the
-        per-query finish only applies the operator mask.
+        Split out of :meth:`query` so the collection can route on the
+        interval size (see :meth:`PlanarIndexCollection.query`) before
+        paying for verification.
         """
         obs_on = _ort.active()
         n = len(self._keys)
@@ -455,19 +450,12 @@ class PlanarIndex:
         # sequential (np.take over ascending ids), which is the dominant
         # cost of verification at numpy speeds.
         started = time.perf_counter() if obs_on else 0.0
-        if precomputed is None:
-            verify_ids = np.sort(self._keys.ids_in_rank_range(r_lo, r_hi))
-            n_verified = int(verify_ids.size)
-            if n_verified:
-                feats = self._store.take_rows(verify_ids)
-                mask = wq.query.evaluate(feats)
-                accepted.append(verify_ids[mask])
-        else:
-            verify_ids, values = precomputed
-            n_verified = int(verify_ids.size)
-            if n_verified:
-                mask = wq.op.evaluate(values, wq.query.offset)
-                accepted.append(verify_ids[mask])
+        verify_ids = np.sort(self._keys.ids_in_rank_range(r_lo, r_hi))
+        n_verified = int(verify_ids.size)
+        if n_verified:
+            feats = self._store.take_rows(verify_ids)
+            mask = wq.query.evaluate(feats)
+            accepted.append(verify_ids[mask])
         if obs_on:
             _osp.record("verify_II", started, n_verified=n_verified)
             started = time.perf_counter()
@@ -674,28 +662,6 @@ class PlanarIndex:
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
         r_lo, r_hi, n = self.interval_ranks(wq)
         ids_ii = np.sort(self._keys.ids_in_rank_range(r_lo, r_hi))
-        return self._topk_from_ii(wq, k, cutoff, r_lo, r_hi, n, ids_ii, None)
-
-    def _topk_from_ii(
-        self,
-        wq: WorkingQuery,
-        k: int,
-        cutoff: SharedCutoff | None,
-        r_lo: int,
-        r_hi: int,
-        n: int,
-        ids_ii: np.ndarray,
-        values_ii: np.ndarray | None,
-    ) -> TopKResult:
-        """Algorithm 2 from precomputed interval ranks and II candidates.
-
-        ``ids_ii`` must be the sorted intermediate-interval ids.
-        ``values_ii`` optionally carries their scalar products
-        ``<a, phi(x)>`` under the canonical query normal (the collection's
-        batched GEMM supplies them); when None they are computed here.
-        The LBS cutoff scan that follows is inherently sequential per
-        query, so only the II verification is batchable.
-        """
         obs_on = _ort.active()
         op = wq.op
         buffer = TopKBuffer(k)
@@ -704,11 +670,8 @@ class PlanarIndex:
         started = time.perf_counter() if obs_on else 0.0
         if ids_ii.size:
             n_checked += int(ids_ii.size)
-            if values_ii is None:
-                feats = self._store.take_rows(ids_ii)
-                values = feats @ wq.query.normal
-            else:
-                values = values_ii
+            feats = self._store.take_rows(ids_ii)
+            values = feats @ wq.query.normal
             mask = op.evaluate(values, wq.query.offset)
             distances = np.abs(values[mask] - wq.query.offset) / wq.norm
             buffer.offer_many(distances, ids_ii[mask])

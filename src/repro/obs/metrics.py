@@ -478,7 +478,7 @@ def queries_total() -> Counter:
     """Queries answered, by kind / route / selection strategy."""
     return _DEFAULT.counter(
         "repro_queries_total",
-        "Queries answered, by kind (inequality/topk/range/batch/scan/scan_topk), "
+        "Queries answered, by kind (inequality/topk/range/scan/scan_topk), "
         "route (intervals/scan/octant-fallback/baseline), and selection strategy.",
         ("kind", "route", "strategy"),
     )

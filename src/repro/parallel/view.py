@@ -166,9 +166,9 @@ class FeatureStoreView:
     def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Shard-restricted batched scan: ``(ids, (n_owned, m) values)``.
 
-        Column ``j`` equals ``scan_values(normals[j])[1]`` — one GEMM over
-        the memoized contiguous slice instead of ``m`` matrix-vector
-        products (mirrors :meth:`FeatureStore.scan_values_many`).
+        Column ``j`` equals ``scan_values(normals[j])[1]`` — one matrix
+        product over the memoized contiguous slice instead of ``m``
+        matrix-vector products (mirrors :meth:`FeatureStore.scan_values_many`).
         """
         normals = np.ascontiguousarray(normals, dtype=np.float64)
         if _ort.active():

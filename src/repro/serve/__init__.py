@@ -1,9 +1,9 @@
 """Serving layer: an asyncio HTTP front-end over the sharded engine.
 
-Turns concurrent network requests into the batched engine calls the
-parallel layer answers cheaply: a micro-batcher coalesces requests
-within a small time/size window into single ``query_batch`` /
-``topk_batch`` calls (answers bit-identical to direct library use), and
+Turns concurrent network requests into batched engine calls: a
+micro-batcher coalesces requests within a small time/size window into
+single ``query_batch`` / ``topk_batch`` calls, one trace and one shard
+fan-out wave each (answers bit-identical to direct library use), and
 per-tenant admission control — token-bucket quotas, priority classes, a
 bounded queue with brownout shedding — keeps overload at the front door
 instead of inside the engine.  The resilience module closes the failure

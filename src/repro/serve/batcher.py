@@ -2,11 +2,11 @@
 
 The service admits requests onto one asyncio queue; this module drains
 that queue and turns *windows* of requests into single
-``ShardedFunctionIndex.query_batch`` / ``topk_batch`` calls — the calls
-PR 8 made cheap — so concurrency buys amortization instead of executor
-contention.  Answers are **bit-identical** to direct library calls: the
-batcher only regroups requests, the engine's batch facades already
-guarantee batch ≡ loop-of-singles (property-tested on both sides).
+``ShardedFunctionIndex.query_batch`` / ``topk_batch`` calls, so a window
+of requests costs one trace and one shard fan-out wave instead of one
+each.  Answers are **bit-identical** to direct library calls: the
+batcher only regroups requests, and every batch member runs the
+single-query path, so batch ≡ loop-of-singles holds by construction.
 
 Coalescing policy (``window > 0``):
 

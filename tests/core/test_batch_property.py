@@ -6,7 +6,9 @@ dimension, operator, and query geometry, and every example asserts that
 and stats to ``[index.query(n, o, op) for ...]``.  The suite pins the
 ``_SCAN_FALLBACK_FRACTION`` router boundary explicitly — forcing the
 all-scan and all-interval extremes must not change a single id — and
-the degenerate empty batch.
+the degenerate empty batch.  A second suite plants real-valued offsets
+on and within a few ulps of the query hyperplane, where a batch path
+that summed products in another order would answer differently.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FunctionIndex, QueryModel
+from repro.parallel.engine import ShardedFunctionIndex
 
 
 @st.composite
@@ -101,7 +104,7 @@ class TestBatchEqualsSingles:
 
 
 class TestTopkBatchEqualsSingles:
-    """``topk_batch`` (GEMM-batched Algorithm 2 candidates) vs the loop."""
+    """``topk_batch`` vs the loop of single ``topk`` calls."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -131,8 +134,8 @@ class TestTopkBatchEqualsSingles:
 
 class TestAwkwardInputLayouts:
     """Mixed-dtype / non-contiguous batch inputs answer identically to
-    clean float64 C-order arrays (satellite regression: the GEMM path
-    must canonicalize before multiplying, not assume layout)."""
+    clean float64 C-order arrays (the batch path must canonicalize
+    before multiplying, not assume layout)."""
 
     def _index(self, dim=3, seed=3):
         rng = np.random.default_rng(seed)
@@ -196,3 +199,77 @@ class TestEmptyBatch:
         model = QueryModel.uniform(dim=3, low=1.0, high=5.0, rq=4)
         index = FunctionIndex(points, model, n_indices=2, rng=0)
         assert index.query_batch(np.empty((0, 3)), np.empty(0)) == []
+
+
+@st.composite
+def boundary_cases(draw):
+    dim = draw(st.integers(min_value=2, max_value=8))
+    n = draw(st.integers(min_value=50, max_value=400))
+    m = draw(st.integers(min_value=4, max_value=12))
+    seed = draw(st.integers(min_value=0, max_value=2**16))
+    op = draw(st.sampled_from(["<=", "<", ">=", ">"]))
+    ulps = draw(st.lists(st.integers(-3, 3), min_size=m, max_size=m))
+    return dim, n, seed, op, ulps
+
+
+def _boundary_batch(case):
+    """Real-valued points over six decades per column, and offsets set to
+    ``<a, phi(x_j)>`` of a random point ``x_j``, nudged by a few ulps."""
+    dim, n, seed, op, ulps = case
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(1, dim))
+    points = rng.uniform(0.0, 10.0, size=(n, dim)) * scales
+    normals = rng.uniform(1.0, 5.0, size=(len(ulps), dim))
+    offsets = np.empty(len(ulps))
+    for row, planted in enumerate(rng.integers(0, n, size=len(ulps))):
+        offset = float(points[planted] @ normals[row])
+        toward = np.inf if ulps[row] > 0 else -np.inf
+        for _ in range(abs(ulps[row])):
+            offset = float(np.nextafter(offset, toward))
+        offsets[row] = offset
+    model = QueryModel.uniform(dim=dim, low=1.0, high=5.0)
+    return points, model, normals, offsets, op
+
+
+class TestBoundaryPointExactness:
+    """Batch calls on points on, or a few ulps off, the query hyperplane
+    answer exactly as a loop of single calls does, on the monolithic
+    index and on a 2-shard engine.
+
+    Single calls are not compared with ``SequentialScan`` here: numpy's
+    matrix-vector product can round a row differently depending on how
+    many rows it multiplies (a one-row II against the full scan matrix),
+    so a point on the hyperplane can land on different sides of it on the
+    two paths.  That is the single-query guard-band problem, not a batch
+    property."""
+
+    def _check(self, engine, normals, offsets, op):
+        batch = engine.query_batch(normals, offsets, op)
+        topk_batch = engine.topk_batch(normals, offsets, 5, op)
+        for row, normal in enumerate(normals):
+            offset = float(offsets[row])
+            single = engine.query(normal, offset, op)
+            assert np.array_equal(batch[row].ids, single.ids)
+            assert batch[row].stats == single.stats
+            single_topk = engine.topk(normal, offset, 5, op)
+            assert np.array_equal(topk_batch[row].ids, single_topk.ids)
+            assert np.array_equal(topk_batch[row].distances, single_topk.distances)
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=boundary_cases())
+    def test_function_index(self, case):
+        points, model, normals, offsets, op = _boundary_batch(case)
+        index = FunctionIndex(points, model, n_indices=4, rng=case[2])
+        self._check(index, normals, offsets, op)
+
+    @settings(max_examples=15, deadline=None)
+    @given(case=boundary_cases())
+    def test_two_shards(self, case):
+        points, model, normals, offsets, op = _boundary_batch(case)
+        engine = ShardedFunctionIndex(
+            points, model, n_indices=4, rng=case[2], n_shards=2
+        )
+        try:
+            self._check(engine, normals, offsets, op)
+        finally:
+            engine.close()

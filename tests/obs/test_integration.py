@@ -84,6 +84,25 @@ class TestMetricsRecorded:
         assert lat_after == lat_before + 1
         assert answer.stats is not None
 
+    def test_batch_members_count_under_their_own_kind(
+        self, small_index, uniform_model, obs_enabled
+    ):
+        """A 2-query batch, one member planned and one octant fallback,
+        adds 2 to ``repro_queries_total{kind="inequality"}``."""
+        counter = obs_metrics.queries_total()
+
+        def inequalities():
+            return sum(
+                value for key, value in counter.series().items() if key[0] == "inequality"
+            )
+
+        normal = uniform_model.sample_normal(0)
+        normals = np.vstack([normal, -normal])
+        before = inequalities()
+        planned, fallback = small_index.query_batch(normals, [500.0, 500.0])
+        assert not planned.used_fallback and fallback.used_fallback
+        assert inequalities() == before + 2
+
     def test_interval_partition_counters(self, small_index, uniform_model, obs_enabled):
         intervals = obs_metrics.interval_points()
         verified = obs_metrics.verified_points()
