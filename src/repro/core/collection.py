@@ -23,6 +23,7 @@ from ..obs import metrics as _om
 from ..obs import runtime as _ort
 from ..obs import spans as _osp
 from ..obs.explain import ExplainReport, IndexCandidate
+from . import exact
 from .domains import QueryModel
 from .feature_store import FeatureStore
 from .planar import PlanarIndex, QueryResult, QueryStats, WorkingQuery
@@ -334,6 +335,24 @@ class PlanarIndexCollection:
             )
         return position
 
+    def _plan(
+        self, wq: WorkingQuery, cache: "_SelectionCache | None" = None
+    ) -> tuple[int, PlanarIndex, int, int, int, str]:
+        """``(position, index, r_lo, r_hi, n, route)`` for one working query.
+
+        The one routing decision: verifying the chosen index's
+        intermediate interval costs a few times a streamed scan per point,
+        so above ``_SCAN_FALLBACK_FRACTION`` of the data the route is
+        ``"scan"``, else ``"intervals"``.
+        """
+        if cache is None:
+            cache = self._cache
+        position = self._select_position(wq, cache)
+        index = cache.indices[position]
+        r_lo, r_hi, n = index.interval_ranks(wq)
+        route = "intervals" if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n else "scan"
+        return position, index, r_lo, r_hi, n, route
+
     def _scan_result(
         self, wq: WorkingQuery, best: PlanarIndex, r_lo: int, r_hi: int, n: int
     ) -> QueryResult:
@@ -346,8 +365,11 @@ class PlanarIndexCollection:
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
         ids, values = self._store.scan_values(wq.query.normal)
-        mask = wq.op.evaluate(values, wq.query.offset)
-        result_ids = ids[mask]
+        keep = exact.select(
+            values, wq.query, exact.octant_bound(wq),
+            lambda at: self._store.take_rows(ids[at]),
+        )
+        result_ids = ids[keep]
         if obs_on:
             _osp.record("scan", started, n=n)
             best._record_partition("inequality", r_lo, r_hi - r_lo, n - r_hi, n)
@@ -361,25 +383,24 @@ class PlanarIndexCollection:
         )
         return QueryResult(result_ids, stats)
 
-    def _query_impl(self, wq: WorkingQuery) -> tuple[QueryResult, str]:
-        """Route one working query; returns the result and the route taken."""
-        cache = self._cache
-        best = cache.indices[self._select_position(wq, cache)]
-        r_lo, r_hi, n = best.interval_ranks(wq)
-        if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n:
-            return best.finish_query(wq, r_lo, r_hi), "intervals"
-        return self._scan_result(wq, best, r_lo, r_hi, n), "scan"
+    def _query_impl(
+        self, wq: WorkingQuery, plan: tuple | None = None
+    ) -> tuple[QueryResult, str]:
+        """Execute one working query (planned here unless ``plan`` is given);
+        returns the result and the route taken."""
+        _, best, r_lo, r_hi, n, route = self._plan(wq) if plan is None else plan
+        if route == "intervals":
+            return best.finish_query(wq, r_lo, r_hi), route
+        return self._scan_result(wq, best, r_lo, r_hi, n), route
 
     def query(self, query: ScalarProductQuery | WorkingQuery) -> QueryResult:
         """Answer an inequality query via the best index (or a scan).
 
-        After best-index selection, a cost-based router checks the size of
-        the intermediate interval: verifying it point-by-point costs a few
-        times a streamed scan per point, so above
-        ``_SCAN_FALLBACK_FRACTION`` of the data the exact answer is
-        computed by one matmul over all live features instead — same
-        answer, better worst case (the paper's "query time gets close to
-        the baseline" regime).  Pruning statistics stay interval-based.
+        After best-index selection, :meth:`_plan` routes on the size of
+        the intermediate interval: an unselective index is answered by one
+        matmul over all live features instead — same answer, better worst
+        case (the paper's "query time gets close to the baseline" regime).
+        Pruning statistics stay interval-based.
         A :class:`WorkingQuery` (the facade's octant check) is used as is.
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
@@ -485,12 +506,11 @@ class PlanarIndexCollection:
         """
         wq = self.working_query(query)
         cache = self._cache
-        chosen = self._select_position(wq, cache)
+        plan = self._plan(wq, cache)
+        chosen, best, r_lo, r_hi, n, route = plan
         candidates = []
-        ranks: list[tuple[int, int, int]] = []
         for position, index in enumerate(cache.indices):
-            r_lo_c, r_hi_c, n_c = index.interval_ranks(wq)
-            ranks.append((r_lo_c, r_hi_c, n_c))
+            r_lo_c, r_hi_c, _ = index.interval_ranks(wq)
             candidates.append(
                 IndexCandidate(
                     position=position,
@@ -500,14 +520,7 @@ class PlanarIndexCollection:
                     chosen=position == chosen,
                 )
             )
-        best = cache.indices[chosen]
-        r_lo, r_hi, n = ranks[chosen]
-        if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n:
-            route = "intervals"
-            result = best.finish_query(wq, r_lo, r_hi)
-        else:
-            route = "scan"
-            result = self._scan_result(wq, best, r_lo, r_hi, n)
+        result, _ = self._query_impl(wq, plan)
         stats = result.stats
         if _ort.active():
             _om.explain_total().inc(route=route)

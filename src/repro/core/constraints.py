@@ -39,69 +39,50 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class ConjunctiveQuery:
+class _Constraints:
+    """A non-empty combination of scalar product constraints of one dimension."""
+
+    constraints: tuple[ScalarProductQuery, ...]
+
+    _name = "conjunction"
+    _combine = staticmethod(np.logical_and)
+
+    def __init__(self, constraints: Sequence[ScalarProductQuery]) -> None:
+        constraints = tuple(constraints)
+        if not constraints:
+            raise InvalidQueryError(f"a {self._name} needs at least one constraint")
+        dims = {c.dim for c in constraints}
+        if len(dims) != 1:
+            raise InvalidQueryError(
+                f"constraints disagree on dimensionality: {sorted(dims)}"
+            )
+        object.__setattr__(self, "constraints", constraints)
+
+    @property
+    def dim(self) -> int:
+        """Feature-space dimensionality shared by all constraints."""
+        return self.constraints[0].dim
+
+    def __len__(self) -> int:
+        return len(self.constraints)
+
+    def evaluate(self, features: np.ndarray) -> np.ndarray:
+        """Ground-truth mask of the combination (oracle semantics)."""
+        mask = self.constraints[0].evaluate(features)
+        for constraint in self.constraints[1:]:
+            mask = self._combine(mask, constraint.evaluate(features))
+        return mask
+
+
+class ConjunctiveQuery(_Constraints):
     """A conjunction (AND) of scalar product constraints."""
 
-    constraints: tuple[ScalarProductQuery, ...]
 
-    def __init__(self, constraints: Sequence[ScalarProductQuery]) -> None:
-        constraints = tuple(constraints)
-        if not constraints:
-            raise InvalidQueryError("a conjunction needs at least one constraint")
-        dims = {c.dim for c in constraints}
-        if len(dims) != 1:
-            raise InvalidQueryError(
-                f"constraints disagree on dimensionality: {sorted(dims)}"
-            )
-        object.__setattr__(self, "constraints", constraints)
-
-    @property
-    def dim(self) -> int:
-        """Feature-space dimensionality shared by all constraints."""
-        return self.constraints[0].dim
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def evaluate(self, features: np.ndarray) -> np.ndarray:
-        """Ground-truth conjunction mask (oracle semantics)."""
-        mask = self.constraints[0].evaluate(features)
-        for constraint in self.constraints[1:]:
-            mask &= constraint.evaluate(features)
-        return mask
-
-
-@dataclass(frozen=True)
-class DisjunctiveQuery:
+class DisjunctiveQuery(_Constraints):
     """A disjunction (OR) of scalar product constraints."""
 
-    constraints: tuple[ScalarProductQuery, ...]
-
-    def __init__(self, constraints: Sequence[ScalarProductQuery]) -> None:
-        constraints = tuple(constraints)
-        if not constraints:
-            raise InvalidQueryError("a disjunction needs at least one constraint")
-        dims = {c.dim for c in constraints}
-        if len(dims) != 1:
-            raise InvalidQueryError(
-                f"constraints disagree on dimensionality: {sorted(dims)}"
-            )
-        object.__setattr__(self, "constraints", constraints)
-
-    @property
-    def dim(self) -> int:
-        """Feature-space dimensionality shared by all constraints."""
-        return self.constraints[0].dim
-
-    def __len__(self) -> int:
-        return len(self.constraints)
-
-    def evaluate(self, features: np.ndarray) -> np.ndarray:
-        """Ground-truth disjunction mask (oracle semantics)."""
-        mask = self.constraints[0].evaluate(features)
-        for constraint in self.constraints[1:]:
-            mask |= constraint.evaluate(features)
-        return mask
+    _name = "disjunction"
+    _combine = staticmethod(np.logical_or)
 
 
 @dataclass(frozen=True)
@@ -152,6 +133,66 @@ def _certain_sets(
     return accept, candidates, reject, stats
 
 
+def _answer(
+    collection: PlanarIndexCollection, query: _Constraints, store, conjunctive: bool
+) -> ConstraintAnswer:
+    """Both combinations: decide by intervals, verify the rest.
+
+    A conjunction accepts the intersection of per-constraint certain
+    accepts and rejects their union of certain rejects; a disjunction is
+    the De Morgan dual.  Undecided points are verified constraint by
+    constraint, most selective-looking first (smallest candidate set), and
+    leave the loop as soon as one constraint decides them: a failed one for
+    a conjunction, a satisfied one for a disjunction.
+    """
+    working = [collection.working_query(constraint) for constraint in query.constraints]
+    certains = [_certain_sets(collection, wq) for wq in working]
+    n_total = certains[0][3].n_total
+
+    def intersect(parts):
+        common = parts[0]
+        for part in parts[1:]:
+            common = np.intersect1d(common, part, assume_unique=True)
+        return common
+
+    accepts, rejects = [c[0] for c in certains], [c[2] for c in certains]
+    if conjunctive:
+        accepted, rejected = intersect(accepts), np.unique(np.concatenate(rejects))
+    else:
+        accepted, rejected = np.unique(np.concatenate(accepts)), intersect(rejects)
+
+    # Everything neither certainly accepted nor certainly rejected must be
+    # verified; that is the complement of (accepted | rejected).
+    decided = np.union1d(accepted, rejected)
+    all_ids = np.sort(np.asarray(collection[0]._keys.sorted_ids))
+    remaining = np.setdiff1d(all_ids, decided, assume_unique=True)
+
+    n_verified = int(remaining.size)
+    satisfied: list[np.ndarray] = []
+    if remaining.size:
+        feats = store.take_rows(remaining)
+        order = np.argsort([c[1].size for c in certains])
+        for position in order:  # repro: noqa(REP006) — loop over the few constraints, not data points
+            mask = query.constraints[position].evaluate(feats)
+            if not conjunctive:
+                satisfied.append(remaining[mask])
+                mask = ~mask
+            remaining = remaining[mask]
+            feats = feats[mask]
+            if remaining.size == 0:
+                break
+    if conjunctive:
+        satisfied.append(remaining)
+
+    ids = np.sort(np.concatenate([accepted, *satisfied]))
+    return ConstraintAnswer(
+        ids=ids,
+        n_verified=n_verified,
+        n_total=n_total,
+        per_constraint=tuple(c[3] for c in certains),
+    )
+
+
 def answer_conjunction(
     collection: PlanarIndexCollection,
     query: ConjunctiveQuery,
@@ -162,45 +203,7 @@ def answer_conjunction(
     ``store`` is the :class:`~repro.core.FeatureStore` backing the
     collection (needed to verify undecided points).
     """
-    working = [collection.working_query(constraint) for constraint in query.constraints]
-    certains = [_certain_sets(collection, wq) for wq in working]
-    n_total = certains[0][3].n_total
-
-    # Certain accept for the conjunction: intersection of per-constraint
-    # accepts.  Certain reject: union of per-constraint rejects.
-    accepted = certains[0][0]
-    for accept, _, _, _ in certains[1:]:
-        accepted = np.intersect1d(accepted, accept, assume_unique=True)
-    rejected = np.unique(np.concatenate([c[2] for c in certains]))
-
-    # Everything neither certainly accepted nor certainly rejected must be
-    # verified; that is the complement of (accepted | rejected).
-    decided = np.union1d(accepted, rejected)
-    all_ids = np.sort(np.asarray(collection[0]._keys.sorted_ids))
-    undecided = np.setdiff1d(all_ids, decided, assume_unique=True)
-
-    n_verified = int(undecided.size)
-    survivors = undecided
-    if survivors.size:
-        feats = store.take_rows(survivors)
-        # Short-circuit: apply the most selective-looking constraint first
-        # (smallest candidate set => likely to kill the most points).
-        order = np.argsort([c[1].size for c in certains])
-        for position in order:  # repro: noqa(REP006) — loop over the few constraints, not data points
-            constraint = query.constraints[position]
-            mask = constraint.evaluate(feats)
-            survivors = survivors[mask]
-            feats = feats[mask]
-            if survivors.size == 0:
-                break
-
-    ids = np.sort(np.concatenate([accepted, survivors]))
-    return ConstraintAnswer(
-        ids=ids,
-        n_verified=n_verified,
-        n_total=n_total,
-        per_constraint=tuple(c[3] for c in certains),
-    )
+    return _answer(collection, query, store, conjunctive=True)
 
 
 def answer_disjunction(
@@ -208,45 +211,5 @@ def answer_disjunction(
     query: DisjunctiveQuery,
     store,
 ) -> ConstraintAnswer:
-    """Exact evaluation of a disjunction (OR) through one index collection.
-
-    De Morgan dual of the conjunction: certain-accept is the *union* of
-    per-constraint accepts, certain-reject the *intersection* of rejects,
-    and undecided points are verified — short-circuiting on the first
-    constraint each point satisfies.
-    """
-    working = [collection.working_query(constraint) for constraint in query.constraints]
-    certains = [_certain_sets(collection, wq) for wq in working]
-    n_total = certains[0][3].n_total
-
-    accepted = np.unique(np.concatenate([c[0] for c in certains]))
-    rejected = certains[0][2]
-    for _, _, reject, _ in certains[1:]:
-        rejected = np.intersect1d(rejected, reject, assume_unique=True)
-
-    decided = np.union1d(accepted, rejected)
-    all_ids = np.sort(np.asarray(collection[0]._keys.sorted_ids))
-    undecided = np.setdiff1d(all_ids, decided, assume_unique=True)
-
-    n_verified = int(undecided.size)
-    satisfied_parts: list[np.ndarray] = []
-    remaining = undecided
-    if remaining.size:
-        feats = store.take_rows(remaining)
-        order = np.argsort([c[1].size for c in certains])
-        for position in order:  # repro: noqa(REP006) — loop over the few constraints, not data points
-            constraint = query.constraints[position]
-            mask = constraint.evaluate(feats)
-            satisfied_parts.append(remaining[mask])
-            remaining = remaining[~mask]
-            feats = feats[~mask]
-            if remaining.size == 0:
-                break
-
-    ids = np.sort(np.concatenate([accepted, *satisfied_parts]))
-    return ConstraintAnswer(
-        ids=ids,
-        n_verified=n_verified,
-        n_total=n_total,
-        per_constraint=tuple(c[3] for c in certains),
-    )
+    """Exact evaluation of a disjunction (OR) through one index collection."""
+    return _answer(collection, query, store, conjunctive=False)

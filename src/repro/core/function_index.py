@@ -39,6 +39,7 @@ from ..obs import runtime as _ort
 from ..obs import trace as _otr
 from ..reliability.degraded import DegradedInfo
 from ..obs.explain import ExplainReport
+from . import exact
 from .collection import PlanarIndexCollection
 from .domains import QueryModel
 from .feature_store import FeatureStore
@@ -97,10 +98,10 @@ def scan_store(
     :class:`~repro.scan.baseline.SequentialScan` when ``k`` is given,
     else the ascending ids satisfying the query.  A ``"range"`` task's
     ``(>= low, <= high)`` pair is one BETWEEN query with one entry.
-    Inequalities evaluate the same product the scan baseline does, but
-    without its ``baseline`` metric series (the callers report their own
-    route).  Backs both the octant fallback and the sharded engine's
-    recovery of a failed shard.
+    Inequalities are decided by :mod:`repro.core.exact` as the scan
+    baseline's are, but without its ``baseline`` metric series (the
+    callers report their own route).  Backs both the octant fallback and
+    the sharded engine's recovery of a failed shard.
     """
     from ..scan.baseline import SequentialScan
 
@@ -110,8 +111,10 @@ def scan_store(
         return [scan.topk(query, k) for query in queries]
     if kind == "range":
         low_q, high_q = queries
-        return [np.sort(ids[low_q.evaluate(rows) & high_q.evaluate(rows)])]
-    return [np.sort(ids[query.evaluate(rows)]) for query in queries]
+        keep, _ = exact.satisfying(rows, low_q)
+        inside, _ = exact.satisfying(rows[keep], high_q)
+        return [ids[keep[inside]]]
+    return [ids[exact.satisfying(rows, query)[0]] for query in queries]
 
 
 def _merge_answer(
@@ -785,8 +788,6 @@ class FunctionIndex:
         fallback for an unselective index), or ``"octant-fallback"``
         (parameter signs incompatible with the indexed octant).
         """
-        from .collection import _SCAN_FALLBACK_FRACTION
-
         spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
         try:
             wq = self.collection.working_query(spq)
@@ -796,13 +797,8 @@ class FunctionIndex:
                 "reason": str(exc),
                 "n_total": len(self),
             }
-        position = self.collection._select_position(wq)
-        index = self.collection[position]
-        r_lo, r_hi, n = index.interval_ranks(wq)
+        position, index, r_lo, r_hi, n, route = self.collection._plan(wq)
         intermediate = r_hi - r_lo
-        route = (
-            "scan" if intermediate > _SCAN_FALLBACK_FRACTION * n else "intervals"
-        )
         return {
             "route": route,
             "strategy": self.collection.strategy.value,
@@ -851,6 +847,12 @@ class FunctionIndex:
                 notes=(str(exc),),
             )
 
+    def _constraints(self, constraints) -> list[ScalarProductQuery]:
+        return [
+            c if isinstance(c, ScalarProductQuery) else ScalarProductQuery(*c)
+            for c in constraints
+        ]
+
     def query_disjunction(self, constraints) -> "ConstraintAnswer":
         """Exact disjunction (OR) of scalar product constraints.
 
@@ -858,15 +860,8 @@ class FunctionIndex:
         """
         from .constraints import DisjunctiveQuery, answer_disjunction
 
-        built = []
-        for constraint in constraints:
-            if isinstance(constraint, ScalarProductQuery):
-                built.append(constraint)
-            else:
-                built.append(ScalarProductQuery(*constraint))
-        return answer_disjunction(
-            self.collection, DisjunctiveQuery(built), self._features
-        )
+        query = DisjunctiveQuery(self._constraints(constraints))
+        return answer_disjunction(self.collection, query, self._features)
 
     def query_conjunction(self, constraints) -> "ConstraintAnswer":
         """Exact conjunction (AND) of scalar product constraints.
@@ -878,12 +873,5 @@ class FunctionIndex:
         """
         from .constraints import ConjunctiveQuery, answer_conjunction
 
-        built = []
-        for constraint in constraints:
-            if isinstance(constraint, ScalarProductQuery):
-                built.append(constraint)
-            else:
-                built.append(ScalarProductQuery(*constraint))
-        return answer_conjunction(
-            self.collection, ConjunctiveQuery(built), self._features
-        )
+        query = ConjunctiveQuery(self._constraints(constraints))
+        return answer_conjunction(self.collection, query, self._features)

@@ -57,6 +57,7 @@ from ..obs import runtime as _ort
 from ..obs import spans as _osp
 from ..obs import trace as _otr
 from ..obs.explain import ExplainReport
+from . import exact
 from .feature_store import FeatureStore
 from .query import Comparison, ScalarProductQuery
 from .sorted_keys import SortedKeyStore
@@ -316,27 +317,27 @@ class PlanarIndex:
     def _thresholds(self, wq: WorkingQuery) -> tuple[float, float, float]:
         """Stored-key thresholds ``(t_lo, t_hi, tol)`` bounding SI and LI.
 
-        ``T_i = c''_i * b'' / a''_i`` are the working-coordinate thresholds
-        (Eq. 13 intercept products); subtracting the shared translation
-        offset ``<c'', delta>`` converts them to stored-key space.
+        ``T_i = (c''_i / a''_i) * b''`` are the working-coordinate
+        thresholds (Eq. 13 intercept products); subtracting the shared
+        translation offset ``<c'', delta>`` converts them to stored-key
+        space.
 
-        ``tol`` is a numerical guard band.  ``T_i - <c'', delta>`` cancels
-        catastrophically when a point sits exactly on the query hyperplane
-        (both terms large, difference ~0), so certain-accept/certain-reject
-        classification within ``tol`` of a threshold would be decided by
-        rounding noise.  Keys inside the guard band are verified exactly
-        against the original inequality instead, which keeps answers exact
-        while inflating the intermediate interval by a measure-zero slice.
+        ``tol`` is the guard band :func:`repro.core.exact.key_band` derives
+        from the rounding of the stored keys, of ``T_i`` and of the offset.
+        A key within ``tol`` of a threshold may belong to a point on the
+        other side of it, so the band is folded into the intermediate
+        interval and verified exactly.
         """
         if wq.normal_w.size != self.dim:
             raise InvalidQueryError(
                 f"query has dimension {wq.normal_w.size}, index has {self.dim}"
             )
-        t = self._working_normal * (wq.offset_w / wq.normal_w)
+        ratio = self._working_normal / wq.normal_w
+        t = ratio * wq.offset_w
         key_offset = self._translator.key_offset(self._working_normal)
-        # Scale of the *intermediate* terms, before cancellation.
-        scale = max(1.0, float(np.abs(t).max()), abs(key_offset))
-        tol = 1e-9 * scale
+        tol = exact.key_band(
+            float(np.abs(t).max()), float(ratio.max()), key_offset, wq.query.offset, self.dim
+        )
         return float(t.min() - key_offset), float(t.max() - key_offset), tol
 
     def interval_ranks(self, wq: WorkingQuery) -> tuple[int, int, int]:
@@ -446,16 +447,13 @@ class PlanarIndex:
         else:
             accepted = [self._keys.ids_in_rank_range(r_hi, n)]
 
-        # Sorting the candidate ids first makes the row gather largely
-        # sequential (np.take over ascending ids), which is the dominant
-        # cost of verification at numpy speeds.
         started = time.perf_counter() if obs_on else 0.0
-        verify_ids = np.sort(self._keys.ids_in_rank_range(r_lo, r_hi))
+        verify_ids = self._keys.ids_in_rank_range(r_lo, r_hi)
         n_verified = int(verify_ids.size)
         if n_verified:
             feats = self._store.take_rows(verify_ids)
-            mask = wq.query.evaluate(feats)
-            accepted.append(verify_ids[mask])
+            keep, _ = exact.satisfying(feats, wq.query, exact.octant_bound(wq))
+            accepted.append(verify_ids[keep])
         if obs_on:
             _osp.record("verify_II", started, n_verified=n_verified)
             started = time.perf_counter()
@@ -582,12 +580,14 @@ class PlanarIndex:
         # bands by construction (disjoint rank ranges), but overlapping
         # bands may repeat ids between themselves — np.unique handled it.
         n_verified = int(verify_ids.size)
+        verified = verify_ids
         if n_verified:
             feats = self._store.take_rows(verify_ids)
-            mask = wq_low.query.evaluate(feats) & wq_high.query.evaluate(feats)
-            verified = verify_ids[mask]
-        else:
-            verified = verify_ids
+            keep, _ = exact.satisfying(feats, wq_low.query, exact.octant_bound(wq_low))
+            inside, _ = exact.satisfying(
+                feats[keep], wq_high.query, exact.octant_bound(wq_high)
+            )
+            verified = verify_ids[keep[inside]]
         result_ids = np.sort(np.concatenate([accepted, verified]))
         stats = QueryStats(
             n_total=n,
@@ -661,85 +661,59 @@ class PlanarIndex:
             raise InvalidQueryError(f"k must be positive, got {k}")
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
         r_lo, r_hi, n = self.interval_ranks(wq)
-        ids_ii = np.sort(self._keys.ids_in_rank_range(r_lo, r_hi))
         obs_on = _ort.active()
-        op = wq.op
+        upper = wq.op.is_upper_bound
+        bound = exact.octant_bound(wq)
         buffer = TopKBuffer(k)
-        n_checked = 0
 
-        started = time.perf_counter() if obs_on else 0.0
-        if ids_ii.size:
-            n_checked += int(ids_ii.size)
-            feats = self._store.take_rows(ids_ii)
-            values = feats @ wq.query.normal
-            mask = op.evaluate(values, wq.query.offset)
-            distances = np.abs(values[mask] - wq.query.offset) / wq.norm
-            buffer.offer_many(distances, ids_ii[mask])
+        def offer(ids: np.ndarray) -> None:
+            # Certain-interval blocks pass the exact decision untouched;
+            # buffer order uses BLAS distances, the reported ones are exact.
+            keep, values = exact.satisfying(self._store.take_rows(ids), wq.query, bound)
+            buffer.offer_many(np.abs(values[keep] - wq.query.offset) / wq.norm, ids[keep])
             if cutoff is not None and buffer.is_full:
                 cutoff.publish(buffer.max_distance)
+
+        started = time.perf_counter() if obs_on else 0.0
+        n_ii = r_hi - r_lo
+        if n_ii:
+            offer(self._keys.ids_in_rank_range(r_lo, r_hi))
         if obs_on:
-            _osp.record("verify_II", started, n_verified=int(ids_ii.size))
+            _osp.record("verify_II", started, n_verified=n_ii)
             started = time.perf_counter()
 
+        # Walk the certain interval away from the query hyperplane: SI
+        # downward from r_lo for upper-bound operators, LI upward from r_hi
+        # otherwise.  LBS (Definition 5 / its LI mirror) of a block's head
+        # key lower-bounds the distance of that point and of every point
+        # beyond it (Claim 3): working key * max(a''/c'') bounds <a'', y>
+        # from above in SI, working key * min(a''/c'') from below in LI.
         key_offset = self._translator.key_offset(self._working_normal)
         ratio = wq.normal_w / self._working_normal
-
-        if op.is_upper_bound:
-            # Certain interval is SI: every point there satisfies the strict
-            # inequality, so no operator re-check is needed during the scan.
-            max_ratio = float(ratio.max())
-            position = r_lo
-            while position > 0:
-                start = max(0, position - _TOPK_BLOCK)
-                keys = self._keys.keys_in_rank_range(start, position)[::-1]
-                ids_blk = self._keys.ids_in_rank_range(start, position)[::-1]
-                # LBS (Definition 5): working key * max(a''/c'') is the
-                # largest possible <a, phi>, so b'' minus it lower-bounds the
-                # distance of this point and of every point below it
-                # (Claim 3).
-                lbs_head = (wq.offset_w - (float(keys[0]) + key_offset) * max_ratio) / wq.norm
-                limit = buffer.max_distance
-                if cutoff is not None:
-                    limit = min(limit, cutoff.get())
-                if lbs_head > limit:
-                    break
-                n_checked += int(ids_blk.size)
-                ids_blk = np.sort(ids_blk)
-                feats = self._store.take_rows(ids_blk)
-                values = feats @ wq.query.normal
-                distances = np.abs(values - wq.query.offset) / wq.norm
-                buffer.offer_many(distances, ids_blk)
-                if cutoff is not None and buffer.is_full:
-                    cutoff.publish(buffer.max_distance)
-                position = start
+        if upper:
+            edge_ratio, side = float(ratio.max()), 1.0
+            stops = range(r_lo, 0, -_TOPK_BLOCK)
+            blocks = ((max(0, stop - _TOPK_BLOCK), stop) for stop in stops)
         else:
-            # Certain interval is LI: every point satisfies > b, scan ascending.
-            min_ratio = float(ratio.min())
-            position = r_hi
-            while position < n:
-                stop = min(n, position + _TOPK_BLOCK)
-                keys = self._keys.keys_in_rank_range(position, stop)
-                ids_blk = self._keys.ids_in_rank_range(position, stop)
-                lbs_head = ((float(keys[0]) + key_offset) * min_ratio - wq.offset_w) / wq.norm
-                limit = buffer.max_distance
-                if cutoff is not None:
-                    limit = min(limit, cutoff.get())
-                if lbs_head > limit:
-                    break
-                n_checked += int(ids_blk.size)
-                ids_blk = np.sort(ids_blk)
-                feats = self._store.take_rows(ids_blk)
-                values = feats @ wq.query.normal
-                distances = np.abs(values - wq.query.offset) / wq.norm
-                buffer.offer_many(distances, ids_blk)
-                if cutoff is not None and buffer.is_full:
-                    cutoff.publish(buffer.max_distance)
-                position = stop
+            edge_ratio, side = float(ratio.min()), -1.0
+            starts = range(r_hi, n, _TOPK_BLOCK)
+            blocks = ((start, min(n, start + _TOPK_BLOCK)) for start in starts)
+        n_checked = n_ii
+        for start, stop in blocks:
+            head = float(self._keys.keys_in_rank_range(start, stop)[-1 if upper else 0])
+            lbs_head = side * (wq.offset_w - (head + key_offset) * edge_ratio) / wq.norm
+            limit = buffer.max_distance
+            if cutoff is not None:
+                limit = min(limit, cutoff.get())
+            if lbs_head > limit:
+                break
+            n_checked += stop - start
+            offer(self._keys.ids_in_rank_range(start, stop))
 
         stats = QueryStats(
             n_total=n,
             si_size=r_lo,
-            ii_size=r_hi - r_lo,
+            ii_size=n_ii,
             li_size=n - r_hi,
             n_verified=n_checked,
             n_results=len(buffer),
@@ -749,10 +723,11 @@ class PlanarIndex:
             # query regardless of how many blocks the scan visited).
             _osp.record(
                 "scan_LBS", started, index=self._obs_label,
-                n_scanned=n_checked - int(ids_ii.size),
+                n_scanned=n_checked - n_ii,
             )
-            self._record_partition("topk", r_lo, r_hi - r_lo, n - r_hi, n_checked)
-        ids, distances = buffer.as_sorted()
+            self._record_partition("topk", r_lo, n_ii, n - r_hi, n_checked)
+        ids, _ = buffer.as_sorted()
+        ids, distances = exact.sorted_by_distance(ids, self._store.take_rows(ids), wq.query)
         return TopKResult(
             ids=ids, distances=distances, n_checked=n_checked, n_total=n, stats=stats
         )

@@ -16,6 +16,7 @@ import numpy as np
 from .._util import as_1d_float, describe_nonfinite
 from ..exceptions import InvalidQueryError
 from ..geometry.hyperplane import Hyperplane
+from . import exact
 
 __all__ = ["Comparison", "ScalarProductQuery", "TopKQuery"]
 
@@ -137,9 +138,15 @@ class ScalarProductQuery:
         return ScalarProductQuery(-self.normal, -self.offset, self.op.flipped())
 
     def evaluate(self, features: np.ndarray) -> np.ndarray:
-        """Ground-truth boolean mask over feature rows (sequential semantics)."""
-        values = np.ascontiguousarray(features, dtype=np.float64) @ self.normal
-        return self.op.evaluate(values, self.offset)
+        """Ground-truth boolean mask over feature rows, decided exactly.
+
+        See :mod:`repro.core.exact`; the error bound comes from the column
+        maxima of ``features``.
+        """
+        keep, values = exact.satisfying(features, self)
+        mask = np.zeros(values.shape, dtype=bool)
+        mask[keep] = True
+        return mask
 
     def distance(self, features: np.ndarray) -> np.ndarray:
         """Hyperplane distance ``|<a, phi(x)> - b| / |a|`` per feature row."""

@@ -106,7 +106,12 @@ class TopKBuffer:
         all_distances = np.concatenate([self._distances, distances])
         all_ids = np.concatenate([self._ids, ids])
         if all_distances.size > self._k:
-            order = np.lexsort((all_ids, all_distances))[: self._k]
+            # The k smallest by (distance, id) all lie at or below the k-th
+            # smallest distance: an O(n) partition finds it, so only those
+            # candidates are sorted, whatever order they arrived in.
+            kth = np.partition(all_distances, self._k - 1)[self._k - 1]
+            near = np.flatnonzero(all_distances <= kth)
+            order = near[np.lexsort((all_ids[near], all_distances[near]))[: self._k]]
             all_distances = all_distances[order]
             all_ids = all_ids[order]
         self._distances = all_distances

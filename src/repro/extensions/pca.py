@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .._util import as_1d_float, as_2d_float, as_rng
-from ..core.query import Comparison
+from ..core.query import Comparison, ScalarProductQuery
 from ..exceptions import DimensionMismatchError
 from .adaptive import AdaptiveOctantIndex
 
@@ -183,10 +183,7 @@ class PCAFilterIndex:
         certain = self._reduced_index.query(reduced_normal, certain_offset, op).ids
         band = self._reduced_index.query(reduced_normal, band_offset, op).ids
         maybe = np.setdiff1d(band, certain, assume_unique=True)
-        if maybe.size:
-            values = self._features[maybe] @ normal
-            verified = maybe[op.evaluate(values, float(offset))]
-        else:
-            verified = maybe
+        query = ScalarProductQuery(normal, offset, op)
+        verified = maybe[query.evaluate(self._features[maybe])]
         ids = np.sort(np.concatenate([certain, verified]))
         return FilteredAnswer(ids=ids, n_verified=int(maybe.size), n_total=len(self))

@@ -3,6 +3,12 @@
 This is both the correctness oracle for every test in this repository and
 the baseline the paper compares against: ``O(n d')`` per inequality query
 and ``O(n d' + n log k)`` per top-k query, independent of any index.
+
+The oracle is exact: every row is decided by :mod:`repro.core.exact`, so an
+answer is what real arithmetic on the stored float64 values gives, even for
+points on or within rounding error of the query hyperplane, and a reported
+top-k distance is the exactly rounded residual over ``|a|``.  The forward
+error bound comes from the column maxima of the held rows.
 """
 
 from __future__ import annotations
@@ -13,9 +19,10 @@ import numpy as np
 
 from .._util import as_2d_float
 from ..analysis.contracts import array_contract
+from ..core import exact
 from ..core.query import ScalarProductQuery
 from ..core.stats import QueryStats
-from ..core.topk import TopKResult
+from ..core.topk import TopKBuffer, TopKResult
 from ..exceptions import DimensionMismatchError, InvalidQueryError
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
@@ -48,6 +55,7 @@ class SequentialScan:
                     f"{ids.size} ids for {self._features.shape[0]} feature rows"
                 )
         self._ids = ids
+        self._column_max = np.abs(self._features).max(axis=0, initial=0.0)
 
     def __len__(self) -> int:
         return int(self._features.shape[0])
@@ -69,8 +77,10 @@ class SequentialScan:
         self._check(query)
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        mask = query.evaluate(self._features)
-        result = np.sort(self._ids[mask])
+        keep, _ = exact.satisfying(
+            self._features, query, exact.column_bound(query, self._column_max)
+        )
+        result = np.sort(self._ids[keep])
         if obs_on:
             _osp.record("baseline.query", started, n=len(self))
             _om.queries_total().inc(kind="scan", route="baseline", strategy="none")
@@ -87,18 +97,17 @@ class SequentialScan:
             raise InvalidQueryError(f"k must be positive, got {k}")
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        values = self._features @ query.normal
-        mask = query.op.evaluate(values, query.offset)
-        ids = self._ids[mask]
-        distances = np.abs(values[mask] - query.offset) / np.linalg.norm(query.normal)
-        if ids.size > k:
-            # argpartition gets the k smallest in O(n); ties broken by id via
-            # a stable lexicographic sort of the selected slice.
-            part = np.argpartition(distances, k - 1)[:k]
-            order = np.lexsort((ids[part], distances[part]))
-            chosen = part[order]
-        else:
-            chosen = np.lexsort((ids, distances))
+        keep, values = exact.satisfying(
+            self._features, query, exact.column_bound(query, self._column_max)
+        )
+        # Rank by the BLAS distances as the index does, ties by row (the id
+        # order for ascending ids); then report the winners' exact distances.
+        buffer = TopKBuffer(k)
+        buffer.offer_many(np.abs(values[keep] - query.offset) / np.linalg.norm(query.normal), keep)
+        chosen, _ = buffer.as_sorted()
+        winners, distances = exact.sorted_by_distance(
+            self._ids[chosen], self._features[chosen], query
+        )
         if obs_on:
             _osp.record("baseline.topk", started, n=len(self), k=k)
             _om.queries_total().inc(kind="scan_topk", route="baseline", strategy="none")
@@ -114,11 +123,11 @@ class SequentialScan:
             ii_size=len(self),
             li_size=0,
             n_verified=len(self),
-            n_results=int(chosen.size),
+            n_results=int(winners.size),
         )
         return TopKResult(
-            ids=ids[chosen],
-            distances=distances[chosen],
+            ids=winners,
+            distances=distances,
             n_checked=len(self),
             n_total=len(self),
             stats=stats,

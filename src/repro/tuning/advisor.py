@@ -19,9 +19,9 @@ time:
   the *same* function the collection's min-stretch router calls, so the
   simulated routing decision is the executor's routing decision;
 * predicted |II| replays :meth:`repro.core.planar.PlanarIndex._thresholds`
-  / ``interval_ranks`` — thresholds ``c'' * b''/a''``, the translation key
-  offset ``<c'', delta>``, the same ``1e-9``-scaled guard band, and the
-  same ``searchsorted(side="right")`` rank probes — against keys
+  / ``interval_ranks`` — thresholds ``(c''/a'') * b''``, the translation key
+  offset ``<c'', delta>``, the same :func:`repro.core.exact.key_band` guard
+  band, and the same ``searchsorted(side="right")`` rank probes — against keys
   ``<c, phi(x)>`` computed the way a freshly built index would store them.
 
 Because an applied plan only calls the existing ``add_index`` /
@@ -55,6 +55,7 @@ from typing import Sequence
 
 import numpy as np
 
+from ..core import exact
 from ..core.collection import PlanarIndexCollection, dedupe_parallel_normals
 from ..core.planar import WorkingQuery
 from ..core.query import ScalarProductQuery
@@ -501,20 +502,25 @@ class Advisor:
         n_queries = len(queries)
         stretch = np.empty((n_candidates, n_queries))
         ii = np.empty((n_candidates, n_queries))
-        # (q, d') threshold ratios b''/a''_i shared by every candidate.
-        ratios = np.vstack([wq.offset_w / wq.normal_w for wq in queries])
+        # (q, d') working query normals a'' and (q,) offsets b'', b.
+        normals_w = np.vstack([wq.normal_w for wq in queries])
+        offsets_w = np.array([wq.offset_w for wq in queries])
+        offsets = np.array([wq.query.offset for wq in queries])
         for position, wq in enumerate(queries):
             # Same scoring function the collection's router calls.
             stretch[:, position] = stretch_scores(working, row_min, wq)
         for j in range(n_candidates):
-            thresholds = working[j] * ratios  # (q, d')
+            ratio = working[j] / normals_w  # (q, d')
+            thresholds = ratio * offsets_w[:, None]
             t_min = thresholds.min(axis=1)
             t_max = thresholds.max(axis=1)
-            scale = np.maximum(
-                1.0,
-                np.maximum(np.abs(thresholds).max(axis=1), abs(key_offsets[j])),
+            tol = exact.key_band(
+                np.abs(thresholds).max(axis=1),
+                ratio.max(axis=1),
+                key_offsets[j],
+                offsets,
+                working.shape[1],
             )
-            tol = 1e-9 * scale
             column = keys[:, j]
             lo = np.searchsorted(column, t_min - key_offsets[j] - tol, side="right")
             hi = np.searchsorted(column, t_max - key_offsets[j] + tol, side="right")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -55,6 +57,15 @@ def mixed_sign_model() -> QueryModel:
     )
 
 
+def fraction_values(features: np.ndarray, normal: np.ndarray) -> list[Fraction]:
+    """Exact ``<normal, row>`` of every feature row, in rational arithmetic."""
+    weights = [Fraction(weight) for weight in np.asarray(normal, dtype=np.float64).tolist()]
+    return [
+        sum((Fraction(x) * w for x, w in zip(row, weights)), Fraction(0))
+        for row in np.asarray(features, dtype=np.float64).tolist()
+    ]
+
+
 def brute_force_ids(
     features: np.ndarray, query: ScalarProductQuery, ids: np.ndarray | None = None
 ) -> np.ndarray:
@@ -71,12 +82,16 @@ def brute_force_topk(
     k: int,
     ids: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Oracle: (ids, distances) of the top-k satisfying points."""
+    """Oracle: (ids, distances) of the top-k satisfying points.
+
+    Satisfaction is decided exactly (:meth:`ScalarProductQuery.evaluate`);
+    candidates are ranked by their BLAS distances, as the index ranks them.
+    """
     if ids is None:
         ids = np.arange(features.shape[0], dtype=np.int64)
-    values = features @ query.normal
-    mask = query.op.evaluate(values, query.offset)
+    mask = query.evaluate(features)
     sat_ids = ids[mask]
+    values = features @ query.normal
     distances = np.abs(values[mask] - query.offset) / np.linalg.norm(query.normal)
     order = np.lexsort((sat_ids, distances))[:k]
     return sat_ids[order], distances[order]

@@ -13,14 +13,17 @@ that summed products in another order would answer differently.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import FunctionIndex, QueryModel
+from repro import FunctionIndex, QueryModel, ScalarProductQuery
 from repro.parallel.engine import ShardedFunctionIndex
+from repro.reliability import faults as _flt
+from repro.scan.baseline import SequentialScan
 
 
 @st.composite
@@ -231,36 +234,111 @@ def _boundary_batch(case):
     return points, model, normals, offsets, op
 
 
+class _Rational:
+    """Exact answers from ``Fraction`` arithmetic on the stored float64 values."""
+
+    _HOLDS = {
+        "<=": lambda r: r <= 0,
+        "<": lambda r: r < 0,
+        ">=": lambda r: r >= 0,
+        ">": lambda r: r > 0,
+    }
+
+    def __init__(self, points):
+        self._rows = [[Fraction(x) for x in row] for row in points.tolist()]
+
+    def _residuals(self, normal, offset):
+        weights = [Fraction(a) for a in np.asarray(normal).tolist()]
+        bound = Fraction(float(offset))
+        return [sum(x * w for x, w in zip(row, weights)) - bound for row in self._rows]
+
+    def query(self, normal, offset, op):
+        holds = self._HOLDS[op]
+        residuals = self._residuals(normal, offset)
+        return np.array([i for i, r in enumerate(residuals) if holds(r)], dtype=np.int64)
+
+    def query_range(self, normal, low, high):
+        weights = [Fraction(a) for a in np.asarray(normal).tolist()]
+        values = [sum(x * w for x, w in zip(row, weights)) for row in self._rows]
+        return np.array(
+            [i for i, v in enumerate(values) if Fraction(low) <= v <= Fraction(high)],
+            dtype=np.int64,
+        )
+
+    def topk_ids(self, normal, offset, k, op):
+        holds = self._HOLDS[op]
+        residuals = self._residuals(normal, offset)
+        ranked = sorted((abs(r), i) for i, r in enumerate(residuals) if holds(r))
+        return np.array([i for _, i in ranked[:k]], dtype=np.int64)
+
+
+def _nudged(value, ulps):
+    toward = np.inf if ulps > 0 else -np.inf
+    for _ in range(abs(ulps)):
+        value = float(np.nextafter(value, toward))
+    return value
+
+
 class TestBoundaryPointExactness:
-    """Batch calls on points on, or a few ulps off, the query hyperplane
-    answer exactly as a loop of single calls does, on the monolithic
-    index and on a 2-shard engine.
+    """Points on, or a few ulps off, the query hyperplane answer as
+    ``Fraction`` arithmetic on the stored values does, and as
+    ``SequentialScan`` does, on every path: single and batched
+    ``query``, ``query_range``, top-k, a 2-shard engine, a shard recovered
+    by a scan after an injected fault, and the octant-fallback scan."""
 
-    Single calls are not compared with ``SequentialScan`` here: numpy's
-    matrix-vector product can round a row differently depending on how
-    many rows it multiplies (a one-row II against the full scan matrix),
-    so a point on the hyperplane can land on different sides of it on the
-    two paths.  That is the single-query guard-band problem, not a batch
-    property."""
-
-    def _check(self, engine, normals, offsets, op):
+    def _check(self, engine, points, normals, offsets, op, seed):
+        rational = _Rational(points)
+        scan = SequentialScan(points)
+        rng = np.random.default_rng(seed)
         batch = engine.query_batch(normals, offsets, op)
         topk_batch = engine.topk_batch(normals, offsets, 5, op)
         for row, normal in enumerate(normals):
             offset = float(offsets[row])
+            query = ScalarProductQuery(normal, offset, op)
+            truth = rational.query(normal, offset, op)
             single = engine.query(normal, offset, op)
+            assert np.array_equal(single.ids, truth)
+            assert np.array_equal(scan.query(query), truth)
             assert np.array_equal(batch[row].ids, single.ids)
             assert batch[row].stats == single.stats
+
             single_topk = engine.topk(normal, offset, 5, op)
+            scan_topk = scan.topk(query, 5)
+            assert np.array_equal(single_topk.ids, rational.topk_ids(normal, offset, 5, op))
+            assert np.array_equal(single_topk.ids, scan_topk.ids)
+            assert np.array_equal(single_topk.distances, scan_topk.distances)
             assert np.array_equal(topk_batch[row].ids, single_topk.ids)
             assert np.array_equal(topk_batch[row].distances, single_topk.distances)
+
+            # A BETWEEN range with both ends planted on points.
+            ends = [
+                _nudged(float(points[j] @ normal), int(u))
+                for j, u in zip(rng.integers(0, len(points), 2), rng.integers(-3, 4, 2))
+            ]
+            low, high = min(ends), max(ends)
+            ranged = engine.query_range(normal, low, high)
+            assert np.array_equal(ranged.ids, rational.query_range(normal, low, high))
+            both = np.intersect1d(
+                scan.query(ScalarProductQuery(normal, low, ">=")),
+                scan.query(ScalarProductQuery(normal, high, "<=")),
+            )
+            assert np.array_equal(ranged.ids, both)
+
+            # A normal outside the indexed octant takes the fallback scan.
+            outside = normal.copy()
+            outside[0] = -outside[0]
+            planted = int(rng.integers(0, len(points)))
+            offset_out = _nudged(float(points[planted] @ outside), int(rng.integers(-3, 4)))
+            fallback = engine.query(outside, offset_out, op)
+            assert fallback.used_fallback
+            assert np.array_equal(fallback.ids, rational.query(outside, offset_out, op))
 
     @settings(max_examples=30, deadline=None)
     @given(case=boundary_cases())
     def test_function_index(self, case):
         points, model, normals, offsets, op = _boundary_batch(case)
         index = FunctionIndex(points, model, n_indices=4, rng=case[2])
-        self._check(index, normals, offsets, op)
+        self._check(index, points, normals, offsets, op, case[2])
 
     @settings(max_examples=15, deadline=None)
     @given(case=boundary_cases())
@@ -270,6 +348,23 @@ class TestBoundaryPointExactness:
             points, model, n_indices=4, rng=case[2], n_shards=2
         )
         try:
-            self._check(engine, normals, offsets, op)
+            self._check(engine, points, normals, offsets, op, case[2])
+        finally:
+            engine.close()
+
+    @settings(max_examples=10, deadline=None)
+    @given(case=boundary_cases())
+    def test_recovered_shard(self, case):
+        """Shard 1 fails every call and is answered by its recovery scan."""
+        points, model, normals, offsets, op = _boundary_batch(case)
+        engine = ShardedFunctionIndex(
+            points, model, n_indices=4, rng=case[2], n_shards=2, failure_policy="degrade"
+        )
+        try:
+            with _flt.injected("shard.query:error:shard=1"):
+                answer = engine.query(normals[0], float(offsets[0]), op)
+                assert answer.degraded is not None
+                assert answer.degraded.recovered_shards
+                self._check(engine, points, normals, offsets, op, case[2])
         finally:
             engine.close()

@@ -282,15 +282,5 @@ def test_property_exactness_all_ops(features, data):
     index = PlanarIndex.from_features(features, index_normal)
     query = ScalarProductQuery(query_normal, offset, op)
     result = index.query(query)
-    expected = brute_force_ids(features, query)
-    if np.array_equal(result.ids, expected):
-        return
-    # The answers may legitimately differ on points whose scalar product
-    # ties the offset at the ulp level: the oracle's full-matrix BLAS dot
-    # and the index's candidate-subset dot are different (both correct)
-    # roundings of the same real number.  Away from such ties the answer
-    # must be identical.
-    values = features @ query.normal
-    scale = max(1.0, abs(offset), float(np.abs(values).max()))
-    boundary = set(np.nonzero(np.abs(values - offset) <= 1e-9 * scale)[0].tolist())
-    assert set(result.ids.tolist()) ^ set(expected.tolist()) <= boundary
+    # Both sides decide exactly, so ulp-level ties of the offset agree too.
+    assert np.array_equal(result.ids, brute_force_ids(features, query))

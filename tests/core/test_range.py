@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from repro import FunctionIndex, QueryModel
 from repro.exceptions import InvalidQueryError
 
+from ..conftest import fraction_values
+
 
 @pytest.fixture
 def setup(rng):
@@ -20,8 +22,10 @@ def setup(rng):
 
 
 def oracle(points, normal, low, high):
-    values = points @ normal
-    return np.nonzero((values >= low) & (values <= high))[0]
+    values = fraction_values(points, normal)
+    return np.array(
+        [row for row, value in enumerate(values) if low <= value <= high], dtype=np.int64
+    )
 
 
 class TestQueryRange:
@@ -43,10 +47,14 @@ class TestQueryRange:
         assert np.array_equal(ranged.ids, conj.ids)
 
     def test_degenerate_range(self, setup, rng):
-        points, model, index = setup
-        normal = model.sample_normal(rng)
-        # Same matmul as the oracle, so the target value is bit-identical.
-        value = float((points @ normal)[0])
+        points, model, _ = setup
+        # Integer row 0 and normal: <normal, row 0> is exact in float64, so
+        # the degenerate range at that value holds row 0.
+        points = points.copy()
+        points[0] = np.round(points[0])
+        normal = np.round(model.sample_normal(rng))
+        index = FunctionIndex(points, model, n_indices=30, rng=0)
+        value = float(points[0] @ normal)
         answer = index.query_range(normal, value, value)
         expected = oracle(points, normal, value, value)
         assert np.array_equal(answer.ids, expected)

@@ -17,6 +17,8 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, 
 
 from repro import FunctionIndex, QueryModel, ScalarProductQuery
 
+from ..conftest import brute_force_topk
+
 DIM = 3
 VALUE = st.floats(-50.0, 50.0, allow_nan=False, allow_infinity=False)
 POINT = st.lists(VALUE, min_size=DIM, max_size=DIM)
@@ -96,10 +98,7 @@ class FunctionIndexMachine(RuleBasedStateMachine):
         normal = self.query_model.sample_normal(seed)
         result = self.index.topk(normal, offset, k)
         ids, rows = self._model_arrays()
-        values = rows @ normal
-        mask = values <= offset
-        distances = np.abs(values[mask] - offset) / np.linalg.norm(normal)
-        expected = np.sort(distances)[:k]
+        _, expected = brute_force_topk(rows, ScalarProductQuery(normal, offset), k, ids)
         assert np.allclose(result.distances, expected, atol=1e-9)
 
     # ------------------------------------------------------------------ #

@@ -15,6 +15,7 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
 from repro.obs import spans as obs_spans
 from repro.obs import trace as obs_trace
+from repro.reliability import faults as _flt
 
 #: Armed at this rate, every trace of the seed-0 id sequence is sampled out.
 UNSAMPLED_RATE = 1e-9
@@ -192,14 +193,26 @@ class TestFacadeProtocol:
 @pytest.fixture
 def engine():
     """A 2-shard engine whose pool is one thread, so every pooled task
-    of a test runs on the same worker."""
+    of a test runs on the same worker.
+
+    Any ambient fault plan (the chaos CI lane arms ``REPRO_FAULTS``
+    process-wide) is disarmed meanwhile and restored afterwards, as
+    ``tests/serve``'s ``pristine_faults`` does: these waves assert which
+    shards ran, and whether the lane's global ``every=7`` counter lands
+    on one of them depends on how many shard calls earlier tests made."""
+    previous_plan = _flt.active_plan()
+    _flt.disarm()
     rng = np.random.default_rng(0)
     points = rng.integers(1, 30, size=(200, 3)).astype(np.float64)
     model = QueryModel.uniform(dim=3, low=1.0, high=5.0, rq=4)
-    with ShardedFunctionIndex(
-        points, model, n_indices=2, rng=0, n_shards=2, max_workers=1
-    ) as sharded:
-        yield sharded
+    try:
+        with ShardedFunctionIndex(
+            points, model, n_indices=2, rng=0, n_shards=2, max_workers=1
+        ) as sharded:
+            yield sharded
+    finally:
+        if previous_plan is not None:
+            _flt.arm(previous_plan)
 
 
 def _pooled_wave(engine, fn):
