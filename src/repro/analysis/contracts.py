@@ -2,7 +2,8 @@
 
 The Planar index is numerically correct only under invariants the Python
 type system cannot see: hot-path arrays must be (or coerce to) contiguous
-``float64``/``int64``, shapes must agree across arguments (``m`` ids for
+``float64``/``int64`` (``float32`` keys and ``uint32`` ids in the sorted
+key stores), shapes must agree across arguments (``m`` ids for
 ``m`` rows), and feature values must be finite — NaN/inf silently corrupt
 the sorted key order and turn interval pruning into a wrong-answer bug
 rather than a crash.  :func:`array_contract` makes those invariants
@@ -28,7 +29,7 @@ leading name)::
     spec    := name ":" ["?"] "(" dims ")" dtype {flag}
     dims    := dim { "," dim } [","]          — e.g. "(n, d)", "(m,)"
     dim     := symbol | integer               — symbols bind per call
-    dtype   := "float64" | "int64" | "bool" | "any"
+    dtype   := "float64" | "int64" | "float32" | "uint32" | "bool" | "any"
     flag    := "C" | "cast" | "promote" | "opt" | "nonfinite"
 
 Semantics under ``REPRO_SANITIZE=1``:
@@ -43,7 +44,9 @@ Semantics under ``REPRO_SANITIZE=1``:
 ``cast``
     Lenient dtype check: the input dtype only needs to be same-kind
     castable to the declared dtype.  Used on coercion points whose
-    documented behavior is to accept any array-like.
+    documented behavior is to accept any array-like.  Signed and unsigned
+    integers count as one kind here, so ``int64`` ids pass a ``uint32``
+    id contract; the callee owns the range check.
 ``promote``
     Allow one missing leading axis (a single point where a batch is
     expected), mirroring :func:`repro._util.as_2d_float` promotion.
@@ -85,6 +88,9 @@ _TRUTHY = {"1", "true", "yes", "on"}
 _DTYPES: dict[str, np.dtype | None] = {
     "float64": np.dtype(np.float64),
     "int64": np.dtype(np.int64),
+    # The stored key and id dtypes of repro.core.sorted_keys.
+    "float32": np.dtype("float32"),
+    "uint32": np.dtype("uint32"),
     "bool": np.dtype(np.bool_),
     "any": None,
 }
@@ -142,7 +148,10 @@ class ArraySpec:
                     raise ContractViolationError(
                         f"{where}: dtype {arr.dtype} != required {self.dtype}"
                     )
-            elif not np.can_cast(arr.dtype, self.dtype, casting="same_kind"):
+            elif not (
+                np.can_cast(arr.dtype, self.dtype, casting="same_kind")
+                or (arr.dtype.kind in "iu" and self.dtype.kind in "iu")
+            ):
                 raise ContractViolationError(
                     f"{where}: dtype {arr.dtype} is not same-kind castable "
                     f"to {self.dtype}"

@@ -35,6 +35,7 @@ from .selection import (
     make_selector,
     stretch_scores,
 )
+from .sorted_keys import ID_DTYPE
 from .topk import TopKResult
 
 __all__ = ["PlanarIndexCollection", "dedupe_parallel_normals"]
@@ -155,8 +156,10 @@ class PlanarIndexCollection:
         self._translator = translator
         self._obs_prefix = str(obs_prefix)
         # One matrix product computes every index's keys (Section 4.2's
-        # <c, phi(x)> for all c at once); each index then only sorts.
+        # <c, phi(x)> for all c at once); each index then only sorts.  The
+        # ids are converted to the stored dtype once for all indices.
         ids, rows = store.get_all()
+        ids = ids.astype(ID_DTYPE)
         key_matrix = rows @ normals[keep].T  # repro: noqa(REP001) — bulk build-time keying, one matmul by design
         self._indices = [
             PlanarIndex(
@@ -184,7 +187,7 @@ class PlanarIndexCollection:
     ) -> "PlanarIndexCollection":
         """Rebind a collection from persisted ``(normal, ids, keys)`` triples.
 
-        The format-v3 load path: normals were deduped at build time and
+        The directory-format load path: normals were deduped at build time and
         each index's keys were persisted in ascending order, so
         construction skips deduplication, bulk keying, and sorting — with
         ``mode="mmap"`` nothing here pages the key arrays in.
@@ -360,16 +363,16 @@ class PlanarIndexCollection:
 
         Pruning statistics stay interval-based (``si``/``ii``/``li`` from
         the chosen index's ranks) so Figures 9/10 metrics are unaffected by
-        the routing decision; ``n_verified`` reflects the scan.
+        the routing decision; ``n_verified`` reflects the scan.  With no
+        dead rows the scan's positions are the ids themselves.
         """
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
         ids, values = self._store.scan_values(wq.query.normal)
-        keep = exact.select(
-            values, wq.query, exact.octant_bound(wq),
-            lambda at: self._store.take_rows(ids[at]),
-        )
-        result_ids = ids[keep]
+        take = self._store.take_rows
+        rows = take if ids is None else lambda at: take(ids[at])
+        keep = exact.select(values, wq.query, exact.octant_bound(wq), rows)
+        result_ids = keep if ids is None else ids[keep]
         if obs_on:
             _osp.record("scan", started, n=n)
             best._record_partition("inequality", r_lo, r_hi - r_lo, n - r_hi, n)

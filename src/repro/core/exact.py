@@ -14,7 +14,8 @@ BLAS value lies outside ``[b - E, b + E]`` are decided from it; the few
 inside are re-decided from the exactly rounded residual (:func:`residuals`:
 Dekker TwoProduct plus ``math.fsum``, ``Fraction`` when a product under- or
 overflows the split).  :func:`key_band` applies the same rounding model to
-the stored index keys.  Derivations: ``docs/algorithms.md`` section 6.
+the stored index keys, including their rounding to float32.  Derivations:
+``docs/algorithms.md`` section 6.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ __all__ = [
     "column_bound",
     "error_bound",
     "key_band",
+    "key_rounding",
     "octant_bound",
     "residuals",
     "satisfying",
@@ -45,6 +47,10 @@ _SPLITTER = 134217729.0
 # range; larger products could overflow fsum's partials.
 _PRODUCT_MIN = 2.0 ** -960
 _PRODUCT_MAX = 2.0 ** 1000
+# Rounding a key to float32 (the stored key dtype): unit roundoff, and half
+# the smallest float32 subnormal for keys that round into or below it.
+_U32 = 2.0 ** -24
+_ETA32 = 2.0 ** -150
 
 
 def error_bound(magnitude, dim: int):
@@ -74,19 +80,37 @@ def column_bound(query, column_max: np.ndarray) -> float:
     return error_bound(float(np.abs(query.normal) @ column_max), query.normal.size)
 
 
+def key_rounding(magnitude):
+    """Bound on ``|stored - computed|`` for a float32 key of magnitude <= ``magnitude``.
+
+    ``2**-24`` relative plus half the smallest float32 subnormal.  Keys
+    that saturated at the float32 maximum are not covered: the SI/LI
+    probes (:func:`repro.core.sorted_keys.key_probes`) keep them out of
+    both certain intervals.  Broadcasts over arrays.
+    """
+    return _U32 * magnitude + _ETA32
+
+
 def key_band(t_abs_max, ratio_max, key_offset, offset, dim: int):
     """SI/LI guard band around the stored-key thresholds ``T_i - <c'', delta>``.
 
-    Covers the key rounding, the rounding of ``T_i = (c''_i / a''_i) b''``
-    and of ``b''``, and the subtraction, for ``t_abs_max = max_i |T_i|``,
-    ``ratio_max = max_i c''_i / a''_i`` and ``key_offset = <c'', delta>``.
-    An underflow in ``b''`` reaches ``T_i`` scaled by ``c''_i / a''_i``,
-    hence the second subnormal term.  Broadcasts over arrays for the
-    tuning advisor's replay.
+    Covers the float64 key rounding, the rounding of
+    ``T_i = (c''_i / a''_i) b''`` and of ``b''``, and the subtraction, for
+    ``t_abs_max = max_i |T_i|``, ``ratio_max = max_i c''_i / a''_i`` and
+    ``key_offset = <c'', delta>``.  An underflow in ``b''`` reaches ``T_i``
+    scaled by ``c''_i / a''_i``, hence the second subnormal term.  A key
+    near a threshold has magnitude at most ``t_abs_max + |key_offset|``,
+    and its float32 rounding (:func:`key_rounding`) is the last term.
+    Broadcasts over arrays for the tuning advisor's replay.
     """
+    key_offset = np.abs(key_offset)
     negative = np.maximum(0.0, -offset)
-    magnitude = 4.0 * t_abs_max + 5.0 * np.abs(key_offset) + 2.0 * ratio_max * negative
-    return error_bound(magnitude, dim) + (dim + 4) * ratio_max * _ETA
+    magnitude = 4.0 * t_abs_max + 5.0 * key_offset + 2.0 * ratio_max * negative
+    return (
+        error_bound(magnitude, dim)
+        + (dim + 4) * ratio_max * _ETA
+        + key_rounding(t_abs_max + key_offset)
+    )
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

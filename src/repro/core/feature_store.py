@@ -8,7 +8,8 @@ matching the paper's ``O(n * r)`` space claim with a small constant.
 
 The store is dynamic (Section 4.4): rows can be appended, re-valued, and
 deleted.  Ids are stable row handles; deleted ids are never reused so stale
-references fail loudly.
+references fail loudly.  Key stores hold ids as ``uint32``, so a store
+never grows past ``2**32 - 1`` rows (:func:`require_id_space`).
 """
 
 from __future__ import annotations
@@ -17,12 +18,26 @@ import numpy as np
 
 from .._util import as_2d_float, require_finite_rows
 from ..analysis.contracts import array_contract
-from ..exceptions import DimensionMismatchError
+from ..exceptions import DimensionMismatchError, IndexBuildError
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
 from ..reliability import faults as _flt
+from .sorted_keys import ID_MAX
 
-__all__ = ["FeatureStore"]
+__all__ = ["FeatureStore", "require_id_space"]
+
+
+def require_id_space(capacity: int) -> None:
+    """Raise unless ``capacity`` rows fit the ``uint32`` ids of the key stores.
+
+    Ids are row positions, so row ``ID_MAX`` would be the first id a
+    :class:`~repro.core.sorted_keys.SortedKeyStore` cannot hold.
+    """
+    if capacity > ID_MAX:
+        raise IndexBuildError(
+            f"a FeatureStore holds at most {ID_MAX} rows (2**32 - 1): point ids "
+            f"are row positions stored as uint32; {capacity} rows requested"
+        )
 
 
 class FeatureStore:
@@ -43,6 +58,7 @@ class FeatureStore:
         if data.shape[0] == 0:
             raise ValueError("FeatureStore needs at least one initial feature row")
         require_finite_rows(data, "features")
+        require_id_space(data.shape[0])
         self._data = data.copy()
         self._live = np.ones(data.shape[0], dtype=bool)
         self._n_live = int(data.shape[0])
@@ -67,6 +83,7 @@ class FeatureStore:
             raise ValueError(
                 f"backing must be a float64 matrix, got {data.dtype} {data.shape}"
             )
+        require_id_space(data.shape[0])
         store = cls.__new__(cls)
         store._data = data
         store._live = np.ones(data.shape[0], dtype=bool)
@@ -147,15 +164,15 @@ class FeatureStore:
         ids = self._check_ids(ids)
         return self._data[ids]
 
-    @array_contract("ids: (m,) int64 C", returns="(m, d) float64")
+    @array_contract("ids: (m,) uint32 cast C", returns="(m, d) float64")
     def take_rows(self, ids: np.ndarray) -> np.ndarray:
         """Unvalidated row gather for internal hot paths.
 
         Callers must pass ids they obtained from this store (query
         verification does: the interval ids come from a key store that is
-        maintained in lockstep).  ``numpy.take`` over pre-sorted ids is
-        several times faster than checked fancy indexing, which dominates
-        query latency otherwise.
+        maintained in lockstep, as ``uint32``; scan positions are ``intp``).
+        ``numpy.take`` over pre-sorted ids is several times faster than
+        checked fancy indexing, which dominates query latency otherwise.
         """
         if _ort.active():
             _om.rows_gathered().inc(ids.size)
@@ -167,23 +184,25 @@ class FeatureStore:
         return ids, self._data[ids]
 
     @array_contract("normal: (d,) float64 cast")
-    def scan_values(self, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def scan_values(self, normal: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """``(ids, <normal, row>)`` for every live row via one matmul.
 
         This is the streaming evaluation a sequential scan performs; the
         collection's cost-based router uses it when an index's intermediate
-        interval would be more expensive to verify than scanning.
+        interval would be more expensive to verify than scanning.  ``ids``
+        is ``None`` when every row is live: positions are then ids, and
+        the scan builds no id array.
         """
         if _ort.active():
             _om.store_scans().inc()
         values = self._data @ np.ascontiguousarray(normal, dtype=np.float64)
         if self._n_live == self.capacity:
-            return np.arange(self.capacity, dtype=np.int64), values
+            return None, values
         ids = self.live_ids()
         return ids, values[ids]
 
     @array_contract("normals: (m, d) float64 cast promote")
-    def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """``(ids, values)`` of every live row under ``m`` normals at once.
 
         ``values`` has shape ``(n_live, m)`` with column ``j`` equal to
@@ -191,14 +210,15 @@ class FeatureStore:
         ``m`` matrix-vector products.  No query path calls it; the batch
         calls loop over :meth:`scan_values` so they sum in the same order
         as single queries.  Counts ``m`` store scans (each column is one
-        logical scan).
+        logical scan).  ``ids`` is ``None`` when every row is live, as in
+        :meth:`scan_values`.
         """
         normals = as_2d_float(normals, "normals")
         if _ort.active():
             _om.store_scans().inc(normals.shape[0])
         values = self._data @ np.ascontiguousarray(normals.T)
         if self._n_live == self.capacity:
-            return np.arange(self.capacity, dtype=np.int64), values
+            return None, values
         ids = self.live_ids()
         return ids, values[ids]
 
@@ -229,6 +249,7 @@ class FeatureStore:
         if rows.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
         start = self.capacity
+        require_id_space(start + rows.shape[0])
         self._data = np.vstack([self._data, rows])
         self._live = np.concatenate([self._live, np.ones(rows.shape[0], dtype=bool)])
         self._n_live += rows.shape[0]

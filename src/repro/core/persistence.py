@@ -1,23 +1,35 @@
 """Saving and loading a :class:`FunctionIndex` to/from disk.
 
-Format v3 (memmap-ready, default)
+Format v4 (memmap-ready, default)
 ---------------------------------
 A persisted index is a *directory* holding one raw ``.npy`` file per
 array plus a ``manifest.json`` with the metadata (format version,
-selection strategy, query-model domains, feature-map identifier, and the
-per-array SHA-256 checksum manifest).  Unlike v2, the directory stores
-*derived* state — the compacted feature matrix ``phi(x)`` and every
-index's keys already in ascending order with ids remapped to compacted
-row positions — so :func:`load_index` can bind the arrays directly
-instead of re-applying ``phi`` and re-sorting ``r`` key arrays.
+selection strategy, query-model domains, feature-map identifier, the
+stored key and id dtypes, and the per-array SHA-256 checksum manifest).
+Unlike v2, the directory stores *derived* state — the compacted feature
+matrix ``phi(x)`` and every index's keys already in ascending order with
+ids remapped to compacted row positions — so :func:`load_index` can bind
+the arrays directly instead of re-applying ``phi`` and re-sorting ``r``
+key arrays.  Keys are ``float32`` and ids ``uint32``, exactly as a
+:class:`~repro.core.sorted_keys.SortedKeyStore` holds them (8 B per point
+per index); the manifest's ``dtypes`` entry records both and loading
+checks every key and id array against it.
 
 Because ``.npy`` headers pad the data offset to a 64-byte multiple, each
 array is alignment-friendly for ``np.load(..., mmap_mode="r")``: with
-``mode="mmap"`` (the v3 default) a multi-GB index cold-starts in
+``mode="mmap"`` (the v4 default) a multi-GB index cold-starts in
 milliseconds, nothing is paged in until queries touch it, and the pages
 are shared copy-on-write across forked shard workers (see
 ``docs/parallel.md``).  Memory-mapped loads are read-only — maintenance
 raises with a pointer at ``mode="copy"``.
+
+Format v3 (directory, still loads with ``mode="copy"``)
+-------------------------------------------------------
+The same directory layout with ``float64`` keys and ``int64`` ids.  A
+copy load casts each array once to the stored dtypes; ``mode="auto"``
+copies it too, and ``mode="mmap"`` raises (the arrays on disk are not
+the arrays a key store holds) with a pointer at ``mode="copy"`` or a
+re-save as v4.
 
 Format v2 (single ``.npz``, still loads; write with ``version=2``)
 ------------------------------------------------------------------
@@ -68,14 +80,18 @@ from .domains import ParameterDomain, QueryModel
 from .feature_store import FeatureStore
 from .function_index import FunctionIndex
 from .phi import FeatureMap, identity_map, product_map
+from .sorted_keys import ID_DTYPE, KEY_DTYPE
 
 __all__ = ["save_index", "load_index", "PersistenceError"]
 
-_FORMAT_VERSION = 3
-_SUPPORTED_VERSIONS = (1, 2, 3)
+_FORMAT_VERSION = 4
+_SUPPORTED_VERSIONS = (1, 2)
 
-#: Manifest file marking a directory as a v3 index.
+#: Manifest file marking a directory as a v3/v4 index.
 _MANIFEST_NAME = "manifest.json"
+
+#: Key and id dtypes a v4 directory stores, as recorded in its manifest.
+_DTYPES = {"keys": KEY_DTYPE.name, "ids": ID_DTYPE.name}
 
 #: Arrays verified eagerly even under ``mode="mmap"`` — O(r d') bytes, so
 #: checking them never pages the bulk data in.
@@ -140,18 +156,18 @@ def save_index(
 ) -> Path:
     """Persist ``index`` to ``path`` crash-safely; returns the written path.
 
-    ``version=3`` (default) writes the memmap-ready directory format
+    ``version=4`` (default) writes the memmap-ready directory format
     described in the module docstring.  ``version=2`` writes the legacy
     single-``.npz`` archive (``.npz`` appended to the path if missing).
     Both embed per-array SHA-256 checksum manifests.
     """
     path = Path(path)
-    if version == 3:
-        return _save_v3(index, path)
+    if version == 4:
+        return _save_v4(index, path)
     if version == 2:
         return _save_v2(index, path)
     raise PersistenceError(
-        f"cannot write archive version {version!r} (writable: 2, 3)"
+        f"cannot write archive version {version!r} (writable: 2, 4)"
     )
 
 
@@ -176,7 +192,7 @@ def _save_v2(index: FunctionIndex, path: Path) -> Path:
     return target
 
 
-def _save_v3(index: FunctionIndex, target: Path) -> Path:
+def _save_v4(index: FunctionIndex, target: Path) -> Path:
     """Write the directory format: one aligned ``.npy`` per array.
 
     Every array file goes through :func:`atomic_writer` (fault-injection
@@ -200,10 +216,11 @@ def _save_v3(index: FunctionIndex, target: Path) -> Path:
         # the loaded store's ids == row positions invariant holds without
         # a translation table.
         arrays[f"ids_{position}"] = np.ascontiguousarray(
-            np.searchsorted(live, keys.sorted_ids), dtype=np.int64
+            np.searchsorted(live, keys.sorted_ids), dtype=ID_DTYPE
         )
-    metadata = _metadata(index, 3, arrays)
+    metadata = _metadata(index, 4, arrays)
     metadata["n_indices"] = index.n_indices
+    metadata["dtypes"] = dict(_DTYPES)
 
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp_dir = Path(
@@ -253,17 +270,19 @@ def load_index(
 ) -> FunctionIndex:
     """Rebuild a :class:`FunctionIndex` from a :func:`save_index` artifact.
 
-    ``mode`` controls how v3 directories bind their arrays:
+    ``mode`` controls how directories bind their arrays:
 
-    * ``"auto"`` (default) — memory-map v3 directories, copy v1/v2
-      archives (which cannot memmap from inside an ``.npz``).
-    * ``"mmap"`` — zero-copy read-only load; mutations raise.  Rejects
-      v1/v2 archives with a pointer at re-saving as v3.
+    * ``"auto"`` (default) — memory-map v4 directories, copy v3
+      directories and v1/v2 archives (which cannot memmap from inside an
+      ``.npz``).
+    * ``"mmap"`` — zero-copy read-only load of a v4 directory; mutations
+      raise.  Rejects v3 directories and v1/v2 archives with a pointer at
+      ``mode="copy"`` or re-saving as v4.
     * ``"copy"`` — fully materialized writable load with every array
       checksum-verified.
 
-    v2/v3 artifacts are integrity-checked against their checksum
-    manifests (v3 ``mmap`` loads verify the small arrays only — see the
+    v2/v3/v4 artifacts are integrity-checked against their checksum
+    manifests (``mmap`` loads verify the small arrays only — see the
     module docstring); v1 archives load without verification.
     """
     if mode not in ("auto", "mmap", "copy"):
@@ -275,11 +294,11 @@ def load_index(
                 f"directory {path} has no {_MANIFEST_NAME} — not a save_index "
                 f"directory"
             )
-        return _load_v3(path, feature_map, mode)
+        return _load_dir(path, feature_map, mode)
     if mode == "mmap":
         raise PersistenceError(
             f"{path} is a v1/v2 .npz archive; arrays inside an archive cannot "
-            f"be memory-mapped — load with mode='copy' or re-save as format v3"
+            f"be memory-mapped — load with mode='copy' or re-save as format v4"
         )
     return _load_npz(path, feature_map)
 
@@ -339,8 +358,13 @@ def _load_npz(path: Path, feature_map: FeatureMap | None) -> FunctionIndex:
     return index
 
 
-def _load_v3(path: Path, feature_map: FeatureMap | None, mode: str) -> FunctionIndex:
-    """v3 load: bind the persisted derived arrays, mmap'd or copied."""
+def _load_dir(path: Path, feature_map: FeatureMap | None, mode: str) -> FunctionIndex:
+    """v3/v4 load: bind the persisted derived arrays, mmap'd or copied.
+
+    v4 key and id arrays are bound as stored.  v3 ones hold float64 keys
+    and int64 ids; a copy load hands them to the key stores, which cast
+    each once, and a memmap load is refused.
+    """
     try:
         metadata = json.loads((path / _MANIFEST_NAME).read_text("utf-8"))
     except (OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
@@ -349,10 +373,23 @@ def _load_v3(path: Path, feature_map: FeatureMap | None, mode: str) -> FunctionI
             f"{type(exc).__name__}: {exc}"
         ) from exc
     version = metadata.get("format_version")
-    if version != 3:
+    if version not in (3, 4):
         raise PersistenceError(
             f"unsupported directory-format version {version!r} in {path} "
-            f"(expected 3)"
+            f"(expected 3 or 4)"
+        )
+    if version == 3:
+        if mode == "mmap":
+            raise PersistenceError(
+                f"{path} is a format v3 directory (float64 keys, int64 ids), "
+                f"which cannot be memory-mapped as float32/uint32 key stores — "
+                f"load with mode='copy' or re-save as format v4"
+            )
+        mode = "copy"
+    elif metadata.get("dtypes") != _DTYPES:
+        raise PersistenceError(
+            f"index directory {path}: manifest dtypes {metadata.get('dtypes')!r} "
+            f"do not match the stored key/id dtypes {_DTYPES!r}"
         )
     n_indices = metadata.get("n_indices")
     if not isinstance(n_indices, int) or n_indices < 1:
@@ -380,6 +417,15 @@ def _load_v3(path: Path, feature_map: FeatureMap | None, mode: str) -> FunctionI
             f"cannot read index array {name!r} in {path}: "
             f"{type(exc).__name__}: {exc} (truncated or torn write?)"
         ) from exc
+    if version == 4:
+        for position in range(n_indices):
+            for kind, dtype in (("keys", KEY_DTYPE), ("ids", ID_DTYPE)):
+                name = f"{kind}_{position}"
+                if arrays[name].dtype != dtype:
+                    raise PersistenceError(
+                        f"index directory {path}: {name}.npy holds "
+                        f"{arrays[name].dtype}, the manifest records {dtype}"
+                    )
     verify_names = list(arrays) if mmap_mode is None else list(_SMALL_ARRAYS)
     verify_checksums(
         {name: arrays[name] for name in verify_names},

@@ -60,7 +60,7 @@ from ..obs.explain import ExplainReport
 from . import exact
 from .feature_store import FeatureStore
 from .query import Comparison, ScalarProductQuery
-from .sorted_keys import SortedKeyStore
+from .sorted_keys import SortedKeyStore, key_probes
 from .stats import QueryStats
 from .topk import SharedCutoff, TopKBuffer, TopKResult
 
@@ -203,12 +203,7 @@ class PlanarIndex:
             # all sibling indices with a single matrix product; the shared
             # id array is already vetted.
             ids, keys = precomputed
-            self._keys = SortedKeyStore(
-                keys,
-                np.ascontiguousarray(ids, np.int64),
-                trusted=True,
-                presorted=presorted,
-            )
+            self._keys = SortedKeyStore(keys, ids, trusted=True, presorted=presorted)
         else:
             if ids is None:
                 ids, rows = store.get_all()
@@ -323,10 +318,10 @@ class PlanarIndex:
         space.
 
         ``tol`` is the guard band :func:`repro.core.exact.key_band` derives
-        from the rounding of the stored keys, of ``T_i`` and of the offset.
-        A key within ``tol`` of a threshold may belong to a point on the
-        other side of it, so the band is folded into the intermediate
-        interval and verified exactly.
+        from the rounding of the keys (in float64, then to the stored
+        float32), of ``T_i`` and of the offset.  A key within ``tol`` of a
+        threshold may belong to a point on the other side of it, so the
+        band is folded into the intermediate interval and verified exactly.
         """
         if wq.normal_w.size != self.dim:
             raise InvalidQueryError(
@@ -349,13 +344,15 @@ class PlanarIndex:
 
         Both certain intervals are strict (the guard band around each
         threshold is folded into the intermediate interval), so they are
-        valid for the strict and non-strict operators alike.
+        valid for the strict and non-strict operators alike.  The float32
+        probes round away from the certain intervals (:func:`key_probes`).
         """
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
         t_lo, t_hi, tol = self._thresholds(wq)
-        r_lo = self._keys.rank_le(t_lo - tol)
-        r_hi = self._keys.rank_le(t_hi + tol)
+        probe_lo, probe_hi = key_probes(t_lo - tol, t_hi + tol)
+        r_lo = self._keys.rank_le(probe_lo)
+        r_hi = self._keys.rank_le(probe_hi)
         if obs_on:
             _osp.record("binary_search", started, index=self._obs_label)
         return r_lo, r_hi, len(self._keys)
@@ -688,6 +685,8 @@ class PlanarIndex:
         # key lower-bounds the distance of that point and of every point
         # beyond it (Claim 3): working key * max(a''/c'') bounds <a'', y>
         # from above in SI, working key * min(a''/c'') from below in LI.
+        # The float32 head is widened toward the hyperplane by its rounding
+        # so the bound holds for the float64 key it stands for.
         key_offset = self._translator.key_offset(self._working_normal)
         ratio = wq.normal_w / self._working_normal
         if upper:
@@ -701,6 +700,7 @@ class PlanarIndex:
         n_checked = n_ii
         for start, stop in blocks:
             head = float(self._keys.keys_in_rank_range(start, stop)[-1 if upper else 0])
+            head += side * exact.key_rounding(abs(head))
             lbs_head = side * (wq.offset_w - (head + key_offset) * edge_ratio) / wq.norm
             limit = buffer.max_distance
             if cutoff is not None:
@@ -757,22 +757,18 @@ class PlanarIndex:
         responsible for having already updated the shared store and grown
         the translator.
         """
-        self._keys.update_batch(
-            np.ascontiguousarray(ids, dtype=np.int64), self._compute_keys(rows)
-        )
+        self._keys.update_batch(ids, self._compute_keys(rows))
 
     @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
     def insert(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Index newly appended points (one feature row per id)."""
-        self._keys.insert(
-            np.ascontiguousarray(ids, dtype=np.int64), self._compute_keys(rows)
-        )
+        self._keys.insert(ids, self._compute_keys(rows))
         if _ort.active():
             _om.indexed_points().set(len(self._keys), index=self._obs_label)
 
     @array_contract("ids: (m,) int64 cast")
     def delete(self, ids: np.ndarray) -> None:
         """Drop points from this index."""
-        self._keys.delete(np.ascontiguousarray(ids, dtype=np.int64))
+        self._keys.delete(ids)
         if _ort.active():
             _om.indexed_points().set(len(self._keys), index=self._obs_label)

@@ -5,16 +5,27 @@ One Planar index keeps, for every data point ``x``, the scalar key
 search this order (Eq. 7); dynamic workloads update, insert, and delete
 entries (Section 4.4).
 
-The store maps *external point ids* (arbitrary nonnegative integers chosen
-by the caller) to keys, so the same ids can be shared across the multiple
-indices of a collection and across the raw-point storage of the facade.
+The store maps *external point ids* (nonnegative integers below ``2**32``
+chosen by the caller) to keys, so the same ids can be shared across the
+multiple indices of a collection and across the raw-point storage of the
+facade.
 
 Implementation notes
 --------------------
-Keys live in a contiguous ``float64`` array for O(log n) binary search and
-vectorized slicing, which is what makes pruned query processing fast in
-numpy.  All mutations are vectorized (``numpy.isin`` membership, one merge
-per batch) — O(n + b log b) per batch of ``b`` changes, the array-backed
+One representation, 8 B per point: keys are computed in float64, rounded
+once to a contiguous ``float32`` array (:data:`KEY_DTYPE`, saturating at
+the float32 range instead of overflowing), and ids are ``uint32``
+(:data:`ID_DTYPE`) — a :class:`~repro.core.feature_store.FeatureStore`
+id is a row position and its capacity stays below ``2**32``.  The SI/LI
+guard band (:func:`repro.core.exact.key_band`) absorbs the key rounding,
+and :func:`key_probes` rounds the float64 thresholds to float32 in the
+safe direction, so the three intervals stay exact.
+
+Construction sorts once: each ``(key, id)`` pair is packed into one
+``uint64`` word (order-preserving key bits high, id low), and a plain
+``np.sort`` of the words yields the stable ``(key, id)`` order.  All
+mutations are vectorized (``numpy.isin`` membership, one merge per
+batch) — O(n + b log b) per batch of ``b`` changes, the array-backed
 sorted-list trade-off (the paper's O(log n) per change assumes a balanced
 tree; the asymptotic *query* complexity is identical).  An id -> key map
 for point lookups is materialized lazily and invalidated by mutations, so
@@ -23,19 +34,129 @@ index construction and batch maintenance never pay for it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .._util import as_1d_float
 from ..analysis.contracts import array_contract
 from ..exceptions import DimensionMismatchError
 
-__all__ = ["SortedKeyStore"]
+__all__ = [
+    "ID_DTYPE",
+    "ID_MAX",
+    "KEY_DTYPE",
+    "SortedKeyStore",
+    "WORD_DTYPE",
+    "as_keys",
+    "key_probes",
+]
+
+#: Stored key dtype; ``exact.key_band`` widens the SI/LI band by its rounding.
+KEY_DTYPE = np.dtype(np.float32)  # repro: noqa(REP002) — 4-byte keys; exact.key_band covers their rounding
+#: Stored id dtype; ids are FeatureStore row positions, capped at ``ID_MAX``.
+ID_DTYPE = np.dtype(np.uint32)  # repro: noqa(REP002) — 4-byte ids; FeatureStore capacity stays below 2**32
+#: One packed ``(key bits, id)`` word of the construction sort.
+WORD_DTYPE = np.dtype(np.uint64)  # repro: noqa(REP002) — sort words, never stored past the build
+
+#: Largest id a key store can hold.
+ID_MAX = int(np.iinfo(ID_DTYPE).max)
+_KEY_MAX = float(np.finfo(KEY_DTYPE).max)
+# The largest key strictly inside the float32 range.  SI probes are capped
+# at +_PROBE_CAP and LI probes at -_PROBE_CAP, so a key that saturated at
+# +-_KEY_MAX never lands in SI (LI) without verification.
+_PROBE_CAP = np.nextafter(KEY_DTYPE.type(_KEY_MAX), KEY_DTYPE.type(0.0))
+_DOWN = KEY_DTYPE.type(-np.inf)
+_UP = KEY_DTYPE.type(np.inf)
+_SIGN = 1 << 31
+_LOW_BITS = _SIGN - 1
+
+
+def as_keys(values: np.ndarray) -> np.ndarray:
+    """float64 keys rounded once to :data:`KEY_DTYPE`.
+
+    Values beyond the float32 range saturate at its maximum instead of
+    becoming ``inf``, and ``-0.0`` is stored as ``+0.0`` so equal keys
+    pack to equal sort words.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    keys = np.clip(values, -_KEY_MAX, _KEY_MAX).astype(KEY_DTYPE)
+    keys += 0.0
+    return keys
+
+
+def _round(values, toward: np.floating):
+    """float64 ``values`` rounded to float32 toward ``toward`` (+-inf).
+
+    Clipping to the float32 range first keeps the cast finite; a value
+    beyond it then steps to the infinity it lies toward.  A scalar takes
+    a Python-float path (a query probes two thresholds, and numpy's 0-d
+    overhead would dominate), compared as float64 so NumPy's weak-scalar
+    promotion cannot round the comparison itself.
+    """
+    if not isinstance(values, np.ndarray):
+        value = float(values)
+        if abs(value) > _KEY_MAX:
+            outward = (value > 0) == (toward > 0)
+            return toward if outward else KEY_DTYPE.type(math.copysign(_KEY_MAX, value))
+        near = KEY_DTYPE.type(value)
+        if float(near) < value if toward > 0 else float(near) > value:
+            near = np.nextafter(near, toward)
+        return near
+    values = np.asarray(values, dtype=np.float64)
+    near = np.clip(values, -_KEY_MAX, _KEY_MAX).astype(KEY_DTYPE)
+    missed = near < values if toward > 0 else near > values
+    with np.errstate(over="ignore"):
+        return np.where(missed, np.nextafter(near, toward), near)
+
+
+def key_probes(low, high) -> tuple[np.ndarray, np.ndarray]:
+    """float32 binary-search probes for the SI bound ``low`` and LI bound ``high``.
+
+    ``low`` rounds down and ``high`` rounds up, so a float32 key at most
+    the SI probe is at most ``low`` and one above the LI probe is above
+    ``high``.  The SI probe is capped at the largest key strictly below
+    the float32 maximum, the LI probe at its negation: saturated keys are
+    never certain.  Never probe with float64 values — ``searchsorted``
+    would upcast the whole key array.  Broadcasts over arrays.
+    """
+    low, high = _round(low, _DOWN), _round(high, _UP)
+    if isinstance(low, np.ndarray) or isinstance(high, np.ndarray):
+        return np.minimum(low, _PROBE_CAP), np.maximum(high, -_PROBE_CAP)
+    return min(low, _PROBE_CAP), max(high, -_PROBE_CAP)
+
+
+def _as_ids(ids) -> np.ndarray:
+    """``ids`` as a contiguous :data:`ID_DTYPE` array, range-checked."""
+    ids = np.asarray(ids)
+    if ids.dtype != ID_DTYPE:
+        ids = np.asarray(ids, dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() > ID_MAX):
+            raise ValueError(f"point ids must lie in [0, {ID_MAX}]")
+    return np.ascontiguousarray(ids, dtype=ID_DTYPE)
+
+
+def _sorted_pairs(keys: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(keys, ids)`` in ascending ``(key, id)`` order by one packed sort.
+
+    The high half of each word holds the key's float32 bits mapped to an
+    unsigned order (sign bit flipped for positive keys, all bits for
+    negative ones), the low half holds the id.  Keys come from
+    :func:`as_keys`, so there is no ``-0.0`` to order apart from ``+0.0``.
+    """
+    bits = keys.view(ID_DTYPE)
+    bits = bits ^ ((bits >> 31) * _LOW_BITS | _SIGN)
+    words = (bits.astype(WORD_DTYPE) << 32) | ids
+    words.sort()
+    high = (words >> 32).astype(ID_DTYPE)
+    high ^= ((high >> 31) ^ 1) * _LOW_BITS | _SIGN
+    return high.view(KEY_DTYPE), words.astype(ID_DTYPE)
 
 
 class SortedKeyStore:
     """Ascending key order over ``(point id, key)`` pairs with dynamic updates."""
 
-    @array_contract("keys: (n,) float64 cast", "ids: ?(n,) int64 cast")
+    @array_contract("keys: (n,) float32 cast", "ids: ?(n,) uint32 cast")
     def __init__(
         self,
         keys: np.ndarray,
@@ -43,36 +164,44 @@ class SortedKeyStore:
         trusted: bool = False,
         presorted: bool = False,
     ) -> None:
-        """``trusted=True`` skips finiteness/uniqueness validation — used by
-        bulk index construction where the same vetted id array backs many
-        sibling indices (validation would otherwise dominate build time).
+        """``keys`` are float64 (rounded here, once) or already
+        :data:`KEY_DTYPE`.  ``trusted=True`` skips finiteness/uniqueness
+        validation — used by bulk index construction where the same vetted
+        id array backs many sibling indices (validation would otherwise
+        dominate build time).
 
         ``presorted=True`` additionally binds ``keys``/``ids`` as the
-        already-ascending order without the argsort pass or a copy — the
-        memmap load path uses it so opening a persisted index never pages
-        the key arrays in.  Keys must genuinely be ascending; this is not
-        validated (the persistence layer wrote them from a sorted store).
+        already-ascending order without the sort pass or a copy when they
+        already have the stored dtypes — the memmap load path uses it so
+        opening a persisted index never pages the key arrays in.  Keys
+        must genuinely be ascending; this is not validated (the
+        persistence layer wrote them from a sorted store).
         """
-        keys = as_1d_float(keys, "keys")
+        keys = np.asarray(keys)
+        if keys.ndim != 1:
+            raise DimensionMismatchError(
+                f"keys must be one-dimensional, got shape {keys.shape}"
+            )
         if not trusted and not np.all(np.isfinite(keys)):
             raise ValueError("keys must be finite")
+        if keys.dtype != KEY_DTYPE:
+            keys = as_keys(keys)
         if ids is None:
-            ids = np.arange(keys.size, dtype=np.int64)
+            ids = np.arange(keys.size, dtype=ID_DTYPE)
         else:
-            ids = np.ascontiguousarray(ids, dtype=np.int64)
+            ids = np.asarray(ids)
             if ids.ndim != 1:
                 raise DimensionMismatchError(f"ids must be 1-D, got shape {ids.shape}")
             if ids.size != keys.size:
                 raise DimensionMismatchError(f"{ids.size} ids for {keys.size} keys")
+            ids = _as_ids(ids)
             if not trusted and np.unique(ids).size != ids.size:
                 raise ValueError("ids must be unique")
         if presorted:
             self._keys = keys
             self._ids = ids
         else:
-            order = np.argsort(keys, kind="stable")
-            self._keys = keys[order]
-            self._ids = ids[order]
+            self._keys, self._ids = _sorted_pairs(keys, ids)
         # id -> key map, built lazily on first lookup and invalidated by
         # mutations: queries and maintenance never need it.
         self._key_map: dict[int, float] | None = None
@@ -127,12 +256,16 @@ class SortedKeyStore:
     # ------------------------------------------------------------------ #
 
     def rank_le(self, threshold: float) -> int:
-        """Number of entries with key <= threshold — the paper's ``Small(i)+1``."""
-        return int(np.searchsorted(self._keys, threshold, side="right"))
+        """Number of entries with key <= threshold — the paper's ``Small(i)+1``.
+
+        Exact for any real ``threshold``: it is rounded down to the float32
+        probe the search runs on (a :func:`key_probes` probe is unchanged).
+        """
+        return int(np.searchsorted(self._keys, _round(threshold, _DOWN), side="right"))
 
     def rank_lt(self, threshold: float) -> int:
-        """Number of entries with key < threshold."""
-        return int(np.searchsorted(self._keys, threshold, side="left"))
+        """Number of entries with key < threshold (probe rounded up)."""
+        return int(np.searchsorted(self._keys, _round(threshold, _UP), side="left"))
 
     def ids_in_rank_range(self, start: int, stop: int) -> np.ndarray:
         """Point ids at sorted positions ``[start, stop)``."""
@@ -148,7 +281,8 @@ class SortedKeyStore:
 
     @staticmethod
     def _validate_batch(point_ids: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        point_ids = np.ascontiguousarray(point_ids, dtype=np.int64)
+        """Check one batch and convert it to the stored dtypes, once."""
+        point_ids = _as_ids(point_ids)
         keys = as_1d_float(keys, "keys")
         if point_ids.size != keys.size:
             raise DimensionMismatchError(f"{point_ids.size} ids for {keys.size} keys")
@@ -156,7 +290,7 @@ class SortedKeyStore:
             raise ValueError("keys must be finite")
         if np.unique(point_ids).size != point_ids.size:
             raise ValueError("batch ids must be unique")
-        return point_ids, keys
+        return point_ids, as_keys(keys)
 
     def _merge_in(self, add_ids: np.ndarray, add_keys: np.ndarray) -> None:
         order = np.argsort(add_keys, kind="stable")
@@ -177,11 +311,9 @@ class SortedKeyStore:
 
     def update(self, point_id: int, new_key: float) -> None:
         """Re-key one point, preserving sorted order (Section 4.4 update)."""
-        self.update_batch(
-            np.array([point_id], dtype=np.int64), np.array([float(new_key)])
-        )
+        self.update_batch(np.array([point_id]), np.array([float(new_key)]))
 
-    @array_contract("point_ids: (m,) int64 cast", "new_keys: (m,) float64 cast")
+    @array_contract("point_ids: (m,) uint32 cast", "new_keys: (m,) float32 cast")
     def update_batch(self, point_ids: np.ndarray, new_keys: np.ndarray) -> None:
         """Re-key many points with one remove + one merge pass."""
         point_ids, new_keys = self._validate_batch(point_ids, new_keys)
@@ -191,7 +323,7 @@ class SortedKeyStore:
         self._merge_in(point_ids, new_keys)
         self._key_map = None
 
-    @array_contract("point_ids: (m,) int64 cast", "keys: (m,) float64 cast")
+    @array_contract("point_ids: (m,) uint32 cast", "keys: (m,) float32 cast")
     def insert(self, point_ids: np.ndarray, keys: np.ndarray) -> None:
         """Add new points to the index order."""
         point_ids, keys = self._validate_batch(point_ids, keys)
@@ -203,10 +335,10 @@ class SortedKeyStore:
         self._merge_in(point_ids, keys)
         self._key_map = None
 
-    @array_contract("point_ids: (m,) int64 cast")
+    @array_contract("point_ids: (m,) uint32 cast")
     def delete(self, point_ids: np.ndarray) -> None:
         """Remove points from the index order."""
-        point_ids = np.ascontiguousarray(point_ids, dtype=np.int64)
+        point_ids = _as_ids(point_ids)
         if point_ids.size == 0:
             return
         if np.unique(point_ids).size != point_ids.size:

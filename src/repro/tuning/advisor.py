@@ -21,8 +21,9 @@ time:
 * predicted |II| replays :meth:`repro.core.planar.PlanarIndex._thresholds`
   / ``interval_ranks`` — thresholds ``(c''/a'') * b''``, the translation key
   offset ``<c'', delta>``, the same :func:`repro.core.exact.key_band` guard
-  band, and the same ``searchsorted(side="right")`` rank probes — against keys
-  ``<c, phi(x)>`` computed the way a freshly built index would store them.
+  band, and the same float32 ``searchsorted(side="right")`` rank probes
+  (:func:`repro.core.sorted_keys.key_probes`) — against keys ``<c, phi(x)>``
+  computed and rounded to float32 the way a freshly built index stores them.
 
 Because an applied plan only calls the existing ``add_index`` /
 ``drop_index`` lifecycle, query *results* are unaffected by construction:
@@ -60,6 +61,7 @@ from ..core.collection import PlanarIndexCollection, dedupe_parallel_normals
 from ..core.planar import WorkingQuery
 from ..core.query import ScalarProductQuery
 from ..core.selection import stretch_scores
+from ..core.sorted_keys import as_keys, key_probes
 from ..exceptions import InvalidQueryError, TuningError
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
@@ -492,10 +494,10 @@ class Advisor:
                 picker.choice(ids, size=self._max_points, replace=False)
             )
         feats = self._index.get_features(ids)
-        # Bulk candidate keying — the same <c, phi(x)> a fresh PlanarIndex
-        # would store, all candidates at once.
+        # Bulk candidate keying — the same float32 <c, phi(x)> a fresh
+        # PlanarIndex would store, all candidates at once.
         keys = feats @ candidates.T  # repro: noqa(REP001) — advisor bulk keying, one matmul by design
-        keys = np.sort(keys, axis=0)
+        keys = np.sort(as_keys(keys), axis=0)
         n_points = feats.shape[0]
 
         n_candidates = candidates.shape[0]
@@ -522,8 +524,11 @@ class Advisor:
                 working.shape[1],
             )
             column = keys[:, j]
-            lo = np.searchsorted(column, t_min - key_offsets[j] - tol, side="right")
-            hi = np.searchsorted(column, t_max - key_offsets[j] + tol, side="right")
+            probe_lo, probe_hi = key_probes(
+                t_min - key_offsets[j] - tol, t_max - key_offsets[j] + tol
+            )
+            lo = np.searchsorted(column, probe_lo, side="right")
+            hi = np.searchsorted(column, probe_hi, side="right")
             ii[j] = hi - lo
         return _Simulation(stretch=stretch, ii=ii, n_points=n_points)
 

@@ -81,7 +81,7 @@ class TestGrammar:
         "bad",
         [
             "features (n, d) float64",  # missing colon
-            "features: (n, d) float32",  # unknown dtype
+            "features: (n, d) float16",  # unknown dtype
             "features: (n, d) float64 Z",  # unknown flag
             "features: (n-d) float64",  # bad dim symbol
             "features: n, d float64",  # missing parens

@@ -267,3 +267,112 @@ class TestV3Corruption:
         (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(PersistenceError, match="checksum manifest"):
             load_index(path)
+
+
+def _rewrite_as_v3(path):
+    """Turn a v4 directory into the v3 layout: float64 keys, int64 ids,
+    sorted as the v3 writer sorted them, manifest without dtypes."""
+    import json
+
+    from repro.reliability.atomic import checksum_manifest
+
+    manifest = json.loads((path / "manifest.json").read_text("utf-8"))
+    features = np.load(path / "features.npy")
+    normals = np.load(path / "normals.npy")
+    arrays = {
+        name: np.load(path / f"{name}.npy")
+        for name in ("points", "features", "normals", "octant", "delta")
+    }
+    for position in range(manifest["n_indices"]):
+        keys = features @ normals[position]
+        order = np.argsort(keys, kind="stable")
+        arrays[f"keys_{position}"] = keys[order]
+        arrays[f"ids_{position}"] = order.astype(np.int64)
+    for name, array in arrays.items():
+        np.save(path / f"{name}.npy", array)
+    manifest["format_version"] = 3
+    del manifest["dtypes"]
+    manifest["checksums"] = checksum_manifest(arrays)
+    (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+class TestV4Format:
+    """v4 stores float32 keys and uint32 ids; v3 directories still load."""
+
+    def _queries(self, model, rng, n=8):
+        return [(model.sample_normal(rng), float(rng.uniform(100, 800))) for _ in range(n)]
+
+    @pytest.mark.parametrize("mode", ["copy", "mmap"])
+    def test_round_trip_keeps_dtypes_and_answers(self, identity_index, tmp_path, rng, mode):
+        import json
+
+        from repro.core.sorted_keys import ID_DTYPE, KEY_DTYPE
+
+        _, model, index = identity_index
+        path = save_index(index, tmp_path / "idx")
+        manifest = json.loads((path / "manifest.json").read_text("utf-8"))
+        assert manifest["format_version"] == 4
+        assert manifest["dtypes"] == {"keys": "float32", "ids": "uint32"}
+        loaded = load_index(path, mode=mode)
+        for original, planar in zip(index.collection, loaded.collection):
+            assert planar._keys.sorted_keys.dtype == KEY_DTYPE
+            assert planar._keys.sorted_ids.dtype == ID_DTYPE
+            assert np.array_equal(planar._keys.sorted_keys, original._keys.sorted_keys)
+        # mmap binds the read-only file pages as they are, with no cast.
+        bound = loaded.collection[0]._keys._keys
+        assert bound.flags.writeable == (mode == "copy")
+        for normal, offset in self._queries(model, rng):
+            assert np.array_equal(
+                index.query(normal, offset).ids, loaded.query(normal, offset).ids
+            )
+            assert np.array_equal(
+                index.topk(normal, offset, 7).ids, loaded.topk(normal, offset, 7).ids
+            )
+        assert loaded.memory_bytes() == index.memory_bytes()
+
+    def test_manifest_dtype_mismatch_rejected(self, identity_index, tmp_path):
+        import json
+
+        _, _, index = identity_index
+        path = save_index(index, tmp_path / "idx")
+        manifest = json.loads((path / "manifest.json").read_text("utf-8"))
+        manifest["dtypes"] = {"keys": "float64", "ids": "int64"}
+        (path / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(PersistenceError, match="dtypes"):
+            load_index(path)
+
+    def test_array_dtype_mismatch_rejected(self, identity_index, tmp_path):
+        _, _, index = identity_index
+        path = save_index(index, tmp_path / "idx")
+        np.save(path / "ids_0.npy", np.load(path / "ids_0.npy").astype(np.int64))
+        with pytest.raises(PersistenceError, match="ids_0"):
+            load_index(path, mode="mmap")
+
+    def test_v3_directory_loads_under_copy(self, identity_index, tmp_path, rng):
+        from repro.core.sorted_keys import ID_DTYPE, KEY_DTYPE
+
+        _, model, index = identity_index
+        path = save_index(index, tmp_path / "idx")
+        _rewrite_as_v3(path)
+        for mode in ("copy", "auto"):
+            loaded = load_index(path, mode=mode)
+            assert loaded._features.writable
+            keys = loaded.collection[0]._keys
+            assert keys.sorted_keys.dtype == KEY_DTYPE
+            assert keys.sorted_ids.dtype == ID_DTYPE
+            for normal, offset in self._queries(model, rng):
+                assert np.array_equal(
+                    index.query(normal, offset).ids, loaded.query(normal, offset).ids
+                )
+
+    def test_v3_directory_refuses_mmap(self, identity_index, tmp_path):
+        _, _, index = identity_index
+        path = save_index(index, tmp_path / "idx")
+        _rewrite_as_v3(path)
+        with pytest.raises(PersistenceError, match="mode='copy'.*v4"):
+            load_index(path, mode="mmap")
+
+    def test_v3_is_no_longer_written(self, identity_index, tmp_path):
+        _, _, index = identity_index
+        with pytest.raises(PersistenceError, match="writable: 2, 4"):
+            save_index(index, tmp_path / "idx", version=3)

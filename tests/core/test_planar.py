@@ -15,6 +15,7 @@ from repro import (
     ScalarProductQuery,
 )
 from repro.exceptions import DimensionMismatchError, IndexBuildError
+from repro.core.sorted_keys import as_keys
 from repro.geometry import Translator
 
 from ..conftest import brute_force_ids
@@ -213,7 +214,8 @@ class TestDynamicMaintenance:
         """Both maintenance entry points rebuild keys through one helper
         (``_compute_keys``); this drives each with awkward inputs —
         float32 rows, Fortran order, strided views — and checks the
-        stored keys are the float64 ``rows @ normal`` products exactly.
+        stored keys are the float64 ``rows @ normal`` products, rounded
+        once to the stored float32 (``as_keys``).
         """
         features = rng.uniform(1, 100, size=(80, 3)).copy()
         store = FeatureStore(features)
@@ -229,10 +231,10 @@ class TestDynamicMaintenance:
         ids = np.arange(12, dtype=np.int64)
         store.update(ids, moved)
         index.rekey(ids, moved)
-        expected_keys = np.ascontiguousarray(moved, dtype=np.float64) @ normal
+        expected_keys = as_keys(np.ascontiguousarray(moved, dtype=np.float64) @ normal)
         rank = np.searchsorted(index._keys.sorted_keys, expected_keys)
         # Every rekeyed id sits at a position whose stored key equals the
-        # exact float64 product.
+        # float64 product rounded once to float32.
         for row, point_id in enumerate(ids):
             positions = np.nonzero(index._keys.sorted_ids == point_id)[0]
             assert index._keys.sorted_keys[positions[0]] == expected_keys[row]
@@ -243,7 +245,7 @@ class TestDynamicMaintenance:
         fresh = block[::2]
         new_ids = store.append(fresh)
         index.insert(new_ids, fresh)
-        inserted_keys = np.ascontiguousarray(fresh, dtype=np.float64) @ normal
+        inserted_keys = as_keys(np.ascontiguousarray(fresh, dtype=np.float64) @ normal)
         for row, point_id in enumerate(new_ids):
             positions = np.nonzero(index._keys.sorted_ids == point_id)[0]
             assert index._keys.sorted_keys[positions[0]] == inserted_keys[row]

@@ -28,6 +28,7 @@ from repro.tuning import (
     load_plan,
     save_plan,
 )
+from repro.tuning.advisor import _working_queries
 
 
 def _measured_ii(index, sketches):
@@ -56,6 +57,36 @@ class TestAdvise:
         plan = Advisor(index, sketches=skewed_sketches).advise(budget=5)
         measured, _ = _measured_ii(index, skewed_sketches)
         assert plan.predicted_ii_before == pytest.approx(measured)
+
+    def test_predicted_ii_equals_interval_ranks(self, model):
+        """The advisor replays the executor's float32 keys and probes: its
+        predicted |II| for every (index, query) pair is ``interval_ranks``'
+        on real-valued data, including near-duplicate rows whose keys lie
+        fractions of a float32 ulp apart around the query thresholds."""
+        rng = np.random.default_rng(9)
+        base = rng.uniform(1.0, 100.0, size=(400, 4))
+        centers = base[:20]
+        steps = 1.0 + np.arange(-12, 13)[:, None, None] * 2.0 ** -27
+        points = np.vstack([base, (centers[None] * steps).reshape(-1, 4)])
+        index = FunctionIndex(points, model, n_indices=5, rng=0)
+        sketches = [
+            QuerySketch(planar.normal, float(center @ planar.normal), op)
+            for planar in index.collection
+            for center in centers[:6]
+            for op in ("<=", ">")
+        ]
+        sketches += [
+            QuerySketch(normal, float(points[row] @ normal))
+            for normal, row in zip(model.sample_normals(12, rng), rng.integers(0, 400, 12))
+        ]
+        queries = _working_queries(sketches, index.translator, points.shape[1])
+        simulation = Advisor(index, sketches=sketches)._simulate(
+            index.collection.normals, queries
+        )
+        for row, planar in enumerate(index.collection):
+            for column, wq in enumerate(queries):
+                r_lo, r_hi, _ = planar.interval_ranks(wq)
+                assert simulation.ii[row, column] == r_hi - r_lo
 
     def test_budget_and_candidates_validated(self, index, skewed_sketches):
         advisor = Advisor(index, sketches=skewed_sketches)
