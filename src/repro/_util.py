@@ -21,6 +21,7 @@ __all__ = [
     "require_finite_rows",
     "require_positive",
     "require_same_length",
+    "require_unique",
     "pairwise_sq_distance",
 ]
 
@@ -101,6 +102,17 @@ def as_2d_float(values: Sequence[Sequence[float]] | np.ndarray, name: str = "arr
             f"{name} must be two-dimensional, got shape {arr.shape}"
         )
     return arr
+
+
+def require_unique(values: np.ndarray, message: str) -> None:
+    """Raise ``ValueError(message)`` when ``values`` repeats an element.
+
+    One sort and one neighbour compare: ``np.unique`` hashes, which costs
+    several times more on integer batches.
+    """
+    ordered = np.sort(values)
+    if (ordered[1:] == ordered[:-1]).any():
+        raise ValueError(message)
 
 
 def require_positive(value: float, name: str) -> float:

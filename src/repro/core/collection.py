@@ -609,11 +609,13 @@ class PlanarIndexCollection:
         self._relabel()
         self._refresh_selection_cache()
 
-    @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
-    def rekey(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        """Propagate a feature update (changed rows only) to every index."""
+    @array_contract(
+        "ids: (m,) int64 cast", "rows: (m, d) float64 cast", "old_rows: (m, d) float64 cast"
+    )
+    def rekey(self, ids: np.ndarray, rows: np.ndarray, old_rows: np.ndarray) -> None:
+        """Propagate a feature update (changed rows, replacing ``old_rows``) to every index."""
         for index in self._indices:
-            index.rekey(ids, rows)
+            index.rekey(ids, rows, old_rows)
 
     @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
     def insert(self, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -621,8 +623,8 @@ class PlanarIndexCollection:
         for index in self._indices:
             index.insert(ids, rows)
 
-    @array_contract("ids: (m,) int64 cast")
-    def delete(self, ids: np.ndarray) -> None:
-        """Propagate deletions to every index."""
+    @array_contract("ids: (m,) int64 cast", "old_rows: (m, d) float64 cast")
+    def delete(self, ids: np.ndarray, old_rows: np.ndarray) -> None:
+        """Propagate deletions of points with feature rows ``old_rows`` to every index."""
         for index in self._indices:
-            index.delete(ids)
+            index.delete(ids, old_rows)

@@ -14,8 +14,10 @@ BLAS value lies outside ``[b - E, b + E]`` are decided from it; the few
 inside are re-decided from the exactly rounded residual (:func:`residuals`:
 Dekker TwoProduct plus ``math.fsum``, ``Fraction`` when a product under- or
 overflows the split).  :func:`key_band` applies the same rounding model to
-the stored index keys, including their rounding to float32.  Derivations:
-``docs/algorithms.md`` section 6.
+the stored index keys, including their rounding to float32, and
+:func:`key_window` bounds the key a stored row was filed under so that
+maintenance finds its entry by key.  Derivations: ``docs/algorithms.md``
+section 6.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = [
     "error_bound",
     "key_band",
     "key_rounding",
+    "key_window",
     "octant_bound",
     "residuals",
     "satisfying",
@@ -111,6 +114,29 @@ def key_band(t_abs_max, ratio_max, key_offset, offset, dim: int):
         + (dim + 4) * ratio_max * _ETA
         + key_rounding(t_abs_max + key_offset)
     )
+
+
+def key_window(rows: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """float64 ``(low, high)`` holding the float64 key each of ``rows`` was stored under.
+
+    A stored key is some float64 evaluation of ``<c, phi(x)>`` (the build
+    matrix product, a maintenance matrix-vector product, a key persisted
+    by an older format), and so is the key recomputed here: both lie
+    within ``E = error_bound(sum_i |c_i phi_i|, d)`` of the exact value,
+    hence within ``2E`` of each other.  ``k -+ 2E`` is then stepped one
+    ulp outward to cover its own rounding.  A key or bound that overflows
+    gives an unbounded window.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    normal = np.asarray(normal, dtype=np.float64)
+    keys = rows @ normal
+    width = 2.0 * error_bound(np.abs(rows) @ np.abs(normal), normal.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        low = np.nextafter(keys - width, -np.inf)
+        high = np.nextafter(keys + width, np.inf)
+    low[np.isnan(low)] = -np.inf
+    high[np.isnan(high)] = np.inf
+    return low, high
 
 
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -31,7 +31,7 @@ from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from .._util import as_2d_float, as_rng, require_finite_rows
+from .._util import as_2d_float, as_rng, require_finite_rows, require_unique
 from ..exceptions import DimensionMismatchError, IndexBuildError, InvalidQueryError
 from ..geometry.translation import Translator
 from ..obs import metrics as _om
@@ -669,14 +669,28 @@ class FunctionIndex:
         self._translator.observe(features)
         return new_points, features
 
+    def _live_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(ids, feature rows)`` once every id is live, in range and unique.
+
+        Runs before a write touches any store, the translator or an index,
+        so a bad batch leaves them all unchanged; the rows locate each
+        point's index entries by its current key.
+        """
+        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        rows = self._features.get(ids)
+        require_unique(ids, "batch ids must be unique")
+        return ids, rows
+
     def update_points(self, ids: np.ndarray, new_points: np.ndarray) -> None:
         """Change the raw values of existing points and re-key every index."""
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        ids, old_rows = self._live_rows(ids)
         new_points, features = self._ingest(new_points)
         self._points.update(ids, new_points)
         self._features.update(ids, features)
         self._maintain_each(
-            "update", ids, lambda collection, rows: collection.rekey(ids[rows], features[rows])
+            "update",
+            ids,
+            lambda collection, rows: collection.rekey(ids[rows], features[rows], old_rows[rows]),
         )
 
     def insert_points(self, new_points: np.ndarray) -> np.ndarray:
@@ -696,13 +710,15 @@ class FunctionIndex:
     def delete_points(self, ids: np.ndarray) -> None:
         """Remove points from the index."""
         # Fail before touching the collections: deleting from the indices
-        # first and then hitting a read-only (memmap) store would leave
-        # the two out of lockstep.
+        # first and then hitting a read-only (memmap) store or a bad id
+        # would leave the two out of lockstep.
         if not self._features.writable:
             self._features.delete(np.empty(0, dtype=np.int64))  # raises
-        ids = np.ascontiguousarray(ids, dtype=np.int64)
+        ids, old_rows = self._live_rows(ids)
         self._maintain_each(
-            "delete", ids, lambda collection, rows: collection.delete(ids[rows])
+            "delete",
+            ids,
+            lambda collection, rows: collection.delete(ids[rows], old_rows[rows]),
         )
         self._features.delete(ids)
         self._points.delete(ids)

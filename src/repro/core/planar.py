@@ -748,16 +748,20 @@ class PlanarIndex:
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         return rows @ self._normal
 
-    @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
-    def rekey(self, ids: np.ndarray, rows: np.ndarray) -> None:
+    @array_contract(
+        "ids: (m,) int64 cast", "rows: (m, d) float64 cast", "old_rows: (m, d) float64 cast"
+    )
+    def rekey(self, ids: np.ndarray, rows: np.ndarray, old_rows: np.ndarray) -> None:
         """Update keys after the features of existing points changed.
 
         ``rows`` holds only the changed feature rows (one per id), never the
-        full matrix.  The caller (usually :class:`FunctionIndex`) is
-        responsible for having already updated the shared store and grown
-        the translator.
+        full matrix, and ``old_rows`` the rows they replaced, whose keys
+        locate the entries to move (:func:`repro.core.exact.key_window`).
+        The caller (usually :class:`FunctionIndex`) is responsible for
+        having already updated the shared store and grown the translator.
         """
-        self._keys.update_batch(ids, self._compute_keys(rows))
+        low, high = exact.key_window(old_rows, self._normal)
+        self._keys.update_batch(ids, self._compute_keys(rows), low, high)
 
     @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
     def insert(self, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -766,9 +770,10 @@ class PlanarIndex:
         if _ort.active():
             _om.indexed_points().set(len(self._keys), index=self._obs_label)
 
-    @array_contract("ids: (m,) int64 cast")
-    def delete(self, ids: np.ndarray) -> None:
-        """Drop points from this index."""
-        self._keys.delete(ids)
+    @array_contract("ids: (m,) int64 cast", "old_rows: (m, d) float64 cast")
+    def delete(self, ids: np.ndarray, old_rows: np.ndarray) -> None:
+        """Drop points whose current feature rows are ``old_rows``."""
+        low, high = exact.key_window(old_rows, self._normal)
+        self._keys.delete(ids, low, high)
         if _ort.active():
             _om.indexed_points().set(len(self._keys), index=self._obs_label)

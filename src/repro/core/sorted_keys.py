@@ -23,13 +23,20 @@ safe direction, so the three intervals stay exact.
 
 Construction sorts once: each ``(key, id)`` pair is packed into one
 ``uint64`` word (order-preserving key bits high, id low), and a plain
-``np.sort`` of the words yields the stable ``(key, id)`` order.  All
-mutations are vectorized (``numpy.isin`` membership, one merge per
-batch) — O(n + b log b) per batch of ``b`` changes, the array-backed
-sorted-list trade-off (the paper's O(log n) per change assumes a balanced
-tree; the asymptotic *query* complexity is identical).  An id -> key map
-for point lookups is materialized lazily and invalidated by mutations, so
-index construction and batch maintenance never pay for it.
+``np.sort`` of the words yields the stable ``(key, id)`` order.
+
+Updates and deletes find a point's entry by its key, as the paper does
+(Section 4.4): the caller passes a float64 window ``[low, high]`` holding
+the key the point was stored under (:func:`repro.core.exact.key_window`),
+each window becomes a float32 rank range by two binary searches, and the
+ids are matched only inside the union of those ranges.  One vectorized
+pass removes the entries and one merge adds the new ones: O(b log n + w +
+n) per batch of ``b`` changes whose windows span ``w <= n`` entries, where
+the O(n) is two contiguous array copies, not an id-membership scan (the
+paper's O(log n) per change assumes a balanced tree; the asymptotic
+*query* complexity is identical).  An insert skips its clash check when
+every new id is at or above the store's id bound, the largest id it ever
+held plus one — always true for ids from ``FeatureStore.append``.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ import math
 
 import numpy as np
 
-from .._util import as_1d_float
+from .._util import as_1d_float, require_unique
 from ..analysis.contracts import array_contract
 from ..exceptions import DimensionMismatchError
 
@@ -195,16 +202,16 @@ class SortedKeyStore:
             if ids.size != keys.size:
                 raise DimensionMismatchError(f"{ids.size} ids for {keys.size} keys")
             ids = _as_ids(ids)
-            if not trusted and np.unique(ids).size != ids.size:
-                raise ValueError("ids must be unique")
+            if not trusted:
+                require_unique(ids, "ids must be unique")
         if presorted:
             self._keys = keys
             self._ids = ids
         else:
             self._keys, self._ids = _sorted_pairs(keys, ids)
-        # id -> key map, built lazily on first lookup and invalidated by
-        # mutations: queries and maintenance never need it.
-        self._key_map: dict[int, float] | None = None
+        # The largest id ever held plus one, computed on the first insert so
+        # that binding memmapped arrays pages nothing in.
+        self._id_bound: int | None = None
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -214,17 +221,18 @@ class SortedKeyStore:
         return int(self._keys.size)
 
     def __contains__(self, point_id: int) -> bool:
-        return int(point_id) in self._lookup()
+        return self._position(point_id) is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SortedKeyStore(n={len(self)})"
 
-    def _lookup(self) -> dict[int, float]:
-        if self._key_map is None:
-            self._key_map = {
-                int(i): float(k) for i, k in zip(self._ids, self._keys)
-            }
-        return self._key_map
+    def _position(self, point_id: int) -> int | None:
+        """Sorted position of ``point_id`` by one scan over the ids, or None."""
+        point_id = int(point_id)
+        if not 0 <= point_id <= ID_MAX:
+            return None
+        hits = np.flatnonzero(self._ids == point_id)
+        return int(hits[0]) if hits.size else None
 
     @property
     def sorted_keys(self) -> np.ndarray:
@@ -242,14 +250,14 @@ class SortedKeyStore:
 
     def key_of(self, point_id: int) -> float:
         """The key currently stored for ``point_id``."""
-        return self._lookup()[int(point_id)]
+        position = self._position(point_id)
+        if position is None:
+            raise KeyError(point_id)
+        return float(self._keys[position])
 
     def memory_bytes(self) -> int:
-        """Approximate heap footprint of the key structures (O(n))."""
-        # The lazily built id->key dict roughly triples the array cost in
-        # CPython; count it only once materialized.
-        dict_overhead = 100 * len(self._key_map) if self._key_map is not None else 0
-        return int(self._keys.nbytes + self._ids.nbytes + dict_overhead)
+        """Heap footprint of the key and id arrays (8 B per entry)."""
+        return int(self._keys.nbytes + self._ids.nbytes)
 
     # ------------------------------------------------------------------ #
     # Binary search (Eq. 7)
@@ -288,40 +296,95 @@ class SortedKeyStore:
             raise DimensionMismatchError(f"{point_ids.size} ids for {keys.size} keys")
         if point_ids.size and not np.all(np.isfinite(keys)):
             raise ValueError("keys must be finite")
-        if np.unique(point_ids).size != point_ids.size:
-            raise ValueError("batch ids must be unique")
+        require_unique(point_ids, "batch ids must be unique")
         return point_ids, as_keys(keys)
 
     def _merge_in(self, add_ids: np.ndarray, add_keys: np.ndarray) -> None:
-        order = np.argsort(add_keys, kind="stable")
-        add_keys = add_keys[order]
-        add_ids = add_ids[order]
+        add_keys, add_ids = _sorted_pairs(add_keys, add_ids)
         positions = np.searchsorted(self._keys, add_keys, side="right")
         self._keys = np.insert(self._keys, positions, add_keys)
         self._ids = np.insert(self._ids, positions, add_ids)
 
-    def _remove(self, point_ids: np.ndarray, context: str) -> None:
-        present = np.isin(point_ids, self._ids)
-        if not np.all(present):
-            missing = point_ids[~present][:5].tolist()
+    def _locate(
+        self, point_ids: np.ndarray, low: np.ndarray, high: np.ndarray, context: str
+    ) -> np.ndarray:
+        """Positions of ``point_ids``, each stored with a key in ``[low, high]``.
+
+        The float64 windows round outward to float32 rank ranges (the
+        stored float32 key of a float64 key inside a window lies inside
+        the rounded one), the overlapping ranges merge into disjoint
+        segments, and the ids are matched inside their union only.  An id
+        may match outside its own window; it is still the one entry
+        holding that id, so order inside a run of equal keys never
+        matters.  Raises :class:`KeyError` unless every id is found.
+        """
+        low = np.asarray(low, dtype=np.float64)
+        high = np.asarray(high, dtype=np.float64)
+        if low.shape != point_ids.shape or high.shape != point_ids.shape:
+            raise DimensionMismatchError(
+                f"{point_ids.size} ids for key windows of shapes {low.shape}, {high.shape}"
+            )
+        low, high = _round(low, _DOWN), _round(high, _UP)
+        order = np.argsort(low)
+        starts = np.searchsorted(self._keys, low[order], side="left")
+        stops = np.searchsorted(self._keys, high[order], side="right")
+        # A window opens a new segment unless an earlier one reaches it.
+        reach = np.maximum.accumulate(stops)
+        opens = np.ones(starts.size, dtype=bool)
+        opens[1:] = starts[1:] > reach[:-1]
+        first = np.flatnonzero(opens)
+        seg_starts = starts[first]
+        lengths = np.maximum(reach[np.append(first[1:], starts.size) - 1] - seg_starts, 0)
+        ends = np.cumsum(lengths)
+        positions = np.arange(ends[-1]) + np.repeat(seg_starts - ends + lengths, lengths)
+        # Pack (id, position) of each candidate and (id, all ones) of each
+        # wanted id into one word: after one sort a wanted id that is
+        # present directly follows its candidate.
+        words = np.concatenate(
+            [
+                (self._ids[positions].astype(WORD_DTYPE) << 32) | positions.astype(WORD_DTYPE),
+                (point_ids.astype(WORD_DTYPE) << 32) | ID_MAX,
+            ]
+        )
+        words.sort()
+        held = words >> 32
+        found = (words[:-1][held[1:] == held[:-1]] & ID_MAX).astype(np.intp)
+        if found.size != point_ids.size:
+            missing = np.setdiff1d(point_ids, self._ids[found])[:5].tolist()
             raise KeyError(f"unknown point ids in {context}: {missing}")
-        keep = ~np.isin(self._ids, point_ids)
+        return found
+
+    def _remove(self, positions: np.ndarray) -> None:
+        keep = np.ones(self._keys.size, dtype=bool)
+        keep[positions] = False
         self._keys = self._keys[keep]
         self._ids = self._ids[keep]
 
-    def update(self, point_id: int, new_key: float) -> None:
-        """Re-key one point, preserving sorted order (Section 4.4 update)."""
-        self.update_batch(np.array([point_id]), np.array([float(new_key)]))
+    def update(self, point_id: int, new_key: float, low: float, high: float) -> None:
+        """Re-key one point stored with a key in ``[low, high]`` (Section 4.4 update)."""
+        self.update_batch(
+            np.array([point_id]), np.array([float(new_key)]), np.array([low]), np.array([high])
+        )
 
-    @array_contract("point_ids: (m,) uint32 cast", "new_keys: (m,) float32 cast")
-    def update_batch(self, point_ids: np.ndarray, new_keys: np.ndarray) -> None:
-        """Re-key many points with one remove + one merge pass."""
+    @array_contract(
+        "point_ids: (m,) uint32 cast",
+        "new_keys: (m,) float32 cast",
+        "low: (m,) float64 cast nonfinite",
+        "high: (m,) float64 cast nonfinite",
+    )
+    def update_batch(
+        self, point_ids: np.ndarray, new_keys: np.ndarray, low: np.ndarray, high: np.ndarray
+    ) -> None:
+        """Re-key many points with one remove + one merge pass.
+
+        Point ``point_ids[j]`` must be stored under a float64 key in
+        ``[low[j], high[j]]`` (:func:`repro.core.exact.key_window`).
+        """
         point_ids, new_keys = self._validate_batch(point_ids, new_keys)
         if point_ids.size == 0:
             return
-        self._remove(point_ids, "update")
+        self._remove(self._locate(point_ids, low, high, "update"))
         self._merge_in(point_ids, new_keys)
-        self._key_map = None
 
     @array_contract("point_ids: (m,) uint32 cast", "keys: (m,) float32 cast")
     def insert(self, point_ids: np.ndarray, keys: np.ndarray) -> None:
@@ -329,19 +392,24 @@ class SortedKeyStore:
         point_ids, keys = self._validate_batch(point_ids, keys)
         if point_ids.size == 0:
             return
-        clashes = point_ids[np.isin(point_ids, self._ids)]
-        if clashes.size:
-            raise ValueError(f"point ids already present: {clashes[:5].tolist()}")
+        if self._id_bound is None:
+            self._id_bound = int(self._ids.max()) + 1 if self._ids.size else 0
+        if int(point_ids.min()) < self._id_bound:
+            clashes = point_ids[np.isin(point_ids, self._ids)]
+            if clashes.size:
+                raise ValueError(f"point ids already present: {clashes[:5].tolist()}")
         self._merge_in(point_ids, keys)
-        self._key_map = None
+        self._id_bound = max(self._id_bound, int(point_ids.max()) + 1)
 
-    @array_contract("point_ids: (m,) uint32 cast")
-    def delete(self, point_ids: np.ndarray) -> None:
-        """Remove points from the index order."""
+    @array_contract(
+        "point_ids: (m,) uint32 cast",
+        "low: (m,) float64 cast nonfinite",
+        "high: (m,) float64 cast nonfinite",
+    )
+    def delete(self, point_ids: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
+        """Remove points, each stored with a float64 key in ``[low, high]``."""
         point_ids = _as_ids(point_ids)
         if point_ids.size == 0:
             return
-        if np.unique(point_ids).size != point_ids.size:
-            raise ValueError("delete ids must be unique")
-        self._remove(point_ids, "delete")
-        self._key_map = None
+        require_unique(point_ids, "delete ids must be unique")
+        self._remove(self._locate(point_ids, low, high, "delete"))

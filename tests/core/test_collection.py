@@ -157,8 +157,9 @@ class TestMaintenance:
         store = collection._store
         new_rows = rng.uniform(1, 100, size=(50, 3))
         ids = np.arange(50, dtype=np.int64)
+        old_rows = store.get(ids)
         store.update(ids, new_rows)
-        collection.rekey(ids, new_rows)
+        collection.rekey(ids, new_rows, old_rows)
         features = features.copy()
         features[:50] = new_rows
         query = ScalarProductQuery(model.sample_normal(rng), 400.0)

@@ -183,8 +183,9 @@ class TestDynamicMaintenance:
         index = PlanarIndex(np.array([1.0, 1.0]), store, translator)
         new_rows = rng.uniform(1, 100, size=(20, 2))
         ids = np.arange(20, dtype=np.int64)
+        old_rows = store.get(ids)
         store.update(ids, new_rows)
-        index.rekey(ids, new_rows)
+        index.rekey(ids, new_rows, old_rows)
         features[:20] = new_rows
         query = ScalarProductQuery(np.array([1.0, 2.0]), 150.0)
         assert np.array_equal(index.query(query).ids, brute_force_ids(features, query))
@@ -201,8 +202,9 @@ class TestDynamicMaintenance:
         index.insert(new_ids, extra)
         assert len(index) == 130
 
-        index.delete(np.arange(10, dtype=np.int64))
-        store.delete(np.arange(10, dtype=np.int64))
+        doomed = np.arange(10, dtype=np.int64)
+        index.delete(doomed, store.get(doomed))
+        store.delete(doomed)
         assert len(index) == 120
 
         live_ids, live_rows = store.get_all()
@@ -229,8 +231,9 @@ class TestDynamicMaintenance:
             rng.uniform(1, 100, size=(12, 3)).astype(np.float32)
         )
         ids = np.arange(12, dtype=np.int64)
+        old_rows = store.get(ids)
         store.update(ids, moved)
-        index.rekey(ids, moved)
+        index.rekey(ids, moved, old_rows)
         expected_keys = as_keys(np.ascontiguousarray(moved, dtype=np.float64) @ normal)
         rank = np.searchsorted(index._keys.sorted_keys, expected_keys)
         # Every rekeyed id sits at a position whose stored key equals the

@@ -71,14 +71,14 @@ class TestBinarySearch:
 class TestUpdate:
     def test_single_update_moves_entry(self):
         store = SortedKeyStore(np.array([1.0, 2.0, 3.0]))
-        store.update(0, 5.0)
+        store.update(0, 5.0, 1.0, 1.0)
         assert np.array_equal(store.sorted_keys, [2.0, 3.0, 5.0])
         assert store.key_of(0) == 5.0
         assert_invariants(store)
 
     def test_update_with_duplicate_keys(self):
         store = SortedKeyStore(np.array([2.0, 2.0, 2.0]), np.array([7, 8, 9]))
-        store.update(8, 1.0)
+        store.update(8, 1.0, 2.0, 2.0)
         assert store.key_of(8) == 1.0
         assert store.sorted_ids[0] == 8
         assert_invariants(store)
@@ -86,16 +86,17 @@ class TestUpdate:
     def test_update_unknown_id(self):
         store = SortedKeyStore(np.array([1.0]))
         with pytest.raises(KeyError):
-            store.update(99, 1.0)
+            store.update(99, 1.0, 1.0, 1.0)
 
     def test_update_nonfinite_rejected(self):
         store = SortedKeyStore(np.array([1.0]))
         with pytest.raises(ValueError):
-            store.update(0, np.inf)
+            store.update(0, np.inf, 1.0, 1.0)
 
     def test_batch_update_small(self):
         store = SortedKeyStore(np.arange(100.0))
-        store.update_batch(np.array([0, 1]), np.array([200.0, 300.0]))
+        old = np.array([0.0, 1.0])
+        store.update_batch(np.array([0, 1]), np.array([200.0, 300.0]), old, old)
         assert store.key_of(0) == 200.0
         assert store.rank_le(99.0) == 98
         assert_invariants(store)
@@ -103,7 +104,8 @@ class TestUpdate:
     def test_batch_update_large_triggers_rebuild(self):
         store = SortedKeyStore(np.arange(10.0))
         ids = np.arange(8)
-        store.update_batch(ids, -np.arange(8.0))
+        old = np.arange(8.0)
+        store.update_batch(ids, -np.arange(8.0), old, old)
         for pid in ids:
             assert store.key_of(int(pid)) == -float(pid)
         assert_invariants(store)
@@ -111,16 +113,18 @@ class TestUpdate:
     def test_batch_update_duplicate_ids_rejected(self):
         store = SortedKeyStore(np.arange(5.0))
         with pytest.raises(ValueError):
-            store.update_batch(np.array([1, 1]), np.array([0.0, 1.0]))
+            old = np.array([1.0, 1.0])
+            store.update_batch(np.array([1, 1]), np.array([0.0, 1.0]), old, old)
 
     def test_batch_update_unknown_id(self):
         store = SortedKeyStore(np.arange(5.0))
         with pytest.raises(KeyError):
-            store.update_batch(np.array([42]), np.array([0.0]))
+            # The window spans every key; the id is simply not there.
+            store.update_batch(np.array([42]), np.array([0.0]), [0.0], [4.0])
 
     def test_batch_update_empty_noop(self):
         store = SortedKeyStore(np.arange(5.0))
-        store.update_batch(np.array([], dtype=np.int64), np.array([]))
+        store.update_batch(np.array([], dtype=np.int64), np.array([]), [], [])
         assert len(store) == 5
 
 
@@ -139,7 +143,7 @@ class TestInsertDelete:
 
     def test_delete(self):
         store = SortedKeyStore(np.array([1.0, 2.0, 3.0]))
-        store.delete(np.array([1]))
+        store.delete(np.array([1]), [2.0], [2.0])
         assert np.array_equal(store.sorted_keys, [1.0, 3.0])
         assert 1 not in store
         assert_invariants(store)
@@ -147,15 +151,67 @@ class TestInsertDelete:
     def test_delete_unknown_id(self):
         store = SortedKeyStore(np.array([1.0]))
         with pytest.raises(KeyError):
-            store.delete(np.array([5]))
+            store.delete(np.array([5]), [1.0], [1.0])
 
     def test_memory_reported(self):
         # float32 keys plus uint32 ids: 8 B per entry.
         store = SortedKeyStore(np.arange(1000.0))
         assert store.memory_bytes() == 1000 * 8
-        # Touching the id->key map materializes it and grows the footprint.
-        assert store.key_of(0) == 0.0
-        assert store.memory_bytes() > 1000 * 8
+        # Point lookups scan the ids; they build no side structure.
+        assert store.key_of(0) == 0.0 and 0 in store
+        assert store.memory_bytes() == 1000 * 8
+
+
+class TestLocateByKey:
+    """Updates and deletes find each id inside its float64 key window."""
+
+    def test_any_position_in_a_run_of_equal_keys(self):
+        store = SortedKeyStore(np.full(100, 5.0))
+        store.delete(np.array([99, 0, 50]), [5.0] * 3, [5.0] * 3)
+        assert len(store) == 97 and 0 not in store and 50 not in store
+        assert_invariants(store)
+
+    def test_overlapping_and_nested_windows(self):
+        keys = np.repeat(np.arange(10.0), 3)
+        store = SortedKeyStore(keys)
+        ids = np.array([0, 14, 29, 4])
+        low, high = [0.0, 2.0, 9.0, 1.0], [9.0, 5.0, 9.0, 1.0]
+        store.update_batch(ids, [-1.0, -2.0, -3.0, -4.0], low, high)
+        assert [store.key_of(int(i)) for i in ids] == [-1.0, -2.0, -3.0, -4.0]
+        assert_invariants(store)
+
+    def test_saturated_and_subnormal_keys(self):
+        keys = np.array([1e39, -1e39, 1e300, 1e-50, -1e-50, 0.0, 3e38])
+        store = SortedKeyStore(keys)
+        store.delete(np.arange(6), keys[:6], keys[:6])
+        assert np.array_equal(store.sorted_ids, [6])
+
+    def test_key_outside_its_window_is_not_found(self):
+        store = SortedKeyStore(np.array([1.0, 2.0, 3.0]))
+        with pytest.raises(KeyError, match="unknown point ids in delete"):
+            store.delete(np.array([0]), [2.0], [3.0])
+        with pytest.raises(KeyError, match="unknown point ids in update"):
+            store.update_batch(np.array([0, 1]), [7.0, 8.0], [1.0, 5.0], [1.0, 6.0])
+        assert np.array_equal(store.sorted_ids, [0, 1, 2])
+
+    def test_window_shape_checked(self):
+        store = SortedKeyStore(np.array([1.0, 2.0]))
+        with pytest.raises(DimensionMismatchError):
+            store.delete(np.array([0, 1]), [1.0], [2.0])
+
+    def test_insert_below_the_id_bound_checks_clashes(self):
+        store = SortedKeyStore(np.array([1.0, 2.0]), np.array([10, 20]))
+        # Computed on the first insert, never at construction.
+        assert store._id_bound is None
+        store.insert(np.array([30]), [3.0])
+        assert store._id_bound == 31
+        store.insert(np.array([5, 25]), [0.0, 4.0])
+        with pytest.raises(ValueError, match="already present"):
+            store.insert(np.array([20]), [9.0])
+        store.delete(np.array([30]), [3.0], [3.0])
+        with pytest.raises(ValueError, match="already present"):
+            store.insert(np.array([31, 25]), [9.0, 9.0])
+        assert sorted(store.sorted_ids.tolist()) == [5, 10, 20, 25]
 
 
 @given(keys=key_lists, data=st.data())
@@ -164,26 +220,28 @@ def test_random_operation_sequences_keep_invariants(keys, data):
     """Property: arbitrary update/insert/delete sequences preserve order."""
     store = SortedKeyStore(np.array(keys))
     next_id = len(keys)
-    live = set(range(len(keys)))
+    # Each live id's float64 key: its own window for update and delete.
+    live = dict(enumerate(keys))
     for _ in range(data.draw(st.integers(0, 15))):
         op = data.draw(st.sampled_from(["update", "insert", "delete"]))
         if op == "update" and live:
             pid = data.draw(st.sampled_from(sorted(live)))
             key = data.draw(st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False))
-            store.update(pid, key)
+            store.update(pid, key, live[pid], live[pid])
+            live[pid] = key
         elif op == "insert":
             key = data.draw(st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False))
             store.insert(np.array([next_id]), np.array([key]))
-            live.add(next_id)
+            live[next_id] = key
             next_id += 1
         elif op == "delete" and len(live) > 1:
             pid = data.draw(st.sampled_from(sorted(live)))
-            store.delete(np.array([pid]))
-            live.discard(pid)
+            store.delete(np.array([pid]), [live[pid]], [live[pid]])
+            del live[pid]
     assert len(store) == len(live)
     keys_arr = store.sorted_keys
     assert np.all(np.diff(keys_arr) >= 0)
-    assert set(int(i) for i in store.sorted_ids) == live
+    assert set(int(i) for i in store.sorted_ids) == set(live)
 
 
 @given(keys=key_lists, threshold=st.floats(-1e9, 1e9, allow_nan=False))
