@@ -1,7 +1,8 @@
 """Ablations of the design choices DESIGN.md calls out.
 
-1. Best-index heuristic: min-stretch (paper's choice) vs min-angle vs
-   random — the paper reports min-volume/min-stretch usually wins.
+1. Best-index heuristic: counted |II| against a key sketch (the default)
+   vs min-stretch (paper's choice) vs min-angle vs random — the paper
+   reports min-volume/min-stretch usually wins among its heuristics.
 2. Redundant-normal dedup on/off: budget wasted on parallel indices.
 3. Top-k LBS pruning: points checked with vs without the Claim 3 cutoff.
 4. PCA preprocessing (future work): pruning on correlated data in reduced
@@ -29,7 +30,7 @@ def test_ablation_selection_strategy(benchmark, synthetic_cache):
 
     def sweep():
         rows = []
-        for strategy in ("min_stretch", "min_angle", "random"):
+        for strategy in ("counted", "min_stretch", "min_angle", "random"):
             cell = run_query_experiment(
                 points, rq=4, n_indices=50, n_queries=15, strategy=strategy, rng=5
             )
@@ -50,6 +51,9 @@ def test_ablation_selection_strategy(benchmark, synthetic_cache):
     # The informed heuristics must beat blind random selection on pruning.
     assert by_name["min_stretch"]["pruning_pct"] >= by_name["random"]["pruning_pct"] - 2.0
     assert by_name["min_angle"]["pruning_pct"] >= by_name["random"]["pruning_pct"] - 2.0
+    # Counting |II| against the key sketch prunes at least as much as the
+    # best stretch heuristic.
+    assert by_name["counted"]["pruning_pct"] >= by_name["min_stretch"]["pruning_pct"]
 
 
 def test_ablation_redundancy_dedup(benchmark):

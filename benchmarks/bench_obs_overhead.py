@@ -34,8 +34,9 @@ import time
 import numpy as np
 
 from repro.bench import print_table
-from repro.core import PlanarIndex, ScalarProductQuery
+from repro.core import PlanarIndex, ScalarProductQuery, exact
 from repro.core.planar import QueryStats
+from repro.core.sorted_keys import key_probes
 from repro.obs import runtime as obs_runtime
 
 from conftest import scaled
@@ -58,26 +59,24 @@ def _build(rng: np.random.Generator) -> tuple[PlanarIndex, list[ScalarProductQue
 def _uninstrumented_query(index: PlanarIndex, query: ScalarProductQuery):
     """The exact disabled-path pipeline with every obs guard removed."""
     wq = index.working_query(query)
-    # interval_ranks, inlined (planar._thresholds + two binary searches)
-    t = index._working_normal * (wq.offset_w / wq.normal_w)
-    key_offset = index._translator.key_offset(index._working_normal)
-    scale = max(1.0, float(np.abs(t).max()), abs(key_offset))
-    tol = 1e-9 * scale
+    # interval_ranks, inlined (planar._thresholds + two float32 binary searches)
+    t_lo, t_hi, tol = index._thresholds(wq)
+    probe_lo, probe_hi = key_probes(t_lo - tol, t_hi + tol)
     keys = index._keys
-    r_lo = keys.rank_le(float(t.min() - key_offset) - tol)
-    r_hi = keys.rank_le(float(t.max() - key_offset) + tol)
+    r_lo = keys.rank_le(probe_lo)
+    r_hi = keys.rank_le(probe_hi)
     n = len(keys)
     # finish_query, inlined
     if wq.op.is_upper_bound:
         accepted = [keys.ids_in_rank_range(0, r_lo)]
     else:
         accepted = [keys.ids_in_rank_range(r_hi, n)]
-    verify_ids = np.sort(keys.ids_in_rank_range(r_lo, r_hi))
+    verify_ids = keys.ids_in_rank_range(r_lo, r_hi)
     n_verified = int(verify_ids.size)
     if n_verified:
         feats = np.take(index._store._data, verify_ids, axis=0)
-        mask = wq.query.evaluate(feats)
-        accepted.append(verify_ids[mask])
+        keep, _ = exact.satisfying(feats, wq.query, exact.octant_bound(wq))
+        accepted.append(verify_ids[keep])
     result_ids = np.sort(np.concatenate(accepted))
     stats = QueryStats(
         n_total=n,

@@ -18,6 +18,7 @@ from .query import Comparison, ScalarProductQuery, TopKQuery
 from .selection import (
     SelectionStrategy,
     make_selector,
+    select_counted,
     select_min_angle,
     select_min_stretch,
     select_random,
@@ -58,6 +59,7 @@ __all__ = [
     "save_index",
     "polynomial_map",
     "product_map",
+    "select_counted",
     "select_min_angle",
     "select_min_stretch",
     "select_random",

@@ -5,7 +5,11 @@ parallel to the query hyperplane.  Because the exact query normal is
 unknown, the paper maintains ``r`` indices whose normals are sampled
 uniformly from the query-parameter domains (Section 5.2), removes redundant
 (mutually parallel) normals, and picks the best index per query with an
-``O(r d')`` heuristic (Section 5.1).
+``O(r d')`` heuristic (Section 5.1).  The default heuristic counts each
+index's intermediate interval against a sketch of its sorted keys
+(:func:`~repro.core.selection.counted_scores`); the chosen index's exact
+interval then decides between verifying it and scanning a float32 copy of
+the features (:meth:`PlanarIndexCollection._plan`).
 """
 
 from __future__ import annotations
@@ -29,9 +33,14 @@ from .feature_store import FeatureStore
 from .planar import PlanarIndex, QueryResult, QueryStats, WorkingQuery
 from .query import ScalarProductQuery
 from .selection import (
+    SKETCH_BUCKETS,
     Selector,
     SelectionStrategy,
     angle_cosines,
+    counted_choice,
+    counted_scores,
+    key_offsets,
+    key_sketch,
     make_selector,
     stretch_scores,
 )
@@ -46,12 +55,13 @@ __all__ = ["PlanarIndexCollection", "dedupe_parallel_normals"]
 # safely above that.
 _PARALLEL_TOL = 1e-7
 
-# Verifying one intermediate-interval point costs a few times a
-# sequentially scanned point (scattered gather vs streaming matmul), so
-# once the interval exceeds this fraction of the data a direct scan is the
-# cheaper *exact* plan.  This mirrors a database optimizer preferring a
-# table scan over an unselective index.
-_SCAN_FALLBACK_FRACTION = 0.2
+# Verifying one intermediate-interval point (a scattered float64 row
+# gather) costs several times a point of the float32 column scan, so once
+# the interval exceeds this fraction of the data the scan is the cheaper
+# *exact* plan — a database optimizer preferring a table scan over an
+# unselective index.  Set at the measured crossover of the two routes'
+# per-query costs (docs/algorithms.md section 7, EXPERIMENTS.md).
+_SCAN_FALLBACK_FRACTION = 0.12
 
 
 @array_contract("normals: (r, d) float64 cast", returns="(k,) int64")
@@ -93,24 +103,33 @@ def dedupe_parallel_normals(normals: np.ndarray, tol: float = _PARALLEL_TOL) -> 
 class _SelectionCache:
     """Immutable snapshot of the member list plus its selection matrices.
 
-    Best-index selection needs the stacked working normals and two derived
-    row statistics; bundling them *with the member tuple they were computed
-    from* into one object that is rebound atomically (a single attribute
-    store) means a query thread that snapshots the cache once can never see
+    Best-index selection needs the stacked working normals (also as
+    columns), two derived row statistics, the translation key offsets and
+    the ``(SKETCH_BUCKETS + 1, r)`` key sketch; bundling them *with the
+    member tuple they were computed from* into one object that is rebound
+    atomically (a single attribute store) means a query thread that snapshots the cache once can never see
     a matrix from one index generation paired with the member list of
     another — the invariant that makes ``add_index``/``drop_index`` safe to
     run concurrently with queries (a racing query may route through the
-    just-retired generation, but every generation answers exactly).
+    just-retired generation, but every generation answers exactly).  The
+    sketch and offsets are rebuilt after every write of this collection; a
+    stale one only chooses worse, because the chosen index's interval is
+    always ranked exactly.
     """
 
-    __slots__ = ("indices", "matrix", "row_min", "row_norm")
+    __slots__ = ("indices", "matrix", "columns", "row_min", "row_norm", "offsets", "sketch")
 
-    def __init__(self, indices: Sequence[PlanarIndex]) -> None:
+    def __init__(self, indices: Sequence[PlanarIndex], delta: np.ndarray) -> None:
         self.indices: tuple[PlanarIndex, ...] = tuple(indices)
         matrix = np.vstack([index.working_normal for index in self.indices])
         self.matrix = matrix
+        self.columns = np.ascontiguousarray(matrix.T)
         self.row_min = matrix.min(axis=1)
         self.row_norm = np.linalg.norm(matrix, axis=1)
+        self.offsets = key_offsets(self.columns, delta)
+        self.sketch = np.column_stack(
+            [key_sketch(index.sorted_keys) for index in self.indices]
+        )
 
 
 class PlanarIndexCollection:
@@ -127,8 +146,9 @@ class PlanarIndexCollection:
         Index normals, one row per index, in original coordinates.
         Redundant (parallel) rows are dropped.
     strategy:
-        Best-index selection strategy (paper default: min-stretch, the
-        volume heuristic used in all its experiments).
+        Best-index selection strategy (default: counted |II| against the
+        key sketch; the paper's min-stretch, min-angle and random remain
+        available).
     obs_prefix:
         Prefix prepended to every member's positional observability label
         (``repro_indexed_points{index=...}`` and friends).  The sharded
@@ -142,7 +162,7 @@ class PlanarIndexCollection:
         store: FeatureStore,
         translator: Translator,
         normals: np.ndarray,
-        strategy: SelectionStrategy | str = SelectionStrategy.MIN_STRETCH,
+        strategy: SelectionStrategy | str = SelectionStrategy.COUNTED,
         rng: np.random.Generator | int | None = None,
         obs_prefix: str = "",
     ) -> None:
@@ -234,13 +254,14 @@ class PlanarIndexCollection:
             index.set_obs_label(self._label(position))
 
     def _refresh_selection_cache(self) -> None:
-        """Precompute per-index normal matrices for O(r d') vectorized
-        selection — one numpy expression instead of a Python loop over
-        indices (Section 5.1 requires selection to be dataset-independent
-        and cheap; at Python speeds it must also be loop-free).  The
-        snapshot is rebound atomically (see :class:`_SelectionCache`) so
-        queries racing a lifecycle mutation stay consistent."""
-        self._cache = _SelectionCache(self._indices)
+        """Precompute per-index normal matrices and key sketches for
+        vectorized selection — one numpy expression instead of a Python
+        loop over indices (Section 5.1 requires selection to be
+        dataset-independent and cheap; at Python speeds it must also be
+        loop-free).  The snapshot is rebound atomically (see
+        :class:`_SelectionCache`) so queries racing a lifecycle mutation
+        stay consistent."""
+        self._cache = _SelectionCache(self._indices, self._translator.delta)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -253,7 +274,7 @@ class PlanarIndexCollection:
         translator: Translator,
         model: QueryModel,
         budget: int,
-        strategy: SelectionStrategy | str = SelectionStrategy.MIN_STRETCH,
+        strategy: SelectionStrategy | str = SelectionStrategy.COUNTED,
         rng: np.random.Generator | int | None = None,
     ) -> "PlanarIndexCollection":
         """Sample ``budget`` index normals from the query model (Section 5.2)."""
@@ -305,23 +326,31 @@ class PlanarIndexCollection:
         cache = self._cache
         return cache.indices[self._select_position(wq, cache)]
 
+    def _sketch_scores(
+        self, wq: WorkingQuery, cache: "_SelectionCache"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(counts, stretch)`` of every member against the cached key sketch."""
+        return counted_scores(cache.columns, cache.row_min, cache.offsets, cache.sketch, wq)
+
     def _select_position(
         self, wq: WorkingQuery, cache: "_SelectionCache | None" = None
     ) -> int:
-        """Vectorized fast paths for the two paper heuristics.
+        """Vectorized fast paths for counted selection and the paper heuristics.
 
-        Equivalent to :func:`~repro.core.selection.select_min_stretch` /
-        ``select_min_angle`` but evaluated as one ``(r, d')`` numpy
-        expression over the (snapshotted) selection cache.  Callers that
-        will look the position up must pass the same ``cache`` snapshot
-        they index into, so a concurrent lifecycle mutation cannot shift
-        positions under them.
+        Equivalent to :func:`~repro.core.selection.select_counted` /
+        ``select_min_stretch`` / ``select_min_angle`` but evaluated as one
+        ``(r, d')`` numpy expression over the (snapshotted) selection
+        cache.  Callers that will look the position up must pass the same
+        ``cache`` snapshot they index into, so a concurrent lifecycle
+        mutation cannot shift positions under them.
         """
         if cache is None:
             cache = self._cache
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        if self._strategy is SelectionStrategy.MIN_STRETCH:
+        if self._strategy is SelectionStrategy.COUNTED:
+            position = counted_choice(*self._sketch_scores(wq, cache))
+        elif self._strategy is SelectionStrategy.MIN_STRETCH:
             position = int(
                 np.argmin(stretch_scores(cache.matrix, cache.row_min, wq))
             )
@@ -344,34 +373,41 @@ class PlanarIndexCollection:
         """``(position, index, r_lo, r_hi, n, route)`` for one working query.
 
         The one routing decision: verifying the chosen index's
-        intermediate interval costs a few times a streamed scan per point,
-        so above ``_SCAN_FALLBACK_FRACTION`` of the data the route is
-        ``"scan"``, else ``"intervals"``.
+        intermediate interval costs several times a scanned point per
+        point, so above ``_SCAN_FALLBACK_FRACTION`` of the data the route
+        is ``"scan"``, else ``"intervals"``.  With obs armed, counted
+        selection records how far its sketch estimate was from the exact
+        |II| (``repro_ii_estimate_error``).
         """
         if cache is None:
             cache = self._cache
         position = self._select_position(wq, cache)
         index = cache.indices[position]
         r_lo, r_hi, n = index.interval_ranks(wq)
+        if n and self._strategy is SelectionStrategy.COUNTED and _ort.active():
+            estimate = self._sketch_scores(wq, cache)[0][position] * n / SKETCH_BUCKETS
+            _om.ii_estimate_error().observe(abs(estimate - (r_hi - r_lo)) / n)
         route = "intervals" if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n else "scan"
         return position, index, r_lo, r_hi, n, route
 
     def _scan_result(
         self, wq: WorkingQuery, best: PlanarIndex, r_lo: int, r_hi: int, n: int
     ) -> QueryResult:
-        """Cost-based scan fallback: exact answer by one streamed matmul.
+        """Cost-based scan fallback: exact answer by one streamed float32 scan.
 
         Pruning statistics stay interval-based (``si``/``ii``/``li`` from
         the chosen index's ranks) so Figures 9/10 metrics are unaffected by
-        the routing decision; ``n_verified`` reflects the scan.  With no
-        dead rows the scan's positions are the ids themselves.
+        the routing decision; ``n_verified`` reflects the scan.  Rows
+        within the scan's bound of ``b`` are re-decided from their float64
+        rows.  With no dead rows the scan's positions are the ids
+        themselves.
         """
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        ids, values = self._store.scan_values(wq.query.normal)
+        ids, values, bound = self._store.scan_values(wq.query.normal)
         take = self._store.take_rows
         rows = take if ids is None else lambda at: take(ids[at])
-        keep = exact.select(values, wq.query, exact.octant_bound(wq), rows)
+        keep = exact.select(values, wq.query, bound, rows)
         result_ids = keep if ids is None else ids[keep]
         if obs_on:
             _osp.record("scan", started, n=n)
@@ -497,8 +533,9 @@ class PlanarIndexCollection:
         """Execute ``query`` and report selection, partition, and pruning.
 
         The report scores *every* candidate index (stretch, |cos| angle,
-        and the intermediate-interval size an ``interval_ranks`` probe
-        predicts), marks the one the configured strategy chose, then
+        the intermediate-interval size an ``interval_ranks`` probe counts
+        and the one its key sketch estimates), marks the one the
+        configured strategy chose, then
         executes the query through exactly the same routing as
         :meth:`query` — so the reported SI/II/LI sizes, verification count
         and result count are identical to what :meth:`query` returns for
@@ -511,9 +548,10 @@ class PlanarIndexCollection:
         cache = self._cache
         plan = self._plan(wq, cache)
         chosen, best, r_lo, r_hi, n, route = plan
+        counts, _ = self._sketch_scores(wq, cache)
         candidates = []
         for position, index in enumerate(cache.indices):
-            r_lo_c, r_hi_c, _ = index.interval_ranks(wq)
+            r_lo_c, r_hi_c, n_c = index.interval_ranks(wq)
             candidates.append(
                 IndexCandidate(
                     position=position,
@@ -521,6 +559,7 @@ class PlanarIndexCollection:
                     angle_cos=index.angle_cosine(wq),
                     expected_ii=r_hi_c - r_lo_c,
                     chosen=position == chosen,
+                    estimated_ii=round(int(counts[position]) * n_c / SKETCH_BUCKETS),
                 )
             )
         result, _ = self._query_impl(wq, plan)
@@ -616,15 +655,18 @@ class PlanarIndexCollection:
         """Propagate a feature update (changed rows, replacing ``old_rows``) to every index."""
         for index in self._indices:
             index.rekey(ids, rows, old_rows)
+        self._refresh_selection_cache()
 
     @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
     def insert(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Propagate newly appended points to every index."""
         for index in self._indices:
             index.insert(ids, rows)
+        self._refresh_selection_cache()
 
     @array_contract("ids: (m,) int64 cast", "old_rows: (m, d) float64 cast")
     def delete(self, ids: np.ndarray, old_rows: np.ndarray) -> None:
         """Propagate deletions of points with feature rows ``old_rows`` to every index."""
         for index in self._indices:
             index.delete(ids, old_rows)
+        self._refresh_selection_cache()

@@ -13,7 +13,10 @@ the column maxima of the rows elsewhere (:func:`column_bound`).  Rows whose
 BLAS value lies outside ``[b - E, b + E]`` are decided from it; the few
 inside are re-decided from the exactly rounded residual (:func:`residuals`:
 Dekker TwoProduct plus ``math.fsum``, ``Fraction`` when a product under- or
-overflows the split).  :func:`key_band` applies the same rounding model to
+overflows the split).  The scan route reads a float32 column copy of the
+rows instead (:func:`scan_columns`, :func:`scan`): its values come with
+their own bound ``E32`` and are compared against float32 thresholds rounded
+outward.  :func:`key_band` applies the same rounding model to
 the stored index keys, including their rounding to float32, and
 :func:`key_window` bounds the key a stored row was filed under so that
 maintenance finds its entry by key.  Derivations: ``docs/algorithms.md``
@@ -28,8 +31,12 @@ from typing import Callable
 
 import numpy as np
 
+from .sorted_keys import _DOWN, _UP, KEY_DTYPE, _round
+
 __all__ = [
+    "SCAN_DTYPE",
     "column_bound",
+    "column_magnitudes",
     "error_bound",
     "key_band",
     "key_rounding",
@@ -37,9 +44,15 @@ __all__ = [
     "octant_bound",
     "residuals",
     "satisfying",
+    "scan",
+    "scan_columns",
+    "scan_scale",
     "select",
     "sorted_by_distance",
 ]
+
+#: dtype of the scan route's column copy of the feature rows.
+SCAN_DTYPE = KEY_DTYPE
 
 _U = 2.0 ** -53
 # Smallest subnormal: a product that underflows is off by at most half.
@@ -54,6 +67,17 @@ _PRODUCT_MAX = 2.0 ** 1000
 # the smallest float32 subnormal for keys that round into or below it.
 _U32 = 2.0 ** -24
 _ETA32 = 2.0 ** -150
+# The float32 scan: the smallest float32 subnormal (a rounding of a float64
+# below the normal range is off by at most half of it, a float64 scaling
+# that underflows by far less), the float32 maximum, and 2**128, where a
+# float64 rounds to infinity in float32.
+_TINY32 = 2.0 ** -149
+_MAX32 = float(np.finfo(KEY_DTYPE).max)
+_LIMIT32 = 2.0 ** 128
+# Below this magnitude no product or partial sum of a scan value overflows.
+_FINITE32 = 2.0 ** 125
+# Query normals whose largest |a_i| lies in this range are scanned unscaled.
+_SCALE_FREE = (2.0 ** -64, 2.0 ** 64)
 
 
 def error_bound(magnitude, dim: int):
@@ -139,6 +163,79 @@ def key_window(rows: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, np.nda
     return low, high
 
 
+def column_magnitudes(rows: np.ndarray) -> np.ndarray:
+    """``min(max_j |x_ji|, 2**128)`` per column of ``rows``.
+
+    Bounds ``|x_i|`` for every row whose float32 copy is finite: a value of
+    magnitude ``2**128`` or more rounds to infinity.  The elementwise
+    maximum of two results bounds the rows of both.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    return np.minimum(np.abs(rows).max(axis=0, initial=0.0), _LIMIT32)
+
+
+def scan_columns(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(columns, magnitudes)``: the float32 ``(d, m)`` scan copy of ``rows``.
+
+    Column-major, so :func:`scan` streams ``d`` contiguous float32 rows;
+    values beyond the float32 range become infinite.  ``magnitudes`` is
+    :func:`column_magnitudes` of ``rows``.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        columns = np.ascontiguousarray(rows.T, dtype=SCAN_DTYPE)
+    return columns, column_magnitudes(rows)
+
+
+def scan_scale(normal: np.ndarray) -> float:
+    """The power of two ``s`` the float32 scan multiplies ``a`` and ``b`` by.
+
+    ``1`` unless ``max_i |a_i|`` lies outside ``[2**-64, 2**64]``; then
+    ``max_i |a_i s|`` lies in ``[0.5, 1)``, so ``fl32(a s)`` cannot
+    overflow.  Scaling both sides by a power of two keeps the decision.
+    """
+    peak = float(np.abs(normal).max())
+    if _SCALE_FREE[0] <= peak <= _SCALE_FREE[1] or not 0.0 < peak < math.inf:
+        return 1.0
+    return math.ldexp(1.0, -math.frexp(peak)[1])
+
+
+def scan(
+    columns: np.ndarray, magnitudes: np.ndarray, normal: np.ndarray
+) -> tuple[np.ndarray, float]:
+    """``(values, E32)``: float32 ``<fl32(a s), fl32(x)>`` of every stored row.
+
+    ``columns`` and ``magnitudes`` come from :func:`scan_columns` (or an
+    elementwise upper bound of ``magnitudes``), ``s`` is
+    :func:`scan_scale`.  Every finite value is within ``E32`` of the exact
+    ``s <a, x>``, for any summation order, FMA included
+    (``docs/algorithms.md`` section 6).  A value the bound does not cover
+    (a row beyond the float32 range, an overflowing product or sum) is
+    NaN, which :func:`select` always re-decides.
+    """
+    normal = np.asarray(normal, dtype=np.float64)
+    scaled = normal * scan_scale(normal)
+    with np.errstate(under="ignore"):
+        normal32 = scaled.astype(SCAN_DTYPE)
+    weights = np.abs(scaled)
+    magnitude = float(weights @ magnitudes)
+    tail = float(weights.sum() + magnitudes.sum())
+    dim = normal.size
+    gamma = dim * _U32 / (1.0 - dim * _U32)
+    # Rounding a s and x to float32, then the float32 dot product, then the
+    # roundings into or below the subnormal range; the last factor covers
+    # evaluating all of it in float64.
+    inputs = _U32 * (2.0 + _U32) * magnitude
+    dot = gamma * (1.0 + _U32) ** 2 * magnitude
+    tiny = _TINY32 * ((1.0 + _U32) * (1.0 + gamma) * tail + 2.0 * dim)
+    bound = (1.0 + 2.0 ** -30) * (inputs + dot + tiny)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = normal32 @ columns
+    if not (magnitudes.max(initial=0.0) <= _MAX32 and magnitude <= _FINITE32):
+        values[~np.isfinite(values)] = np.nan
+    return values, bound
+
+
 def _split(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     scaled = _SPLITTER * x
     high = scaled - (scaled - x)
@@ -204,6 +301,18 @@ def _holds(residual: np.ndarray, op) -> np.ndarray:
     return residual > 0.0 if op.is_strict else residual >= 0.0
 
 
+def _scan_thresholds(offset: float, bound: float) -> tuple[np.floating, np.floating]:
+    """float32 ``(low, high)`` with ``low <= offset - bound`` and ``high >= offset + bound``.
+
+    The float64 difference and sum are stepped one ulp outward (the float
+    next to a rounded value lies beyond the real one), then rounded
+    outward to float32.
+    """
+    low = _round(math.nextafter(offset - bound, -math.inf), _DOWN)
+    high = _round(math.nextafter(offset + bound, math.inf), _UP)
+    return low, high
+
+
 def select(
     values: np.ndarray,
     query,
@@ -213,17 +322,24 @@ def select(
     """Ascending positions of the rows satisfying ``query``, decided exactly.
 
     ``values`` are the rows' BLAS products with ``query.normal`` and
-    ``bound`` their forward error ``E``.  Only candidates within ``E`` of
-    ``b`` are fetched through ``rows(positions)`` and re-decided.
+    ``bound`` their forward error ``E``, or float32 :func:`scan` values and
+    their ``E32``; those are compared against ``s b -+ E32`` rounded
+    outward to float32 scalars, so numpy neither rounds nor upcasts them.
+    Only candidates within the bound of ``b``, and NaN values, are fetched
+    through ``rows(positions)`` and re-decided.
     """
     offset = query.offset
-    low, high = offset - bound, offset + bound
-    if query.op.is_upper_bound:
-        candidates = np.flatnonzero(values <= high)
-        band = values[candidates] >= low
+    if values.dtype == SCAN_DTYPE:
+        low, high = _scan_thresholds(offset * scan_scale(query.normal), bound)
     else:
-        candidates = np.flatnonzero(values >= low)
-        band = values[candidates] <= high
+        low, high = offset - bound, offset + bound
+    # Negated tests keep NaN values in the band.
+    if query.op.is_upper_bound:
+        candidates = np.flatnonzero(~(values > high))
+        band = ~(values[candidates] < low)
+    else:
+        candidates = np.flatnonzero(~(values < low))
+        band = ~(values[candidates] > high)
     if not band.any():
         return candidates
     keep = _holds(residuals(rows(candidates[band]), query.normal, offset), query.op)

@@ -6,6 +6,11 @@ rows by point id.  :class:`FeatureStore` centralizes that storage so a
 collection of ``r`` indices costs one feature matrix plus ``r`` key arrays —
 matching the paper's ``O(n * r)`` space claim with a small constant.
 
+The scan route reads a float32, column-major copy of the rows
+(:meth:`FeatureStore.scan_values`), built on the first scan and kept
+current by every later write; a store that is never scanned (the raw
+points) never holds one.
+
 The store is dynamic (Section 4.4): rows can be appended, re-valued, and
 deleted.  Ids are stable row handles; deleted ids are never reused so stale
 references fail loudly.  Key stores hold ids as ``uint32``, so a store
@@ -22,6 +27,7 @@ from ..exceptions import DimensionMismatchError, IndexBuildError
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
 from ..reliability import faults as _flt
+from . import exact
 from .sorted_keys import ID_MAX
 
 __all__ = ["FeatureStore", "require_id_space"]
@@ -63,10 +69,13 @@ class FeatureStore:
         self._live = np.ones(data.shape[0], dtype=bool)
         self._n_live = int(data.shape[0])
         # Bumped by every mutation (update/append/delete) so read-side
-        # caches — e.g. a shard view's materialized row slice — can
+        # caches — e.g. a shard view's float32 scan copy — can
         # invalidate with one integer comparison.
         self._version = 0
         self._writable = True
+        # (float32 columns, column magnitudes) of exact.scan_columns, built
+        # by the first scan_values call.
+        self._scan: tuple[np.ndarray, np.ndarray] | None = None
 
     @classmethod
     def from_backing(cls, data: np.ndarray) -> "FeatureStore":
@@ -90,6 +99,7 @@ class FeatureStore:
         store._n_live = int(data.shape[0])
         store._version = 0
         store._writable = False
+        store._scan = None
         return store
 
     def _require_writable(self) -> None:
@@ -140,8 +150,11 @@ class FeatureStore:
         return 0 <= int(point_id) < self.capacity and bool(self._live[int(point_id)])
 
     def memory_bytes(self) -> int:
-        """Heap footprint of the backing arrays."""
-        return int(self._data.nbytes + self._live.nbytes)
+        """Heap footprint of the backing arrays and the scan copy, once built."""
+        total = self._data.nbytes + self._live.nbytes
+        if self._scan is not None:
+            total += self._scan[0].nbytes + self._scan[1].nbytes
+        return int(total)
 
     # ------------------------------------------------------------------ #
 
@@ -184,32 +197,37 @@ class FeatureStore:
         return ids, self._data[ids]
 
     @array_contract("normal: (d,) float64 cast")
-    def scan_values(self, normal: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-        """``(ids, <normal, row>)`` for every live row via one matmul.
+    def scan_values(
+        self, normal: np.ndarray
+    ) -> tuple[np.ndarray | None, np.ndarray, float]:
+        """``(ids, values, E32)``: float32 scan values of every live row.
 
         This is the streaming evaluation a sequential scan performs; the
         collection's cost-based router uses it when an index's intermediate
-        interval would be more expensive to verify than scanning.  ``ids``
-        is ``None`` when every row is live: positions are then ids, and
-        the scan builds no id array.
+        interval would be more expensive to verify than scanning.  The
+        values come from the float32 column copy (:func:`exact.scan`, built
+        here on the first call) and are decided by :func:`exact.select`
+        with their bound ``E32``.  ``ids`` is ``None`` when every row is
+        live: positions are then ids, and the scan builds no id array.
         """
         if _ort.active():
             _om.store_scans().inc()
-        values = self._data @ np.ascontiguousarray(normal, dtype=np.float64)
+        if self._scan is None:
+            self._scan = exact.scan_columns(self._data)
+        values, bound = exact.scan(*self._scan, normal)
         if self._n_live == self.capacity:
-            return None, values
+            return None, values, bound
         ids = self.live_ids()
-        return ids, values[ids]
+        return ids, values[ids], bound
 
     @array_contract("normals: (m, d) float64 cast promote")
     def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
         """``(ids, values)`` of every live row under ``m`` normals at once.
 
-        ``values`` has shape ``(n_live, m)`` with column ``j`` equal to
-        ``scan_values(normals[j])[1]`` — one matrix product instead of
-        ``m`` matrix-vector products.  No query path calls it; the batch
-        calls loop over :meth:`scan_values` so they sum in the same order
-        as single queries.  Counts ``m`` store scans (each column is one
+        ``values`` has shape ``(n_live, m)`` with column ``j`` the float64
+        products ``<normals[j], row>`` — one matrix product over the
+        float64 rows.  No query path calls it; the batch calls loop over
+        :meth:`scan_values`.  Counts ``m`` store scans (each column is one
         logical scan).  ``ids`` is ``None`` when every row is live, as in
         :meth:`scan_values`.
         """
@@ -234,6 +252,10 @@ class FeatureStore:
             )
         require_finite_rows(rows, "rows")
         self._data[ids] = rows
+        if self._scan is not None:
+            columns, magnitudes = exact.scan_columns(rows)
+            self._scan = (self._scan[0], np.maximum(self._scan[1], magnitudes))
+            self._scan[0][:, ids] = columns
         self._version += 1
 
     @array_contract("rows: (m, d) float64 cast promote", returns="(m,) int64")
@@ -251,6 +273,12 @@ class FeatureStore:
         start = self.capacity
         require_id_space(start + rows.shape[0])
         self._data = np.vstack([self._data, rows])
+        if self._scan is not None:
+            columns, magnitudes = exact.scan_columns(rows)
+            self._scan = (
+                np.concatenate([self._scan[0], columns], axis=1),
+                np.maximum(self._scan[1], magnitudes),
+            )
         self._live = np.concatenate([self._live, np.ones(rows.shape[0], dtype=bool)])
         self._n_live += rows.shape[0]
         self._version += 1

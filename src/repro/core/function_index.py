@@ -184,7 +184,8 @@ class FunctionIndex:
         from the query model — e.g. the MOVIES-style per-time-slot normals
         of the moving-object application (Section 7.5.1).
     strategy:
-        Best-index heuristic (paper default: min-stretch / volume).
+        Best-index heuristic (default: counted |II| against a key sketch;
+        the paper's min-stretch / volume heuristic is ``"min_stretch"``).
     scan_fallback:
         Answer octant-incompatible queries by scanning instead of raising.
     margin:
@@ -208,7 +209,7 @@ class FunctionIndex:
         feature_map: FeatureMap | None = None,
         n_indices: int = 10,
         normals: np.ndarray | None = None,
-        strategy: SelectionStrategy | str = SelectionStrategy.MIN_STRETCH,
+        strategy: SelectionStrategy | str = SelectionStrategy.COUNTED,
         scan_fallback: bool = True,
         margin: float = 0.0,
         rng: np.random.Generator | int | None = None,

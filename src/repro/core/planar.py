@@ -272,6 +272,11 @@ class PlanarIndex:
         """Feature dimensionality ``d'``."""
         return int(self._normal.size)
 
+    @property
+    def sorted_keys(self) -> np.ndarray:
+        """Stored float32 keys in ascending order (read-only view)."""
+        return self._keys.sorted_keys
+
     def memory_bytes(self) -> int:
         """Footprint of this index's key structures (excludes shared features)."""
         return self._keys.memory_bytes()

@@ -30,23 +30,32 @@ __all__ = ["IndexCandidate", "ExplainReport", "render_report"]
 
 @dataclass(frozen=True)
 class IndexCandidate:
-    """Selection-time score card for one candidate index."""
+    """Selection-time score card for one candidate index.
+
+    ``expected_ii`` is the |II| two binary searches count exactly;
+    ``estimated_ii`` the key-sketch count counted selection ranks by,
+    scaled to points (sketch keys × n / 32).
+    """
 
     position: int
     stretch: float
     angle_cos: float
     expected_ii: int
     chosen: bool = False
+    estimated_ii: Optional[int] = None
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-friendly representation."""
-        return {
+        payload = {
             "position": self.position,
             "stretch": self.stretch,
             "angle_cos": self.angle_cos,
             "expected_ii": self.expected_ii,
             "chosen": self.chosen,
         }
+        if self.estimated_ii is not None:
+            payload["estimated_ii"] = self.estimated_ii
+        return payload
 
 
 @dataclass(frozen=True)
@@ -145,12 +154,15 @@ def render_report(report: ExplainReport) -> str:
         lines.append(f"key interval: [{lo:g}, {hi:g}]")
     if report.candidates:
         lines.append("candidates:")
-        lines.append("  pos   stretch      angle_cos   expected_ii   chosen")
+        lines.append(
+            "  pos   stretch      angle_cos   expected_ii   estimated_ii   chosen"
+        )
         for candidate in report.candidates:
             marker = "  *" if candidate.chosen else ""
             lines.append(
                 f"  {candidate.position:<5d} {candidate.stretch:<12.6g} "
-                f"{candidate.angle_cos:<11.6g} {candidate.expected_ii:<13,d}{marker}"
+                f"{candidate.angle_cos:<11.6g} {candidate.expected_ii:<13,d} "
+                f"{_fmt_opt(candidate.estimated_ii):<14}{marker}"
             )
     if report.rank_lo is not None and report.rank_hi is not None:
         lines.append(f"rank window: [{report.rank_lo}, {report.rank_hi})")

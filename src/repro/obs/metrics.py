@@ -47,6 +47,7 @@ __all__ = [
     "interval_points",
     "verified_points",
     "selection_total",
+    "ii_estimate_error",
     "rows_gathered",
     "store_scans",
     "indexed_points",
@@ -517,6 +518,23 @@ def selection_total() -> Counter:
         "repro_selection_total",
         "Best-index selections, by strategy and chosen index position.",
         ("strategy", "index"),
+    )
+
+
+#: Estimate-error histogram buckets: |estimated - counted| |II| as a fraction of n.
+II_ERROR_BUCKETS: tuple[float, ...] = (
+    0.001, 0.0025, 0.005, 0.01, 0.02, 0.03, 0.05, 0.1, 0.2, 0.5, 1.0,
+)
+
+
+def ii_estimate_error() -> Histogram:
+    """How far counted selection's sketch estimate was from the exact |II|."""
+    return _DEFAULT.histogram(
+        "repro_ii_estimate_error",
+        "|sketch-estimated - counted| intermediate interval of the chosen "
+        "index, as a fraction of the indexed points (counted selection).",
+        (),
+        buckets=II_ERROR_BUCKETS,
     )
 
 

@@ -189,7 +189,7 @@ class ShardedFunctionIndex(FunctionIndex):
         feature_map: FeatureMap | None = None,
         n_indices: int = 10,
         normals: np.ndarray | None = None,
-        strategy: SelectionStrategy | str = SelectionStrategy.MIN_STRETCH,
+        strategy: SelectionStrategy | str = SelectionStrategy.COUNTED,
         scan_fallback: bool = True,
         margin: float = 0.0,
         rng: np.random.Generator | int | None = None,

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..core import exact
 from ..core.feature_store import FeatureStore
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
@@ -32,7 +33,7 @@ class FeatureStoreView:
     for which ``assign_shards(id) == shard``.
     """
 
-    __slots__ = ("_base", "_shard", "_n_shards", "_policy", "_ids_cache", "_rows_cache")
+    __slots__ = ("_base", "_shard", "_n_shards", "_policy", "_ids_cache", "_scan_cache")
 
     def __init__(
         self, base: FeatureStore, shard: int, n_shards: int, policy: str
@@ -43,17 +44,17 @@ class FeatureStoreView:
         self._shard = int(shard)
         self._n_shards = int(n_shards)
         self._policy = str(policy)
-        # Memoized owned live ids and (lazily) the matching contiguous row
-        # slice, both keyed by the base store's mutation ``version``.
-        # Recomputing membership over the whole base per scan would make
-        # ``S`` shards do ``S`` times the id work of one monolithic scan,
-        # and scattered row gathers cost as much as the scan matmul
-        # itself — the materialized slice turns shard scans back into
+        # Memoized owned live ids and (lazily) the float32 scan copy of the
+        # matching rows, both keyed by the base store's mutation
+        # ``version``.  Recomputing membership over the whole base per scan
+        # would make ``S`` shards do ``S`` times the id work of one
+        # monolithic scan, and scattered row gathers cost as much as the
+        # scan itself — the materialized copy turns shard scans back into
         # contiguous streams.  Each cache is one tuple so a racing
         # recompute in another pool thread is benign (last writer wins,
         # both values correct for their version).
         self._ids_cache: tuple[int, np.ndarray] | None = None
-        self._rows_cache: tuple[int, np.ndarray] | None = None
+        self._scan_cache: tuple[int, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -92,23 +93,22 @@ class FeatureStoreView:
         self._ids_cache = (version, ids)
         return ids
 
-    def _local_rows(self) -> np.ndarray:
-        """Contiguous copy of this shard's live rows (memoized).
+    def _scan_copy(self) -> tuple[np.ndarray, np.ndarray]:
+        """float32 column copy of this shard's live rows and its magnitudes (memoized).
 
         Materialized lazily on the first scan after a mutation; across all
-        shards the caches add up to at most one extra copy of the live
-        feature matrix — the price of giving every shard a streamable
-        local slice, exactly as a distributed deployment would hold its
-        partition locally.
+        shards the caches add up to one float32 copy of the live feature
+        matrix — the price of giving every shard a streamable local slice,
+        exactly as a distributed deployment would hold its partition
+        locally.
         """
         version = self._base.version
-        cached = self._rows_cache
+        cached = self._scan_cache
         if cached is not None and cached[0] == version:
-            return cached[1]
-        rows = self._base.take_rows(self.live_ids())
-        rows.setflags(write=False)
-        self._rows_cache = (version, rows)
-        return rows
+            return cached[1], cached[2]
+        columns, magnitudes = exact.scan_columns(self._base.take_rows(self.live_ids()))
+        self._scan_cache = (version, columns, magnitudes)
+        return columns, magnitudes
 
     def __len__(self) -> int:
         """Number of live rows owned by this shard."""
@@ -123,12 +123,12 @@ class FeatureStoreView:
         return owned and self._base.is_live(point_id)
 
     def memory_bytes(self) -> int:
-        """Footprint of the view's memoized id/row caches."""
+        """Footprint of the view's memoized id and scan caches."""
         total = 0
         if self._ids_cache is not None:
             total += int(self._ids_cache[1].nbytes)
-        if self._rows_cache is not None:
-            total += int(self._rows_cache[1].nbytes)
+        if self._scan_cache is not None:
+            total += int(self._scan_cache[1].nbytes + self._scan_cache[2].nbytes)
         return total
 
     # ------------------------------------------------------------------ #
@@ -147,32 +147,33 @@ class FeatureStoreView:
         return self._base.take_rows(ids)
 
     def get_all(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, rows)`` for every live row owned by this shard."""
-        return self.live_ids(), self._local_rows()
+        """``(ids, rows)`` for every live row owned by this shard (float64 copy)."""
+        ids = self.live_ids()
+        return ids, self._base.take_rows(ids)
 
-    def scan_values(self, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Shard-restricted streaming scan: ``(ids, <normal, row>)``.
+    def scan_values(self, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+        """Shard-restricted streaming scan: ``(ids, values, E32)``.
 
-        Streams the memoized contiguous slice, so ``S`` shards scanning
-        concurrently together do the same arithmetic as one monolithic
-        scan — split ``S`` ways.
+        Streams the memoized float32 column copy (:func:`exact.scan`), so
+        ``S`` shards scanning concurrently together do the same arithmetic
+        as one monolithic scan — split ``S`` ways.
         """
         if _ort.active():
             _om.store_scans().inc()
         ids = self.live_ids()
-        values = self._local_rows() @ np.ascontiguousarray(normal, dtype=np.float64)  # repro: noqa(REP001) — shard-local scan, cost-routed by the collection
-        return ids, values
+        values, bound = exact.scan(*self._scan_copy(), normal)
+        return ids, values, bound
 
     def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Shard-restricted batched scan: ``(ids, (n_owned, m) values)``.
 
-        Column ``j`` equals ``scan_values(normals[j])[1]`` — one matrix
-        product over the memoized contiguous slice instead of ``m``
-        matrix-vector products (mirrors :meth:`FeatureStore.scan_values_many`).
+        Column ``j`` holds the float64 products ``<normals[j], row>``, one
+        matrix product over the gathered rows (mirrors
+        :meth:`FeatureStore.scan_values_many`).
         """
         normals = np.ascontiguousarray(normals, dtype=np.float64)
         if _ort.active():
             _om.store_scans().inc(normals.shape[0])
-        ids = self.live_ids()
-        values = self._local_rows() @ np.ascontiguousarray(normals.T)  # repro: noqa(REP001) — shard-local scan, cost-routed by the collection
+        ids, rows = self.get_all()
+        values = rows @ np.ascontiguousarray(normals.T)  # repro: noqa(REP001) — shard-local scan, cost-routed by the collection
         return ids, values

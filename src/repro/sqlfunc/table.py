@@ -114,7 +114,7 @@ class Table:
         param_domains: Sequence[ParameterDomain],
         rhs: float = 0.0,
         n_indices: int = 10,
-        strategy: SelectionStrategy | str = SelectionStrategy.MIN_STRETCH,
+        strategy: SelectionStrategy | str = SelectionStrategy.COUNTED,
         rng: np.random.Generator | int | None = None,
     ) -> "FunctionIndexHandle":
         """Compile ``expression`` and build a Planar function index for it.

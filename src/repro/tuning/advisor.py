@@ -15,9 +15,11 @@ The advisor does not invent a cost model.  For each (candidate, query)
 pair it evaluates exactly the quantities the executor computes at query
 time:
 
-* stretch scores come from :func:`repro.core.selection.stretch_scores`,
-  the *same* function the collection's min-stretch router calls, so the
-  simulated routing decision is the executor's routing decision;
+* each candidate's sketch count and stretch come from
+  :func:`repro.core.selection.counted_scores`, the *same* function the
+  collection's counted router calls, over the same
+  :func:`~repro.core.selection.key_sketch` of the keys it would store, so
+  the simulated routing decision is the executor's routing decision;
 * predicted |II| replays :meth:`repro.core.planar.PlanarIndex._thresholds`
   / ``interval_ranks`` — thresholds ``(c''/a'') * b''``, the translation key
   offset ``<c'', delta>``, the same :func:`repro.core.exact.key_band` guard
@@ -60,7 +62,7 @@ from ..core import exact
 from ..core.collection import PlanarIndexCollection, dedupe_parallel_normals
 from ..core.planar import WorkingQuery
 from ..core.query import ScalarProductQuery
-from ..core.selection import stretch_scores
+from ..core.selection import counted_scores, key_offsets, key_sketch
 from ..core.sorted_keys import as_keys, key_probes
 from ..exceptions import InvalidQueryError, TuningError
 from ..obs import metrics as _om
@@ -351,13 +353,14 @@ def _working_queries(
 class _Simulation:
     """Per-candidate, per-query cost matrices over the recorded workload.
 
-    ``stretch[j, q]`` is candidate ``j``'s min-stretch routing score for
-    query ``q`` (lower wins); ``ii[j, q]`` its predicted intermediate
-    interval size.  ``n_points`` is the full-scan cost a query pays when
-    no selected index exists (the empty-portfolio baseline).
+    ``score[j, q]`` ranks candidate ``j`` for query ``q`` as the counted
+    router does (lower wins): its sketch count first, its stretch second,
+    as one integer.  ``ii[j, q]`` is its predicted intermediate interval
+    size.  ``n_points`` is the full-scan cost a query pays when no
+    selected index exists (the empty-portfolio baseline).
     """
 
-    stretch: np.ndarray
+    score: np.ndarray
     ii: np.ndarray
     n_points: int
 
@@ -366,15 +369,15 @@ class _Simulation:
 
         Folding with a strict ``<`` in portfolio order replicates the
         executor's ``argmin`` (first index wins ties), so the predicted
-        cost of a portfolio equals what the min-stretch router would
+        cost of a portfolio equals what the counted router would
         actually charge.
         """
-        n_queries = self.stretch.shape[1]
-        best_stretch = np.full(n_queries, np.inf)
+        n_queries = self.score.shape[1]
+        best_score = np.full(n_queries, np.inf)
         cost = np.full(n_queries, float(self.n_points))
         for j in order:
-            better = self.stretch[j] < best_stretch
-            best_stretch = np.where(better, self.stretch[j], best_stretch)
+            better = self.score[j] < best_score
+            best_score = np.where(better, self.score[j], best_score)
             cost = np.where(better, self.ii[j], cost)
         return cost
 
@@ -472,7 +475,7 @@ class Advisor:
     def _simulate(
         self, candidates: np.ndarray, queries: Sequence[WorkingQuery]
     ) -> _Simulation:
-        """Predict stretch and |II| of every candidate for every query.
+        """Predict the routing score and |II| of every candidate for every query.
 
         Keys, thresholds, guard band, and rank probes replicate
         :class:`~repro.core.planar.PlanarIndex` exactly (see the module
@@ -483,7 +486,9 @@ class Advisor:
         delta = translator.delta
         working = candidates * octant  # vectorized reflect_normal
         row_min = working.min(axis=1)
-        key_offsets = working @ delta  # vectorized key_offset
+        working_columns = np.ascontiguousarray(working.T)
+        offsets_sketch = key_offsets(working_columns, delta)  # as the router sums them
+        key_offsets_ii = working @ delta  # vectorized key_offset
 
         ids = self._index.live_ids()
         if self._max_points is not None and ids.size > self._max_points:
@@ -499,18 +504,24 @@ class Advisor:
         keys = feats @ candidates.T  # repro: noqa(REP001) — advisor bulk keying, one matmul by design
         keys = np.sort(as_keys(keys), axis=0)
         n_points = feats.shape[0]
+        sketch = key_sketch(keys)
 
         n_candidates = candidates.shape[0]
         n_queries = len(queries)
-        stretch = np.empty((n_candidates, n_queries))
+        score = np.empty((n_candidates, n_queries))
         ii = np.empty((n_candidates, n_queries))
         # (q, d') working query normals a'' and (q,) offsets b'', b.
         normals_w = np.vstack([wq.normal_w for wq in queries])
         offsets_w = np.array([wq.offset_w for wq in queries])
         offsets = np.array([wq.query.offset for wq in queries])
         for position, wq in enumerate(queries):
-            # Same scoring function the collection's router calls.
-            stretch[:, position] = stretch_scores(working, row_min, wq)
+            # Same scoring function the collection's router calls; the
+            # dense stretch rank breaks count ties as its argmin does.
+            counts, stretch = counted_scores(
+                working_columns, row_min, offsets_sketch, sketch, wq
+            )
+            stretch_rank = np.unique(stretch, return_inverse=True)[1]
+            score[:, position] = counts * n_candidates + stretch_rank
         for j in range(n_candidates):
             ratio = working[j] / normals_w  # (q, d')
             thresholds = ratio * offsets_w[:, None]
@@ -519,18 +530,18 @@ class Advisor:
             tol = exact.key_band(
                 np.abs(thresholds).max(axis=1),
                 ratio.max(axis=1),
-                key_offsets[j],
+                key_offsets_ii[j],
                 offsets,
                 working.shape[1],
             )
             column = keys[:, j]
             probe_lo, probe_hi = key_probes(
-                t_min - key_offsets[j] - tol, t_max - key_offsets[j] + tol
+                t_min - key_offsets_ii[j] - tol, t_max - key_offsets_ii[j] + tol
             )
             lo = np.searchsorted(column, probe_lo, side="right")
             hi = np.searchsorted(column, probe_hi, side="right")
             ii[j] = hi - lo
-        return _Simulation(stretch=stretch, ii=ii, n_points=n_points)
+        return _Simulation(score=score, ii=ii, n_points=n_points)
 
     # ------------------------------------------------------------------ #
     # Greedy portfolio selection
@@ -547,7 +558,7 @@ class Advisor:
         Greedy set selection: start from the empty portfolio (every query
         pays a full scan), and at each of ``budget`` steps admit the
         candidate whose admission minimizes the total routed |II| over
-        the workload, simulating the min-stretch router exactly.  Ties
+        the workload, simulating the counted router exactly.  Ties
         break toward the lowest candidate row — existing normals first —
         so an already-optimal portfolio yields a no-op plan.
 
@@ -588,12 +599,12 @@ class Advisor:
         # Greedy admission.
         n_total = candidates.shape[0]
         available = np.ones(n_total, dtype=bool)
-        best_stretch = np.full(n_queries, np.inf)
+        best_score = np.full(n_queries, np.inf)
         current_cost = np.full(n_queries, float(sim.n_points))
         selected: list[int] = []
         admission_delta: dict[int, float] = {}
         for _ in range(min(budget, n_total)):
-            covered = sim.stretch < best_stretch[np.newaxis, :]
+            covered = sim.score < best_score[np.newaxis, :]
             totals = np.where(covered, sim.ii, current_cost[np.newaxis, :]).sum(
                 axis=1
             )
@@ -602,8 +613,8 @@ class Advisor:
             admission_delta[j] = (totals[j] - current_cost.sum()) / n_queries
             selected.append(j)
             available[j] = False
-            better = sim.stretch[j] < best_stretch
-            best_stretch = np.where(better, sim.stretch[j], best_stretch)
+            better = sim.score[j] < best_score
+            best_score = np.where(better, sim.score[j], best_score)
             current_cost = np.where(better, sim.ii[j], current_cost)
 
         # Final portfolio in *application* order: surviving existing

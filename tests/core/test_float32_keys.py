@@ -258,9 +258,10 @@ _CASES = {
 
 class TestFloat32Boundary:
     @pytest.mark.parametrize("case", sorted(_CASES))
-    @pytest.mark.parametrize("route_fraction", [None, 1.0])
+    @pytest.mark.parametrize("route_fraction", [None, 1.0, 0.0])
     def test_answers_match_rational(self, case, route_fraction, rng):
-        """``route_fraction=1.0`` forces every query through the intervals."""
+        """``route_fraction=1.0`` forces every query through the intervals,
+        ``0.0`` every query with a nonempty interval through the float32 scan."""
         build, offsets, ranges = _CASES[case]
         points = build(rng)
         patch = (

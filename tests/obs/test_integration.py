@@ -66,17 +66,18 @@ class TestMetricsRecorded:
         normal = uniform_model.sample_normal(0)
         offset = 30.0 * float(normal.sum())
         answer = small_index.query(normal, offset)
+        strategy = small_index.collection.strategy.value
 
         before = counter.value(
-            kind="inequality", route="intervals", strategy="min_stretch"
-        ) + counter.value(kind="inequality", route="scan", strategy="min_stretch")
+            kind="inequality", route="intervals", strategy=strategy
+        ) + counter.value(kind="inequality", route="scan", strategy=strategy)
         lat_before = latency.count(kind="inequality", route="intervals") + latency.count(
             kind="inequality", route="scan"
         )
         small_index.query(normal, offset)
         after = counter.value(
-            kind="inequality", route="intervals", strategy="min_stretch"
-        ) + counter.value(kind="inequality", route="scan", strategy="min_stretch")
+            kind="inequality", route="intervals", strategy=strategy
+        ) + counter.value(kind="inequality", route="scan", strategy=strategy)
         lat_after = latency.count(kind="inequality", route="intervals") + latency.count(
             kind="inequality", route="scan"
         )

@@ -116,14 +116,15 @@ class TestRangeStrategyLabel:
     ):
         index = FunctionIndex(uniform_points, uniform_model, n_indices=4, rng=0)
         counter = obs_metrics.queries_total()
+        strategy = index.collection.strategy.value
         strategy_before = counter.value(
-            kind="range", route="intervals", strategy="min_stretch"
+            kind="range", route="intervals", strategy=strategy
         )
         solo_before = counter.value(kind="range", route="intervals", strategy="solo")
         normal = uniform_model.sample_normal(0)
         index.query_range(normal, 100.0, 600.0)
         assert (
-            counter.value(kind="range", route="intervals", strategy="min_stretch")
+            counter.value(kind="range", route="intervals", strategy=strategy)
             == strategy_before + 1
         )
         # The regression: this used to be the series that incremented.
