@@ -36,7 +36,7 @@ import numpy as np
 from repro.bench import print_table
 from repro.core import PlanarIndex, ScalarProductQuery, exact
 from repro.core.planar import QueryStats
-from repro.core.sorted_keys import key_probes
+from repro.core.selection import interval_probes, key_offsets, thresholds
 from repro.obs import runtime as obs_runtime
 
 from conftest import scaled
@@ -59,9 +59,11 @@ def _build(rng: np.random.Generator) -> tuple[PlanarIndex, list[ScalarProductQue
 def _uninstrumented_query(index: PlanarIndex, query: ScalarProductQuery):
     """The exact disabled-path pipeline with every obs guard removed."""
     wq = index.working_query(query)
-    # interval_ranks, inlined (planar._thresholds + two float32 binary searches)
-    t_lo, t_hi, tol = index._thresholds(wq)
-    probe_lo, probe_hi = key_probes(t_lo - tol, t_hi + tol)
+    # interval_ranks, inlined (the shared threshold and probe functions
+    # plus two float32 binary searches)
+    column = index.working_normal
+    offset = key_offsets(column, index.translator.delta)
+    probe_lo, probe_hi = interval_probes(thresholds(column, offset, wq), offset, wq)
     keys = index._keys
     r_lo = keys.rank_le(probe_lo)
     r_hi = keys.rank_le(probe_hi)

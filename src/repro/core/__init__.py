@@ -15,14 +15,7 @@ from .function_index import FunctionIndex, QueryAnswer
 from .phi import FeatureMap, identity_map, polynomial_map, product_map
 from .planar import PlanarIndex, QueryResult, QueryStats, WorkingQuery
 from .query import Comparison, ScalarProductQuery, TopKQuery
-from .selection import (
-    SelectionStrategy,
-    make_selector,
-    select_counted,
-    select_min_angle,
-    select_min_stretch,
-    select_random,
-)
+from .selection import SelectionStrategy
 from .sorted_keys import SortedKeyStore
 from .topk import SharedCutoff, TopKBuffer, TopKResult
 
@@ -55,12 +48,7 @@ __all__ = [
     "dedupe_parallel_normals",
     "identity_map",
     "load_index",
-    "make_selector",
     "save_index",
     "polynomial_map",
     "product_map",
-    "select_counted",
-    "select_min_angle",
-    "select_min_stretch",
-    "select_random",
 ]

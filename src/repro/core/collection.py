@@ -7,7 +7,7 @@ uniformly from the query-parameter domains (Section 5.2), removes redundant
 (mutually parallel) normals, and picks the best index per query with an
 ``O(r d')`` heuristic (Section 5.1).  The default heuristic counts each
 index's intermediate interval against a sketch of its sorted keys
-(:func:`~repro.core.selection.counted_scores`); the chosen index's exact
+(:func:`~repro.core.selection.choose`); the chosen index's exact
 interval then decides between verifying it and scanning a float32 copy of
 the features (:meth:`PlanarIndexCollection._plan`).
 """
@@ -34,15 +34,11 @@ from .planar import PlanarIndex, QueryResult, QueryStats, WorkingQuery
 from .query import ScalarProductQuery
 from .selection import (
     SKETCH_BUCKETS,
-    Selector,
     SelectionStrategy,
-    angle_cosines,
-    counted_choice,
-    counted_scores,
+    choose,
     key_offsets,
     key_sketch,
-    make_selector,
-    stretch_scores,
+    scores,
 )
 from .sorted_keys import ID_DTYPE
 from .topk import TopKResult
@@ -71,9 +67,9 @@ def dedupe_parallel_normals(normals: np.ndarray, tol: float = _PARALLEL_TOL) -> 
     Returns the row indices of the kept normals, preserving order.  The
     check is vectorized: each candidate is compared against all kept unit
     normals at once.  Two normals are *parallel* iff
-    ``|cos(angle)| >= cos(tol)`` — the same rule :meth:`add_index` applies,
-    evaluated directly on cosines (the arccos round trip loses resolution
-    exactly where it matters, near angle 0).
+    ``|cos(angle)| >= cos(tol)``, evaluated directly on cosines (the
+    arccos round trip loses resolution exactly where it matters, near
+    angle 0).  :meth:`PlanarIndexCollection.add_index` applies it too.
 
     Zero rows are rejected up front with a clear error: a zero normal can
     never index anything, and letting it through only to fail deep inside
@@ -101,14 +97,14 @@ def dedupe_parallel_normals(normals: np.ndarray, tol: float = _PARALLEL_TOL) -> 
 
 
 class _SelectionCache:
-    """Immutable snapshot of the member list plus its selection matrices.
+    """Immutable snapshot of the member list plus its selection columns.
 
-    Best-index selection needs the stacked working normals (also as
-    columns), two derived row statistics, the translation key offsets and
-    the ``(SKETCH_BUCKETS + 1, r)`` key sketch; bundling them *with the
-    member tuple they were computed from* into one object that is rebound
-    atomically (a single attribute store) means a query thread that snapshots the cache once can never see
-    a matrix from one index generation paired with the member list of
+    Best-index selection needs the ``(d', r)`` stack of working normals,
+    the translation key offsets and the ``(SKETCH_BUCKETS + 1, r)`` key
+    sketch; bundling them *with the member tuple they were computed from*
+    into one object that is rebound atomically (a single attribute store)
+    means a query thread that snapshots the cache once can never see
+    columns from one index generation paired with the member list of
     another — the invariant that makes ``add_index``/``drop_index`` safe to
     run concurrently with queries (a racing query may route through the
     just-retired generation, but every generation answers exactly).  The
@@ -117,15 +113,11 @@ class _SelectionCache:
     always ranked exactly.
     """
 
-    __slots__ = ("indices", "matrix", "columns", "row_min", "row_norm", "offsets", "sketch")
+    __slots__ = ("indices", "columns", "offsets", "sketch")
 
     def __init__(self, indices: Sequence[PlanarIndex], delta: np.ndarray) -> None:
         self.indices: tuple[PlanarIndex, ...] = tuple(indices)
-        matrix = np.vstack([index.working_normal for index in self.indices])
-        self.matrix = matrix
-        self.columns = np.ascontiguousarray(matrix.T)
-        self.row_min = matrix.min(axis=1)
-        self.row_norm = np.linalg.norm(matrix, axis=1)
+        self.columns = np.column_stack([index.working_normal for index in self.indices])
         self.offsets = key_offsets(self.columns, delta)
         self.sketch = np.column_stack(
             [key_sketch(index.sorted_keys) for index in self.indices]
@@ -191,8 +183,8 @@ class PlanarIndexCollection:
             )
             for position, row in enumerate(keep)
         ]
-        self._selector: Selector = make_selector(strategy, rng)
         self._strategy = SelectionStrategy(strategy)
+        self._rng = as_rng(rng)
         self._refresh_selection_cache()
 
     @classmethod
@@ -229,8 +221,8 @@ class PlanarIndexCollection:
             )
             for position, (normal, ids, keys) in enumerate(prebuilt)
         ]
-        self._selector = make_selector(strategy, rng)
         self._strategy = SelectionStrategy(strategy)
+        self._rng = as_rng(rng)
         self._refresh_selection_cache()
         return self
 
@@ -254,9 +246,9 @@ class PlanarIndexCollection:
             index.set_obs_label(self._label(position))
 
     def _refresh_selection_cache(self) -> None:
-        """Precompute per-index normal matrices and key sketches for
-        vectorized selection — one numpy expression instead of a Python
-        loop over indices (Section 5.1 requires selection to be
+        """Precompute the working-normal columns, key offsets and key
+        sketches for vectorized selection — one numpy expression instead
+        of a Python loop over indices (Section 5.1 requires selection to be
         dataset-independent and cheap; at Python speeds it must also be
         loop-free).  The snapshot is rebound atomically (see
         :class:`_SelectionCache`) so queries racing a lifecycle mutation
@@ -326,40 +318,23 @@ class PlanarIndexCollection:
         cache = self._cache
         return cache.indices[self._select_position(wq, cache)]
 
-    def _sketch_scores(
-        self, wq: WorkingQuery, cache: "_SelectionCache"
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(counts, stretch)`` of every member against the cached key sketch."""
-        return counted_scores(cache.columns, cache.row_min, cache.offsets, cache.sketch, wq)
-
     def _select_position(
         self, wq: WorkingQuery, cache: "_SelectionCache | None" = None
     ) -> int:
-        """Vectorized fast paths for counted selection and the paper heuristics.
+        """Position the configured strategy picks for ``wq``.
 
-        Equivalent to :func:`~repro.core.selection.select_counted` /
-        ``select_min_stretch`` / ``select_min_angle`` but evaluated as one
-        ``(r, d')`` numpy expression over the (snapshotted) selection
-        cache.  Callers that will look the position up must pass the same
-        ``cache`` snapshot they index into, so a concurrent lifecycle
-        mutation cannot shift positions under them.
+        One :func:`~repro.core.selection.choose` call over the
+        (snapshotted) selection cache.  Callers that will look the position
+        up must pass the same ``cache`` snapshot they index into, so a
+        concurrent lifecycle mutation cannot shift positions under them.
         """
         if cache is None:
             cache = self._cache
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        if self._strategy is SelectionStrategy.COUNTED:
-            position = counted_choice(*self._sketch_scores(wq, cache))
-        elif self._strategy is SelectionStrategy.MIN_STRETCH:
-            position = int(
-                np.argmin(stretch_scores(cache.matrix, cache.row_min, wq))
-            )
-        elif self._strategy is SelectionStrategy.MIN_ANGLE:
-            position = int(
-                np.argmax(angle_cosines(cache.matrix, cache.row_norm, wq))
-            )
-        else:
-            position = self._selector(cache.indices, wq)
+        position = choose(
+            self._strategy, cache.columns, cache.offsets, cache.sketch, wq, self._rng
+        )
         if obs_on:
             _osp.record("select", started, strategy=self._strategy.value, chosen=position)
             _om.selection_total().inc(
@@ -385,7 +360,8 @@ class PlanarIndexCollection:
         index = cache.indices[position]
         r_lo, r_hi, n = index.interval_ranks(wq)
         if n and self._strategy is SelectionStrategy.COUNTED and _ort.active():
-            estimate = self._sketch_scores(wq, cache)[0][position] * n / SKETCH_BUCKETS
+            counts = scores(cache.columns, cache.offsets, cache.sketch, wq)[0]
+            estimate = counts[position] * n / SKETCH_BUCKETS
             _om.ii_estimate_error().observe(abs(estimate - (r_hi - r_lo)) / n)
         route = "intervals" if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n else "scan"
         return position, index, r_lo, r_hi, n, route
@@ -548,15 +524,15 @@ class PlanarIndexCollection:
         cache = self._cache
         plan = self._plan(wq, cache)
         chosen, best, r_lo, r_hi, n, route = plan
-        counts, _ = self._sketch_scores(wq, cache)
+        counts, stretch, cosines = scores(cache.columns, cache.offsets, cache.sketch, wq)
         candidates = []
         for position, index in enumerate(cache.indices):
             r_lo_c, r_hi_c, n_c = index.interval_ranks(wq)
             candidates.append(
                 IndexCandidate(
                     position=position,
-                    stretch=index.max_stretch(wq),
-                    angle_cos=index.angle_cosine(wq),
+                    stretch=float(stretch[position]),
+                    angle_cos=float(cosines[position]),
                     expected_ii=r_hi_c - r_lo_c,
                     chosen=position == chosen,
                     estimated_ii=round(int(counts[position]) * n_c / SKETCH_BUCKETS),
@@ -598,23 +574,14 @@ class PlanarIndexCollection:
         ("deletion of old indices as well as inclusion of new indices",
         Section 4.2).
 
-        Redundancy uses the *same* rule as construction
-        (:func:`dedupe_parallel_normals`): parallel iff
-        ``|cos(angle)| >= cos(_PARALLEL_TOL)``, compared directly on
-        cosines.  The previous ``angle_between(...) <= tol`` formulation
-        round-tripped through ``arccos``, whose float64 resolution near 0
-        (~``sqrt(2 eps)``) classified near-threshold normals differently
-        from the construction path.
+        Redundancy is decided by :func:`dedupe_parallel_normals` over the
+        current normals plus ``normal``, the rule construction applies; a
+        zero normal raises :class:`~repro.exceptions.IndexBuildError`.
         """
         normal = np.ascontiguousarray(normal, dtype=np.float64)
-        length = float(np.linalg.norm(normal))
-        if length == 0.0:
-            raise IndexBuildError("index normals must be nonzero")
-        unit = normal / length
         existing = self.normals
-        existing_units = existing / np.linalg.norm(existing, axis=1, keepdims=True)
-        cosines = np.abs(existing_units @ unit)
-        if float(cosines.max()) >= np.cos(_PARALLEL_TOL):
+        keep = dedupe_parallel_normals(np.vstack([existing, normal]))
+        if keep[-1] != existing.shape[0]:
             return False
         newcomer = PlanarIndex(
             normal,

@@ -60,7 +60,8 @@ from ..obs.explain import ExplainReport
 from . import exact
 from .feature_store import FeatureStore
 from .query import Comparison, ScalarProductQuery
-from .sorted_keys import SortedKeyStore, key_probes
+from .selection import interval_probes, key_offsets, thresholds
+from .sorted_keys import SortedKeyStore
 from .stats import QueryStats
 from .topk import SharedCutoff, TopKBuffer, TopKResult
 
@@ -314,32 +315,6 @@ class PlanarIndex:
     # Interval geometry
     # ------------------------------------------------------------------ #
 
-    def _thresholds(self, wq: WorkingQuery) -> tuple[float, float, float]:
-        """Stored-key thresholds ``(t_lo, t_hi, tol)`` bounding SI and LI.
-
-        ``T_i = (c''_i / a''_i) * b''`` are the working-coordinate
-        thresholds (Eq. 13 intercept products); subtracting the shared
-        translation offset ``<c'', delta>`` converts them to stored-key
-        space.
-
-        ``tol`` is the guard band :func:`repro.core.exact.key_band` derives
-        from the rounding of the keys (in float64, then to the stored
-        float32), of ``T_i`` and of the offset.  A key within ``tol`` of a
-        threshold may belong to a point on the other side of it, so the
-        band is folded into the intermediate interval and verified exactly.
-        """
-        if wq.normal_w.size != self.dim:
-            raise InvalidQueryError(
-                f"query has dimension {wq.normal_w.size}, index has {self.dim}"
-            )
-        ratio = self._working_normal / wq.normal_w
-        t = ratio * wq.offset_w
-        key_offset = self._translator.key_offset(self._working_normal)
-        tol = exact.key_band(
-            float(np.abs(t).max()), float(ratio.max()), key_offset, wq.query.offset, self.dim
-        )
-        return float(t.min() - key_offset), float(t.max() - key_offset), tol
-
     def interval_ranks(self, wq: WorkingQuery) -> tuple[int, int, int]:
         """Sorted-rank boundaries ``(r_lo, r_hi, n)`` of the intervals.
 
@@ -347,41 +322,29 @@ class PlanarIndex:
         * ranks ``[r_lo, r_hi)`` — intermediate interval, must verify,
         * ranks ``[r_hi, n)``   — LI: ``<a, phi(x)> > b`` certain.
 
-        Both certain intervals are strict (the guard band around each
-        threshold is folded into the intermediate interval), so they are
-        valid for the strict and non-strict operators alike.  The float32
-        probes round away from the certain intervals (:func:`key_probes`).
+        The Eq. 13 thresholds, shifted by the translation key offset
+        ``<c'', delta>``, bound the stored keys; the probes of
+        :func:`~repro.core.selection.interval_probes` fold the guard band
+        around each threshold into the intermediate interval and round
+        away from the certain intervals, so both certain intervals are
+        strict and valid for the strict and non-strict operators alike.
+        These are the thresholds counted selection and the tuning advisor
+        evaluate for a whole column stack.
         """
+        if wq.normal_w.size != self.dim:
+            raise InvalidQueryError(
+                f"query has dimension {wq.normal_w.size}, index has {self.dim}"
+            )
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        t_lo, t_hi, tol = self._thresholds(wq)
-        probe_lo, probe_hi = key_probes(t_lo - tol, t_hi + tol)
+        column = self._working_normal
+        offset = key_offsets(column, self._translator.delta)
+        probe_lo, probe_hi = interval_probes(thresholds(column, offset, wq), offset, wq)
         r_lo = self._keys.rank_le(probe_lo)
         r_hi = self._keys.rank_le(probe_hi)
         if obs_on:
             _osp.record("binary_search", started, index=self._obs_label)
         return r_lo, r_hi, len(self._keys)
-
-    def max_stretch(self, wq: WorkingQuery) -> float:
-        """Maximum stretch of the intermediate interval (Problem 3, Eq. 15).
-
-        ``Stretch(c, i) = (max_k T_k - min_k T_k) / c''_i`` is maximised by
-        the smallest normal component, so the score reduces to a scalar.
-        Zero iff the index is parallel to the query hyperplane
-        (Corollary 1).
-        """
-        t = self._working_normal * (wq.offset_w / wq.normal_w)
-        return float((t.max() - t.min()) / self._working_normal.min())
-
-    def angle_cosine(self, wq: WorkingQuery) -> float:
-        """|cos| of the angle between index and query normals (Section 5.1.2).
-
-        1.0 iff parallel; reflections preserve angles so working coordinates
-        give the same value as original ones.
-        """
-        c = self._working_normal
-        a = wq.normal_w
-        return float(abs(np.dot(a, c)) / (np.linalg.norm(a) * np.linalg.norm(c)))
 
     # ------------------------------------------------------------------ #
     # Problem 1: inequality query (Algorithm 1)
@@ -692,7 +655,7 @@ class PlanarIndex:
         # from above in SI, working key * min(a''/c'') from below in LI.
         # The float32 head is widened toward the hyperplane by its rounding
         # so the bound holds for the float64 key it stands for.
-        key_offset = self._translator.key_offset(self._working_normal)
+        key_offset = key_offsets(self._working_normal, self._translator.delta)
         ratio = wq.normal_w / self._working_normal
         if upper:
             edge_ratio, side = float(ratio.max()), 1.0

@@ -2,21 +2,27 @@
 
 Given ``r`` Planar indices and one query, pick — in ``O(r d')`` time,
 independent of the dataset size — the index expected to minimize the
-intermediate interval:
+intermediate interval.  Everything here works on the ``(d', r)`` column
+stack of the indices' working normals ``c''`` and starts from one
+expression, the Eq. 13 thresholds of :func:`thresholds`.  The collection's
+router (:func:`choose`), EXPLAIN (:func:`scores`), every index's rank
+probes (:func:`interval_probes`, on its own ``(d',)`` column) and the
+tuning advisor all call it, so they agree by construction.
 
-* :func:`select_counted` — the default: count each index's |II| against a
-  sketch of its sorted keys (:func:`key_sketch`, ``SKETCH_BUCKETS + 1``
-  keys at evenly spaced ranks) and pick the fewest, ties by smaller
-  stretch.  This is Eqs. 7–8 evaluated at sketch resolution, ``O(r (d' +
+Strategies (:class:`SelectionStrategy`):
+
+* ``counted`` — the default: count each index's |II| against a sketch of
+  its sorted keys (:func:`key_sketch`, ``SKETCH_BUCKETS + 1`` keys at
+  evenly spaced ranks) and pick the fewest, ties by smaller stretch.  This
+  is Eqs. 7–8 evaluated at sketch resolution, ``O(r (d' +
   SKETCH_BUCKETS))`` per query.
-* :func:`select_min_stretch` — the volume-minimization heuristic
-  (Section 5.1.1, Problem 3): minimize the maximum stretch of the
-  intermediate interval along any axis.  The paper reports this usually
-  wins and uses it for all experiments.
-* :func:`select_min_angle` — the angle-minimization heuristic
-  (Section 5.1.2): maximize ``|cos|`` between the query normal and the
-  index normal.
-* :func:`select_random` — ablation baseline: ignore the query entirely.
+* ``min_stretch`` — the volume-minimization heuristic (Section 5.1.1,
+  Problem 3): minimize the maximum stretch of the intermediate interval
+  along any axis (Eq. 15).  The paper reports this usually wins and uses
+  it for all experiments.
+* ``min_angle`` — the angle-minimization heuristic (Section 5.1.2):
+  maximize ``|cos|`` between the query normal and the index normal.
+* ``random`` — ablation baseline: ignore the query entirely.
 
 Both paper heuristics pick the parallel index whenever one exists
 (Corollary 1): a parallel index has zero stretch and ``|cos| = 1``.
@@ -25,34 +31,25 @@ Both paper heuristics pick the parallel index whenever one exists
 from __future__ import annotations
 
 import enum
-import time
-from typing import Callable, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
-from .._util import as_rng
-from ..exceptions import IndexBuildError
-from ..obs import runtime as _ort
-from ..obs import spans as _osp
-from .planar import PlanarIndex, WorkingQuery
+from . import exact
+from .sorted_keys import key_probes
 
 __all__ = [
     "SKETCH_BUCKETS",
     "SelectionStrategy",
-    "counted_choice",
-    "counted_scores",
+    "Thresholds",
+    "choose",
+    "interval_probes",
     "key_offsets",
     "key_sketch",
-    "select_counted",
-    "select_min_stretch",
-    "select_min_angle",
-    "select_random",
-    "make_selector",
-    "stretch_scores",
-    "angle_cosines",
+    "scores",
+    "sketch_counts",
+    "thresholds",
 ]
-
-Selector = Callable[[Sequence[PlanarIndex], WorkingQuery], int]
 
 
 class SelectionStrategy(enum.Enum):
@@ -69,11 +66,6 @@ class SelectionStrategy(enum.Enum):
 SKETCH_BUCKETS = 32
 
 
-def _require_indices(indices: Sequence[PlanarIndex]) -> None:
-    if not indices:
-        raise IndexBuildError("cannot select from an empty index collection")
-
-
 def key_sketch(sorted_keys: np.ndarray) -> np.ndarray:
     """float64 keys at ``SKETCH_BUCKETS + 1`` evenly spaced ranks of ascending keys.
 
@@ -87,153 +79,124 @@ def key_sketch(sorted_keys: np.ndarray) -> np.ndarray:
     return sorted_keys[ranks].astype(np.float64)
 
 
+def _per_row(vector: np.ndarray, working_columns: np.ndarray) -> np.ndarray:
+    """``vector`` (one value per row) shaped to broadcast over ``working_columns``."""
+    return vector.reshape((-1,) + (1,) * (working_columns.ndim - 1))
+
+
 def key_offsets(working_columns: np.ndarray, delta: np.ndarray) -> np.ndarray:
-    """Every index's translation key offset ``<c'', delta>``.
+    """Every column's translation key offset ``<c'', delta>``.
 
-    ``working_columns`` is the ``(d', r)`` transpose of the stacked working
-    normals.  Summed elementwise, so an index's offset does not depend on
-    the indices stacked with it: the router and the advisor's replay get
-    the same bits.
+    Stored keys plus this offset are the working-coordinate keys.  A
+    cumulative sum adds the rows strictly in order (a plain sum of one
+    long column would add pairwise), so a column's offset does not depend
+    on the columns stacked with it: an index's own ``(d',)`` column, the
+    selection cache and the advisor's candidate stack get the same bits.
     """
-    return (working_columns * delta[:, np.newaxis]).sum(axis=0)
+    return np.cumsum(working_columns * _per_row(delta, working_columns), axis=0)[-1]
 
 
-def counted_scores(
+class Thresholds(NamedTuple):
+    """Eq. 13 thresholds of a column stack for one query (see :func:`thresholds`)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    stretch: np.ndarray
+    ratio: np.ndarray
+    t: np.ndarray
+
+
+def thresholds(working_columns: np.ndarray, offsets: np.ndarray, wq) -> Thresholds:
+    """Stored-key thresholds and stretch of every column for one working query.
+
+    ``t = T_i = (c''_i / a''_i) b''`` (Eq. 13) and ``ratio = c''_i / a''_i``
+    per component.  Shifted by the key ``offsets`` (:func:`key_offsets`)
+    they bound the stored keys: keys at most ``lo = min_i T_i - <c'',
+    delta>`` are in SI and keys above ``hi = max_i T_i - <c'', delta>`` in
+    LI, before the guard band of :func:`interval_probes`.  ``stretch =
+    (max_i T_i - min_i T_i) / min_i c''_i`` is the maximum stretch of
+    Eq. 15, zero iff the column is parallel to the query (Corollary 1).
+    Reductions run over the first axis, so a ``(d',)`` column gives
+    scalars.
+    """
+    ratio = working_columns / _per_row(wq.normal_w, working_columns)
+    t = ratio * wq.offset_w
+    t_min = t.min(axis=0)
+    t_max = t.max(axis=0)
+    stretch = (t_max - t_min) / working_columns.min(axis=0)
+    return Thresholds(t_min - offsets, t_max - offsets, stretch, ratio, t)
+
+
+def interval_probes(th: Thresholds, offsets: np.ndarray, wq) -> tuple:
+    """float32 rank probes ``(probe_lo, probe_hi)`` of the certain intervals.
+
+    ``th`` widened by the guard band :func:`repro.core.exact.key_band`
+    derives from the rounding of the keys (in float64, then to the stored
+    float32), of ``T_i`` and of the offset, then rounded outward by
+    :func:`~repro.core.sorted_keys.key_probes`: a stored key at most
+    ``probe_lo`` is certainly in SI and one above ``probe_hi`` certainly in
+    LI, for the strict and non-strict operators alike.
+    """
+    tol = exact.key_band(
+        np.abs(th.t).max(axis=0),
+        th.ratio.max(axis=0),
+        offsets,
+        wq.query.offset,
+        wq.normal_w.size,
+    )
+    return key_probes(th.lo - tol, th.hi + tol)
+
+
+def sketch_counts(th: Thresholds, sketch: np.ndarray) -> np.ndarray:
+    """Sketch keys of every column above its SI and at most its LI threshold.
+
+    The intermediate interval at sketch resolution, without the guard band.
+    """
+    return ((sketch > th.lo) & (sketch <= th.hi)).sum(axis=0)
+
+
+def _cosines(working_columns: np.ndarray, wq) -> np.ndarray:
+    """``|cos|`` between every column and the query normal (Section 5.1.2).
+
+    Reflections preserve angles, so working coordinates give the value of
+    the original ones.
+    """
+    return np.abs(wq.normal_w @ working_columns) / (
+        np.linalg.norm(working_columns, axis=0) * np.linalg.norm(wq.normal_w)
+    )
+
+
+def scores(
+    working_columns: np.ndarray, offsets: np.ndarray, sketch: np.ndarray, wq
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(counts, stretch, |cos|)`` of every column: each strategy's score.
+
+    ``sketch`` is the ``(SKETCH_BUCKETS + 1, r)`` stack of
+    :func:`key_sketch` columns.
+    """
+    th = thresholds(working_columns, offsets, wq)
+    return sketch_counts(th, sketch), th.stretch, _cosines(working_columns, wq)
+
+
+def choose(
+    strategy: SelectionStrategy,
     working_columns: np.ndarray,
-    row_min: np.ndarray,
     offsets: np.ndarray,
-    sketch_columns: np.ndarray,
-    wq: WorkingQuery,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(counts, stretch)`` of many indices for one query.
-
-    ``working_columns`` is the ``(d', r)`` transpose of the stacked working
-    normals ``W``, ``row_min`` each normal's smallest component,
-    ``offsets`` each :func:`key_offsets` and ``sketch_columns`` the
-    ``(SKETCH_BUCKETS + 1, r)`` stack of :func:`key_sketch` columns.  All
-    thresholds come from one expression, ``(W / a'') b''``; ``counts[i]`` is
-    the number of sketch keys of index ``i`` above its SI threshold and at
-    most its LI threshold — the intermediate interval of
-    :meth:`~repro.core.planar.PlanarIndex.interval_ranks` at sketch
-    resolution, without its guard band — and ``stretch[i]`` its min-stretch
-    score from the same thresholds.  Indices are columns so every
-    reduction runs across contiguous rows.  The collection's router and
-    the tuning advisor both call this, so they choose alike.
-    """
-    thresholds = (working_columns / wq.normal_w[:, np.newaxis]) * wq.offset_w
-    t_min = thresholds.min(axis=0)
-    t_max = thresholds.max(axis=0)
-    inside = (sketch_columns > t_min - offsets) & (sketch_columns <= t_max - offsets)
-    return inside.sum(axis=0), (t_max - t_min) / row_min
-
-
-def counted_choice(counts: np.ndarray, stretch: np.ndarray) -> int:
-    """Position with the fewest sketch keys; ties by smaller stretch, then position."""
-    return int(np.lexsort((stretch, counts))[0])
-
-
-def stretch_scores(
-    working_matrix: np.ndarray, row_min: np.ndarray, wq: WorkingQuery
-) -> np.ndarray:
-    """Vectorized min-stretch scores of many index normals for one query.
-
-    ``working_matrix`` is the ``(r, d')`` stack of working normals and
-    ``row_min`` its per-row minimum (precomputable because it is
-    query-independent).  Row ``i`` equals
-    :meth:`~repro.core.planar.PlanarIndex.max_stretch` of index ``i`` —
-    the same expression evaluated as one numpy broadcast, which is what
-    both the collection's query-time router and the tuning advisor's
-    workload simulation use, keeping their routing decisions identical.
-    """
-    thresholds = working_matrix * (wq.offset_w / wq.normal_w)
-    return (thresholds.max(axis=1) - thresholds.min(axis=1)) / row_min
-
-
-def angle_cosines(
-    working_matrix: np.ndarray, row_norm: np.ndarray, wq: WorkingQuery
-) -> np.ndarray:
-    """Vectorized ``|cos(angle)|`` of many index normals against one query.
-
-    Row ``i`` equals
-    :meth:`~repro.core.planar.PlanarIndex.angle_cosine` of index ``i``;
-    ``row_norm`` holds the precomputed per-row norms.
-    """
-    return np.abs(working_matrix @ wq.normal_w) / (
-        row_norm * np.linalg.norm(wq.normal_w)
-    )
-
-
-def select_counted(indices: Sequence[PlanarIndex], wq: WorkingQuery) -> int:
-    """Index position with the smallest |II| counted against its key sketch."""
-    _require_indices(indices)
-    obs_on = _ort.active()
-    started = time.perf_counter() if obs_on else 0.0
-    columns = np.column_stack([index.working_normal for index in indices])
-    counts, stretch = counted_scores(
-        columns,
-        columns.min(axis=0),
-        key_offsets(columns, indices[0].translator.delta),
-        np.column_stack([key_sketch(index.sorted_keys) for index in indices]),
-        wq,
-    )
-    position = counted_choice(counts, stretch)
-    if obs_on:
-        _osp.record("select.counted", started, chosen=position)
-    return position
-
-
-def select_min_stretch(indices: Sequence[PlanarIndex], wq: WorkingQuery) -> int:
-    """Index position minimizing the maximum intermediate-interval stretch."""
-    _require_indices(indices)
-    obs_on = _ort.active()
-    started = time.perf_counter() if obs_on else 0.0
-    scores = [index.max_stretch(wq) for index in indices]
-    position = int(np.argmin(scores))
-    if obs_on:
-        _osp.record("select.min_stretch", started, chosen=position)
-    return position
-
-
-def select_min_angle(indices: Sequence[PlanarIndex], wq: WorkingQuery) -> int:
-    """Index position minimizing the angle to the query hyperplane."""
-    _require_indices(indices)
-    obs_on = _ort.active()
-    started = time.perf_counter() if obs_on else 0.0
-    scores = [index.angle_cosine(wq) for index in indices]
-    position = int(np.argmax(scores))
-    if obs_on:
-        _osp.record("select.min_angle", started, chosen=position)
-    return position
-
-
-def select_random(
-    indices: Sequence[PlanarIndex],
-    wq: WorkingQuery,
-    rng: np.random.Generator | int | None = None,
+    sketch: np.ndarray,
+    wq,
+    rng: np.random.Generator,
 ) -> int:
-    """Ablation baseline: uniformly random index, blind to the query."""
-    _require_indices(indices)
-    position = int(as_rng(rng).integers(0, len(indices)))
-    if _ort.active():
-        _osp.record("select.random", time.perf_counter(), chosen=position)
-    return position
+    """Position of the column ``strategy`` picks for ``wq``.
 
-
-def make_selector(
-    strategy: SelectionStrategy | str,
-    rng: np.random.Generator | int | None = None,
-) -> Selector:
-    """Build a selector callable for a strategy name.
-
-    The random strategy captures its own RNG so repeated calls vary while
-    remaining reproducible from a seed.
+    Counted takes the fewest sketch keys, ties by smaller stretch, then
+    position; min-stretch the smallest stretch and min-angle the largest
+    ``|cos|`` (first position on ties); random draws from ``rng``.
     """
-    strategy = SelectionStrategy(strategy)
-    if strategy is SelectionStrategy.COUNTED:
-        return select_counted
-    if strategy is SelectionStrategy.MIN_STRETCH:
-        return select_min_stretch
+    if strategy is SelectionStrategy.RANDOM:
+        return int(rng.integers(0, working_columns.shape[1]))
     if strategy is SelectionStrategy.MIN_ANGLE:
-        return select_min_angle
-    generator = as_rng(rng)
-    return lambda indices, wq: select_random(indices, wq, generator)
+        return int(np.argmax(_cosines(working_columns, wq)))
+    th = thresholds(working_columns, offsets, wq)
+    if strategy is SelectionStrategy.MIN_STRETCH:
+        return int(np.argmin(th.stretch))
+    return int(np.lexsort((th.stretch, sketch_counts(th, sketch)))[0])

@@ -22,7 +22,7 @@ A crucial implementation detail: translating by ``delta`` adds the *same*
 constant ``<c, delta>`` to every index key ``<c, phi''(x)>``, so the sorted
 key order is translation-invariant.  The :class:`Translator` therefore lets
 the index store *reflected but untranslated* keys and apply the scalar key
-offset lazily at query time — growing ``delta`` when new extreme points
+offset (:func:`repro.core.selection.key_offsets`) lazily at query time — growing ``delta`` when new extreme points
 arrive costs O(1) and never forces a re-sort.
 """
 
@@ -179,17 +179,3 @@ class Translator:
             )
         working_offset = float(offset) + float(np.dot(working_normal, self._delta))
         return working_normal, working_offset
-
-    @array_contract("working_normal_c: (d,) float64 cast")
-    def key_offset(self, working_normal_c: np.ndarray) -> float:
-        """Constant ``<c, delta>`` separating stored keys from working keys.
-
-        Index keys are stored as ``<c, reflect(phi(x))>``; the key in working
-        coordinates is that value plus this offset.
-        """
-        vec = as_1d_float(working_normal_c, "c")
-        if vec.size != self.dim:
-            raise DimensionMismatchError(
-                f"c has dimension {vec.size}, translator has {self.dim}"
-            )
-        return float(np.dot(vec, self._delta))

@@ -15,17 +15,20 @@ The advisor does not invent a cost model.  For each (candidate, query)
 pair it evaluates exactly the quantities the executor computes at query
 time:
 
-* each candidate's sketch count and stretch come from
-  :func:`repro.core.selection.counted_scores`, the *same* function the
-  collection's counted router calls, over the same
-  :func:`~repro.core.selection.key_sketch` of the keys it would store, so
-  the simulated routing decision is the executor's routing decision;
-* predicted |II| replays :meth:`repro.core.planar.PlanarIndex._thresholds`
-  / ``interval_ranks`` — thresholds ``(c''/a'') * b''``, the translation key
-  offset ``<c'', delta>``, the same :func:`repro.core.exact.key_band` guard
-  band, and the same float32 ``searchsorted(side="right")`` rank probes
-  (:func:`repro.core.sorted_keys.key_probes`) — against keys ``<c, phi(x)>``
-  computed and rounded to float32 the way a freshly built index stores them.
+* one :func:`repro.core.selection.thresholds` call per query evaluates
+  the Eq. 13 thresholds ``(c''/a'') * b''`` of every candidate, shifted by
+  the :func:`~repro.core.selection.key_offsets` the executor uses;
+* each candidate's sketch count and stretch come from those thresholds
+  and the :func:`~repro.core.selection.key_sketch` of the keys it would
+  store, as the collection's counted router computes them, so the
+  simulated routing decision is the executor's routing decision;
+* predicted |II| comes from the
+  :func:`~repro.core.selection.interval_probes` that
+  :meth:`repro.core.planar.PlanarIndex.interval_ranks` calls — the same
+  :func:`repro.core.exact.key_band` guard band and float32 probes — and
+  the same ``searchsorted(side="right")`` rank search, against keys
+  ``<c, phi(x)>`` computed and rounded to float32 the way a freshly built
+  index stores them.
 
 Because an applied plan only calls the existing ``add_index`` /
 ``drop_index`` lifecycle, query *results* are unaffected by construction:
@@ -58,12 +61,17 @@ from typing import Sequence
 
 import numpy as np
 
-from ..core import exact
 from ..core.collection import PlanarIndexCollection, dedupe_parallel_normals
 from ..core.planar import WorkingQuery
 from ..core.query import ScalarProductQuery
-from ..core.selection import counted_scores, key_offsets, key_sketch
-from ..core.sorted_keys import as_keys, key_probes
+from ..core.selection import (
+    interval_probes,
+    key_offsets,
+    key_sketch,
+    sketch_counts,
+    thresholds,
+)
+from ..core.sorted_keys import KEY_DTYPE, as_keys
 from ..exceptions import InvalidQueryError, TuningError
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
@@ -477,18 +485,13 @@ class Advisor:
     ) -> _Simulation:
         """Predict the routing score and |II| of every candidate for every query.
 
-        Keys, thresholds, guard band, and rank probes replicate
-        :class:`~repro.core.planar.PlanarIndex` exactly (see the module
-        docstring), evaluated as dense matrix expressions.
+        Calls the executor's own threshold, band and probe functions (see
+        the module docstring) over the ``(d', candidates)`` column stack,
+        one query at a time.
         """
         translator = self._index.translator
-        octant = translator.octant
-        delta = translator.delta
-        working = candidates * octant  # vectorized reflect_normal
-        row_min = working.min(axis=1)
-        working_columns = np.ascontiguousarray(working.T)
-        offsets_sketch = key_offsets(working_columns, delta)  # as the router sums them
-        key_offsets_ii = working @ delta  # vectorized key_offset
+        working_columns = np.ascontiguousarray((candidates * translator.octant).T)
+        offsets = key_offsets(working_columns, translator.delta)
 
         ids = self._index.live_ids()
         if self._max_points is not None and ids.size > self._max_points:
@@ -507,40 +510,21 @@ class Advisor:
         sketch = key_sketch(keys)
 
         n_candidates = candidates.shape[0]
-        n_queries = len(queries)
-        score = np.empty((n_candidates, n_queries))
-        ii = np.empty((n_candidates, n_queries))
-        # (q, d') working query normals a'' and (q,) offsets b'', b.
-        normals_w = np.vstack([wq.normal_w for wq in queries])
-        offsets_w = np.array([wq.offset_w for wq in queries])
-        offsets = np.array([wq.query.offset for wq in queries])
+        shape = (n_candidates, len(queries))
+        score = np.empty(shape)
+        probe_lo = np.empty(shape, dtype=KEY_DTYPE)
+        probe_hi = np.empty(shape, dtype=KEY_DTYPE)
         for position, wq in enumerate(queries):
-            # Same scoring function the collection's router calls; the
-            # dense stretch rank breaks count ties as its argmin does.
-            counts, stretch = counted_scores(
-                working_columns, row_min, offsets_sketch, sketch, wq
-            )
-            stretch_rank = np.unique(stretch, return_inverse=True)[1]
-            score[:, position] = counts * n_candidates + stretch_rank
+            th = thresholds(working_columns, offsets, wq)
+            # The dense stretch rank breaks count ties as the router does.
+            stretch_rank = np.unique(th.stretch, return_inverse=True)[1]
+            score[:, position] = sketch_counts(th, sketch) * n_candidates + stretch_rank
+            probe_lo[:, position], probe_hi[:, position] = interval_probes(th, offsets, wq)
+        ii = np.empty(shape)
         for j in range(n_candidates):
-            ratio = working[j] / normals_w  # (q, d')
-            thresholds = ratio * offsets_w[:, None]
-            t_min = thresholds.min(axis=1)
-            t_max = thresholds.max(axis=1)
-            tol = exact.key_band(
-                np.abs(thresholds).max(axis=1),
-                ratio.max(axis=1),
-                key_offsets_ii[j],
-                offsets,
-                working.shape[1],
-            )
             column = keys[:, j]
-            probe_lo, probe_hi = key_probes(
-                t_min - key_offsets_ii[j] - tol, t_max - key_offsets_ii[j] + tol
-            )
-            lo = np.searchsorted(column, probe_lo, side="right")
-            hi = np.searchsorted(column, probe_hi, side="right")
-            ii[j] = hi - lo
+            lo = np.searchsorted(column, probe_lo[j], side="right")
+            ii[j] = np.searchsorted(column, probe_hi[j], side="right") - lo
         return _Simulation(score=score, ii=ii, n_points=n_points)
 
     # ------------------------------------------------------------------ #

@@ -26,6 +26,7 @@ import pytest
 from repro import FunctionIndex, QueryModel, ScalarProductQuery, SortedKeyStore
 from repro.core import feature_store as feature_store_module
 from repro.core.feature_store import FeatureStore, require_id_space
+from repro.core.selection import interval_probes, key_offsets, thresholds
 from repro.core.sorted_keys import (
     ID_DTYPE,
     ID_MAX,
@@ -186,6 +187,13 @@ def _points_with_keys(keys) -> np.ndarray:
     return np.column_stack([keys - 1.0, np.ones_like(keys)])
 
 
+def _probes(planar, wq):
+    """The float32 SI/LI probes ``planar.interval_ranks`` searches for ``wq``."""
+    column = planar.working_normal
+    offset = key_offsets(column, planar.translator.delta)
+    return interval_probes(thresholds(column, offset, wq), offset, wq)
+
+
 def _planted_points(rng) -> np.ndarray:
     """Keys in quarter float32 ulps within two ulps of each offset's SI/LI
     probes, and of the offset itself, over a random background."""
@@ -195,8 +203,7 @@ def _planted_points(rng) -> np.ndarray:
     keys = []
     for offset in _OFFSETS:
         wq = planar.working_query(ScalarProductQuery(_NORMAL, offset))
-        t_lo, t_hi, tol = planar._thresholds(wq)
-        probes = [float(p) for p in key_probes(t_lo - tol, t_hi + tol)]
+        probes = [float(p) for p in _probes(planar, wq)]
         for center in (*probes, offset):
             ulp = _ulp(center)
             keys.extend(center + step * ulp / 4.0 for step in range(-8, 9))
@@ -281,7 +288,6 @@ class TestFloat32Boundary:
         keys = planar._keys.sorted_keys
         for offset in _OFFSETS:
             wq = planar.working_query(ScalarProductQuery(_NORMAL, offset))
-            t_lo, _, tol = planar._thresholds(wq)
-            probe, _ = key_probes(t_lo - tol, 0.0)
+            probe, _ = _probes(planar, wq)
             assert np.any(keys == probe)
             assert np.any(keys == np.nextafter(probe, KEY_DTYPE.type(np.inf)))

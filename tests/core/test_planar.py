@@ -15,6 +15,7 @@ from repro import (
     ScalarProductQuery,
 )
 from repro.exceptions import DimensionMismatchError, IndexBuildError
+from repro.core.collection import PlanarIndexCollection
 from repro.core.sorted_keys import as_keys
 from repro.geometry import Translator
 
@@ -23,6 +24,16 @@ from ..conftest import brute_force_ids
 
 def make_index(features: np.ndarray, normal: np.ndarray) -> PlanarIndex:
     return PlanarIndex.from_features(features, normal)
+
+
+def score_card(features: np.ndarray, normal: np.ndarray, query: ScalarProductQuery):
+    """EXPLAIN's selection score card of ``normal`` in a one-index collection."""
+    translator = Translator(np.ones(features.shape[1]))
+    translator.observe(features)
+    collection = PlanarIndexCollection(
+        FeatureStore(features), translator, normal[np.newaxis]
+    )
+    return collection.explain(query).candidates[0]
 
 
 class TestConstruction:
@@ -66,17 +77,17 @@ class TestIntervalGeometry:
         wq = index.working_query(query)
         r_lo, r_hi, n = index.interval_ranks(wq)
         assert r_hi - r_lo <= 1
-        assert index.max_stretch(wq) == pytest.approx(0.0, abs=1e-9)
-        assert index.angle_cosine(wq) == pytest.approx(1.0)
+        card = score_card(features, normal, query)
+        assert card.stretch == pytest.approx(0.0, abs=1e-9)
+        assert card.angle_cos == pytest.approx(1.0)
 
     def test_example4_stretch(self):
         """The paper's Example 4: max stretch of index (1,1,2) vs
         query Y1 + 2 Y2 + 5 Y3 = 10 is 6."""
         features = np.array([[1.0, 1.0, 1.0]])
-        index = make_index(features, np.array([1.0, 1.0, 2.0]))
         query = ScalarProductQuery(np.array([1.0, 2.0, 5.0]), 10.0)
-        wq = index.working_query(query)
-        assert index.max_stretch(wq) == pytest.approx(6.0)
+        card = score_card(features, np.array([1.0, 1.0, 2.0]), query)
+        assert card.stretch == pytest.approx(6.0)
 
     def test_interval_partition_covers_everything(self, rng):
         features = rng.uniform(1, 100, size=(300, 4))

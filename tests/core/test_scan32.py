@@ -29,7 +29,7 @@ from repro import FunctionIndex, QueryModel, ScalarProductQuery, load_index, sav
 from repro.core import exact
 from repro.core.collection import PlanarIndexCollection
 from repro.core.feature_store import FeatureStore
-from repro.core.selection import SKETCH_BUCKETS, select_counted
+from repro.core.selection import SKETCH_BUCKETS
 from repro.geometry.translation import Translator
 from repro.obs import metrics as obs_metrics
 from repro.obs import runtime as obs_runtime
@@ -275,10 +275,6 @@ class TestCountedSelection:
         got = [collection._select_position(collection.working_query(q)) for q in queries]
         rows = index.get_features(index.live_ids())
         assert got == _fresh_positions(collection, rows, queries)
-        reference = [
-            select_counted(list(collection), collection.working_query(q)) for q in queries
-        ]
-        assert got == reference
 
     def test_default_strategy_is_counted(self, setup):
         index, _, _ = setup

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from repro.core.selection import key_offsets
 from repro.exceptions import DimensionMismatchError, InvalidQueryError
 from repro.geometry import Translator
 
@@ -94,7 +95,8 @@ class TestCoordinateMaps:
     def test_key_offset(self):
         translator = Translator(np.array([1.0, 1.0]))
         translator.observe([[-2.0, -3.0]])
-        assert translator.key_offset([5.0, 7.0]) == pytest.approx(10.0 + 21.0)
+        offset = key_offsets(np.array([5.0, 7.0]), translator.delta)
+        assert offset == pytest.approx(10.0 + 21.0)
 
 
 @given(
