@@ -42,6 +42,7 @@ from .selection import (
 )
 from .sorted_keys import ID_DTYPE
 from .topk import TopKResult
+from .write_log import WriteLog, merge_threshold
 
 __all__ = ["PlanarIndexCollection", "dedupe_parallel_normals"]
 
@@ -107,10 +108,12 @@ class _SelectionCache:
     columns from one index generation paired with the member list of
     another — the invariant that makes ``add_index``/``drop_index`` safe to
     run concurrently with queries (a racing query may route through the
-    just-retired generation, but every generation answers exactly).  The
-    sketch and offsets are rebuilt after every write of this collection; a
-    stale one only chooses worse, because the chosen index's interval is
-    always ranked exactly.
+    just-retired generation, but every generation answers exactly).  A
+    merge of the write log is such a mutation too: it rebinds copies of
+    every index over a fresh log, so a query holding the previous snapshot
+    reads runs and a log that still match.  The sketch and offsets are
+    rebuilt when the log merges; a stale one only chooses worse, because
+    the chosen index's interval is always ranked exactly.
     """
 
     __slots__ = ("indices", "columns", "offsets", "sketch")
@@ -146,6 +149,10 @@ class PlanarIndexCollection:
         (``repro_indexed_points{index=...}`` and friends).  The sharded
         engine passes ``"s<shard>:"`` so sibling shards' indices never
         collide in the metric label space.
+
+    Writes are recorded once in a :class:`~repro.core.write_log.WriteLog`
+    shared by every member and merged into all of them in one pass once it
+    passes :func:`~repro.core.write_log.merge_threshold` (Section 4.4).
     """
 
     @array_contract("normals: (r, d) float64 cast")
@@ -167,6 +174,7 @@ class PlanarIndexCollection:
         self._store = store
         self._translator = translator
         self._obs_prefix = str(obs_prefix)
+        self._log = WriteLog()
         # One matrix product computes every index's keys (Section 4.2's
         # <c, phi(x)> for all c at once); each index then only sorts.  The
         # ids are converted to the stored dtype once for all indices.
@@ -180,6 +188,7 @@ class PlanarIndexCollection:
                 translator,
                 precomputed=(ids, key_matrix[:, position]),
                 obs_label=self._label(position),
+                log=self._log,
             )
             for position, row in enumerate(keep)
         ]
@@ -210,6 +219,7 @@ class PlanarIndexCollection:
         self._store = store
         self._translator = translator
         self._obs_prefix = str(obs_prefix)
+        self._log = WriteLog()
         self._indices = [
             PlanarIndex(
                 normal,
@@ -218,6 +228,7 @@ class PlanarIndexCollection:
                 precomputed=(ids, keys),
                 obs_label=self._label(position),
                 presorted=True,
+                log=self._log,
             )
             for position, (normal, ids, keys) in enumerate(prebuilt)
         ]
@@ -301,8 +312,8 @@ class PlanarIndexCollection:
         return np.vstack([index.normal for index in self._indices])
 
     def memory_bytes(self) -> int:
-        """Key-structure footprint across all indices (excludes features)."""
-        return sum(index.memory_bytes() for index in self._indices)
+        """Key-structure footprint across all indices and the write log (excludes features)."""
+        return self._log.memory_bytes() + sum(index.memory_bytes() for index in self._indices)
 
     # ------------------------------------------------------------------ #
     # Query routing
@@ -347,10 +358,11 @@ class PlanarIndexCollection:
     ) -> tuple[int, PlanarIndex, int, int, int, str]:
         """``(position, index, r_lo, r_hi, n, route)`` for one working query.
 
-        The one routing decision: verifying the chosen index's
-        intermediate interval costs several times a scanned point per
-        point, so above ``_SCAN_FALLBACK_FRACTION`` of the data the route
-        is ``"scan"``, else ``"intervals"``.  With obs armed, counted
+        ``n`` counts the live points.  The one routing decision: verifying
+        the chosen index's intermediate interval (the write log's pending
+        ids included) costs several times a scanned point per point, so
+        above ``_SCAN_FALLBACK_FRACTION`` of the data the route is
+        ``"scan"``, else ``"intervals"``.  With obs armed, counted
         selection records how far its sketch estimate was from the exact
         |II| (``repro_ii_estimate_error``).
         """
@@ -363,7 +375,12 @@ class PlanarIndexCollection:
             counts = scores(cache.columns, cache.offsets, cache.sketch, wq)[0]
             estimate = counts[position] * n / SKETCH_BUCKETS
             _om.ii_estimate_error().observe(abs(estimate - (r_hi - r_lo)) / n)
-        route = "intervals" if r_hi - r_lo <= _SCAN_FALLBACK_FRACTION * n else "scan"
+        verify = r_hi - r_lo
+        state = index._log.state
+        if state is not None:
+            verify += state.pending.size
+            n = state.n_live(n)
+        route = "intervals" if verify <= _SCAN_FALLBACK_FRACTION * n else "scan"
         return position, index, r_lo, r_hi, n, route
 
     def _scan_result(
@@ -371,28 +388,30 @@ class PlanarIndexCollection:
     ) -> QueryResult:
         """Cost-based scan fallback: exact answer by one streamed float32 scan.
 
-        Pruning statistics stay interval-based (``si``/``ii``/``li`` from
-        the chosen index's ranks) so Figures 9/10 metrics are unaffected by
-        the routing decision; ``n_verified`` reflects the scan.  Rows
-        within the scan's bound of ``b`` are re-decided from their float64
-        rows.  With no dead rows the scan's positions are the ids
-        themselves.
+        Pruning statistics stay interval-based (``si``/``ii``/``li`` of
+        the chosen index's live partition) so Figures 9/10 metrics are
+        unaffected by the routing decision; ``n_verified`` reflects the
+        scan.  Rows within the scan's bound of ``b`` are re-decided from
+        their float64 rows.  When the scan's positions are the ids, the
+        store drops dead positions from the answer.
         """
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
         ids, values, bound = self._store.scan_values(wq.query.normal)
         take = self._store.take_rows
-        rows = take if ids is None else lambda at: take(ids[at])
-        keep = exact.select(values, wq.query, bound, rows)
-        result_ids = keep if ids is None else ids[keep]
+        if ids is None:
+            result_ids = self._store.live_only(exact.select(values, wq.query, bound, take))
+        else:
+            result_ids = ids[exact.select(values, wq.query, bound, lambda at: take(ids[at]))]
+        part = best._split(best._log.state, r_lo, r_hi, middle=False)
         if obs_on:
             _osp.record("scan", started, n=n)
-            best._record_partition("inequality", r_lo, r_hi - r_lo, n - r_hi, n)
+            best._record_partition("inequality", part.si, part.ii, part.li, n)
         stats = QueryStats(
             n_total=n,
-            si_size=r_lo,
-            ii_size=r_hi - r_lo,
-            li_size=n - r_hi,
+            si_size=part.si,
+            ii_size=part.ii,
+            li_size=part.li,
             n_verified=n,
             n_results=int(result_ids.size),
         )
@@ -583,11 +602,14 @@ class PlanarIndexCollection:
         keep = dedupe_parallel_normals(np.vstack([existing, normal]))
         if keep[-1] != existing.shape[0]:
             return False
+        # The newcomer keys every live row, so the others must hold them too.
+        self.merge()
         newcomer = PlanarIndex(
             normal,
             self._store,
             self._translator,
             obs_label=self._label(len(self._indices)),
+            log=self._log,
         )
         # Rebind rather than append in place: a query thread holding the
         # previous member list (via its cache snapshot) keeps a stable view.
@@ -605,6 +627,7 @@ class PlanarIndexCollection:
         """
         if len(self._indices) <= 1:
             raise IndexBuildError("cannot drop the last index of a collection")
+        self.merge()
         dropped = self._indices[position]
         # Rebind to a survivor list (never `del` in place) so concurrent
         # query threads keep the generation their cache snapshot names.
@@ -615,25 +638,52 @@ class PlanarIndexCollection:
         self._relabel()
         self._refresh_selection_cache()
 
-    @array_contract(
-        "ids: (m,) int64 cast", "rows: (m, d) float64 cast", "old_rows: (m, d) float64 cast"
-    )
-    def rekey(self, ids: np.ndarray, rows: np.ndarray, old_rows: np.ndarray) -> None:
-        """Propagate a feature update (changed rows, replacing ``old_rows``) to every index."""
-        for index in self._indices:
-            index.rekey(ids, rows, old_rows)
+    def merge(self) -> None:
+        """Merge the write log into every index, in one pass each (Section 4.4).
+
+        One matrix product keys the pending rows under every normal (their
+        current rows are in the store); each index then drops its stale
+        entries and adds the pending ones (:meth:`PlanarIndex.merged`).
+        The merged copies and a fresh log are rebound like a lifecycle
+        mutation (see :class:`_SelectionCache`), and the selection
+        sketches are rebuilt here and only here.
+        """
+        state = self._log.state
+        if state is None:
+            return
+        drop = np.flatnonzero(state.stale).astype(ID_DTYPE)
+        pending = state.pending
+        rows = self._store.take_rows(pending)
+        keys = self.normals @ rows.T  # repro: noqa(REP001) — one keying matmul per merge
+        log = WriteLog()
+        self._indices = [
+            index.merged(drop, pending, row, log) for index, row in zip(self._indices, keys)
+        ]
+        self._log = log
         self._refresh_selection_cache()
 
-    @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
-    def insert(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        """Propagate newly appended points to every index."""
-        for index in self._indices:
-            index.insert(ids, rows)
-        self._refresh_selection_cache()
+    def _merge_if_due(self) -> None:
+        """Merge once the log passes the cost-derived threshold."""
+        state = self._log.state
+        if state is not None and state.size > merge_threshold(
+            len(self._indices[0]), len(self._indices)
+        ):
+            self.merge()
 
-    @array_contract("ids: (m,) int64 cast", "old_rows: (m, d) float64 cast")
-    def delete(self, ids: np.ndarray, old_rows: np.ndarray) -> None:
-        """Propagate deletions of points with feature rows ``old_rows`` to every index."""
-        for index in self._indices:
-            index.delete(ids, old_rows)
-        self._refresh_selection_cache()
+    @array_contract("ids: (m,) int64 cast")
+    def rekey(self, ids: np.ndarray) -> None:
+        """Record that the store rows of ``ids`` changed (already written there)."""
+        self._log.rekey(ids)
+        self._merge_if_due()
+
+    @array_contract("ids: (m,) int64 cast")
+    def insert(self, ids: np.ndarray) -> None:
+        """Record points newly appended to the store."""
+        self._log.insert(ids)
+        self._merge_if_due()
+
+    @array_contract("ids: (m,) int64 cast")
+    def delete(self, ids: np.ndarray) -> None:
+        """Record deletions of live points (before the store marks them dead)."""
+        self._log.delete(ids)
+        self._merge_if_due()

@@ -111,26 +111,28 @@ class ConstraintAnswer:
 def _certain_sets(
     collection: PlanarIndexCollection, wq: WorkingQuery
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, QueryStats]:
-    """(certain-accept ids, candidate ids, certain-reject ids, stats)."""
+    """(certain-accept ids, candidate ids, certain-reject ids, stats).
+
+    Over live points: the index's :meth:`~repro.core.planar.PlanarIndex._split`
+    skips the write log's stale entries and makes its pending ids
+    candidates.
+    """
     index = collection.select(wq)
-    r_lo, r_hi, n = index.interval_ranks(wq)
-    keys = index._keys  # sorted-order access shared with the index
+    r_lo, r_hi, _ = index.interval_ranks(wq)
+    part = index._split(index._log.state, r_lo, r_hi, below=True, above=True)
     if wq.op.is_upper_bound:
-        accept = keys.ids_in_rank_range(0, r_lo)
-        reject = keys.ids_in_rank_range(r_hi, n)
+        accept, reject = part.below, part.above
     else:
-        accept = keys.ids_in_rank_range(r_hi, n)
-        reject = keys.ids_in_rank_range(0, r_lo)
-    candidates = keys.ids_in_rank_range(r_lo, r_hi)
+        accept, reject = part.above, part.below
     stats = QueryStats(
-        n_total=n,
-        si_size=r_lo,
-        ii_size=r_hi - r_lo,
-        li_size=n - r_hi,
+        n_total=part.n,
+        si_size=part.si,
+        ii_size=part.ii,
+        li_size=part.li,
         n_verified=0,
         n_results=0,
     )
-    return accept, candidates, reject, stats
+    return accept, part.middle, reject, stats
 
 
 def _answer(
@@ -162,9 +164,10 @@ def _answer(
         accepted, rejected = np.unique(np.concatenate(accepts)), intersect(rejects)
 
     # Everything neither certainly accepted nor certainly rejected must be
-    # verified; that is the complement of (accepted | rejected).
+    # verified; that is the complement of (accepted | rejected) among the
+    # live points, which one constraint's three parts cover exactly.
     decided = np.union1d(accepted, rejected)
-    all_ids = np.sort(np.asarray(collection[0]._keys.sorted_ids))
+    all_ids = np.sort(np.concatenate(certains[0][:3]))
     remaining = np.setdiff1d(all_ids, decided, assume_unique=True)
 
     n_verified = int(remaining.size)

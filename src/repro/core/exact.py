@@ -17,10 +17,8 @@ overflows the split).  The scan route reads a float32 column copy of the
 rows instead (:func:`scan_columns`, :func:`scan`): its values come with
 their own bound ``E32`` and are compared against float32 thresholds rounded
 outward.  :func:`key_band` applies the same rounding model to
-the stored index keys, including their rounding to float32, and
-:func:`key_window` bounds the key a stored row was filed under so that
-maintenance finds its entry by key.  Derivations: ``docs/algorithms.md``
-section 6.
+the stored index keys, including their rounding to float32.  Derivations:
+``docs/algorithms.md`` section 6.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ __all__ = [
     "error_bound",
     "key_band",
     "key_rounding",
-    "key_window",
     "octant_bound",
     "residuals",
     "satisfying",
@@ -138,29 +135,6 @@ def key_band(t_abs_max, ratio_max, key_offset, offset, dim: int):
         + (dim + 4) * ratio_max * _ETA
         + key_rounding(t_abs_max + key_offset)
     )
-
-
-def key_window(rows: np.ndarray, normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """float64 ``(low, high)`` holding the float64 key each of ``rows`` was stored under.
-
-    A stored key is some float64 evaluation of ``<c, phi(x)>`` (the build
-    matrix product, a maintenance matrix-vector product, a key persisted
-    by an older format), and so is the key recomputed here: both lie
-    within ``E = error_bound(sum_i |c_i phi_i|, d)`` of the exact value,
-    hence within ``2E`` of each other.  ``k -+ 2E`` is then stepped one
-    ulp outward to cover its own rounding.  A key or bound that overflows
-    gives an unbounded window.
-    """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
-    normal = np.asarray(normal, dtype=np.float64)
-    keys = rows @ normal
-    width = 2.0 * error_bound(np.abs(rows) @ np.abs(normal), normal.size)
-    with np.errstate(invalid="ignore", over="ignore"):
-        low = np.nextafter(keys - width, -np.inf)
-        high = np.nextafter(keys + width, np.inf)
-    low[np.isnan(low)] = -np.inf
-    high[np.isnan(high)] = np.inf
-    return low, high
 
 
 def column_magnitudes(rows: np.ndarray) -> np.ndarray:

@@ -197,28 +197,30 @@ class FeatureStore:
         return ids, self._data[ids]
 
     @array_contract("normal: (d,) float64 cast")
-    def scan_values(
-        self, normal: np.ndarray
-    ) -> tuple[np.ndarray | None, np.ndarray, float]:
-        """``(ids, values, E32)``: float32 scan values of every live row.
+    def scan_values(self, normal: np.ndarray) -> tuple[None, np.ndarray, float]:
+        """``(None, values, E32)``: float32 scan values of every row, dead ones too.
 
         This is the streaming evaluation a sequential scan performs; the
         collection's cost-based router uses it when an index's intermediate
         interval would be more expensive to verify than scanning.  The
         values come from the float32 column copy (:func:`exact.scan`, built
         here on the first call) and are decided by :func:`exact.select`
-        with their bound ``E32``.  ``ids`` is ``None`` when every row is
-        live: positions are then ids, and the scan builds no id array.
+        with their bound ``E32``.  Positions are ids (the ``None``), so
+        the scan builds no id array and gathers no values; the caller
+        drops dead positions from its answer with :meth:`live_only`.
         """
         if _ort.active():
             _om.store_scans().inc()
         if self._scan is None:
             self._scan = exact.scan_columns(self._data)
         values, bound = exact.scan(*self._scan, normal)
+        return None, values, bound
+
+    def live_only(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` (any row positions) without the dead ones, order kept."""
         if self._n_live == self.capacity:
-            return None, values, bound
-        ids = self.live_ids()
-        return ids, values[ids], bound
+            return ids
+        return ids[self._live[ids]]
 
     @array_contract("normals: (m, d) float64 cast promote")
     def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:

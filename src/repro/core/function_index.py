@@ -670,28 +670,25 @@ class FunctionIndex:
         self._translator.observe(features)
         return new_points, features
 
-    def _live_rows(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, feature rows)`` once every id is live, in range and unique.
+    def _checked_ids(self, ids: np.ndarray) -> np.ndarray:
+        """``ids`` once every one is live, in range and unique.
 
         Runs before a write touches any store, the translator or an index,
-        so a bad batch leaves them all unchanged; the rows locate each
-        point's index entries by its current key.
+        so a bad batch leaves them all unchanged.
         """
         ids = np.ascontiguousarray(ids, dtype=np.int64)
-        rows = self._features.get(ids)
+        self._features.get(ids)
         require_unique(ids, "batch ids must be unique")
-        return ids, rows
+        return ids
 
     def update_points(self, ids: np.ndarray, new_points: np.ndarray) -> None:
         """Change the raw values of existing points and re-key every index."""
-        ids, old_rows = self._live_rows(ids)
+        ids = self._checked_ids(ids)
         new_points, features = self._ingest(new_points)
         self._points.update(ids, new_points)
         self._features.update(ids, features)
         self._maintain_each(
-            "update",
-            ids,
-            lambda collection, rows: collection.rekey(ids[rows], features[rows], old_rows[rows]),
+            "update", ids, lambda collection, rows: collection.rekey(ids[rows])
         )
 
     def insert_points(self, new_points: np.ndarray) -> np.ndarray:
@@ -702,9 +699,7 @@ class FunctionIndex:
         if not np.array_equal(point_ids, feature_ids):  # pragma: no cover
             raise RuntimeError("point/feature stores diverged")
         self._maintain_each(
-            "insert",
-            feature_ids,
-            lambda collection, rows: collection.insert(feature_ids[rows], features[rows]),
+            "insert", feature_ids, lambda collection, rows: collection.insert(feature_ids[rows])
         )
         return feature_ids
 
@@ -715,14 +710,22 @@ class FunctionIndex:
         # would leave the two out of lockstep.
         if not self._features.writable:
             self._features.delete(np.empty(0, dtype=np.int64))  # raises
-        ids, old_rows = self._live_rows(ids)
+        ids = self._checked_ids(ids)
         self._maintain_each(
-            "delete",
-            ids,
-            lambda collection, rows: collection.delete(ids[rows], old_rows[rows]),
+            "delete", ids, lambda collection, rows: collection.delete(ids[rows])
         )
         self._features.delete(ids)
         self._points.delete(ids)
+
+    def merge_writes(self) -> None:
+        """Merge every collection's write log into its indices now.
+
+        Writes are otherwise merged once a log passes its cost-derived
+        threshold (:mod:`repro.core.write_log`); answers are the same
+        either way.  :func:`~repro.core.persistence.save_index` calls this
+        first, so a saved index holds no log.
+        """
+        self._maintain_each("merge", None, lambda collection, _rows: collection.merge())
 
     def add_index(self, normal: np.ndarray) -> bool:
         """Dynamically add one more Planar index (Section 4.2 adaptation).
@@ -815,17 +818,17 @@ class FunctionIndex:
                 "n_total": len(self),
             }
         position, index, r_lo, r_hi, n, route = self.collection._plan(wq)
-        intermediate = r_hi - r_lo
+        part = index._split(index._log.state, r_lo, r_hi, middle=False)
         return {
             "route": route,
             "strategy": self.collection.strategy.value,
             "index_position": position,
             "index_normal": index.normal.copy(),
-            "si_size": r_lo,
-            "ii_size": intermediate,
-            "li_size": n - r_hi,
+            "si_size": part.si,
+            "ii_size": part.ii,
+            "li_size": part.li,
             "n_total": n,
-            "expected_verified": n if route == "scan" else intermediate,
+            "expected_verified": n if route == "scan" else part.ii,
         }
 
     def explain_report(

@@ -162,6 +162,8 @@ def save_index(
     Both embed per-array SHA-256 checksum manifests.
     """
     path = Path(path)
+    # The format holds merged runs only; answers do not change.
+    index.merge_writes()
     if version == 4:
         return _save_v4(index, path)
     if version == 2:

@@ -42,8 +42,10 @@ exceeds the current k-th best distance (Claim 3).
 
 from __future__ import annotations
 
+import copy
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -64,8 +66,9 @@ from .selection import interval_probes, key_offsets, thresholds
 from .sorted_keys import SortedKeyStore
 from .stats import QueryStats
 from .topk import SharedCutoff, TopKBuffer, TopKResult
+from .write_log import LogState, WriteLog
 
-__all__ = ["WorkingQuery", "QueryStats", "QueryResult", "PlanarIndex"]
+__all__ = ["WorkingQuery", "QueryStats", "QueryResult", "PlanarIndex", "Partition"]
 
 # Points verified per batch during the pruned top-k scan.  Larger blocks
 # amortize numpy call overhead; the scan may overshoot the exact Algorithm 2
@@ -127,6 +130,28 @@ class WorkingQuery:
         return self.query.op
 
 
+class Partition(NamedTuple):
+    """The live points of one run split at ranks ``r_lo <= r_hi``.
+
+    ``below`` / ``above`` are the live ids of ranks ``[0, r_lo)`` /
+    ``[r_hi, n)`` when asked for, else None; ``middle`` holds the live ids
+    of ranks ``[r_lo, r_hi)`` followed by the pending ids.  ``si``, ``ii``
+    and ``li`` count the three parts; they sum to the live points.
+    """
+
+    below: np.ndarray | None
+    middle: np.ndarray
+    above: np.ndarray | None
+    si: int
+    ii: int
+    li: int
+
+    @property
+    def n(self) -> int:
+        """Live points of the run plus the pending ones."""
+        return self.si + self.ii + self.li
+
+
 @dataclass(frozen=True)
 class QueryResult:
     """Result of an inequality query against one index."""
@@ -166,6 +191,10 @@ class PlanarIndex:
         (``repro_interval_points_total{index=...}`` and friends).
         Collections label their members by position; the default
         ``"solo"`` marks standalone indices.
+    log:
+        The collection's shared :class:`~repro.core.write_log.WriteLog`:
+        queries skip its stale entries and decide its pending ids.  A
+        standalone index has an empty one and applies writes at once.
     """
 
     @array_contract("normal: (d,) float64 cast", "ids: ?(n,) int64 cast")
@@ -178,6 +207,7 @@ class PlanarIndex:
         precomputed: tuple[np.ndarray, np.ndarray] | None = None,
         obs_label: str = "solo",
         presorted: bool = False,
+        log: WriteLog | None = None,
     ) -> None:
         normal = as_1d_float(normal, "normal")
         if normal.size != store.dim:
@@ -196,6 +226,7 @@ class PlanarIndex:
         self._working_normal.setflags(write=False)
         self._store = store
         self._translator = translator
+        self._log = WriteLog() if log is None else log
         # Keys are <c, phi(x)> in original coordinates: reflection cancels
         # (s_i * c_i)(s_i * phi_i) = c_i * phi_i and translation is a shared
         # constant applied to thresholds at query time.
@@ -346,6 +377,63 @@ class PlanarIndex:
             _osp.record("binary_search", started, index=self._obs_label)
         return r_lo, r_hi, len(self._keys)
 
+    def _split(
+        self,
+        state: LogState | None,
+        r_lo: int,
+        r_hi: int,
+        below: bool = False,
+        above: bool = False,
+        middle: bool = True,
+    ) -> Partition:
+        """Live :class:`Partition` of the run at ranks ``r_lo <= r_hi`` under ``state``.
+
+        The one place a query reads the write log: stale entries leave
+        every part and the pending ids join the intermediate interval.
+        The parts not asked for are None (``middle`` then holds only the
+        pending ids).  With an empty log it is one branch over plain
+        slices.  Otherwise each part costs one mask gather over its ids;
+        the sizes need two parts, so the smallest parts not asked for are
+        counted and the last follows from the log's count of stale entries.
+        """
+        ids = self._keys.sorted_ids
+        n = ids.size
+        if state is None:
+            return Partition(
+                ids[:r_lo] if below else None,
+                ids[r_lo:r_hi] if middle else ids[:0],
+                ids[r_hi:] if above else None,
+                r_lo,
+                r_hi - r_lo,
+                n - r_hi,
+            )
+        low = state.live(ids[:r_lo]) if below else None
+        mid = state.live(ids[r_lo:r_hi]) if middle else None
+        high = state.live(ids[r_hi:]) if above else None
+        # Two of the three live sizes are counted, the smallest parts not
+        # asked for first; the third is what the live run entries leave.
+        parts = ((0, r_lo), (r_lo, r_hi), (r_hi, n))
+        sizes = [None if part is None else part.size for part in (low, mid, high)]
+        missing = sorted(
+            (p for p in range(3) if sizes[p] is None),
+            key=lambda p: parts[p][1] - parts[p][0],
+        )
+        for p in missing[:-1]:
+            sizes[p] = state.count(ids[parts[p][0]:parts[p][1]])
+        if missing:
+            last = missing[-1]
+            sizes[last] = n - state.n_stale - sum(sizes[p] for p in range(3) if p != last)
+        si, ii, li = sizes
+        pending = state.pending
+        return Partition(
+            low,
+            pending if mid is None else np.concatenate([mid, pending]),
+            high,
+            si,
+            ii + pending.size,
+            li,
+        )
+
     # ------------------------------------------------------------------ #
     # Problem 1: inequality query (Algorithm 1)
     # ------------------------------------------------------------------ #
@@ -406,14 +494,12 @@ class PlanarIndex:
         paying for verification.
         """
         obs_on = _ort.active()
-        n = len(self._keys)
-        if wq.op.is_upper_bound:
-            accepted = [self._keys.ids_in_rank_range(0, r_lo)]
-        else:
-            accepted = [self._keys.ids_in_rank_range(r_hi, n)]
+        upper = wq.op.is_upper_bound
+        part = self._split(self._log.state, r_lo, r_hi, below=upper, above=not upper)
+        accepted = [part.below if upper else part.above]
 
         started = time.perf_counter() if obs_on else 0.0
-        verify_ids = self._keys.ids_in_rank_range(r_lo, r_hi)
+        verify_ids = part.middle
         n_verified = int(verify_ids.size)
         if n_verified:
             feats = self._store.take_rows(verify_ids)
@@ -426,14 +512,12 @@ class PlanarIndex:
         result_ids = np.sort(np.concatenate(accepted))
         if obs_on:
             _osp.record("materialize", started, n_results=int(result_ids.size))
-            self._record_partition(
-                "inequality", r_lo, r_hi - r_lo, n - r_hi, n_verified
-            )
+            self._record_partition("inequality", part.si, part.ii, part.li, n_verified)
         stats = QueryStats(
-            n_total=n,
-            si_size=r_lo,
-            ii_size=r_hi - r_lo,
-            li_size=n - r_hi,
+            n_total=part.n,
+            si_size=part.si,
+            ii_size=part.ii,
+            li_size=part.li,
             n_verified=n_verified,
             n_results=int(result_ids.size),
         )
@@ -449,8 +533,9 @@ class PlanarIndex:
         SI/II/LI sizes are therefore exactly :meth:`query`'s stats.
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        r_lo, r_hi, n = self.interval_ranks(wq)
+        r_lo, r_hi, _ = self.interval_ranks(wq)
         stats = self.finish_query(wq, r_lo, r_hi).stats
+        n = stats.n_total
         if _ort.active():
             _om.explain_total().inc(route="intervals")
         return ExplainReport(
@@ -527,23 +612,17 @@ class PlanarIndex:
             regions.append((0, r_lo) if wq.op.is_upper_bound else (r_hi, n))
         in_start = max(region[0] for region in regions)
         in_stop = min(region[1] for region in regions)
-        accepted = (
-            self._keys.ids_in_rank_range(in_start, in_stop)
-            if in_start < in_stop
-            else np.empty(0, dtype=np.int64)
-        )
-        # Verify both uncertainty bands (they may overlap for tight ranges).
-        band_ids = [
-            self._keys.ids_in_rank_range(start, stop)
-            for start, stop in bands
-            if start < stop
-        ]
-        verify_ids = (
-            np.unique(np.concatenate(band_ids)) if band_ids else np.empty(0, np.int64)
-        )
-        # Guard against double counting: certain-in ids never overlap the
-        # bands by construction (disjoint rank ranges), but overlapping
-        # bands may repeat ids between themselves — np.unique handled it.
+        accepted = self._keys.ids_in_rank_range(in_start, max(in_start, in_stop))
+        # Verify both uncertainty bands (they may overlap for tight ranges,
+        # so np.unique drops repeats; certain-in ids never overlap them).
+        band_ids = [self._keys.ids_in_rank_range(start, stop) for start, stop in bands]
+        state = self._log.state
+        if state is not None:
+            # The same skip and join as _split, for two bands.
+            accepted = state.live(accepted)
+            band_ids = [state.live(ids) for ids in band_ids] + [state.pending]
+            n = state.n_live(n)
+        verify_ids = np.unique(np.concatenate(band_ids))
         n_verified = int(verify_ids.size)
         verified = verify_ids
         if n_verified:
@@ -556,9 +635,9 @@ class PlanarIndex:
         result_ids = np.sort(np.concatenate([accepted, verified]))
         stats = QueryStats(
             n_total=n,
-            si_size=max(0, in_stop - in_start),
+            si_size=int(accepted.size),
             ii_size=n_verified,
-            li_size=n - max(0, in_stop - in_start) - n_verified,
+            li_size=n - int(accepted.size) - n_verified,
             n_verified=n_verified,
             n_results=int(result_ids.size),
         )
@@ -639,10 +718,14 @@ class PlanarIndex:
             if cutoff is not None and buffer.is_full:
                 cutoff.publish(buffer.max_distance)
 
+        # The live intermediate interval and the pending ids go first, so
+        # the walk below only ever prunes run entries.
         started = time.perf_counter() if obs_on else 0.0
-        n_ii = r_hi - r_lo
+        state = self._log.state
+        part = self._split(state, r_lo, r_hi)
+        n_ii = part.ii
         if n_ii:
-            offer(self._keys.ids_in_rank_range(r_lo, r_hi))
+            offer(part.middle)
         if obs_on:
             _osp.record("verify_II", started, n_verified=n_ii)
             started = time.perf_counter()
@@ -675,14 +758,18 @@ class PlanarIndex:
                 limit = min(limit, cutoff.get())
             if lbs_head > limit:
                 break
-            n_checked += stop - start
-            offer(self._keys.ids_in_rank_range(start, stop))
+            block = self._keys.ids_in_rank_range(start, stop)
+            if state is not None:
+                block = state.live(block)
+            n_checked += block.size
+            if block.size:
+                offer(block)
 
         stats = QueryStats(
-            n_total=n,
-            si_size=r_lo,
+            n_total=part.n,
+            si_size=part.si,
             ii_size=n_ii,
-            li_size=n - r_hi,
+            li_size=part.li,
             n_verified=n_checked,
             n_results=len(buffer),
         )
@@ -693,11 +780,11 @@ class PlanarIndex:
                 "scan_LBS", started, index=self._obs_label,
                 n_scanned=n_checked - n_ii,
             )
-            self._record_partition("topk", r_lo, n_ii, n - r_hi, n_checked)
+            self._record_partition("topk", part.si, n_ii, part.li, n_checked)
         ids, _ = buffer.as_sorted()
         ids, distances = exact.sorted_by_distance(ids, self._store.take_rows(ids), wq.query)
         return TopKResult(
-            ids=ids, distances=distances, n_checked=n_checked, n_total=n, stats=stats
+            ids=ids, distances=distances, n_checked=n_checked, n_total=part.n, stats=stats
         )
 
     # ------------------------------------------------------------------ #
@@ -709,39 +796,52 @@ class PlanarIndex:
 
         Single shared implementation (layout normalization included) so
         :meth:`rekey` and :meth:`insert` cannot drift apart in how they
-        key rows — both must match the build-time keying exactly or
-        maintained indices would return different answers than rebuilt
-        ones.
+        key rows.
         """
         rows = np.ascontiguousarray(rows, dtype=np.float64)
         return rows @ self._normal
 
-    @array_contract(
-        "ids: (m,) int64 cast", "rows: (m, d) float64 cast", "old_rows: (m, d) float64 cast"
-    )
-    def rekey(self, ids: np.ndarray, rows: np.ndarray, old_rows: np.ndarray) -> None:
-        """Update keys after the features of existing points changed.
+    def _count_indexed(self) -> None:
+        """Set the ``repro_indexed_points`` gauge after maintenance (obs armed only)."""
+        if _ort.active():
+            _om.indexed_points().set(len(self._keys), index=self._obs_label)
 
-        ``rows`` holds only the changed feature rows (one per id), never the
-        full matrix, and ``old_rows`` the rows they replaced, whose keys
-        locate the entries to move (:func:`repro.core.exact.key_window`).
-        The caller (usually :class:`FunctionIndex`) is responsible for
-        having already updated the shared store and grown the translator.
+    def merged(
+        self, drop: np.ndarray, ids: np.ndarray, keys: np.ndarray, log: WriteLog
+    ) -> "PlanarIndex":
+        """A copy with the entries of ``drop`` dropped and ``(ids, keys)`` added, in one pass.
+
+        A collection's merge of its write log: ``drop`` are the stale
+        entries, ``ids`` the pending points and ``keys`` their float64
+        keys under this index's normal.  The copy reads ``log``, the
+        collection's next write log; this index and the log it reads stay
+        as they are, so a query holding them still answers exactly.
         """
-        low, high = exact.key_window(old_rows, self._normal)
-        self._keys.update_batch(ids, self._compute_keys(rows), low, high)
+        twin = copy.copy(self)
+        twin._keys = copy.copy(self._keys)
+        twin._keys.update_batch(drop, ids, keys)
+        twin._log = log
+        twin._count_indexed()
+        return twin
+
+    @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
+    def rekey(self, ids: np.ndarray, rows: np.ndarray) -> None:
+        """Re-key points whose feature rows changed to ``rows`` (one per id).
+
+        Applied at once: a standalone index has no write log.  The caller
+        has already updated the shared store and grown the translator.
+        """
+        self._keys.update_batch(ids, ids, self._compute_keys(rows))
+        self._count_indexed()
 
     @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
     def insert(self, ids: np.ndarray, rows: np.ndarray) -> None:
         """Index newly appended points (one feature row per id)."""
         self._keys.insert(ids, self._compute_keys(rows))
-        if _ort.active():
-            _om.indexed_points().set(len(self._keys), index=self._obs_label)
+        self._count_indexed()
 
-    @array_contract("ids: (m,) int64 cast", "old_rows: (m, d) float64 cast")
-    def delete(self, ids: np.ndarray, old_rows: np.ndarray) -> None:
-        """Drop points whose current feature rows are ``old_rows``."""
-        low, high = exact.key_window(old_rows, self._normal)
-        self._keys.delete(ids, low, high)
-        if _ort.active():
-            _om.indexed_points().set(len(self._keys), index=self._obs_label)
+    @array_contract("ids: (m,) int64 cast")
+    def delete(self, ids: np.ndarray) -> None:
+        """Drop points by id."""
+        self._keys.delete(ids)
+        self._count_indexed()

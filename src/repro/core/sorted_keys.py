@@ -25,18 +25,16 @@ Construction sorts once: each ``(key, id)`` pair is packed into one
 ``uint64`` word (order-preserving key bits high, id low), and a plain
 ``np.sort`` of the words yields the stable ``(key, id)`` order.
 
-Updates and deletes find a point's entry by its key, as the paper does
-(Section 4.4): the caller passes a float64 window ``[low, high]`` holding
-the key the point was stored under (:func:`repro.core.exact.key_window`),
-each window becomes a float32 rank range by two binary searches, and the
-ids are matched only inside the union of those ranges.  One vectorized
-pass removes the entries and one merge adds the new ones: O(b log n + w +
-n) per batch of ``b`` changes whose windows span ``w <= n`` entries, where
-the O(n) is two contiguous array copies, not an id-membership scan (the
-paper's O(log n) per change assumes a balanced tree; the asymptotic
-*query* complexity is identical).  An insert skips its clash check when
-every new id is at or above the store's id bound, the largest id it ever
-held plus one — always true for ids from ``FeatureStore.append``.
+Maintenance drops entries by id and merges new ones in one pass: an id
+mask over the stored ids selects the entries to keep, one compression per
+array removes the others, and one sorted merge adds the new pairs.  That is
+O(n + b log b) per batch of ``b`` changes; collections defer their writes
+and merge them in batches (:mod:`repro.core.write_log`), so the O(n) is
+paid once per many writes (the paper's O(log n) per change assumes a
+balanced tree; the asymptotic *query* complexity is identical).  An insert
+skips its clash check when every new id is at or above the store's id
+bound, the largest id it ever held plus one — always true for ids from
+``FeatureStore.append``.
 """
 
 from __future__ import annotations
@@ -75,6 +73,8 @@ _KEY_MAX = float(np.finfo(KEY_DTYPE).max)
 _PROBE_CAP = np.nextafter(KEY_DTYPE.type(_KEY_MAX), KEY_DTYPE.type(0.0))
 _DOWN = KEY_DTYPE.type(-np.inf)
 _UP = KEY_DTYPE.type(np.inf)
+_NO_IDS = np.empty(0, dtype=ID_DTYPE)
+_NO_KEYS = np.empty(0, dtype=KEY_DTYPE)
 _SIGN = 1 << 31
 _LOW_BITS = _SIGN - 1
 
@@ -299,117 +299,76 @@ class SortedKeyStore:
         require_unique(point_ids, "batch ids must be unique")
         return point_ids, as_keys(keys)
 
-    def _merge_in(self, add_ids: np.ndarray, add_keys: np.ndarray) -> None:
-        add_keys, add_ids = _sorted_pairs(add_keys, add_ids)
-        positions = np.searchsorted(self._keys, add_keys, side="right")
-        self._keys = np.insert(self._keys, positions, add_keys)
-        self._ids = np.insert(self._ids, positions, add_ids)
+    def _id_limit(self) -> int:
+        """The largest id this store ever held plus one (computed once)."""
+        if self._id_bound is None:
+            self._id_bound = int(self._ids.max()) + 1 if self._ids.size else 0
+        return self._id_bound
 
-    def _locate(
-        self, point_ids: np.ndarray, low: np.ndarray, high: np.ndarray, context: str
-    ) -> np.ndarray:
-        """Positions of ``point_ids``, each stored with a key in ``[low, high]``.
+    def _apply(
+        self, drop: np.ndarray, add_ids: np.ndarray, add_keys: np.ndarray, context: str
+    ) -> None:
+        """Remove the entries of ``drop`` and merge ``(add_ids, add_keys)``, in one pass.
 
-        The float64 windows round outward to float32 rank ranges (the
-        stored float32 key of a float64 key inside a window lies inside
-        the rounded one), the overlapping ranges merge into disjoint
-        segments, and the ids are matched inside their union only.  An id
-        may match outside its own window; it is still the one entry
-        holding that id, so order inside a run of equal keys never
-        matters.  Raises :class:`KeyError` unless every id is found.
+        Raises before changing anything: :class:`KeyError` unless every
+        dropped id is held, :class:`ValueError` if an added id is held and
+        not dropped.
         """
-        low = np.asarray(low, dtype=np.float64)
-        high = np.asarray(high, dtype=np.float64)
-        if low.shape != point_ids.shape or high.shape != point_ids.shape:
-            raise DimensionMismatchError(
-                f"{point_ids.size} ids for key windows of shapes {low.shape}, {high.shape}"
-            )
-        low, high = _round(low, _DOWN), _round(high, _UP)
-        order = np.argsort(low)
-        starts = np.searchsorted(self._keys, low[order], side="left")
-        stops = np.searchsorted(self._keys, high[order], side="right")
-        # A window opens a new segment unless an earlier one reaches it.
-        reach = np.maximum.accumulate(stops)
-        opens = np.ones(starts.size, dtype=bool)
-        opens[1:] = starts[1:] > reach[:-1]
-        first = np.flatnonzero(opens)
-        seg_starts = starts[first]
-        lengths = np.maximum(reach[np.append(first[1:], starts.size) - 1] - seg_starts, 0)
-        ends = np.cumsum(lengths)
-        positions = np.arange(ends[-1]) + np.repeat(seg_starts - ends + lengths, lengths)
-        # Pack (id, position) of each candidate and (id, all ones) of each
-        # wanted id into one word: after one sort a wanted id that is
-        # present directly follows its candidate.
-        words = np.concatenate(
-            [
-                (self._ids[positions].astype(WORD_DTYPE) << 32) | positions.astype(WORD_DTYPE),
-                (point_ids.astype(WORD_DTYPE) << 32) | ID_MAX,
-            ]
-        )
-        words.sort()
-        held = words >> 32
-        found = (words[:-1][held[1:] == held[:-1]] & ID_MAX).astype(np.intp)
-        if found.size != point_ids.size:
-            missing = np.setdiff1d(point_ids, self._ids[found])[:5].tolist()
-            raise KeyError(f"unknown point ids in {context}: {missing}")
-        return found
+        bound = self._id_limit()
+        if add_ids.size and int(add_ids.min()) < bound:
+            held = add_ids[add_ids < bound]
+            held = held[~np.isin(held, drop)]
+            clashes = held[np.isin(held, self._ids)] if held.size else held
+            if clashes.size:
+                raise ValueError(f"point ids already present: {clashes[:5].tolist()}")
+        keys, ids = self._keys, self._ids
+        if drop.size:
+            flags = np.zeros(bound + 1, dtype=bool)
+            flags[drop[drop < bound]] = True
+            keep = ~np.take(flags, ids)
+            if ids.size - int(np.count_nonzero(keep)) != drop.size:
+                missing = np.setdiff1d(drop, ids[~keep])[:5].tolist()
+                raise KeyError(f"unknown point ids in {context}: {missing}")
+            keys, ids = keys[keep], ids[keep]
+        if add_ids.size:
+            add_keys, add_ids = _sorted_pairs(add_keys, add_ids)
+            positions = np.searchsorted(keys, add_keys, side="right")
+            keys = np.insert(keys, positions, add_keys)
+            ids = np.insert(ids, positions, add_ids)
+            self._id_bound = max(bound, int(add_ids.max()) + 1)
+        self._keys, self._ids = keys, ids
 
-    def _remove(self, positions: np.ndarray) -> None:
-        keep = np.ones(self._keys.size, dtype=bool)
-        keep[positions] = False
-        self._keys = self._keys[keep]
-        self._ids = self._ids[keep]
-
-    def update(self, point_id: int, new_key: float, low: float, high: float) -> None:
-        """Re-key one point stored with a key in ``[low, high]`` (Section 4.4 update)."""
-        self.update_batch(
-            np.array([point_id]), np.array([float(new_key)]), np.array([low]), np.array([high])
-        )
+    def update(self, point_id: int, new_key: float) -> None:
+        """Re-key one point (Section 4.4 update)."""
+        ids = np.array([point_id])
+        self.update_batch(ids, ids, np.array([float(new_key)]))
 
     @array_contract(
+        "drop: (s,) uint32 cast",
         "point_ids: (m,) uint32 cast",
-        "new_keys: (m,) float32 cast",
-        "low: (m,) float64 cast nonfinite",
-        "high: (m,) float64 cast nonfinite",
+        "keys: (m,) float32 cast",
     )
-    def update_batch(
-        self, point_ids: np.ndarray, new_keys: np.ndarray, low: np.ndarray, high: np.ndarray
-    ) -> None:
-        """Re-key many points with one remove + one merge pass.
+    def update_batch(self, drop: np.ndarray, point_ids: np.ndarray, keys: np.ndarray) -> None:
+        """Drop the entries of ``drop`` and add ``(point_ids, keys)`` in one pass.
 
-        Point ``point_ids[j]`` must be stored under a float64 key in
-        ``[low[j], high[j]]`` (:func:`repro.core.exact.key_window`).
+        Re-keying points is ``update_batch(ids, ids, new_keys)``; a
+        collection's merge drops its stale entries and adds its pending
+        ones.
         """
-        point_ids, new_keys = self._validate_batch(point_ids, new_keys)
-        if point_ids.size == 0:
-            return
-        self._remove(self._locate(point_ids, low, high, "update"))
-        self._merge_in(point_ids, new_keys)
+        point_ids, keys = self._validate_batch(point_ids, keys)
+        drop = _as_ids(drop)
+        require_unique(drop, "dropped ids must be unique")
+        self._apply(drop, point_ids, keys, "update")
 
     @array_contract("point_ids: (m,) uint32 cast", "keys: (m,) float32 cast")
     def insert(self, point_ids: np.ndarray, keys: np.ndarray) -> None:
         """Add new points to the index order."""
         point_ids, keys = self._validate_batch(point_ids, keys)
-        if point_ids.size == 0:
-            return
-        if self._id_bound is None:
-            self._id_bound = int(self._ids.max()) + 1 if self._ids.size else 0
-        if int(point_ids.min()) < self._id_bound:
-            clashes = point_ids[np.isin(point_ids, self._ids)]
-            if clashes.size:
-                raise ValueError(f"point ids already present: {clashes[:5].tolist()}")
-        self._merge_in(point_ids, keys)
-        self._id_bound = max(self._id_bound, int(point_ids.max()) + 1)
+        self._apply(_NO_IDS, point_ids, keys, "insert")
 
-    @array_contract(
-        "point_ids: (m,) uint32 cast",
-        "low: (m,) float64 cast nonfinite",
-        "high: (m,) float64 cast nonfinite",
-    )
-    def delete(self, point_ids: np.ndarray, low: np.ndarray, high: np.ndarray) -> None:
-        """Remove points, each stored with a float64 key in ``[low, high]``."""
+    @array_contract("point_ids: (m,) uint32 cast")
+    def delete(self, point_ids: np.ndarray) -> None:
+        """Remove points by id."""
         point_ids = _as_ids(point_ids)
-        if point_ids.size == 0:
-            return
         require_unique(point_ids, "delete ids must be unique")
-        self._remove(self._locate(point_ids, low, high, "delete"))
+        self._apply(point_ids, _NO_IDS, _NO_KEYS, "delete")

@@ -1,12 +1,14 @@
-"""Maintenance finds a point's index entries by its key (Section 4.4).
+"""Maintenance finds a point's index entries by its id (Section 4.4).
 
-Updates and deletes pass each point's current feature row down to the key
-stores, which search for the entry inside the key window
-:func:`repro.core.exact.key_window` derives from it.  These tests churn
-indices over data whose keys cancel, repeat, saturate or underflow, and
-over reloaded stores, then compare every index with a fresh rebuild; they
-plant stored keys computed in another summation order; and they check that
-a bad batch changes nothing anywhere.
+A collection records writes in one write log and merges them into every
+index in one pass: stale entries are dropped by an id mask, whatever key
+they were filed under, and pending points are keyed once by one matrix
+product.  These tests churn indices over data whose keys cancel, repeat,
+saturate or underflow, and over reloaded stores, then check that the runs
+plus the pending ids cover the live set before a merge and that every
+index equals a fresh rebuild after one; they plant stored keys computed in
+another summation order; and they check that a bad batch changes nothing
+anywhere.
 """
 
 from __future__ import annotations
@@ -83,14 +85,47 @@ def _churn(index, rng, new_rows, steps=24):
             index.delete_points(rng.choice(live, size=size, replace=False))
 
 
-def assert_matches_rebuild(index, exact_keys):
-    """Every index's ``(key, id)`` multiset equals a fresh rebuild's.
+def _window(rows, normal):
+    """float64 ``(low, high)`` holding any float64 evaluation of each row's key.
 
-    Each live id is held exactly once, in ascending key order.  Its key
-    equals the rebuilt one when float64 keys are exact; otherwise the two
-    may come from different summation orders, and both round a float64
-    key inside the row's window.
+    Two evaluations in different summation orders each lie within
+    ``E = error_bound(sum_i |c_i phi_i|, d)`` of the exact key, so within
+    ``2E`` of each other; one ulp outward covers rounding ``k -+ 2E``.
     """
+    keys = rows @ normal
+    width = 2.0 * exact.error_bound(np.abs(rows) @ np.abs(normal), normal.size)
+    with np.errstate(invalid="ignore", over="ignore"):
+        low = np.nextafter(keys - width, -np.inf)
+        high = np.nextafter(keys + width, np.inf)
+    low[np.isnan(low)] = -np.inf
+    high[np.isnan(high)] = np.inf
+    return low, high
+
+
+def assert_runs_cover_live(index):
+    """Every run, less its stale entries, plus the pending ids holds each live id once."""
+    live = index.live_ids()
+    state = index.collection._log.state
+    for planar in index.collection:
+        keys, ids = planar._keys.sorted_keys, planar._keys.sorted_ids
+        assert np.all(keys[1:] >= keys[:-1])
+        if state is not None:
+            ids = np.concatenate([state.live(ids), state.pending])
+        assert np.array_equal(np.sort(ids.astype(np.int64)), live)
+
+
+def assert_matches_rebuild(index, exact_keys):
+    """Runs plus pending cover the live set; after a merge every run equals a rebuild.
+
+    After the merge each index's ``(key, id)`` multiset equals a fresh
+    rebuild's: each live id is held exactly once, in ascending key order.
+    Its key equals the rebuilt one when float64 keys are exact; otherwise
+    the two may come from different summation orders, and both round a
+    float64 key inside the row's window.
+    """
+    assert_runs_cover_live(index)
+    index.merge_writes()
+    assert index.collection._log.state is None
     live = index.live_ids()
     rows = index.get_features(live)
     for planar in index.collection:
@@ -104,7 +139,7 @@ def assert_matches_rebuild(index, exact_keys):
         if exact_keys:
             assert not differ.any()
             continue
-        low, high = exact.key_window(rows[differ], planar.normal)
+        low, high = _window(rows[differ], planar.normal)
         assert np.all(as_keys(low) <= held[differ])
         assert np.all(held[differ] <= as_keys(high))
         assert np.all(as_keys(low) <= fresh[differ])
@@ -145,9 +180,8 @@ def test_planted_keys_from_another_summation_order():
     Row ``(M, -M, t)`` with ``t`` just above the midpoint between two
     float32 values: one order gives ``t``, another rounds ``t`` to the
     coarser grid of ``M`` first, and the two keys round to different
-    float32 values.  The index stores one, maintenance recomputes the
-    other; a window that is only the float32 of the recomputed key misses
-    the entry.
+    float32 values.  The index stores one, a recomputation gives the
+    other; maintenance drops the entry by its id all the same.
     """
     rng = np.random.default_rng(5)
     normal = np.ones(3)
@@ -179,13 +213,12 @@ def test_planted_keys_from_another_summation_order():
     assert all(held[i] != as_keys(recomputed[i]) for i in range(len(planted)))
 
     doomed = np.arange(0, len(planted), 2, dtype=np.int64)
-    index.delete(doomed, store.get(doomed))
+    index.delete(doomed)
     store.delete(doomed)
     moved = np.arange(1, len(planted), 2, dtype=np.int64)
     new_rows = rng.uniform(-50.0, 50.0, size=(moved.size, 3))
-    old_rows = store.get(moved)
     store.update(moved, new_rows)
-    index.rekey(moved, new_rows, old_rows)
+    index.rekey(moved, new_rows)
 
     live, rows = store.get_all()
     order = np.argsort(index._keys.sorted_ids)

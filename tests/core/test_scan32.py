@@ -48,13 +48,15 @@ _HOLDS = {
 
 
 def _scan_decision(store: FeatureStore, normal, offset, op) -> np.ndarray:
-    """Ids the scan route accepts: float32 scan values plus ``exact.select``."""
+    """Ids the scan route accepts: float32 scan values plus ``exact.select``.
+
+    The store scans every row, dead ones too, and drops dead positions
+    from the answer only.
+    """
     query = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
     ids, values, bound = store.scan_values(query.normal)
-    take = store.take_rows
-    rows = take if ids is None else lambda at: take(ids[at])
-    keep = exact.select(values, query, bound, rows)
-    return keep if ids is None else ids[keep]
+    assert ids is None and values.size == store.capacity
+    return store.live_only(exact.select(values, query, bound, store.take_rows))
 
 
 def _truth(rows, ids, normal, offset, op) -> np.ndarray:
@@ -215,6 +217,24 @@ class TestForcedRoutes:
         index.delete_points(dead)
         live = np.setdiff1d(np.arange(points.shape[0]), dead)
         with mock.patch("repro.core.collection._SCAN_FALLBACK_FRACTION", route_fraction):
+            _check_forced(index, points, normals, offsets, op, live)
+
+    @settings(max_examples=8, deadline=None)
+    @given(case=boundary_cases())
+    def test_forced_scan_over_merged_dead_rows(self, case):
+        """The store scans dead rows too and drops them from the answer only.
+
+        With the write log merged, the only record of the deletions is the
+        store's liveness; every query is forced through the scan.
+        """
+        points, model, normals, offsets, op = _boundary_batch(case)
+        index = FunctionIndex(points, model, n_indices=4, rng=case[2])
+        dead = np.arange(1, points.shape[0], 3)
+        index.delete_points(dead)
+        index.merge_writes()
+        assert index.collection._log.state is None
+        live = np.setdiff1d(np.arange(points.shape[0]), dead)
+        with mock.patch("repro.core.collection._SCAN_FALLBACK_FRACTION", 0.0):
             _check_forced(index, points, normals, offsets, op, live)
 
     @pytest.mark.parametrize("route_fraction", [0.0, 1.0])

@@ -2,8 +2,8 @@
 
 A hypothesis ``RuleBasedStateMachine`` drives a :class:`FunctionIndex`
 through random interleavings of point updates, inserts, deletes, index
-additions, and queries of both problem types — checking every answer
-against a plain-array model.  This is the kind of test that catches
+additions, merges of the write log, and queries of both problem types —
+checking every answer against a plain-array model.  This is the kind of test that catches
 sorted-order corruption, stale translator state, and id-bookkeeping bugs
 that example-based tests miss.
 """
@@ -68,6 +68,11 @@ class FunctionIndexMachine(RuleBasedStateMachine):
         normal = self.query_model.sample_normal(seed)
         self.index.add_index(normal)
 
+    @rule()
+    def merge_writes(self):
+        self.index.merge_writes()
+        assert self.index.collection._log.state is None
+
     # ------------------------------------------------------------------ #
     # Queries checked against the model
     # ------------------------------------------------------------------ #
@@ -88,6 +93,9 @@ class FunctionIndexMachine(RuleBasedStateMachine):
         ids, rows = self._model_arrays()
         expected = ids[ScalarProductQuery(normal, offset, op).evaluate(rows)]
         assert np.array_equal(answer.ids, expected)
+        stats = answer.stats
+        if stats is not None:
+            assert stats.si_size + stats.ii_size + stats.li_size == stats.n_total == ids.size
 
     @rule(
         seed=st.integers(0, 2**16),
@@ -112,6 +120,16 @@ class FunctionIndexMachine(RuleBasedStateMachine):
         for planar in self.index.collection:
             keys = planar._keys.sorted_keys
             assert np.all(np.diff(keys) >= 0)
+
+    @invariant()
+    def runs_and_pending_cover_the_live_set(self):
+        state = self.index.collection._log.state
+        live = sorted(self.model_points)
+        for planar in self.index.collection:
+            ids = planar._keys.sorted_ids
+            if state is not None:
+                ids = np.concatenate([state.live(ids), state.pending])
+            assert sorted(ids.tolist()) == live
 
 
 TestFunctionIndexStateful = FunctionIndexMachine.TestCase
