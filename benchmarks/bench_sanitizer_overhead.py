@@ -27,7 +27,7 @@ from repro.analysis.contracts import checked, sanitize_enabled
 from repro.bench import print_table
 from repro.core import PlanarIndex, ScalarProductQuery
 
-from conftest import scaled
+from conftest import paired_minima, scaled
 
 N_POINTS = scaled(200_000)
 DIM = 6
@@ -42,13 +42,6 @@ def _build(rng: np.random.Generator) -> tuple[PlanarIndex, list[ScalarProductQue
         for _ in range(N_QUERIES)
     ]
     return index, queries
-
-
-def _time_queries(index: PlanarIndex, queries: list[ScalarProductQuery]) -> float:
-    start = time.perf_counter()
-    for query in queries:
-        index.query(query)
-    return (time.perf_counter() - start) / len(queries)
 
 
 def test_decorator_is_identity_when_disabled():
@@ -76,9 +69,9 @@ def test_sanitizer_off_overhead_below_one_percent(benchmark):
     """Empirical check: decorated vs bypassed call chain, same process.
 
     Both arms execute identical numpy work; the only difference is the
-    (absent) contract layer.  The median of several interleaved rounds is
-    compared to absorb scheduler noise, with a 1% acceptance bar on the
-    decorated/bypassed ratio.
+    (absent) contract layer.  The arms are timed query by query with
+    paired, alternating minima (:func:`conftest.paired_minima`), with a
+    1% acceptance bar on the decorated/bypassed ratio of summed minima.
     """
     rng = np.random.default_rng(99)
     index, queries = _build(rng)
@@ -86,52 +79,37 @@ def test_sanitizer_off_overhead_below_one_percent(benchmark):
     # Bypass arm: the same query machinery invoked through plain, never-
     # decorated closures (what the module would look like without the
     # decorator at all).
-    def bypassed() -> None:
-        for query in queries:
-            wq = index.working_query(query)
-            r_lo, r_hi, _ = index.interval_ranks(wq)
-            index.finish_query(wq, r_lo, r_hi)
+    def bypassed(query: ScalarProductQuery) -> None:
+        wq = index.working_query(query)
+        r_lo, r_hi, _ = index.interval_ranks(wq)
+        index.finish_query(wq, r_lo, r_hi)
 
     def decorated() -> None:
         for query in queries:
             index.query(query)
 
     # Warm up caches and BLAS threads.
-    bypassed()
+    for query in queries:
+        bypassed(query)
     decorated()
 
-    rounds = 7
-    ratios = []
-    times_dec = []
-    times_byp = []
-    for _ in range(rounds):
-        t0 = time.perf_counter()
-        decorated()
-        t1 = time.perf_counter()
-        bypassed()
-        t2 = time.perf_counter()
-        times_dec.append(t1 - t0)
-        times_byp.append(t2 - t1)
-        ratios.append((t1 - t0) / (t2 - t1))
-
-    med_dec = float(np.median(times_dec)) / N_QUERIES
-    med_byp = float(np.median(times_byp)) / N_QUERIES
-    ratio = float(np.median(ratios))
+    sum_dec, sum_byp = paired_minima(index.query, bypassed, queries, rounds=7)
+    ratio = sum_dec / sum_byp
     benchmark.pedantic(decorated, rounds=1, iterations=1)
 
     print_table(
         "Sanitizer-off overhead on PlanarIndex.query",
         [
             {
-                "decorated_us": med_dec * 1e6,
-                "bypassed_us": med_byp * 1e6,
+                "decorated_us": sum_dec / N_QUERIES * 1e6,
+                "bypassed_us": sum_byp / N_QUERIES * 1e6,
                 "ratio": ratio,
             }
         ],
     )
     assert ratio < 1.01, (
-        f"decorated/bypassed median ratio {ratio:.4f} exceeds the 1% bar "
-        f"({med_dec * 1e6:.2f} us vs {med_byp * 1e6:.2f} us per query)"
+        f"decorated/bypassed paired-minima ratio {ratio:.4f} exceeds the 1% bar "
+        f"({sum_dec / N_QUERIES * 1e6:.2f} us vs {sum_byp / N_QUERIES * 1e6:.2f} us per query)"
     )
 
 

@@ -10,6 +10,7 @@ the paper's setup; default 1).
 from __future__ import annotations
 
 import os
+import time
 import zlib
 
 import numpy as np
@@ -23,6 +24,27 @@ SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
 def scaled(base: int) -> int:
     """Apply the global scale factor to a dataset size."""
     return int(base * SCALE)
+
+
+def paired_minima(first, second, items, rounds: int) -> tuple[float, float]:
+    """Summed per-item minimum seconds of ``first(item)`` and ``second(item)``.
+
+    Each item is timed in both arms back to back, the order alternating
+    per item and per round, and keeps its per-arm minimum over the
+    rounds.  Timing noise only ever adds (preemption, cache eviction,
+    frequency drift), so the summed minima converge on the true costs
+    where two whole-arm timings taken apart do not.
+    """
+    arms = (first, second)
+    best = np.full((2, len(items)), np.inf)
+    clock = time.perf_counter
+    for round_index in range(rounds):
+        for i, item in enumerate(items):
+            for arm in (0, 1) if (round_index + i) % 2 == 0 else (1, 0):
+                started = clock()
+                arms[arm](item)
+                best[arm, i] = min(best[arm, i], clock() - started)
+    return float(best[0].sum()), float(best[1].sum())
 
 
 @pytest.fixture(scope="session")

@@ -9,13 +9,14 @@ uniformly from the query-parameter domains (Section 5.2), removes redundant
 index's intermediate interval against a sketch of its sorted keys
 (:func:`~repro.core.selection.choose`); the chosen index's exact
 interval then decides between verifying it and scanning a float32 copy of
-the features (:meth:`PlanarIndexCollection._plan`).
+the features.  :meth:`PlanarIndexCollection.plan` is the one planner every
+query kind and EXPLAIN take their :class:`Plan` from.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Iterator, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,16 +36,20 @@ from .query import ScalarProductQuery
 from .selection import (
     SKETCH_BUCKETS,
     SelectionStrategy,
+    Thresholds,
     choose,
+    interval_probes,
     key_offsets,
     key_sketch,
     scores,
+    sketch_counts,
+    thresholds,
 )
 from .sorted_keys import ID_DTYPE
 from .topk import TopKResult
 from .write_log import WriteLog, merge_threshold
 
-__all__ = ["PlanarIndexCollection", "dedupe_parallel_normals"]
+__all__ = ["Plan", "PlanarIndexCollection", "dedupe_parallel_normals"]
 
 # Two normals closer than this angle (radians) are considered parallel and
 # therefore redundant (Section 5.2).  float64 cannot resolve angles below
@@ -111,20 +116,35 @@ class _SelectionCache:
     just-retired generation, but every generation answers exactly).  A
     merge of the write log is such a mutation too: it rebinds copies of
     every index over a fresh log, so a query holding the previous snapshot
-    reads runs and a log that still match.  The sketch and offsets are
-    rebuilt when the log merges; a stale one only chooses worse, because
-    the chosen index's interval is always ranked exactly.
+    reads runs and a log that still match.  The sketch is rebuilt when the
+    log merges; a stale one only chooses worse.  The offsets also rank the
+    chosen interval, so they are rebuilt once the translator's ``version``
+    has moved past the snapshot's.
     """
 
-    __slots__ = ("indices", "columns", "offsets", "sketch")
+    __slots__ = ("indices", "columns", "offsets", "sketch", "version")
 
-    def __init__(self, indices: Sequence[PlanarIndex], delta: np.ndarray) -> None:
+    def __init__(self, indices: Sequence[PlanarIndex], translator: Translator) -> None:
         self.indices: tuple[PlanarIndex, ...] = tuple(indices)
         self.columns = np.column_stack([index.working_normal for index in self.indices])
-        self.offsets = key_offsets(self.columns, delta)
+        self.version = translator.version
+        self.offsets = key_offsets(self.columns, translator.delta)
         self.sketch = np.column_stack(
             [key_sketch(index.sorted_keys) for index in self.indices]
         )
+
+
+class Plan(NamedTuple):
+    """One working query's plan; see :meth:`PlanarIndexCollection.plan`."""
+
+    position: int
+    index: PlanarIndex
+    r_lo: int
+    r_hi: int
+    n: int
+    route: str
+    cache: _SelectionCache
+    th: Thresholds
 
 
 class PlanarIndexCollection:
@@ -264,7 +284,7 @@ class PlanarIndexCollection:
         loop-free).  The snapshot is rebound atomically (see
         :class:`_SelectionCache`) so queries racing a lifecycle mutation
         stay consistent."""
-        self._cache = _SelectionCache(self._indices, self._translator.delta)
+        self._cache = _SelectionCache(self._indices, self._translator)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -323,57 +343,33 @@ class PlanarIndexCollection:
         """Transform a query once for use across all indices."""
         return WorkingQuery.build(query, self._translator)
 
-    def select(self, query: ScalarProductQuery | WorkingQuery) -> PlanarIndex:
-        """The best index for ``query`` under the configured strategy."""
-        wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        cache = self._cache
-        return cache.indices[self._select_position(wq, cache)]
+    def plan(self, wq: WorkingQuery) -> Plan:
+        """The one planner: ``(position, index, r_lo, r_hi, n, route, cache, th)``.
 
-    def _select_position(
-        self, wq: WorkingQuery, cache: "_SelectionCache | None" = None
-    ) -> int:
-        """Position the configured strategy picks for ``wq``.
-
-        One :func:`~repro.core.selection.choose` call over the
-        (snapshotted) selection cache.  Callers that will look the position
-        up must pass the same ``cache`` snapshot they index into, so a
-        concurrent lifecycle mutation cannot shift positions under them.
+        Snapshots the selection ``cache`` and computes its Eq. 13 threshold
+        matrix ``th`` once; the strategy chooses ``position`` from it and
+        that ``index`` ranks its own column.  ``n`` counts the live points.
+        The one routing decision: verifying the chosen index's intermediate
+        interval (the write log's pending ids included) costs several times
+        a scanned point per point, so above ``_SCAN_FALLBACK_FRACTION`` of
+        the data the route is ``"scan"``, else ``"intervals"``.  With obs
+        armed, counted selection records how far its sketch estimate was
+        from the exact |II| (``repro_ii_estimate_error``).
         """
-        if cache is None:
-            cache = self._cache
+        if self._cache.version != self._translator.version:
+            self._refresh_selection_cache()
+        cache = self._cache
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        position = choose(
-            self._strategy, cache.columns, cache.offsets, cache.sketch, wq, self._rng
-        )
+        th = thresholds(cache.columns, cache.offsets, wq)
+        position = self._select_position(wq, cache, th)
         if obs_on:
             _osp.record("select", started, strategy=self._strategy.value, chosen=position)
-            _om.selection_total().inc(
-                strategy=self._strategy.value, index=str(position)
-            )
-        return position
-
-    def _plan(
-        self, wq: WorkingQuery, cache: "_SelectionCache | None" = None
-    ) -> tuple[int, PlanarIndex, int, int, int, str]:
-        """``(position, index, r_lo, r_hi, n, route)`` for one working query.
-
-        ``n`` counts the live points.  The one routing decision: verifying
-        the chosen index's intermediate interval (the write log's pending
-        ids included) costs several times a scanned point per point, so
-        above ``_SCAN_FALLBACK_FRACTION`` of the data the route is
-        ``"scan"``, else ``"intervals"``.  With obs armed, counted
-        selection records how far its sketch estimate was from the exact
-        |II| (``repro_ii_estimate_error``).
-        """
-        if cache is None:
-            cache = self._cache
-        position = self._select_position(wq, cache)
+            _om.selection_total().inc(strategy=self._strategy.value, index=str(position))
         index = cache.indices[position]
-        r_lo, r_hi, n = index.interval_ranks(wq)
-        if n and self._strategy is SelectionStrategy.COUNTED and _ort.active():
-            counts = scores(cache.columns, cache.offsets, cache.sketch, wq)[0]
-            estimate = counts[position] * n / SKETCH_BUCKETS
+        r_lo, r_hi, n = index.interval_ranks(wq, th.column(position))
+        if n and self._strategy is SelectionStrategy.COUNTED and obs_on:
+            estimate = sketch_counts(th, cache.sketch)[position] * n / SKETCH_BUCKETS
             _om.ii_estimate_error().observe(abs(estimate - (r_hi - r_lo)) / n)
         verify = r_hi - r_lo
         state = index._log.state
@@ -381,7 +377,17 @@ class PlanarIndexCollection:
             verify += state.pending.size
             n = state.n_live(n)
         route = "intervals" if verify <= _SCAN_FALLBACK_FRACTION * n else "scan"
-        return position, index, r_lo, r_hi, n, route
+        return Plan(position, index, r_lo, r_hi, n, route, cache, th)
+
+    def _select_position(
+        self, wq: WorkingQuery, cache: "_SelectionCache | None" = None, th: Thresholds | None = None
+    ) -> int:
+        """Position the configured strategy picks for ``wq``: :meth:`plan`'s
+        :func:`~repro.core.selection.choose` call over its cache snapshot
+        and threshold matrix, or without them the position :meth:`plan` picks."""
+        if cache is None or th is None:
+            return self.plan(wq).position
+        return choose(self._strategy, cache.columns, th, cache.sketch, wq, self._rng)
 
     def _scan_result(
         self, wq: WorkingQuery, best: PlanarIndex, r_lo: int, r_hi: int, n: int
@@ -418,38 +424,39 @@ class PlanarIndexCollection:
         return QueryResult(result_ids, stats)
 
     def _query_impl(
-        self, wq: WorkingQuery, plan: tuple | None = None
+        self, wq: WorkingQuery, plan: Plan | None = None
     ) -> tuple[QueryResult, str]:
         """Execute one working query (planned here unless ``plan`` is given);
         returns the result and the route taken."""
-        _, best, r_lo, r_hi, n, route = self._plan(wq) if plan is None else plan
+        _, best, r_lo, r_hi, n, route = (self.plan(wq) if plan is None else plan)[:6]
         if route == "intervals":
             return best.finish_query(wq, r_lo, r_hi), route
         return self._scan_result(wq, best, r_lo, r_hi, n), route
 
+    def _observed(self, kind: str, name: str, run: Callable[[], tuple], **attrs: Any) -> Any:
+        """The result of ``run() -> (result, route)``; with obs armed, one
+        ``collection.<name>`` span, counted and timed by ``kind`` and route."""
+        if not _ort.active():
+            return run()[0]
+        started = time.perf_counter()
+        strategy = self._strategy.value
+        with _osp.span(f"collection.{name}", strategy=strategy, **attrs):
+            result, route = run()
+        _om.count_query(kind, route, strategy, started)
+        return result
+
     def query(self, query: ScalarProductQuery | WorkingQuery) -> QueryResult:
         """Answer an inequality query via the best index (or a scan).
 
-        After best-index selection, :meth:`_plan` routes on the size of
+        After best-index selection, :meth:`plan` routes on the size of
         the intermediate interval: an unselective index is answered by one
-        matmul over all live features instead — same answer, better worst
+        scan over all live features instead — same answer, better worst
         case (the paper's "query time gets close to the baseline" regime).
         Pruning statistics stay interval-based.
         A :class:`WorkingQuery` (the facade's octant check) is used as is.
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        if not _ort.active():
-            return self._query_impl(wq)[0]
-        started = time.perf_counter()
-        with _osp.span("collection.query", strategy=self._strategy.value):
-            result, route = self._query_impl(wq)
-        _om.queries_total().inc(
-            kind="inequality", route=route, strategy=self._strategy.value
-        )
-        _om.query_latency().observe(
-            time.perf_counter() - started, kind="inequality", route=route
-        )
-        return result
+        return self._observed("inequality", "query", lambda: self._query_impl(wq))
 
     def query_batch(
         self, queries: Sequence[ScalarProductQuery | WorkingQuery]
@@ -469,24 +476,19 @@ class PlanarIndexCollection:
     ) -> TopKResult:
         """Answer a top-k nearest neighbor query via the best index.
 
+        The planned index runs Algorithm 2 from the plan's ranks.
         ``cutoff`` threads a :class:`~repro.core.topk.SharedCutoff` into
         Algorithm 2's LBS termination test — the sharded engine shares one
         across sibling shards so the globally best k-th distance prunes
         every shard's scan (see :meth:`PlanarIndex.topk`).
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        if not _ort.active():
-            return self.select(wq).topk(wq, k, cutoff=cutoff)
-        started = time.perf_counter()
-        with _osp.span("collection.topk", strategy=self._strategy.value, k=k):
-            result = self.select(wq).topk(wq, k, cutoff=cutoff)
-        _om.queries_total().inc(
-            kind="topk", route="intervals", strategy=self._strategy.value
-        )
-        _om.query_latency().observe(
-            time.perf_counter() - started, kind="topk", route="intervals"
-        )
-        return result
+
+        def run() -> tuple[TopKResult, str]:
+            _, best, r_lo, r_hi = self.plan(wq)[:4]
+            return best.topk(wq, k, cutoff=cutoff, ranks=(r_lo, r_hi)), "intervals"
+
+        return self._observed("topk", "topk", run, k=k)
 
     def topk_batch(
         self, queries: Sequence[ScalarProductQuery | WorkingQuery], k: int
@@ -501,24 +503,16 @@ class PlanarIndexCollection:
 
         ``wq_low`` / ``wq_high`` are the ``>= low`` / ``<= high`` working
         queries over one shared normal (the facade builds them once for
-        octant validation).  Selection uses the high bound; metrics are
-        recorded here under the collection's real strategy label —
-        matching how :meth:`query` and :meth:`topk` label — instead of
-        the ``strategy="solo"`` series the standalone
-        :meth:`PlanarIndex.query_range` entry point reports.
+        octant validation).  The high bound is planned; the chosen index
+        ranks the low bound itself.  Metrics carry the collection's
+        strategy label, as :meth:`query` and :meth:`topk` do.
         """
-        if not _ort.active():
-            return self.select(wq_high)._query_range_impl(wq_low, wq_high)
-        started = time.perf_counter()
-        with _osp.span("collection.query_range", strategy=self._strategy.value):
-            result = self.select(wq_high)._query_range_impl(wq_low, wq_high)
-        _om.queries_total().inc(
-            kind="range", route="intervals", strategy=self._strategy.value
-        )
-        _om.query_latency().observe(
-            time.perf_counter() - started, kind="range", route="intervals"
-        )
-        return result
+
+        def run() -> tuple[QueryResult, str]:
+            _, best, r_lo, r_hi = self.plan(wq_high)[:4]
+            return best._query_range_impl(wq_low, wq_high, (r_lo, r_hi)), "intervals"
+
+        return self._observed("range", "query_range", run)
 
     # ------------------------------------------------------------------ #
     # EXPLAIN (see docs/observability.md)
@@ -528,9 +522,9 @@ class PlanarIndexCollection:
         """Execute ``query`` and report selection, partition, and pruning.
 
         The report scores *every* candidate index (stretch, |cos| angle,
-        the intermediate-interval size an ``interval_ranks`` probe counts
-        and the one its key sketch estimates), marks the one the
-        configured strategy chose, then
+        the intermediate-interval size its rank probes count and the one
+        its key sketch estimates), all read from the plan's one threshold
+        matrix, marks the one the configured strategy chose, then
         executes the query through exactly the same routing as
         :meth:`query` — so the reported SI/II/LI sizes, verification count
         and result count are identical to what :meth:`query` returns for
@@ -540,13 +534,13 @@ class PlanarIndexCollection:
         cost-based router chose the scan).
         """
         wq = self.working_query(query)
-        cache = self._cache
-        plan = self._plan(wq, cache)
-        chosen, best, r_lo, r_hi, n, route = plan
-        counts, stretch, cosines = scores(cache.columns, cache.offsets, cache.sketch, wq)
+        plan = self.plan(wq)
+        chosen, best, r_lo, r_hi, n, route, cache, th = plan
+        counts, stretch, cosines = scores(cache.columns, cache.offsets, cache.sketch, wq, th)
+        probe_lo, probe_hi = interval_probes(th, wq)
         candidates = []
         for position, index in enumerate(cache.indices):
-            r_lo_c, r_hi_c, n_c = index.interval_ranks(wq)
+            r_lo_c, r_hi_c = index.probe_ranks(probe_lo[position], probe_hi[position])
             candidates.append(
                 IndexCandidate(
                     position=position,
@@ -554,30 +548,12 @@ class PlanarIndexCollection:
                     angle_cos=float(cosines[position]),
                     expected_ii=r_hi_c - r_lo_c,
                     chosen=position == chosen,
-                    estimated_ii=round(int(counts[position]) * n_c / SKETCH_BUCKETS),
+                    estimated_ii=round(int(counts[position]) * len(index) / SKETCH_BUCKETS),
                 )
             )
-        result, _ = self._query_impl(wq, plan)
-        stats = result.stats
-        if _ort.active():
-            _om.explain_total().inc(route=route)
-        return ExplainReport(
-            kind="inequality",
-            route=route,
-            n_total=n,
-            strategy=self._strategy.value,
-            chosen_index=chosen,
-            index_normal=tuple(float(c) for c in best.normal),
-            candidates=tuple(candidates),
-            rank_lo=r_lo,
-            rank_hi=r_hi,
-            si_size=stats.si_size,
-            ii_size=stats.ii_size,
-            li_size=stats.li_size,
-            n_verified=stats.n_verified,
-            n_results=stats.n_results,
-            estimated_pruned=stats.pruned_fraction,
-            actual_pruned=1.0 - stats.verified_fraction if n else 1.0,
+        return best._report(
+            self._query_impl(wq, plan)[0].stats, route, r_lo, r_hi,
+            strategy=self._strategy.value, chosen_index=chosen, candidates=tuple(candidates),
         )
 
     # ------------------------------------------------------------------ #

@@ -113,12 +113,11 @@ def _certain_sets(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, QueryStats]:
     """(certain-accept ids, candidate ids, certain-reject ids, stats).
 
-    Over live points: the index's :meth:`~repro.core.planar.PlanarIndex._split`
-    skips the write log's stale entries and makes its pending ids
-    candidates.
+    Over live points of the planned index: its
+    :meth:`~repro.core.planar.PlanarIndex._split` skips the write log's
+    stale entries and makes its pending ids candidates.
     """
-    index = collection.select(wq)
-    r_lo, r_hi, _ = index.interval_ranks(wq)
+    _, index, r_lo, r_hi = collection.plan(wq)[:4]
     part = index._split(index._log.state, r_lo, r_hi, below=True, above=True)
     if wq.op.is_upper_bound:
         accept, reject = part.below, part.above

@@ -436,12 +436,9 @@ class FunctionIndex:
         answers = scan_store(self._features, kind, queries, k)
         if obs_on:
             label = kind if k is None else "topk"
-            _om.queries_total().inc(kind=label, route="octant-fallback", strategy="none")
             if k is None:
                 _om.verified_points().inc(len(self), kind=label)
-            _om.query_latency().observe(
-                time.perf_counter() - started, kind=label, route="octant-fallback"
-            )
+            _om.count_query(label, "octant-fallback", "none", started)
         if k is not None:
             return answers
         return [QueryAnswer(ids, None, True) for ids in answers]
@@ -655,9 +652,14 @@ class FunctionIndex:
     # Dynamic maintenance (Section 4.4)
     # ------------------------------------------------------------------ #
 
-    def _ingest(self, new_points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Validated ``(points, phi(points))``, observed by the translator."""
+    def _ingest(
+        self, new_points: np.ndarray, rows: int | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Validated ``(points, phi(points))``, ``rows`` of them when given,
+        observed by the translator."""
         new_points = as_2d_float(new_points, "new_points")
+        if rows is not None and new_points.shape[0] != rows:
+            raise DimensionMismatchError(f"{new_points.shape[0]} new points for {rows} ids")
         require_finite_rows(new_points, "new_points")
         features = self._phi(new_points)
         # Validate *before* the translator observes the new extremes: a NaN
@@ -684,7 +686,7 @@ class FunctionIndex:
     def update_points(self, ids: np.ndarray, new_points: np.ndarray) -> None:
         """Change the raw values of existing points and re-key every index."""
         ids = self._checked_ids(ids)
-        new_points, features = self._ingest(new_points)
+        new_points, features = self._ingest(new_points, ids.size)
         self._points.update(ids, new_points)
         self._features.update(ids, features)
         self._maintain_each(
@@ -817,7 +819,7 @@ class FunctionIndex:
                 "reason": str(exc),
                 "n_total": len(self),
             }
-        position, index, r_lo, r_hi, n, route = self.collection._plan(wq)
+        position, index, r_lo, r_hi, n, route = self.collection.plan(wq)[:6]
         part = index._split(index._log.state, r_lo, r_hi, middle=False)
         return {
             "route": route,

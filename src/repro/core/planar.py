@@ -45,7 +45,7 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Any, NamedTuple
 
 import numpy as np
 
@@ -62,7 +62,7 @@ from ..obs.explain import ExplainReport
 from . import exact
 from .feature_store import FeatureStore
 from .query import Comparison, ScalarProductQuery
-from .selection import interval_probes, key_offsets, thresholds
+from .selection import Thresholds, interval_probes, key_offsets, thresholds
 from .sorted_keys import SortedKeyStore
 from .stats import QueryStats
 from .topk import SharedCutoff, TopKBuffer, TopKResult
@@ -346,7 +346,9 @@ class PlanarIndex:
     # Interval geometry
     # ------------------------------------------------------------------ #
 
-    def interval_ranks(self, wq: WorkingQuery) -> tuple[int, int, int]:
+    def interval_ranks(
+        self, wq: WorkingQuery, th: Thresholds | None = None
+    ) -> tuple[int, int, int]:
         """Sorted-rank boundaries ``(r_lo, r_hi, n)`` of the intervals.
 
         * ranks ``[0, r_lo)``   — SI: ``<a, phi(x)> < b`` certain,
@@ -359,23 +361,26 @@ class PlanarIndex:
         around each threshold into the intermediate interval and round
         away from the certain intervals, so both certain intervals are
         strict and valid for the strict and non-strict operators alike.
-        These are the thresholds counted selection and the tuning advisor
-        evaluate for a whole column stack.
+        ``th`` is this index's column of the planner's threshold matrix;
+        without it the standalone index checks the query and computes it.
         """
-        if wq.normal_w.size != self.dim:
-            raise InvalidQueryError(
-                f"query has dimension {wq.normal_w.size}, index has {self.dim}"
-            )
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        column = self._working_normal
-        offset = key_offsets(column, self._translator.delta)
-        probe_lo, probe_hi = interval_probes(thresholds(column, offset, wq), offset, wq)
-        r_lo = self._keys.rank_le(probe_lo)
-        r_hi = self._keys.rank_le(probe_hi)
+        if th is None:
+            if wq.normal_w.size != self.dim:
+                raise InvalidQueryError(
+                    f"query has dimension {wq.normal_w.size}, index has {self.dim}"
+                )
+            column = self._working_normal
+            th = thresholds(column, key_offsets(column, self._translator.delta), wq)
+        r_lo, r_hi = self.probe_ranks(*interval_probes(th, wq))
         if obs_on:
             _osp.record("binary_search", started, index=self._obs_label)
         return r_lo, r_hi, len(self._keys)
+
+    def probe_ranks(self, probe_lo, probe_hi) -> tuple[int, int]:
+        """Ranks of two float32 rank probes: the stored keys at most each."""
+        return self._keys.rank_le(probe_lo), self._keys.rank_le(probe_hi)
 
     def _split(
         self,
@@ -466,10 +471,7 @@ class PlanarIndex:
         with _osp.span("index.query", index=self._obs_label):
             r_lo, r_hi, _ = self.interval_ranks(wq)
             result = self.finish_query(wq, r_lo, r_hi)
-        _om.queries_total().inc(kind="inequality", route="intervals", strategy="solo")
-        _om.query_latency().observe(
-            time.perf_counter() - started, kind="inequality", route="intervals"
-        )
+        _om.count_query("inequality", "intervals", "solo", started)
         return result
 
     def _record_partition(self, kind: str, si: int, ii: int, li: int, n_verified: int) -> None:
@@ -534,15 +536,19 @@ class PlanarIndex:
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
         r_lo, r_hi, _ = self.interval_ranks(wq)
-        stats = self.finish_query(wq, r_lo, r_hi).stats
+        return self._report(self.finish_query(wq, r_lo, r_hi).stats, "intervals", r_lo, r_hi)
+
+    def _report(
+        self, stats: QueryStats, route: str, r_lo: int, r_hi: int, **fields: Any
+    ) -> ExplainReport:
+        """EXPLAIN report of one inequality query this index planned and ``route`` answered."""
         n = stats.n_total
         if _ort.active():
-            _om.explain_total().inc(route="intervals")
+            _om.explain_total().inc(route=route)
         return ExplainReport(
             kind="inequality",
-            route="intervals",
+            route=route,
             n_total=n,
-            chosen_index=None,
             index_normal=tuple(float(c) for c in self._normal),
             rank_lo=r_lo,
             rank_hi=r_hi,
@@ -553,6 +559,7 @@ class PlanarIndex:
             n_results=stats.n_results,
             estimated_pruned=stats.pruned_fraction,
             actual_pruned=1.0 - stats.verified_fraction if n else 1.0,
+            **fields,
         )
 
     def query_range(
@@ -578,20 +585,19 @@ class PlanarIndex:
             return self._query_range_impl(wq_low, wq_high)
         started = time.perf_counter()
         result = self._query_range_impl(wq_low, wq_high)
-        _om.queries_total().inc(kind="range", route="intervals", strategy="solo")
-        _om.query_latency().observe(
-            time.perf_counter() - started, kind="range", route="intervals"
-        )
+        _om.count_query("range", "intervals", "solo", started)
         return result
 
     def _query_range_impl(
         self,
         wq_low: WorkingQuery,
         wq_high: WorkingQuery,
+        high_ranks: tuple[int, int] | None = None,
     ) -> QueryResult:
         """Range evaluation shared by the solo and collection routes.
 
-        Records the per-index span and partition counters but *not*
+        ``high_ranks`` are ``wq_high``'s planned ranks, if any.  Records the
+        per-index span and partition counters but *not*
         ``repro_queries_total`` / latency — the caller owns those labels
         (``strategy="solo"`` standalone, the collection's strategy when
         routed), so one executed range query is counted exactly once.
@@ -606,8 +612,8 @@ class PlanarIndex:
         bands = []
         regions = []
         n = len(self._keys)
-        for wq in (wq_low, wq_high):
-            r_lo, r_hi, _ = self.interval_ranks(wq)
+        for wq, ranks in ((wq_low, None), (wq_high, high_ranks)):
+            r_lo, r_hi = self.interval_ranks(wq)[:2] if ranks is None else ranks
             bands.append((r_lo, r_hi))
             regions.append((0, r_lo) if wq.op.is_upper_bound else (r_hi, n))
         in_start = max(region[0] for region in regions)
@@ -660,6 +666,7 @@ class PlanarIndex:
         query: ScalarProductQuery | WorkingQuery,
         k: int,
         cutoff: SharedCutoff | None = None,
+        ranks: tuple[int, int] | None = None,
     ) -> TopKResult:
         """Exact top-k points satisfying the query, closest to ``H(q)`` first.
 
@@ -678,12 +685,14 @@ class PlanarIndex:
         merged result is still exact — a shard may merely stop scanning
         points that can no longer make the global top-k.
 
+        ``ranks`` are the query's planned ``(r_lo, r_hi)``, if any.
+
         Opens a ``query.topk`` trace root when obs is armed and no outer
         facade already owns the trace (shard scans dispatched by the
         sharded engine join the engine's trace instead).
         """
         with _otr.root("topk") as trace:
-            result = self._topk_impl(query, k, cutoff)
+            result = self._topk_impl(query, k, cutoff, ranks)
             if trace:
 
                 def cost() -> dict:
@@ -699,12 +708,14 @@ class PlanarIndex:
         query: ScalarProductQuery | WorkingQuery,
         k: int,
         cutoff: SharedCutoff | None = None,
+        ranks: tuple[int, int] | None = None,
     ) -> TopKResult:
         """Algorithm 2 body shared by traced and nested top-k calls."""
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        r_lo, r_hi, n = self.interval_ranks(wq)
+        r_lo, r_hi = self.interval_ranks(wq)[:2] if ranks is None else ranks
+        n = len(self._keys)
         obs_on = _ort.active()
         upper = wq.op.is_upper_bound
         bound = exact.octant_bound(wq)

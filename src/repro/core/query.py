@@ -9,7 +9,7 @@ are only known at query time; ``phi`` is fixed and indexed ahead of time.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -93,7 +93,6 @@ class ScalarProductQuery:
     normal: np.ndarray
     offset: float
     op: Comparison = Comparison.LE
-    _hyperplane: Hyperplane = field(init=False, repr=False, compare=False, default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         normal = as_1d_float(self.normal, "normal")
@@ -111,7 +110,6 @@ class ScalarProductQuery:
         object.__setattr__(self, "normal", normal)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "op", Comparison.parse(self.op))
-        object.__setattr__(self, "_hyperplane", Hyperplane(normal, offset))
 
     # ------------------------------------------------------------------ #
 
@@ -122,8 +120,8 @@ class ScalarProductQuery:
 
     @property
     def hyperplane(self) -> Hyperplane:
-        """The query hyperplane ``H(q): <a, Y> = b`` (Eq. 2)."""
-        return self._hyperplane
+        """The query hyperplane ``H(q): <a, Y> = b`` (Eq. 2), built when read."""
+        return Hyperplane(self.normal, self.offset)
 
     def canonical(self) -> "ScalarProductQuery":
         """Equivalent query with nonnegative offset ``b`` (paper assumption).
@@ -150,7 +148,7 @@ class ScalarProductQuery:
 
     def distance(self, features: np.ndarray) -> np.ndarray:
         """Hyperplane distance ``|<a, phi(x)> - b| / |a|`` per feature row."""
-        return self._hyperplane.distance(features)
+        return self.hyperplane.distance(features)
 
     def with_op(self, op: "Comparison | str") -> "ScalarProductQuery":
         """Copy of this query with a different comparison operator."""

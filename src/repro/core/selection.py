@@ -4,10 +4,11 @@ Given ``r`` Planar indices and one query, pick — in ``O(r d')`` time,
 independent of the dataset size — the index expected to minimize the
 intermediate interval.  Everything here works on the ``(d', r)`` column
 stack of the indices' working normals ``c''`` and starts from one
-expression, the Eq. 13 thresholds of :func:`thresholds`.  The collection's
-router (:func:`choose`), EXPLAIN (:func:`scores`), every index's rank
-probes (:func:`interval_probes`, on its own ``(d',)`` column) and the
-tuning advisor all call it, so they agree by construction.
+expression, the Eq. 13 thresholds of :func:`thresholds`, computed once
+per query by the collection's planner: its router (:func:`choose`),
+EXPLAIN (:func:`scores`) and the chosen index's rank probes
+(:func:`interval_probes`) read that one matrix, and a standalone index
+and the tuning advisor call it too, so they agree by construction.
 
 Strategies (:class:`SelectionStrategy`):
 
@@ -104,6 +105,11 @@ class Thresholds(NamedTuple):
     stretch: np.ndarray
     ratio: np.ndarray
     t: np.ndarray
+    offsets: np.ndarray
+
+    def column(self, position: int) -> "Thresholds":
+        """One column's thresholds, bit-identical to computing them for it alone."""
+        return Thresholds(*(f[position] if f.ndim == 1 else f[:, position] for f in self))
 
 
 def thresholds(working_columns: np.ndarray, offsets: np.ndarray, wq) -> Thresholds:
@@ -124,10 +130,10 @@ def thresholds(working_columns: np.ndarray, offsets: np.ndarray, wq) -> Threshol
     t_min = t.min(axis=0)
     t_max = t.max(axis=0)
     stretch = (t_max - t_min) / working_columns.min(axis=0)
-    return Thresholds(t_min - offsets, t_max - offsets, stretch, ratio, t)
+    return Thresholds(t_min - offsets, t_max - offsets, stretch, ratio, t, offsets)
 
 
-def interval_probes(th: Thresholds, offsets: np.ndarray, wq) -> tuple:
+def interval_probes(th: Thresholds, wq) -> tuple:
     """float32 rank probes ``(probe_lo, probe_hi)`` of the certain intervals.
 
     ``th`` widened by the guard band :func:`repro.core.exact.key_band`
@@ -140,7 +146,7 @@ def interval_probes(th: Thresholds, offsets: np.ndarray, wq) -> tuple:
     tol = exact.key_band(
         np.abs(th.t).max(axis=0),
         th.ratio.max(axis=0),
-        offsets,
+        th.offsets,
         wq.query.offset,
         wq.normal_w.size,
     )
@@ -158,45 +164,46 @@ def sketch_counts(th: Thresholds, sketch: np.ndarray) -> np.ndarray:
 def _cosines(working_columns: np.ndarray, wq) -> np.ndarray:
     """``|cos|`` between every column and the query normal (Section 5.1.2).
 
-    Reflections preserve angles, so working coordinates give the value of
-    the original ones.
+    Reflections preserve angles and norms, so working coordinates give the
+    value of the original ones and ``wq.norm`` is ``|a''|``.
     """
     return np.abs(wq.normal_w @ working_columns) / (
-        np.linalg.norm(working_columns, axis=0) * np.linalg.norm(wq.normal_w)
+        np.linalg.norm(working_columns, axis=0) * wq.norm
     )
 
 
 def scores(
-    working_columns: np.ndarray, offsets: np.ndarray, sketch: np.ndarray, wq
+    working_columns: np.ndarray, offsets: np.ndarray, sketch: np.ndarray, wq, th=None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(counts, stretch, |cos|)`` of every column: each strategy's score.
 
     ``sketch`` is the ``(SKETCH_BUCKETS + 1, r)`` stack of
-    :func:`key_sketch` columns.
+    :func:`key_sketch` columns; ``th`` the stack's thresholds, if known.
     """
-    th = thresholds(working_columns, offsets, wq)
+    if th is None:
+        th = thresholds(working_columns, offsets, wq)
     return sketch_counts(th, sketch), th.stretch, _cosines(working_columns, wq)
 
 
 def choose(
     strategy: SelectionStrategy,
     working_columns: np.ndarray,
-    offsets: np.ndarray,
+    th: Thresholds,
     sketch: np.ndarray,
     wq,
     rng: np.random.Generator,
 ) -> int:
     """Position of the column ``strategy`` picks for ``wq``.
 
-    Counted takes the fewest sketch keys, ties by smaller stretch, then
-    position; min-stretch the smallest stretch and min-angle the largest
-    ``|cos|`` (first position on ties); random draws from ``rng``.
+    ``th`` holds the thresholds of ``working_columns``.  Counted takes
+    the fewest sketch keys, ties by smaller stretch, then position;
+    min-stretch the smallest stretch and min-angle the largest ``|cos|``
+    (first position on ties); random draws from ``rng``.
     """
     if strategy is SelectionStrategy.RANDOM:
         return int(rng.integers(0, working_columns.shape[1]))
     if strategy is SelectionStrategy.MIN_ANGLE:
         return int(np.argmax(_cosines(working_columns, wq)))
-    th = thresholds(working_columns, offsets, wq)
     if strategy is SelectionStrategy.MIN_STRETCH:
         return int(np.argmin(th.stretch))
     return int(np.lexsort((th.stretch, sketch_counts(th, sketch)))[0])

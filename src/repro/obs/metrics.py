@@ -30,6 +30,7 @@ from __future__ import annotations
 import bisect
 import re
 import threading
+import time
 from typing import Iterator, Mapping, Sequence
 
 __all__ = [
@@ -44,6 +45,7 @@ __all__ = [
     "generation",
     "queries_total",
     "query_latency",
+    "count_query",
     "interval_points",
     "verified_points",
     "selection_total",
@@ -492,6 +494,13 @@ def query_latency() -> Histogram:
         "End-to-end query wall time (seconds).",
         ("kind", "route"),
     )
+
+
+def count_query(kind: str, route: str, strategy: str, started: float) -> None:
+    """Count one answered query and observe its wall time since ``started``
+    (a ``time.perf_counter()`` reading)."""
+    queries_total().inc(kind=kind, route=route, strategy=strategy)
+    query_latency().observe(time.perf_counter() - started, kind=kind, route=route)
 
 
 def interval_points() -> Counter:

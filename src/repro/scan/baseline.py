@@ -83,11 +83,8 @@ class SequentialScan:
         result = np.sort(self._ids[keep])
         if obs_on:
             _osp.record("baseline.query", started, n=len(self))
-            _om.queries_total().inc(kind="scan", route="baseline", strategy="none")
             _om.verified_points().inc(len(self), kind="scan")
-            _om.query_latency().observe(
-                time.perf_counter() - started, kind="scan", route="baseline"
-            )
+            _om.count_query("scan", "baseline", "none", started)
         return result
 
     def topk(self, query: ScalarProductQuery, k: int) -> TopKResult:
@@ -110,11 +107,8 @@ class SequentialScan:
         )
         if obs_on:
             _osp.record("baseline.topk", started, n=len(self), k=k)
-            _om.queries_total().inc(kind="scan_topk", route="baseline", strategy="none")
             _om.verified_points().inc(len(self), kind="scan_topk")
-            _om.query_latency().observe(
-                time.perf_counter() - started, kind="scan_topk", route="baseline"
-            )
+            _om.count_query("scan_topk", "baseline", "none", started)
         # The scan has no intervals: everything is "intermediate" and every
         # point's scalar product is evaluated.
         stats = QueryStats(

@@ -519,7 +519,7 @@ class Advisor:
             # The dense stretch rank breaks count ties as the router does.
             stretch_rank = np.unique(th.stretch, return_inverse=True)[1]
             score[:, position] = sketch_counts(th, sketch) * n_candidates + stretch_rank
-            probe_lo[:, position], probe_hi[:, position] = interval_probes(th, offsets, wq)
+            probe_lo[:, position], probe_hi[:, position] = interval_probes(th, wq)
         ii = np.empty(shape)
         for j in range(n_candidates):
             column = keys[:, j]

@@ -95,7 +95,7 @@ class TestQueryRouting:
     def test_select_returns_member(self, rng):
         collection, _, model = make_collection(rng, budget=5)
         query = ScalarProductQuery(model.sample_normal(rng), 300.0)
-        assert collection.select(query) in list(collection)
+        assert collection.plan(collection.working_query(query)).index in list(collection)
 
     def test_exact_normal_match_gives_best_pruning(self, rng):
         """Querying with a normal equal to an index normal gives a

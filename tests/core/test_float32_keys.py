@@ -191,7 +191,7 @@ def _probes(planar, wq):
     """The float32 SI/LI probes ``planar.interval_ranks`` searches for ``wq``."""
     column = planar.working_normal
     offset = key_offsets(column, planar.translator.delta)
-    return interval_probes(thresholds(column, offset, wq), offset, wq)
+    return interval_probes(thresholds(column, offset, wq), wq)
 
 
 def _planted_points(rng) -> np.ndarray:

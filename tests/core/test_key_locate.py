@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro import FunctionIndex, QueryModel, load_index, save_index
+from repro.exceptions import DimensionMismatchError
 from repro.core import exact
 from repro.core.feature_store import FeatureStore
 from repro.core.planar import PlanarIndex
@@ -310,3 +311,17 @@ def test_update_with_repeated_id_changes_nothing(engine_case):
     live = engine.live_ids()
     small = engine.query(np.ones(3), 10.0)
     assert np.array_equal(small.ids, live[engine.get_points(live).sum(axis=1) <= 10.0])
+
+
+def test_update_with_too_few_rows_changes_nothing(engine_case):
+    """Rows that do not match the ids are refused before the translator grows."""
+    engine, points = engine_case
+    before = _snapshot(engine)
+    delta = engine.translator.delta.copy()
+    live = engine.live_ids()
+    features = engine.get_features(live)
+    with pytest.raises(DimensionMismatchError):
+        engine.update_points([0, 1, 2, 3], np.full((2, 3), -1e6))
+    assert np.array_equal(engine.translator.delta, delta)
+    assert np.array_equal(engine.get_features(live), features)
+    _assert_unchanged(engine, before, points)

@@ -329,8 +329,8 @@ class TestCountedSelection:
             total = 0
             for query in queries:
                 wq = collection.working_query(query)
-                r_lo, r_hi, _ = collection.select(wq).interval_ranks(wq)
-                total += r_hi - r_lo
+                plan = collection.plan(wq)
+                total += plan.r_hi - plan.r_lo
             sizes[name] = total
         assert sizes["counted"] <= sizes["min_stretch"]
 

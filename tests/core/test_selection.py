@@ -31,8 +31,8 @@ def build(features, strategy, normals=NORMALS, rng=None) -> PlanarIndexCollectio
 
 def pick(collection: PlanarIndexCollection, normal, offset: float = 10.0) -> int:
     """Position of the index the collection selects for ``<normal, x> <= offset``."""
-    chosen = collection.select(ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset))
-    return next(pos for pos, index in enumerate(collection) if index is chosen)
+    query = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset)
+    return collection.plan(collection.working_query(query)).position
 
 
 class TestCounted:
