@@ -8,15 +8,13 @@ loop, within measurement noise.
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro import FunctionIndex
 from repro.bench import print_table
 from repro.datasets import Workload, load
 
-from conftest import scaled
+from conftest import paired_minima, scaled
 
 _N_POINTS = scaled(60_000)
 
@@ -38,31 +36,12 @@ def test_batch_vs_single(benchmark):
         return [index.query(n, o) for n, o in zip(normals[part], offsets[part])]
 
     def measure():
-        # Paired, alternating minima (as bench_reliability does): each
-        # 8-query chunk is timed in both arms back to back, the order
-        # alternating per chunk and per round, and each chunk keeps its
-        # per-arm minimum.  Timing noise only ever adds, so the summed
-        # minima converge on the true costs where two whole-arm timings
-        # taken seconds apart do not.
-        for part in chunks:  # warm
-            batched(part)
-            singles(part)
-        best_batch = np.full(len(chunks), np.inf)
-        best_single = np.full(len(chunks), np.inf)
-        clock = time.perf_counter
-        for round_index in range(6):
-            for i, part in enumerate(chunks):
-                order = (batched, singles) if (round_index + i) % 2 == 0 else (singles, batched)
-                seconds, answers = {}, {}
-                for arm in order:
-                    started = clock()
-                    answers[arm] = arm(part)
-                    seconds[arm] = clock() - started
-                for one, many in zip(answers[singles], answers[batched]):
-                    assert np.array_equal(one.ids, many.ids)
-                best_batch[i] = min(best_batch[i], seconds[batched])
-                best_single[i] = min(best_single[i], seconds[singles])
-        batch_s, single_s = float(best_batch.sum()), float(best_single.sum())
+        # Paired, alternating minima per 8-query chunk (see
+        # conftest.paired_minima); the warm pass checks the answers.
+        for part in chunks:
+            for one, many in zip(singles(part), batched(part)):
+                assert np.array_equal(one.ids, many.ids)
+        batch_s, single_s = paired_minima(batched, singles, chunks, rounds=6)
         return {
             "queries": len(queries),
             "batched_ms": batch_s * 1000,

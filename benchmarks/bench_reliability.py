@@ -32,7 +32,7 @@ from repro.core.function_index import _merge_answer
 from repro.bench import print_table
 from repro.reliability import faults as _flt
 
-from conftest import scaled
+from conftest import paired_minima, scaled
 
 # The disarmed reliability overhead is a *fixed* cost per query — one
 # module-global read plus the policy branch per shard task, measured at
@@ -114,33 +114,12 @@ def test_disarmed_fault_overhead_below_two_percent(benchmark):
         engine.query(normal, offset)
         _bare_query(engine, normal, offset)
 
-    rounds = 12
-    best_hardened = np.full(N_QUERIES, np.inf)
-    best_bare = np.full(N_QUERIES, np.inf)
-    clock = time.perf_counter
-    for round_index in range(rounds):
-        for i, (normal, offset) in enumerate(queries):
-            if (round_index + i) % 2 == 0:
-                t0 = clock()
-                engine.query(normal, offset)
-                t1 = clock()
-                _bare_query(engine, normal, offset)
-                t2 = clock()
-                hardened_s, bare_s = t1 - t0, t2 - t1
-            else:
-                t0 = clock()
-                _bare_query(engine, normal, offset)
-                t1 = clock()
-                engine.query(normal, offset)
-                t2 = clock()
-                bare_s, hardened_s = t1 - t0, t2 - t1
-            if hardened_s < best_hardened[i]:
-                best_hardened[i] = hardened_s
-            if bare_s < best_bare[i]:
-                best_bare[i] = bare_s
-
-    sum_hardened = float(best_hardened.sum())
-    sum_bare = float(best_bare.sum())
+    sum_hardened, sum_bare = paired_minima(
+        lambda query: engine.query(*query),
+        lambda query: _bare_query(engine, *query),
+        queries,
+        rounds=12,
+    )
     ratio = sum_hardened / sum_bare
 
     def hardened() -> None:

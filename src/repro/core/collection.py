@@ -117,21 +117,26 @@ class _SelectionCache:
     merge of the write log is such a mutation too: it rebinds copies of
     every index over a fresh log, so a query holding the previous snapshot
     reads runs and a log that still match.  The sketch is rebuilt when the
-    log merges; a stale one only chooses worse.  The offsets also rank the
-    chosen interval, so they are rebuilt once the translator's ``version``
-    has moved past the snapshot's.
+    log merges; a stale one only chooses worse.  The key offsets also rank
+    the chosen interval, so they are derived from the translator's current
+    ``delta`` on every read instead of being stored: a query reads the
+    snapshot and never writes it, and a grown translation is never stale.
     """
 
-    __slots__ = ("indices", "columns", "offsets", "sketch", "version")
+    __slots__ = ("indices", "columns", "sketch", "_translator")
 
     def __init__(self, indices: Sequence[PlanarIndex], translator: Translator) -> None:
         self.indices: tuple[PlanarIndex, ...] = tuple(indices)
         self.columns = np.column_stack([index.working_normal for index in self.indices])
-        self.version = translator.version
-        self.offsets = key_offsets(self.columns, translator.delta)
         self.sketch = np.column_stack(
             [key_sketch(index.sorted_keys) for index in self.indices]
         )
+        self._translator = translator
+
+    @property
+    def offsets(self) -> np.ndarray:
+        """Every column's key offset at the current translation (:func:`key_offsets`)."""
+        return key_offsets(self.columns, self._translator.delta)
 
 
 class Plan(NamedTuple):
@@ -214,7 +219,7 @@ class PlanarIndexCollection:
         ]
         self._strategy = SelectionStrategy(strategy)
         self._rng = as_rng(rng)
-        self._refresh_selection_cache()
+        self._cache = _SelectionCache(self._indices, self._translator)
 
     @classmethod
     def _from_prebuilt(
@@ -254,7 +259,7 @@ class PlanarIndexCollection:
         ]
         self._strategy = SelectionStrategy(strategy)
         self._rng = as_rng(rng)
-        self._refresh_selection_cache()
+        self._cache = _SelectionCache(self._indices, self._translator)
         return self
 
     def _label(self, position: int) -> str:
@@ -275,16 +280,6 @@ class PlanarIndexCollection:
         """
         for position, index in enumerate(self._indices):
             index.set_obs_label(self._label(position))
-
-    def _refresh_selection_cache(self) -> None:
-        """Precompute the working-normal columns, key offsets and key
-        sketches for vectorized selection — one numpy expression instead
-        of a Python loop over indices (Section 5.1 requires selection to be
-        dataset-independent and cheap; at Python speeds it must also be
-        loop-free).  The snapshot is rebound atomically (see
-        :class:`_SelectionCache`) so queries racing a lifecycle mutation
-        stay consistent."""
-        self._cache = _SelectionCache(self._indices, self._translator)
 
     # ------------------------------------------------------------------ #
     # Construction helpers
@@ -356,8 +351,6 @@ class PlanarIndexCollection:
         armed, counted selection records how far its sketch estimate was
         from the exact |II| (``repro_ii_estimate_error``).
         """
-        if self._cache.version != self._translator.version:
-            self._refresh_selection_cache()
         cache = self._cache
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
@@ -428,10 +421,10 @@ class PlanarIndexCollection:
     ) -> tuple[QueryResult, str]:
         """Execute one working query (planned here unless ``plan`` is given);
         returns the result and the route taken."""
-        _, best, r_lo, r_hi, n, route = (self.plan(wq) if plan is None else plan)[:6]
-        if route == "intervals":
-            return best.finish_query(wq, r_lo, r_hi), route
-        return self._scan_result(wq, best, r_lo, r_hi, n), route
+        p = self.plan(wq) if plan is None else plan
+        if p.route == "intervals":
+            return p.index.finish_query(wq, p.r_lo, p.r_hi), p.route
+        return self._scan_result(wq, p.index, p.r_lo, p.r_hi, p.n), p.route
 
     def _observed(self, kind: str, name: str, run: Callable[[], tuple], **attrs: Any) -> Any:
         """The result of ``run() -> (result, route)``; with obs armed, one
@@ -485,8 +478,9 @@ class PlanarIndexCollection:
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
 
         def run() -> tuple[TopKResult, str]:
-            _, best, r_lo, r_hi = self.plan(wq)[:4]
-            return best.topk(wq, k, cutoff=cutoff, ranks=(r_lo, r_hi)), "intervals"
+            plan = self.plan(wq)
+            ranks = (plan.r_lo, plan.r_hi)
+            return plan.index.topk(wq, k, cutoff=cutoff, ranks=ranks), "intervals"
 
         return self._observed("topk", "topk", run, k=k)
 
@@ -509,8 +503,9 @@ class PlanarIndexCollection:
         """
 
         def run() -> tuple[QueryResult, str]:
-            _, best, r_lo, r_hi = self.plan(wq_high)[:4]
-            return best._query_range_impl(wq_low, wq_high, (r_lo, r_hi)), "intervals"
+            plan = self.plan(wq_high)
+            ranks = (plan.r_lo, plan.r_hi)
+            return plan.index._query_range_impl(wq_low, wq_high, ranks), "intervals"
 
         return self._observed("range", "query_range", run)
 
@@ -535,11 +530,11 @@ class PlanarIndexCollection:
         """
         wq = self.working_query(query)
         plan = self.plan(wq)
-        chosen, best, r_lo, r_hi, n, route, cache, th = plan
-        counts, stretch, cosines = scores(cache.columns, cache.offsets, cache.sketch, wq, th)
+        th = plan.th
+        counts, stretch, cosines = scores(plan.cache.columns, th.offsets, plan.cache.sketch, wq, th)
         probe_lo, probe_hi = interval_probes(th, wq)
         candidates = []
-        for position, index in enumerate(cache.indices):
+        for position, index in enumerate(plan.cache.indices):
             r_lo_c, r_hi_c = index.probe_ranks(probe_lo[position], probe_hi[position])
             candidates.append(
                 IndexCandidate(
@@ -547,13 +542,14 @@ class PlanarIndexCollection:
                     stretch=float(stretch[position]),
                     angle_cos=float(cosines[position]),
                     expected_ii=r_hi_c - r_lo_c,
-                    chosen=position == chosen,
+                    chosen=position == plan.position,
                     estimated_ii=round(int(counts[position]) * len(index) / SKETCH_BUCKETS),
                 )
             )
-        return best._report(
-            self._query_impl(wq, plan)[0].stats, route, r_lo, r_hi,
-            strategy=self._strategy.value, chosen_index=chosen, candidates=tuple(candidates),
+        return plan.index._report(
+            self._query_impl(wq, plan)[0].stats, plan.route, plan.r_lo, plan.r_hi,
+            strategy=self._strategy.value, chosen_index=plan.position,
+            candidates=tuple(candidates),
         )
 
     # ------------------------------------------------------------------ #
@@ -591,7 +587,7 @@ class PlanarIndexCollection:
         # previous member list (via its cache snapshot) keeps a stable view.
         self._indices = [*self._indices, newcomer]
         self._relabel()
-        self._refresh_selection_cache()
+        self._cache = _SelectionCache(self._indices, self._translator)
         return True
 
     def drop_index(self, position: int) -> None:
@@ -612,7 +608,7 @@ class PlanarIndexCollection:
         ]
         dropped.release_obs_label()
         self._relabel()
-        self._refresh_selection_cache()
+        self._cache = _SelectionCache(self._indices, self._translator)
 
     def merge(self) -> None:
         """Merge the write log into every index, in one pass each (Section 4.4).
@@ -636,7 +632,7 @@ class PlanarIndexCollection:
             index.merged(drop, pending, row, log) for index, row in zip(self._indices, keys)
         ]
         self._log = log
-        self._refresh_selection_cache()
+        self._cache = _SelectionCache(self._indices, self._translator)
 
     def _merge_if_due(self) -> None:
         """Merge once the log passes the cost-derived threshold."""

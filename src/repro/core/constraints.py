@@ -117,8 +117,9 @@ def _certain_sets(
     :meth:`~repro.core.planar.PlanarIndex._split` skips the write log's
     stale entries and makes its pending ids candidates.
     """
-    _, index, r_lo, r_hi = collection.plan(wq)[:4]
-    part = index._split(index._log.state, r_lo, r_hi, below=True, above=True)
+    plan = collection.plan(wq)
+    index = plan.index
+    part = index._split(index._log.state, plan.r_lo, plan.r_hi, below=True, above=True)
     if wq.op.is_upper_bound:
         accept, reject = part.below, part.above
     else:

@@ -819,18 +819,19 @@ class FunctionIndex:
                 "reason": str(exc),
                 "n_total": len(self),
             }
-        position, index, r_lo, r_hi, n, route = self.collection.plan(wq)[:6]
-        part = index._split(index._log.state, r_lo, r_hi, middle=False)
+        plan = self.collection.plan(wq)
+        index = plan.index
+        part = index._split(index._log.state, plan.r_lo, plan.r_hi, middle=False)
         return {
-            "route": route,
+            "route": plan.route,
             "strategy": self.collection.strategy.value,
-            "index_position": position,
+            "index_position": plan.position,
             "index_normal": index.normal.copy(),
             "si_size": part.si,
             "ii_size": part.ii,
             "li_size": part.li,
-            "n_total": n,
-            "expected_verified": n if route == "scan" else part.ii,
+            "n_total": plan.n,
+            "expected_verified": plan.n if plan.route == "scan" else part.ii,
         }
 
     def explain_report(

@@ -94,7 +94,7 @@ def key_offsets(working_columns: np.ndarray, delta: np.ndarray) -> np.ndarray:
     on the columns stacked with it: an index's own ``(d',)`` column, the
     selection cache and the advisor's candidate stack get the same bits.
     """
-    return np.cumsum(working_columns * _per_row(delta, working_columns), axis=0)[-1]
+    return np.add.accumulate(working_columns * _per_row(delta, working_columns), axis=0)[-1]
 
 
 class Thresholds(NamedTuple):

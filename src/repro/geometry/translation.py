@@ -65,8 +65,6 @@ class Translator:
         self._signs.setflags(write=False)
         self._margin = float(margin)
         self._delta = np.zeros(signs.size, dtype=np.float64)
-        #: How many times ``delta`` has grown; key offsets hold within one.
-        self.version = 0
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -118,7 +116,6 @@ class Translator:
         if not np.any(grew):
             return False
         self._delta = np.where(grew, needed, self._delta)
-        self.version += 1
         return True
 
     # ------------------------------------------------------------------ #

@@ -299,3 +299,95 @@ def test_merges_race_queries_exactly():
             assert index.collection._log.state is None
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_queries_never_rebind_the_selection_snapshot():
+    """Every query kind only reads the selection snapshot, also after a grown translation.
+
+    Only writers (merges and lifecycle calls) rebind it; a query that
+    rebuilt it could store one over indices a racing merge has retired.
+    The key offsets follow the grown ``delta`` all the same.
+    """
+    rng = np.random.default_rng(17)
+    index = FunctionIndex(rng.uniform(1.0, 100.0, size=(2000, 3)), MODEL[3], n_indices=8, rng=0)
+    delta = index.translator.delta
+    index.insert_points(-50.0 * rng.uniform(1.0, 2.0, size=(3, 3)))
+    assert np.any(index.translator.delta > delta)
+    collection = index.collection
+    snapshot = collection._cache
+    live = index.live_ids()
+    rows = index.get_features(live)
+    normal, offset = rng.uniform(1.0, 5.0, 3), 400.0
+    expected = live[ScalarProductQuery(normal, offset).evaluate(rows)]
+    assert np.array_equal(index.query(normal, offset).ids, expected)
+    index.topk(normal, offset, 5)
+    index.query_range(normal, 100.0, offset)
+    index.query_conjunction([(normal, offset), (normal[::-1], offset)])
+    index.explain(normal, offset)
+    index.explain_report(normal, offset)
+    collection.explain(ScalarProductQuery(normal, offset))
+    assert collection._cache is snapshot
+    wq = collection.working_query(ScalarProductQuery(normal, offset))
+    assert np.array_equal(collection.plan(wq).th.offsets, snapshot.offsets)
+
+
+def test_grown_translation_then_merge_racing_queries_keeps_writes_visible():
+    """A merge or ``add_index`` racing the first queries after a grown translation.
+
+    An insert far below the data grows ``delta`` and no query runs; then
+    four query threads released together with the main thread race a
+    merge or an ``add_index``.  Queries only read the selection snapshot,
+    so none of them can leave one over the retired indices and their
+    abandoned log: writes made after the race stay visible, and every
+    answer before and after them is exact.
+    """
+    rng = np.random.default_rng(13)
+    index = FunctionIndex(rng.uniform(1.0, 100.0, size=(5000, 3)), MODEL[3], n_indices=24, rng=0)
+    queries = [(rng.uniform(1.0, 5.0, 3), float(rng.uniform(100.0, 900.0))) for _ in range(4)]
+
+    def oracle() -> list[np.ndarray]:
+        live = index.live_ids()
+        rows = index.get_features(live)
+        return [live[ScalarProductQuery(a, b).evaluate(rows)] for a, b in queries]
+
+    def answers() -> list[np.ndarray]:
+        return [index.query(a, b).ids for a, b in queries]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cycle in range(8):
+            delta = index.translator.delta
+            index.insert_points(-10.0 * (cycle + 1) * rng.uniform(1.0, 2.0, size=(3, 3)))
+            assert np.any(index.translator.delta > delta)
+            expected = oracle()
+            start = threading.Barrier(5)
+            failures: list[str] = []
+
+            def first_queries() -> None:
+                start.wait()
+                for got, want in zip(answers(), expected):
+                    if not np.array_equal(got, want):
+                        failures.append(f"cycle {cycle}: racing query diverged")
+
+            threads = [threading.Thread(target=first_queries) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            start.wait()
+            if cycle % 2:
+                index.add_index(MODEL[3].sample_normal(100 + cycle))
+            else:
+                index.merge_writes()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert not failures
+            live = index.live_ids()
+            index.insert_points(rng.uniform(1.0, 100.0, size=(5, 3)))
+            index.update_points(live[:5], rng.uniform(1.0, 100.0, size=(5, 3)))
+            index.delete_points(live[5:10])
+            assert index.collection._log.state is not None
+            for got, want in zip(answers(), oracle()):
+                assert np.array_equal(got, want), f"cycle {cycle}: writes after the race lost"
+    finally:
+        sys.setswitchinterval(interval)
