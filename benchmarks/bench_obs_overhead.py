@@ -13,8 +13,9 @@ Arms:
 
 ``uninstrumented``
     The identical pipeline (working query → thresholds → binary search →
-    II verification → materialize → stats) re-inlined here with *no* obs
-    code at all, reproducing the pre-instrumentation module.
+    write-log split → II verification through ``FeatureStore.take_rows``
+    → materialize → stats) re-inlined here with *no* obs code at all,
+    reproducing the pre-instrumentation module.
 
 A second gate covers production telemetry (ISSUE 7): armed at
 ``REPRO_OBS=0.01`` — always-on tracing with 1% head sampling — the same
@@ -67,24 +68,22 @@ def _uninstrumented_query(index: PlanarIndex, query: ScalarProductQuery):
     keys = index._keys
     r_lo = keys.rank_le(probe_lo)
     r_hi = keys.rank_le(probe_hi)
-    n = len(keys)
-    # finish_query, inlined
-    if wq.op.is_upper_bound:
-        accepted = [keys.ids_in_rank_range(0, r_lo)]
-    else:
-        accepted = [keys.ids_in_rank_range(r_hi, n)]
-    verify_ids = keys.ids_in_rank_range(r_lo, r_hi)
+    # finish_query, inlined: the same write-log split and store gather
+    upper = wq.op.is_upper_bound
+    part = index._split(index._log.state, r_lo, r_hi, below=upper, above=not upper)
+    accepted = [part.below if upper else part.above]
+    verify_ids = part.middle
     n_verified = int(verify_ids.size)
     if n_verified:
-        feats = np.take(index._store._data, verify_ids, axis=0)
+        feats = index._store.take_rows(verify_ids)
         keep, _ = exact.satisfying(feats, wq.query, exact.octant_bound(wq))
         accepted.append(verify_ids[keep])
     result_ids = np.sort(np.concatenate(accepted))
     stats = QueryStats(
-        n_total=n,
-        si_size=r_lo,
-        ii_size=r_hi - r_lo,
-        li_size=n - r_hi,
+        n_total=part.n,
+        si_size=part.si,
+        ii_size=part.ii,
+        li_size=part.li,
         n_verified=n_verified,
         n_results=int(result_ids.size),
     )

@@ -13,15 +13,18 @@ points) never holds one.
 
 The store is dynamic (Section 4.4): rows can be appended, re-valued, and
 deleted.  Ids are stable row handles; deleted ids are never reused so stale
-references fail loudly.  Key stores hold ids as ``uint32``, so a store
-never grows past ``2**32 - 1`` rows (:func:`require_id_space`).
+references fail loudly.  The rows, the scan copy and the liveness mask each
+live in a buffer with spare room that grows by :data:`GROWTH`, so an append
+of ``m`` rows costs amortized ``O(m)``, not a copy of the store.  Key
+stores hold ids as ``uint32``, so a store never grows past ``2**32 - 1``
+rows (:func:`require_id_space`).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._util import as_2d_float, require_finite_rows
+from .._util import as_2d_float, require_finite_rows, require_unique
 from ..analysis.contracts import array_contract
 from ..exceptions import DimensionMismatchError, IndexBuildError
 from ..obs import metrics as _om
@@ -30,7 +33,12 @@ from ..reliability import faults as _flt
 from . import exact
 from .sorted_keys import ID_MAX
 
-__all__ = ["FeatureStore", "require_id_space"]
+__all__ = ["FeatureStore", "GROWTH", "require_id_space"]
+
+#: Factor by which a full store's buffers grow: an append that does not
+#: fit reallocates them at this multiple of their size, so each row is
+#: copied O(1) times amortized and at most a third of a buffer is spare.
+GROWTH = 1.5
 
 
 def require_id_space(capacity: int) -> None:
@@ -56,6 +64,12 @@ class FeatureStore:
     gathers can index directly by id without a translation table.
     Anything that compacts or reorders ``_data`` in place would break
     every :class:`~repro.core.sorted_keys.SortedKeyStore` built on top.
+
+    ``_data``, ``_live`` and the scan columns ``_scan[0]`` are views of
+    the first :attr:`capacity` rows (columns) of ``_rows``, ``_alive``
+    and ``_columns``, buffers that share one allocated size.  An append
+    writes past the views and then rebinds each with one attribute store,
+    so a reader holding an older view still sees a valid prefix.
     """
 
     @array_contract("features: (n, d) float64 cast promote")
@@ -65,8 +79,8 @@ class FeatureStore:
             raise ValueError("FeatureStore needs at least one initial feature row")
         require_finite_rows(data, "features")
         require_id_space(data.shape[0])
-        self._data = data.copy()
-        self._live = np.ones(data.shape[0], dtype=bool)
+        self._rows = self._data = data.copy()
+        self._alive = self._live = np.ones(data.shape[0], dtype=bool)
         self._n_live = int(data.shape[0])
         # Bumped by every mutation (update/append/delete) so read-side
         # caches — e.g. a shard view's float32 scan copy — can
@@ -74,8 +88,9 @@ class FeatureStore:
         self._version = 0
         self._writable = True
         # (float32 columns, column magnitudes) of exact.scan_columns, built
-        # by the first scan_values call.
+        # by the first scan_values call; the columns are a view of _columns.
         self._scan: tuple[np.ndarray, np.ndarray] | None = None
+        self._columns: np.ndarray | None = None
 
     @classmethod
     def from_backing(cls, data: np.ndarray) -> "FeatureStore":
@@ -94,12 +109,12 @@ class FeatureStore:
             )
         require_id_space(data.shape[0])
         store = cls.__new__(cls)
-        store._data = data
-        store._live = np.ones(data.shape[0], dtype=bool)
+        store._rows = store._data = data
+        store._alive = store._live = np.ones(data.shape[0], dtype=bool)
         store._n_live = int(data.shape[0])
         store._version = 0
         store._writable = False
-        store._scan = None
+        store._scan = store._columns = None
         return store
 
     def _require_writable(self) -> None:
@@ -122,7 +137,7 @@ class FeatureStore:
 
     @property
     def capacity(self) -> int:
-        """Total allocated rows (live + deleted)."""
+        """Ids assigned so far: live plus deleted rows, not the spare room."""
         return int(self._data.shape[0])
 
     @property
@@ -150,10 +165,10 @@ class FeatureStore:
         return 0 <= int(point_id) < self.capacity and bool(self._live[int(point_id)])
 
     def memory_bytes(self) -> int:
-        """Heap footprint of the backing arrays and the scan copy, once built."""
-        total = self._data.nbytes + self._live.nbytes
+        """Heap footprint of the buffers, spare room included, and the scan copy once built."""
+        total = self._rows.nbytes + self._alive.nbytes
         if self._scan is not None:
-            total += self._scan[0].nbytes + self._scan[1].nbytes
+            total += self._columns.nbytes + self._scan[1].nbytes
         return int(total)
 
     # ------------------------------------------------------------------ #
@@ -212,9 +227,25 @@ class FeatureStore:
         if _ort.active():
             _om.store_scans().inc()
         if self._scan is None:
-            self._scan = exact.scan_columns(self._data)
+            self._build_scan()
         values, bound = exact.scan(*self._scan, normal)
         return None, values, bound
+
+    def _build_scan(self) -> None:
+        """Build the scan copy, its buffer as large as the row buffer's.
+
+        The rows may already have spare room (the first scan follows
+        some appends); the columns get the same, so a later append that
+        fits the rows fits them too.
+        """
+        columns, magnitudes = exact.scan_columns(self._data)
+        spare = self._rows.shape[0] - columns.shape[1]
+        if spare:
+            columns = np.concatenate(
+                [columns, np.empty((self.dim, spare), dtype=columns.dtype)], axis=1
+            )
+        self._columns = columns
+        self._scan = (columns[:, : self.capacity], magnitudes)
 
     def live_only(self, ids: np.ndarray) -> np.ndarray:
         """``ids`` (any row positions) without the dead ones, order kept."""
@@ -273,27 +304,48 @@ class FeatureStore:
         if rows.shape[0] == 0:
             return np.empty(0, dtype=np.int64)
         start = self.capacity
-        require_id_space(start + rows.shape[0])
-        self._data = np.vstack([self._data, rows])
+        stop = start + rows.shape[0]
+        require_id_space(stop)
+        if stop > self._rows.shape[0]:
+            self._grow(stop)
+        self._rows[start:stop] = rows
+        self._alive[start:stop] = True
+        # _live rebinds first, so any id a reader finds in _scan or _data
+        # is covered by the liveness mask it reads next.
+        self._live = self._alive[:stop]
         if self._scan is not None:
             columns, magnitudes = exact.scan_columns(rows)
-            self._scan = (
-                np.concatenate([self._scan[0], columns], axis=1),
-                np.maximum(self._scan[1], magnitudes),
-            )
-        self._live = np.concatenate([self._live, np.ones(rows.shape[0], dtype=bool)])
+            self._columns[:, start:stop] = columns
+            self._scan = (self._columns[:, :stop], np.maximum(self._scan[1], magnitudes))
+        self._data = self._rows[:stop]
         self._n_live += rows.shape[0]
         self._version += 1
-        return np.arange(start, start + rows.shape[0], dtype=np.int64)
+        return np.arange(start, stop, dtype=np.int64)
+
+    def _grow(self, needed: int) -> None:
+        """Reallocate every buffer at ``GROWTH`` times its size, ``needed`` rows at least.
+
+        The views still name the old buffers until :meth:`append`
+        rebinds them.
+        """
+        size = min(max(needed, int(self._rows.shape[0] * GROWTH)), ID_MAX)
+        start = self.capacity
+        rows = np.empty((size, self.dim))
+        rows[:start] = self._data
+        alive = np.empty(size, dtype=bool)
+        alive[:start] = self._live
+        if self._scan is not None:
+            columns = np.empty((self.dim, size), dtype=self._columns.dtype)
+            columns[:, :start] = self._scan[0]
+            self._columns = columns
+        self._rows, self._alive = rows, alive
 
     @array_contract("ids: (m,) int64 cast")
     def delete(self, ids: np.ndarray) -> None:
         """Mark rows dead; their ids become permanently invalid."""
         self._require_writable()
         ids = self._check_ids(ids)
-        unique = np.unique(ids)
-        if unique.size != ids.size:
-            raise ValueError("delete ids must be unique")
+        require_unique(ids, "delete ids must be unique")
         self._live[ids] = False
         self._n_live -= int(ids.size)
         self._version += 1

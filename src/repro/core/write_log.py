@@ -115,13 +115,32 @@ class WriteLog:
             n_stale += int(marked.size)
         self.state = LogState(pending, stale, n_stale) if pending.size or n_stale else None
 
+    def _locate(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, at, found)``: ``ids`` sorted, their slots in ``pending``, which are there.
+
+        One sort of the ``m`` ids and one binary search of ``pending``:
+        ``at`` is where each id is or would be inserted, so the next
+        ``pending`` is one ``np.insert`` or ``np.delete`` at those slots.
+        """
+        ids = np.sort(np.asarray(ids, dtype=ID_DTYPE))
+        pending = self._pending()
+        at = np.searchsorted(pending, ids)
+        if not pending.size:
+            return ids, at, np.zeros(ids.size, dtype=bool)
+        return ids, at, np.take(pending, at, mode="clip") == ids
+
+    def _joined(self, ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(new, pending)``: the ``ids`` not pending yet, and ``pending`` with them."""
+        ids, at, found = self._locate(ids)
+        new = ~found
+        return ids[new], np.insert(self._pending(), at[new], ids[new])
+
     def _pending(self) -> np.ndarray:
         return _NO_IDS if self.state is None else self.state.pending
 
     def insert(self, ids: np.ndarray) -> None:
         """Record points appended since the merge (no run entries yet)."""
-        ids = np.ascontiguousarray(ids, dtype=ID_DTYPE)
-        self._write(_NO_IDS, np.union1d(self._pending(), ids))
+        self._write(_NO_IDS, self._joined(ids)[1])
 
     def rekey(self, ids: np.ndarray) -> None:
         """Record points whose rows changed: their entries go stale, they go pending.
@@ -129,15 +148,12 @@ class WriteLog:
         An id pending already has no entry left to mark: it was inserted
         since the merge, or re-keyed and marked then.
         """
-        ids = np.ascontiguousarray(ids, dtype=ID_DTYPE)
-        pending = self._pending()
-        self._write(ids[~np.isin(ids, pending)], np.union1d(pending, ids))
+        self._write(*self._joined(ids))
 
     def delete(self, ids: np.ndarray) -> None:
         """Record deleted points: their entries go stale, they leave pending."""
-        ids = np.ascontiguousarray(ids, dtype=ID_DTYPE)
-        pending = self._pending()
-        self._write(ids[~np.isin(ids, pending)], np.setdiff1d(pending, ids))
+        ids, at, found = self._locate(ids)
+        self._write(ids[~found], np.delete(self._pending(), at[found]))
 
     def memory_bytes(self) -> int:
         """Heap footprint of the pending ids and the stale mask."""

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FeatureStore
+from repro import FeatureStore, FunctionIndex, QueryModel, load_index, save_index
+from repro.core.feature_store import GROWTH
 from repro.exceptions import DimensionMismatchError
 
 
@@ -161,6 +162,110 @@ class TestScanValuesMany:
         for column, normal in enumerate(normals):
             _, values_one, _ = store.scan_values(normal)
             assert np.array_equal(values_many[:, column], values_one[ids_many])
+
+
+def _same_as_fresh(store: FeatureStore, rows: np.ndarray, dead: set[int]) -> None:
+    """Every read of ``store`` is bit-identical to a store built from ``rows`` once."""
+    fresh = FeatureStore(rows)
+    if dead:
+        fresh.delete(np.array(sorted(dead)))
+    assert store.capacity == fresh.capacity
+    assert np.array_equal(store.live_ids(), fresh.live_ids())
+    for got, want in zip(store.get_all(), fresh.get_all()):
+        assert np.array_equal(got, want)
+    ids = np.ascontiguousarray(fresh.live_ids()[::-1], dtype=np.uint32)
+    assert np.array_equal(store.take_rows(ids), fresh.take_rows(ids))
+    for normal in (np.array([1.0, 2.0, 3.0]), np.array([-0.5, 4.0, 1e-3])):
+        got, want = store.scan_values(normal), fresh.scan_values(normal)
+        assert got[0] is None and np.array_equal(got[1], want[1]) and got[2] == want[2]
+
+
+class TestGrowth:
+    """Appends across several buffer growths, against a store built fresh.
+
+    Row 0 holds every column's largest magnitude and is never written
+    again, so the scan copy's magnitudes (a running maximum under
+    updates) match a fresh store's and ``E32`` can be compared exactly.
+    """
+
+    @pytest.mark.parametrize("scan_at", ["start", "between", "end"])
+    def test_matches_a_fresh_store(self, scan_at):
+        rng = np.random.default_rng(23)
+        scales = np.array([1e-3, 1.0, 1e3])
+        rows = rng.uniform(1.0, 10.0, size=(8, 3)) * scales
+        rows[0] = 10.0 * scales
+        store = FeatureStore(rows)
+        dead: set[int] = set()
+        sizes = [store._rows.shape[0]]
+        if scan_at == "start":
+            store.scan_values(np.ones(3))
+        for _ in range(40):
+            fresh = rng.uniform(1.0, 10.0, size=(int(rng.integers(1, 6)), 3)) * scales
+            data, fits = store._data, store.capacity + fresh.shape[0] <= sizes[-1]
+            columns = None if store._scan is None else store._scan[0]
+            new_ids = store.append(fresh)
+            rows = np.vstack([rows, fresh])
+            assert np.array_equal(new_ids, np.arange(rows.shape[0] - fresh.shape[0], rows.shape[0]))
+            # Room left: written in place, not moved; none left: moved once.
+            assert np.shares_memory(data, store._data) == fits
+            if columns is not None:
+                assert np.shares_memory(columns, store._scan[0]) == fits
+            if not fits:
+                sizes.append(store._rows.shape[0])
+                assert sizes[-1] == max(store.capacity, int(sizes[-2] * GROWTH))
+                if scan_at == "between" and len(sizes) == 2:
+                    store.scan_values(np.ones(3))
+            live = np.setdiff1d(np.arange(1, rows.shape[0]), sorted(dead))
+            moved = np.sort(rng.choice(live, size=2, replace=False))
+            rows[moved] = rng.uniform(1.0, 10.0, size=(2, 3)) * scales
+            store.update(moved, rows[moved])
+            victim = int(rng.choice(np.setdiff1d(live, moved)))
+            store.delete(np.array([victim]))
+            dead.add(victim)
+        assert len(sizes) >= 4 and store._rows.shape[0] > store.capacity
+        _same_as_fresh(store, rows, dead)
+        # The spare room is allocated, so it is counted.
+        size = store._rows.shape[0]
+        assert store.memory_bytes() == size * 3 * 8 + size + size * 3 * 4 + 3 * 8
+        assert store.memory_bytes() > FeatureStore(rows).memory_bytes()
+
+    def test_scan_copy_built_after_growth_has_the_same_room(self):
+        rng = np.random.default_rng(5)
+        rows = rng.uniform(1.0, 10.0, size=(4, 3))
+        store = FeatureStore(rows)
+        fresh = rng.uniform(1.0, 10.0, size=(1, 3))
+        store.append(fresh)
+        assert store._rows.shape[0] > store.capacity
+        store.scan_values(np.ones(3))
+        assert store._columns.shape == (3, store._rows.shape[0])
+        # An append that fits the rows fits the scan copy too.
+        more = rng.uniform(1.0, 10.0, size=(store._rows.shape[0] - store.capacity, 3))
+        store.append(more)
+        _same_as_fresh(store, np.vstack([rows, fresh, more]), set())
+
+    @pytest.mark.parametrize("mode", ["copy", "mmap"])
+    def test_save_after_growth_writes_live_rows_only(self, mode, tmp_path):
+        rng = np.random.default_rng(9)
+        points = rng.uniform(1.0, 100.0, size=(300, 3))
+        model = QueryModel.uniform(dim=3, low=1.0, high=5.0)
+        index = FunctionIndex(points, model, n_indices=4, rng=0)
+        for _ in range(4):
+            index.insert_points(rng.uniform(1.0, 100.0, size=(70, 3)))
+        index.delete_points(np.arange(0, 300, 7))
+        store = index._features
+        assert store._rows.shape[0] > store.capacity
+        loaded = load_index(save_index(index, tmp_path / "idx"), mode=mode)
+        assert loaded._features.capacity == len(loaded) == len(index)
+        assert loaded._features.memory_bytes() < store.memory_bytes()
+        for _ in range(5):
+            normal, offset = model.sample_normal(rng), float(rng.uniform(200.0, 800.0))
+            for op in ("<=", ">"):
+                # The saved format compacts ids to live positions.
+                expected = np.searchsorted(index.live_ids(), index.query(normal, offset, op).ids)
+                assert np.array_equal(loaded.query(normal, offset, op).ids, expected)
+            assert np.array_equal(
+                loaded.topk(normal, offset, 5).distances, index.topk(normal, offset, 5).distances
+            )
 
 
 class TestReadOnlyBacking:

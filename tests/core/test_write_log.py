@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -236,6 +237,52 @@ def test_log_bookkeeping():
     assert log.state is None
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**16))
+def test_log_matches_a_set_model(seed):
+    """Random writes against a Python-set model of ``pending`` and ``stale``.
+
+    Ids come unsorted, some pending already and some not; inserts draw
+    fresh ids and, now and then, ids pending already.
+    """
+    rng = np.random.default_rng(seed)
+    log = WriteLog()
+    runs = set(range(60))  # ids with a live run entry
+    pending: set[int] = set()
+    stale: set[int] = set()
+    fresh = 60
+    for _ in range(40):
+        kind = ("insert", "rekey", "delete")[int(rng.integers(3))]
+        live = sorted(runs | pending)
+        if kind == "insert":
+            size = int(rng.integers(0, 6))
+            new = list(range(fresh, fresh + size))
+            fresh += size
+            old = sorted(pending)[: int(rng.integers(0, 3))]
+            ids = rng.permutation(np.array(new + old, dtype=np.int64))
+            pending |= set(ids.tolist())
+        elif not live:
+            continue
+        else:
+            ids = rng.choice(live, size=int(rng.integers(1, min(8, len(live)) + 1)), replace=False)
+            marked = set(ids.tolist()) - pending
+            stale |= marked
+            runs -= marked
+            if kind == "rekey":
+                pending |= set(ids.tolist())
+            else:
+                pending -= set(ids.tolist())
+        getattr(log, kind)(ids)
+        state = log.state
+        if not pending and not stale:
+            assert state is None
+            continue
+        assert state.pending.dtype == np.uint32
+        assert state.pending.tolist() == sorted(pending)
+        assert np.flatnonzero(state.stale).tolist() == sorted(stale)
+        assert state.n_stale == len(stale)
+
+
 def test_collection_counts_the_log_in_memory():
     rng = np.random.default_rng(1)
     points = rng.uniform(1.0, 100.0, size=(2000, 3))
@@ -299,6 +346,68 @@ def test_merges_race_queries_exactly():
             assert index.collection._log.state is None
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_inserts_across_store_growth_race_queries_exactly():
+    """Queries racing inserts that grow the feature store's buffers stay exact.
+
+    Every insert that does not fit reallocates the rows, the scan copy
+    and the liveness mask, and the log merges several times on the way.
+    A racing query sees the index before or after each insert, so its
+    answer must be the exact answer after some prefix of the inserts.
+    """
+    rng = np.random.default_rng(29)
+    points = rng.uniform(1.0, 100.0, size=(2000, 3))
+    index = FunctionIndex(points, MODEL[3], n_indices=12, rng=0)
+    queries = [(rng.uniform(1.0, 5.0, 3), float(rng.uniform(100.0, 900.0))) for _ in range(6)]
+    batches = [rng.uniform(1.0, 100.0, size=(60, 3)) for _ in range(80)]
+    rows = np.vstack([points, *batches])
+    # The exact answer after each prefix of the inserts, by answer size:
+    # answers only grow, so the size names the prefix.
+    allowed = []
+    for a, b in queries:
+        hits = np.flatnonzero(ScalarProductQuery(a, b).evaluate(rows))
+        ends = [points.shape[0] + 60 * j for j in range(len(batches) + 1)]
+        allowed.append({int(np.count_nonzero(hits < end)): hits[hits < end] for end in ends})
+    store = index._features
+    sizes = {store._rows.shape[0]}
+    stop = threading.Event()
+    failures: list[str] = []
+    answered = [0]
+
+    def hammer() -> None:
+        while not stop.is_set():
+            for (a, b), answers in zip(queries, allowed):
+                got = index.query(a, b).ids
+                want = answers.get(got.size)
+                if want is None or not np.array_equal(got, want):
+                    failures.append("a racing query matched no prefix of the inserts")
+                    return
+                answered[0] += 1
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    threads = [threading.Thread(target=hammer) for _ in range(4)]
+    try:
+        for thread in threads:
+            thread.start()
+        for batch in batches:
+            # Let every thread get a query in flight before the next insert.
+            target = answered[0] + 8
+            while answered[0] < target and not failures:
+                time.sleep(0)
+            index.insert_points(batch)
+            sizes.add(store._rows.shape[0])
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures
+    assert len(sizes) >= 4
+    for (a, b), answers in zip(queries, allowed):
+        assert np.array_equal(index.query(a, b).ids, answers[max(answers)])
 
 
 def test_queries_never_rebind_the_selection_snapshot():
