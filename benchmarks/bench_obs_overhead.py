@@ -1,25 +1,28 @@
 """Overhead of the observability layer with REPRO_OBS unset.
 
 Acceptance bar (ISSUE 2): with the layer disabled — the default — the
-instrumented ``PlanarIndex.query`` must stay within **2%** of a fully
-uninstrumented reimplementation of the same pipeline.  The disabled path
-costs one module-global read plus a branch per instrumented section, so
-the measured difference should be deep in the noise.
+instrumented ``PlanarIndexCollection.query`` of a one-index collection
+must stay within **2%** of a fully uninstrumented reimplementation of the
+same pipeline.  The disabled path costs one module-global read plus a
+branch per instrumented section, so the measured difference should be
+deep in the noise.
 
 Arms:
 
 ``instrumented``
-    ``index.query(q)`` as shipped — guards compiled in, layer disabled.
+    ``collection.query(q)`` as shipped — guards compiled in, layer disabled.
 
 ``uninstrumented``
-    The identical pipeline (working query → thresholds → binary search →
-    write-log split → II verification through ``FeatureStore.take_rows``
-    → materialize → stats) re-inlined here with *no* obs code at all,
-    reproducing the pre-instrumentation module.
+    The identical pipeline (working query → Eq. 13 threshold matrix →
+    selection → binary search → write-log split → II verification through
+    ``FeatureStore.take_rows``, or the float32 scan → materialize → stats)
+    re-inlined here with *no* obs code at all, reproducing the
+    pre-instrumentation module.
 
 A second gate covers production telemetry (ISSUE 7): armed at
 ``REPRO_OBS=0.01`` — always-on tracing with 1% head sampling — the same
-query must stay within **5%** of the uninstrumented pipeline, because
+query, inside the ``inequality`` trace root a ``FunctionIndex`` query
+opens, must stay within **5%** of the uninstrumented pipeline, because
 unsampled traces mute every per-query span/metric and pay only the
 trace-id draw plus the ``repro_traces_total`` bump.
 
@@ -35,50 +38,79 @@ import time
 import numpy as np
 
 from repro.bench import print_table
-from repro.core import PlanarIndex, ScalarProductQuery, exact
+from repro.core import PlanarIndexCollection, ScalarProductQuery, exact
+from repro.core.collection import _SCAN_FALLBACK_FRACTION
 from repro.core.planar import QueryStats
-from repro.core.selection import interval_probes, key_offsets, thresholds
+from repro.core.selection import choose, interval_probes, thresholds
 from repro.obs import runtime as obs_runtime
+from repro.obs import trace as obs_trace
 
-from conftest import paired_minima, scaled
+from conftest import one_index, paired_minima, scaled
 
 N_POINTS = scaled(200_000)
 DIM = 6
 N_QUERIES = 400
 
 
-def _build(rng: np.random.Generator) -> tuple[PlanarIndex, list[ScalarProductQuery]]:
+def _build(
+    rng: np.random.Generator,
+) -> tuple[PlanarIndexCollection, list[ScalarProductQuery]]:
     points = rng.uniform(1.0, 100.0, size=(N_POINTS, DIM))
-    index = PlanarIndex.from_features(points, np.ones(DIM))
     queries = [
         ScalarProductQuery(rng.uniform(1.0, 5.0, DIM), float(rng.uniform(100, 1200)))
         for _ in range(N_QUERIES)
     ]
-    return index, queries
+    return one_index(points, np.ones(DIM)), queries
 
 
-def _uninstrumented_query(index: PlanarIndex, query: ScalarProductQuery):
+def _traced_query(collection: PlanarIndexCollection, query: ScalarProductQuery):
+    """``collection.query`` inside the trace root ``FunctionIndex._traced`` opens."""
+    with obs_trace.root("inequality", shards=1) as trace:
+        result = collection.query(query)
+        if trace:
+            trace.set(stats=result.stats.to_dict, results=result.stats.n_results)
+    return result
+
+
+def _uninstrumented_query(collection: PlanarIndexCollection, query: ScalarProductQuery):
     """The exact disabled-path pipeline with every obs guard removed."""
-    wq = index.working_query(query)
-    # interval_ranks, inlined (the shared threshold and probe functions
-    # plus two float32 binary searches)
-    column = index.working_normal
-    offset = key_offsets(column, index.translator.delta)
-    probe_lo, probe_hi = interval_probes(thresholds(column, offset, wq), wq)
-    keys = index._keys
-    r_lo = keys.rank_le(probe_lo)
-    r_hi = keys.rank_le(probe_hi)
-    # finish_query, inlined: the same write-log split and store gather
+    wq = collection.working_query(query)
+    # plan, inlined: one threshold matrix, the strategy's pick, the chosen
+    # column's probes and two float32 binary searches, then the route
+    cache = collection._cache
+    th = thresholds(cache.columns, cache.offsets, wq)
+    position = choose(collection.strategy, cache.columns, th, cache.sketch, wq, collection._rng)
+    index = cache.indices[position]
+    r_lo, r_hi = index.probe_ranks(*interval_probes(th.column(position), wq))
+    n = len(index)
+    state = index._log.state
+    verify = r_hi - r_lo
+    if state is not None:
+        verify += state.pending.size
+        n = state.n_live(n)
+    store = index._store
     upper = wq.op.is_upper_bound
-    part = index._split(index._log.state, r_lo, r_hi, below=upper, above=not upper)
-    accepted = [part.below if upper else part.above]
-    verify_ids = part.middle
-    n_verified = int(verify_ids.size)
-    if n_verified:
-        feats = index._store.take_rows(verify_ids)
-        keep, _ = exact.satisfying(feats, wq.query, exact.octant_bound(wq))
-        accepted.append(verify_ids[keep])
-    result_ids = np.sort(np.concatenate(accepted))
+    if verify <= _SCAN_FALLBACK_FRACTION * n:
+        # finish_query, inlined: the same write-log split and store gather
+        part = index._split(state, r_lo, r_hi, below=upper, above=not upper)
+        accepted = [part.below if upper else part.above]
+        verify_ids = part.middle
+        n_verified = int(verify_ids.size)
+        if n_verified:
+            feats = store.take_rows(verify_ids)
+            keep, _ = exact.satisfying(feats, wq.query, exact.octant_bound(wq))
+            accepted.append(verify_ids[keep])
+        result_ids = np.sort(np.concatenate(accepted))
+    else:
+        # the scan route, inlined: one float32 scan over the store
+        ids, values, bound = store.scan_values(wq.query.normal)
+        take = store.take_rows
+        if ids is None:
+            result_ids = store.live_only(exact.select(values, wq.query, bound, take))
+        else:
+            result_ids = ids[exact.select(values, wq.query, bound, lambda at: take(ids[at]))]
+        part = index._split(state, r_lo, r_hi, middle=False)
+        n_verified = n
     stats = QueryStats(
         n_total=part.n,
         si_size=part.si,
@@ -88,6 +120,23 @@ def _uninstrumented_query(index: PlanarIndex, query: ScalarProductQuery):
         n_results=int(result_ids.size),
     )
     return result_ids, stats
+
+
+def test_uninstrumented_arm_returns_shipped_answer():
+    """The uninstrumented and traced arms return what ``collection.query``
+    does, on both routes."""
+    collection, queries = _build(np.random.default_rng(42))
+    routes = set()
+    for query in queries:
+        expected = collection.query(query)
+        got_ids, got_stats = _uninstrumented_query(collection, query)
+        assert np.array_equal(expected.ids, got_ids)
+        assert expected.stats == got_stats
+        traced = _traced_query(collection, query)
+        assert np.array_equal(expected.ids, traced.ids)
+        assert expected.stats == traced.stats
+        routes.add(collection.plan(collection.working_query(query)).route)
+    assert routes == {"intervals", "scan"}
 
 
 def test_disabled_obs_overhead_below_two_percent(benchmark):
@@ -103,33 +152,26 @@ def test_disabled_obs_overhead_below_two_percent(benchmark):
         pytest.skip("benchmark process running under REPRO_OBS=1")
 
     rng = np.random.default_rng(42)
-    index, queries = _build(rng)
-
-    # Sanity: the uninstrumented arm is the same algorithm.
-    for query in queries[:5]:
-        expected = index.query(query)
-        got_ids, got_stats = _uninstrumented_query(index, query)
-        assert np.array_equal(expected.ids, got_ids)
-        assert expected.stats == got_stats
+    collection, queries = _build(rng)
 
     def instrumented() -> None:
         for query in queries:
-            index.query(query)
+            collection.query(query)
 
     def uninstrumented(query: ScalarProductQuery) -> None:
-        _uninstrumented_query(index, query)
+        _uninstrumented_query(collection, query)
 
     # Warm up caches and BLAS threads.
     instrumented()
     for query in queries:
         uninstrumented(query)
 
-    sum_inst, sum_base = paired_minima(index.query, uninstrumented, queries, rounds=7)
+    sum_inst, sum_base = paired_minima(collection.query, uninstrumented, queries, rounds=7)
     ratio = sum_inst / sum_base
     benchmark.pedantic(instrumented, rounds=1, iterations=1)
 
     print_table(
-        "Disabled-obs overhead on PlanarIndex.query",
+        "Disabled-obs overhead on PlanarIndexCollection.query",
         [
             {
                 "instrumented_us": sum_inst / N_QUERIES * 1e6,
@@ -160,15 +202,15 @@ def test_armed_sampled_overhead_below_five_percent(benchmark):
         pytest.skip("benchmark process running under REPRO_OBS=1")
 
     rng = np.random.default_rng(13)
-    index, queries = _build(rng)
+    collection, queries = _build(rng)
 
     def armed_sampled() -> None:
         for query in queries:
-            index.query(query)
+            _traced_query(collection, query)
 
     def uninstrumented() -> None:
         for query in queries:
-            _uninstrumented_query(index, query)
+            _uninstrumented_query(collection, query)
 
     uninstrumented()  # warm up caches and BLAS threads
 
@@ -190,17 +232,17 @@ def test_armed_sampled_overhead_below_five_percent(benchmark):
             for i, query in enumerate(queries):
                 if i & 1:
                     t0 = time.perf_counter()
-                    index.query(query)
+                    _traced_query(collection, query)
                     t1 = time.perf_counter()
-                    _uninstrumented_query(index, query)
+                    _uninstrumented_query(collection, query)
                     t2 = time.perf_counter()
                     armed_total += t1 - t0
                     base_total += t2 - t1
                 else:
                     t0 = time.perf_counter()
-                    _uninstrumented_query(index, query)
+                    _uninstrumented_query(collection, query)
                     t1 = time.perf_counter()
-                    index.query(query)
+                    _traced_query(collection, query)
                     t2 = time.perf_counter()
                     base_total += t1 - t0
                     armed_total += t2 - t1
@@ -215,7 +257,7 @@ def test_armed_sampled_overhead_below_five_percent(benchmark):
     med_base = float(np.median(times_base)) / N_QUERIES
     ratio = float(np.median(ratios))
     print_table(
-        "Armed-at-1%-sampling overhead on PlanarIndex.query",
+        "Armed-at-1%-sampling overhead on PlanarIndexCollection.query",
         [
             {
                 "armed_sampled_us": med_inst * 1e6,
@@ -238,12 +280,12 @@ def test_armed_obs_cost_is_bounded(benchmark):
     performance promise.
     """
     rng = np.random.default_rng(7)
-    index, queries = _build(rng)
+    collection, queries = _build(rng)
     queries = queries[:100]
 
     def run() -> None:
         for query in queries:
-            index.query(query)
+            _traced_query(collection, query)
 
     run()  # warm up
     start = time.perf_counter()
@@ -261,7 +303,7 @@ def test_armed_obs_cost_is_bounded(benchmark):
         obs_runtime.enable(previous)
 
     print_table(
-        "Armed-obs cost on PlanarIndex.query",
+        "Armed-obs cost on PlanarIndexCollection.query",
         [
             {
                 "disabled_us": disabled_elapsed / len(queries) * 1e6,

@@ -8,9 +8,10 @@ demonstrates that two ways:
 
 1. structurally — the hot entry points are literally the same objects a
    bare ``def`` would produce (no wrapper frame, identity check), and
-2. empirically — end-to-end ``PlanarIndex.query`` latency through the
-   decorated call chain is within 1% of calling the same underlying
-   machinery with the contract layer bypassed.
+2. empirically — ``PlanarIndexCollection.query`` latency of a one-index
+   collection through the decorated call chain is within 1% of running
+   the same obs guard and plan → ``finish_query``/scan chain from a
+   plain closure.
 
 For contrast, the sanitized mode's cost is measured too (informational:
 it pays ``inspect.Signature.bind`` plus array checks per call, which is
@@ -25,23 +26,32 @@ import numpy as np
 
 from repro.analysis.contracts import checked, sanitize_enabled
 from repro.bench import print_table
-from repro.core import PlanarIndex, ScalarProductQuery
+from repro.core import PlanarIndexCollection, QueryResult, ScalarProductQuery
 
-from conftest import paired_minima, scaled
+from conftest import one_index, paired_minima, scaled
 
 N_POINTS = scaled(200_000)
 DIM = 6
 N_QUERIES = 400
 
 
-def _build(rng: np.random.Generator) -> tuple[PlanarIndex, list[ScalarProductQuery]]:
+def _build(
+    rng: np.random.Generator,
+) -> tuple[PlanarIndexCollection, list[ScalarProductQuery]]:
     points = rng.uniform(1.0, 100.0, size=(N_POINTS, DIM))
-    index = PlanarIndex.from_features(points, np.ones(DIM))
     queries = [
         ScalarProductQuery(rng.uniform(1.0, 5.0, DIM), float(rng.uniform(100, 1200)))
         for _ in range(N_QUERIES)
     ]
-    return index, queries
+    return one_index(points, np.ones(DIM)), queries
+
+
+def _bypassed(collection: PlanarIndexCollection, query: ScalarProductQuery) -> QueryResult:
+    """``collection.query``'s body called from here: the same obs guard over
+    the same plan → ``finish_query``/scan chain, through the same
+    decorated functions — only the contract layer could tell the arms apart."""
+    wq = collection.working_query(query)
+    return collection._observed("inequality", "query", lambda: collection._query_impl(wq))
 
 
 def test_decorator_is_identity_when_disabled():
@@ -57,7 +67,7 @@ def test_decorator_is_identity_when_disabled():
         FeatureStore.take_rows,
         FeatureStore.get,
         SortedKeyStore.update_batch,
-        PlanarIndex.rekey,
+        PlanarIndexCollection.rekey,
     ):
         assert getattr(fn, "__array_contract__", None) is not None
         assert not getattr(fn, "__array_contract_checked__", False)
@@ -65,40 +75,50 @@ def test_decorator_is_identity_when_disabled():
         assert not hasattr(fn, "__wrapped__")
 
 
+def test_bypassed_arm_returns_shipped_answer():
+    """Both arms of the overhead gate return what ``collection.query`` does,
+    on both routes."""
+    collection, queries = _build(np.random.default_rng(99))
+    routes = set()
+    for query in queries:
+        expected = collection.query(query)
+        got = _bypassed(collection, query)
+        assert np.array_equal(got.ids, expected.ids)
+        assert got.stats == expected.stats
+        routes.add(collection.plan(collection.working_query(query)).route)
+    assert routes == {"intervals", "scan"}
+
+
 def test_sanitizer_off_overhead_below_one_percent(benchmark):
     """Empirical check: decorated vs bypassed call chain, same process.
 
-    Both arms execute identical numpy work; the only difference is the
-    (absent) contract layer.  The arms are timed query by query with
+    Both arms run the same obs guard and plan → ``finish_query``/scan
+    chain through the same (identity) decorated functions; the decorated
+    arm enters it through ``collection.query``.  The arms are timed query by query with
     paired, alternating minima (:func:`conftest.paired_minima`), with a
     1% acceptance bar on the decorated/bypassed ratio of summed minima.
     """
     rng = np.random.default_rng(99)
-    index, queries = _build(rng)
+    collection, queries = _build(rng)
 
-    # Bypass arm: the same query machinery invoked through plain, never-
-    # decorated closures (what the module would look like without the
-    # decorator at all).
     def bypassed(query: ScalarProductQuery) -> None:
-        wq = index.working_query(query)
-        r_lo, r_hi, _ = index.interval_ranks(wq)
-        index.finish_query(wq, r_lo, r_hi)
+        _bypassed(collection, query)
 
     def decorated() -> None:
         for query in queries:
-            index.query(query)
+            collection.query(query)
 
     # Warm up caches and BLAS threads.
     for query in queries:
         bypassed(query)
     decorated()
 
-    sum_dec, sum_byp = paired_minima(index.query, bypassed, queries, rounds=7)
+    sum_dec, sum_byp = paired_minima(collection.query, bypassed, queries, rounds=7)
     ratio = sum_dec / sum_byp
     benchmark.pedantic(decorated, rounds=1, iterations=1)
 
     print_table(
-        "Sanitizer-off overhead on PlanarIndex.query",
+        "Sanitizer-off overhead on PlanarIndexCollection.query",
         [
             {
                 "decorated_us": sum_dec / N_QUERIES * 1e6,

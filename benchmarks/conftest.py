@@ -16,7 +16,10 @@ import zlib
 import numpy as np
 import pytest
 
+from repro.core import FeatureStore, PlanarIndexCollection
 from repro.datasets import load
+from repro.geometry import Translator
+from repro.geometry.octant import sign_vector
 
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "1"))
 
@@ -45,6 +48,14 @@ def paired_minima(first, second, items, rounds: int) -> tuple[float, float]:
                 arms[arm](item)
                 best[arm, i] = min(best[arm, i], clock() - started)
     return float(best[0].sum()), float(best[1].sum())
+
+
+def one_index(points: np.ndarray, normal: np.ndarray) -> PlanarIndexCollection:
+    """A one-index collection over ``points`` whose translator takes the
+    octant of ``normal``: the subject of the overhead gates."""
+    translator = Translator(sign_vector(normal, "normal"))
+    translator.observe(points)
+    return PlanarIndexCollection(FeatureStore(points), translator, np.atleast_2d(normal))
 
 
 @pytest.fixture(scope="session")

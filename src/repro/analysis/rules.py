@@ -289,7 +289,7 @@ def _check_rep002(ctx: ModuleContext) -> Iterable[Diagnostic]:
     """Numeric dtypes other than ``float64``/``int64`` in hot-path packages.
 
     The interval thresholds cancel catastrophically (see
-    ``PlanarIndex._thresholds``); anything below float64 turns the guard
+    :func:`repro.core.selection.thresholds`); anything below float64 turns the guard
     band into wrong answers, and 32-bit integer ids overflow silently at
     production scale.  ``bool`` masks are allowed.  Also flags the builtin
     ``int``/``float`` used as a dtype (platform-dependent width).

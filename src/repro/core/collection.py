@@ -211,9 +211,9 @@ class PlanarIndexCollection:
                 normals[row],
                 store,
                 translator,
-                precomputed=(ids, key_matrix[:, position]),
-                obs_label=self._label(position),
-                log=self._log,
+                (ids, key_matrix[:, position]),
+                self._label(position),
+                self._log,
             )
             for position, row in enumerate(keep)
         ]
@@ -250,10 +250,10 @@ class PlanarIndexCollection:
                 normal,
                 store,
                 translator,
-                precomputed=(ids, keys),
-                obs_label=self._label(position),
+                (ids, keys),
+                self._label(position),
+                self._log,
                 presorted=True,
-                log=self._log,
             )
             for position, (normal, ids, keys) in enumerate(prebuilt)
         ]
@@ -480,7 +480,7 @@ class PlanarIndexCollection:
         def run() -> tuple[TopKResult, str]:
             plan = self.plan(wq)
             ranks = (plan.r_lo, plan.r_hi)
-            return plan.index.topk(wq, k, cutoff=cutoff, ranks=ranks), "intervals"
+            return plan.index.topk(wq, k, ranks, cutoff), "intervals"
 
         return self._observed("topk", "topk", run, k=k)
 
@@ -505,7 +505,7 @@ class PlanarIndexCollection:
         def run() -> tuple[QueryResult, str]:
             plan = self.plan(wq_high)
             ranks = (plan.r_lo, plan.r_hi)
-            return plan.index._query_range_impl(wq_low, wq_high, ranks), "intervals"
+            return plan.index._finish_range(wq_low, wq_high, ranks), "intervals"
 
         return self._observed("range", "query_range", run)
 
@@ -546,9 +546,25 @@ class PlanarIndexCollection:
                     estimated_ii=round(int(counts[position]) * len(index) / SKETCH_BUCKETS),
                 )
             )
-        return plan.index._report(
-            self._query_impl(wq, plan)[0].stats, plan.route, plan.r_lo, plan.r_hi,
-            strategy=self._strategy.value, chosen_index=plan.position,
+        stats = self._query_impl(wq, plan)[0].stats
+        if _ort.active():
+            _om.explain_total().inc(route=plan.route)
+        return ExplainReport(
+            kind="inequality",
+            route=plan.route,
+            n_total=stats.n_total,
+            index_normal=tuple(float(c) for c in plan.index.normal),
+            rank_lo=plan.r_lo,
+            rank_hi=plan.r_hi,
+            si_size=stats.si_size,
+            ii_size=stats.ii_size,
+            li_size=stats.li_size,
+            n_verified=stats.n_verified,
+            n_results=stats.n_results,
+            estimated_pruned=stats.pruned_fraction,
+            actual_pruned=1.0 - stats.verified_fraction if stats.n_total else 1.0,
+            strategy=self._strategy.value,
+            chosen_index=plan.position,
             candidates=tuple(candidates),
         )
 
@@ -576,12 +592,15 @@ class PlanarIndexCollection:
             return False
         # The newcomer keys every live row, so the others must hold them too.
         self.merge()
+        ids, rows = self._store.get_all()
+        keys = rows @ normal  # repro: noqa(REP001) — build-time keying of the newcomer
         newcomer = PlanarIndex(
             normal,
             self._store,
             self._translator,
-            obs_label=self._label(len(self._indices)),
-            log=self._log,
+            (ids.astype(ID_DTYPE), keys),
+            self._label(len(self._indices)),
+            self._log,
         )
         # Rebind rather than append in place: a query thread holding the
         # previous member list (via its cache snapshot) keeps a stable view.

@@ -538,7 +538,7 @@ class FunctionIndex:
         """Exact BETWEEN query: ``low <= <normal, phi(x)> <= high``.
 
         Served by a single Planar index pass over both thresholds (see
-        :meth:`PlanarIndex.query_range`); falls back to a scan for
+        :meth:`PlanarIndexCollection.query_range`); falls back to a scan for
         octant-incompatible normals.
         """
         return self._traced("range", self._query_range, normal, low, high)

@@ -45,20 +45,17 @@ from __future__ import annotations
 import copy
 import time
 from dataclasses import dataclass
-from typing import Any, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .._util import as_1d_float
 from ..analysis.contracts import array_contract
 from ..exceptions import IndexBuildError, InvalidQueryError
-from ..geometry.octant import sign_vector
 from ..geometry.translation import Translator
 from ..obs import metrics as _om
 from ..obs import runtime as _ort
 from ..obs import spans as _osp
-from ..obs import trace as _otr
-from ..obs.explain import ExplainReport
 from . import exact
 from .feature_store import FeatureStore
 from .query import Comparison, ScalarProductQuery
@@ -173,41 +170,44 @@ class QueryResult:
 class PlanarIndex:
     """One set of parallel index hyperplanes with normal ``c``.
 
+    A :class:`~repro.core.collection.PlanarIndexCollection` builds, plans
+    for and writes through its indices; an index only ranks its keys,
+    verifies, walks Algorithm 2 and merges the collection's write log.
+
     Parameters
     ----------
     normal:
         Index normal in *original* coordinates.  Its sign pattern must match
         ``translator``'s octant so the working normal ``c''`` is positive.
     store:
-        Shared feature storage; the index keys exactly the live rows in
-        ``ids`` (all live rows when ``ids`` is None).
+        Shared feature storage.
     translator:
         Octant translator shared with sibling indices.  Must already have
         observed the indexed features.
-    ids:
-        Optional subset of store ids to index.
+    keyed:
+        ``(ids, keys)``: the indexed store ids (stored id dtype, vetted by
+        the collection) and their float64 keys ``<c, phi(x)>``.
     obs_label:
         Label under which this index reports observability metrics
-        (``repro_interval_points_total{index=...}`` and friends).
-        Collections label their members by position; the default
-        ``"solo"`` marks standalone indices.
+        (``repro_interval_points_total{index=...}`` and friends): the
+        collection's label for its position.
     log:
         The collection's shared :class:`~repro.core.write_log.WriteLog`:
-        queries skip its stale entries and decide its pending ids.  A
-        standalone index has an empty one and applies writes at once.
+        queries skip its stale entries and decide its pending ids.
+    presorted:
+        ``keyed`` is already in ascending key order (a persisted index).
     """
 
-    @array_contract("normal: (d,) float64 cast", "ids: ?(n,) int64 cast")
+    @array_contract("normal: (d,) float64 cast")
     def __init__(
         self,
         normal: np.ndarray,
         store: FeatureStore,
         translator: Translator,
-        ids: np.ndarray | None = None,
-        precomputed: tuple[np.ndarray, np.ndarray] | None = None,
-        obs_label: str = "solo",
+        keyed: tuple[np.ndarray, np.ndarray],
+        obs_label: str,
+        log: WriteLog,
         presorted: bool = False,
-        log: WriteLog | None = None,
     ) -> None:
         normal = as_1d_float(normal, "normal")
         if normal.size != store.dim:
@@ -226,27 +226,15 @@ class PlanarIndex:
         self._working_normal.setflags(write=False)
         self._store = store
         self._translator = translator
-        self._log = WriteLog() if log is None else log
+        self._log = log
         # Keys are <c, phi(x)> in original coordinates: reflection cancels
         # (s_i * c_i)(s_i * phi_i) = c_i * phi_i and translation is a shared
-        # constant applied to thresholds at query time.
-        if precomputed is not None:
-            # Bulk path used by collections: (ids, keys) computed once for
-            # all sibling indices with a single matrix product; the shared
-            # id array is already vetted.
-            ids, keys = precomputed
-            self._keys = SortedKeyStore(keys, ids, trusted=True, presorted=presorted)
-        else:
-            if ids is None:
-                ids, rows = store.get_all()
-            else:
-                ids = np.ascontiguousarray(ids, dtype=np.int64)
-                rows = store.get(ids)
-            # Build-time keying of the indexed rows: one deliberate matmul.
-            self._keys = SortedKeyStore(rows @ self._normal, ids)  # repro: noqa(REP001)
+        # constant applied to thresholds at query time.  The collection
+        # keys all its indices with one matrix product.
+        ids, keys = keyed
+        self._keys = SortedKeyStore(keys, ids, trusted=True, presorted=presorted)
         self._obs_label = str(obs_label)
-        if _ort.active():
-            _om.indexed_points().set(len(self._keys), index=self._obs_label)
+        self._count_indexed()
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -300,11 +288,6 @@ class PlanarIndex:
         return self._working_normal
 
     @property
-    def dim(self) -> int:
-        """Feature dimensionality ``d'``."""
-        return int(self._normal.size)
-
-    @property
     def sorted_keys(self) -> np.ndarray:
         """Stored float32 keys in ascending order (read-only view)."""
         return self._keys.sorted_keys
@@ -312,35 +295,6 @@ class PlanarIndex:
     def memory_bytes(self) -> int:
         """Footprint of this index's key structures (excludes shared features)."""
         return self._keys.memory_bytes()
-
-    @classmethod
-    @array_contract("features: (n, d) float64 cast promote", "normal: (d,) float64 cast")
-    def from_features(
-        cls,
-        features: np.ndarray,
-        normal: np.ndarray,
-        margin: float = 0.0,
-    ) -> "PlanarIndex":
-        """Standalone construction over a feature matrix.
-
-        Builds a private :class:`FeatureStore` and a translator whose octant
-        is the sign pattern of ``normal``; convenient for tests and for
-        single-index usage outside a :class:`FunctionIndex` facade.
-        """
-        store = FeatureStore(features)
-        translator = Translator(sign_vector(normal, "normal"), margin=margin)
-        _, rows = store.get_all()
-        translator.observe(rows)
-        return cls(normal, store, translator, None)
-
-    @property
-    def translator(self) -> Translator:
-        """The octant translator used by this index."""
-        return self._translator
-
-    def working_query(self, query: ScalarProductQuery) -> WorkingQuery:
-        """Transform ``query`` for this index's octant (see :class:`WorkingQuery`)."""
-        return WorkingQuery.build(query, self._translator)
 
     # ------------------------------------------------------------------ #
     # Interval geometry
@@ -362,15 +316,11 @@ class PlanarIndex:
         away from the certain intervals, so both certain intervals are
         strict and valid for the strict and non-strict operators alike.
         ``th`` is this index's column of the planner's threshold matrix;
-        without it the standalone index checks the query and computes it.
+        without it (a range query's low bound) the index computes it.
         """
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
         if th is None:
-            if wq.normal_w.size != self.dim:
-                raise InvalidQueryError(
-                    f"query has dimension {wq.normal_w.size}, index has {self.dim}"
-                )
             column = self._working_normal
             th = thresholds(column, key_offsets(column, self._translator.delta), wq)
         r_lo, r_hi = self.probe_ranks(*interval_probes(th, wq))
@@ -443,37 +393,6 @@ class PlanarIndex:
     # Problem 1: inequality query (Algorithm 1)
     # ------------------------------------------------------------------ #
 
-    def query(self, query: ScalarProductQuery | WorkingQuery) -> QueryResult:
-        """Exact evaluation of an inequality query.
-
-        Accepts a raw :class:`ScalarProductQuery` (transformed internally)
-        or a prebuilt :class:`WorkingQuery` (the collection path, which
-        builds it once for all indices).
-
-        Opens a ``query.inequality`` trace root when obs is armed and no
-        outer facade already owns the trace, so standalone index usage
-        gets the same head sampling and query-log records as the
-        collection routes.
-        """
-        with _otr.root("inequality") as trace:
-            result = self._query_impl(query)
-            if trace:
-                trace.set(stats=result.stats.to_dict, results=result.stats.n_results)
-        return result
-
-    def _query_impl(self, query: ScalarProductQuery | WorkingQuery) -> QueryResult:
-        """Inequality evaluation body shared by traced and nested calls."""
-        wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        if not _ort.active():
-            r_lo, r_hi, _ = self.interval_ranks(wq)
-            return self.finish_query(wq, r_lo, r_hi)
-        started = time.perf_counter()
-        with _osp.span("index.query", index=self._obs_label):
-            r_lo, r_hi, _ = self.interval_ranks(wq)
-            result = self.finish_query(wq, r_lo, r_hi)
-        _om.count_query("inequality", "intervals", "solo", started)
-        return result
-
     def _record_partition(self, kind: str, si: int, ii: int, li: int, n_verified: int) -> None:
         """O(1) metric bookkeeping for one answered query (obs armed only)."""
         counts = _om.interval_points()
@@ -491,9 +410,9 @@ class PlanarIndex:
     ) -> QueryResult:
         """Complete an inequality query from its interval ranks.
 
-        Split out of :meth:`query` so the collection can route on the
-        interval size (see :meth:`PlanarIndexCollection.query`) before
-        paying for verification.
+        The collection plans the ranks and routes on the interval size
+        (see :meth:`PlanarIndexCollection.plan`) before paying for
+        verification.
         """
         obs_on = _ort.active()
         upper = wq.op.is_upper_bound
@@ -525,82 +444,22 @@ class PlanarIndex:
         )
         return QueryResult(result_ids, stats)
 
-    def explain(self, query: ScalarProductQuery | WorkingQuery) -> ExplainReport:
-        """Execute ``query`` through this index and report how it went.
-
-        Unlike the collection-level EXPLAIN there is no candidate set — the
-        report covers the partition and verification work of *this* index.
-        The query is actually executed so ``actual_pruned`` (and the
-        reported sizes) are measured, not estimated; the report's
-        SI/II/LI sizes are therefore exactly :meth:`query`'s stats.
-        """
-        wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        r_lo, r_hi, _ = self.interval_ranks(wq)
-        return self._report(self.finish_query(wq, r_lo, r_hi).stats, "intervals", r_lo, r_hi)
-
-    def _report(
-        self, stats: QueryStats, route: str, r_lo: int, r_hi: int, **fields: Any
-    ) -> ExplainReport:
-        """EXPLAIN report of one inequality query this index planned and ``route`` answered."""
-        n = stats.n_total
-        if _ort.active():
-            _om.explain_total().inc(route=route)
-        return ExplainReport(
-            kind="inequality",
-            route=route,
-            n_total=n,
-            index_normal=tuple(float(c) for c in self._normal),
-            rank_lo=r_lo,
-            rank_hi=r_hi,
-            si_size=stats.si_size,
-            ii_size=stats.ii_size,
-            li_size=stats.li_size,
-            n_verified=stats.n_verified,
-            n_results=stats.n_results,
-            estimated_pruned=stats.pruned_fraction,
-            actual_pruned=1.0 - stats.verified_fraction if n else 1.0,
-            **fields,
-        )
-
-    def query_range(
+    def _finish_range(
         self,
         wq_low: WorkingQuery,
         wq_high: WorkingQuery,
+        high_ranks: tuple[int, int],
     ) -> QueryResult:
         """Exact BETWEEN query: ``low <= <a, phi(x)> <= high``.
 
         ``wq_low`` must be the ``>= low`` working query and ``wq_high`` the
-        ``<= high`` one, both over the same normal.  One index serves both
-        bounds: keys certainly above ``low`` *and* certainly below ``high``
-        are accepted outright; the two guard bands around the thresholds
-        are verified against the exact conjunction.
-
-        This is the *standalone* entry point and reports query metrics
-        under ``strategy="solo"``; collection-routed range queries go
-        through :meth:`PlanarIndexCollection.query_range`, which labels
-        them with the real selection strategy (matching how ``query`` and
-        ``topk`` label).
-        """
-        if not _ort.active():
-            return self._query_range_impl(wq_low, wq_high)
-        started = time.perf_counter()
-        result = self._query_range_impl(wq_low, wq_high)
-        _om.count_query("range", "intervals", "solo", started)
-        return result
-
-    def _query_range_impl(
-        self,
-        wq_low: WorkingQuery,
-        wq_high: WorkingQuery,
-        high_ranks: tuple[int, int] | None = None,
-    ) -> QueryResult:
-        """Range evaluation shared by the solo and collection routes.
-
-        ``high_ranks`` are ``wq_high``'s planned ranks, if any.  Records the
-        per-index span and partition counters but *not*
-        ``repro_queries_total`` / latency — the caller owns those labels
-        (``strategy="solo"`` standalone, the collection's strategy when
-        routed), so one executed range query is counted exactly once.
+        ``<= high`` one, both over the same normal; ``high_ranks`` are
+        ``wq_high``'s planned ranks, and this index ranks ``wq_low``.  One
+        index serves both bounds: keys certainly above ``low`` *and*
+        certainly below ``high`` are accepted outright; the two guard bands
+        around the thresholds are verified against the exact conjunction.
+        Records the per-index span and partition counters; the collection
+        counts the query.
         """
         if not np.array_equal(wq_low.query.normal, wq_high.query.normal):
             raise InvalidQueryError("range bounds must share one query normal")
@@ -663,15 +522,16 @@ class PlanarIndex:
 
     def topk(
         self,
-        query: ScalarProductQuery | WorkingQuery,
+        wq: WorkingQuery,
         k: int,
+        ranks: tuple[int, int],
         cutoff: SharedCutoff | None = None,
-        ranks: tuple[int, int] | None = None,
     ) -> TopKResult:
-        """Exact top-k points satisfying the query, closest to ``H(q)`` first.
+        """Exact top-k points satisfying ``wq``, closest to ``H(q)`` first.
 
-        Implements Algorithm 2: verify the intermediate interval into a
-        bounded buffer, then scan the certain interval (SI for upper-bound
+        Implements Algorithm 2 from the query's planned ranks
+        ``(r_lo, r_hi)``: verify the intermediate interval into a bounded
+        buffer, then scan the certain interval (SI for upper-bound
         operators, LI for lower-bound ones) moving away from the query
         hyperplane, stopping once the lower-bound distance ``LBS``
         (Definition 5 / its LI mirror) exceeds the buffered k-th distance.
@@ -684,37 +544,10 @@ class PlanarIndex:
         the *global* k-th distance and the cutoff test stays strict, the
         merged result is still exact — a shard may merely stop scanning
         points that can no longer make the global top-k.
-
-        ``ranks`` are the query's planned ``(r_lo, r_hi)``, if any.
-
-        Opens a ``query.topk`` trace root when obs is armed and no outer
-        facade already owns the trace (shard scans dispatched by the
-        sharded engine join the engine's trace instead).
         """
-        with _otr.root("topk") as trace:
-            result = self._topk_impl(query, k, cutoff, ranks)
-            if trace:
-
-                def cost() -> dict:
-                    counters = result.stats.to_dict()
-                    counters["lbs_checked"] = int(result.n_checked)
-                    return counters
-
-                trace.set(stats=cost, results=int(result.ids.size))
-        return result
-
-    def _topk_impl(
-        self,
-        query: ScalarProductQuery | WorkingQuery,
-        k: int,
-        cutoff: SharedCutoff | None = None,
-        ranks: tuple[int, int] | None = None,
-    ) -> TopKResult:
-        """Algorithm 2 body shared by traced and nested top-k calls."""
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
-        wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        r_lo, r_hi = self.interval_ranks(wq)[:2] if ranks is None else ranks
+        r_lo, r_hi = ranks
         n = len(self._keys)
         obs_on = _ort.active()
         upper = wq.op.is_upper_bound
@@ -802,18 +635,8 @@ class PlanarIndex:
     # Dynamic maintenance (Section 4.4)
     # ------------------------------------------------------------------ #
 
-    def _compute_keys(self, rows: np.ndarray) -> np.ndarray:
-        """Scalar keys ``<c, phi(x)>`` for maintenance-supplied feature rows.
-
-        Single shared implementation (layout normalization included) so
-        :meth:`rekey` and :meth:`insert` cannot drift apart in how they
-        key rows.
-        """
-        rows = np.ascontiguousarray(rows, dtype=np.float64)
-        return rows @ self._normal
-
     def _count_indexed(self) -> None:
-        """Set the ``repro_indexed_points`` gauge after maintenance (obs armed only)."""
+        """Set the ``repro_indexed_points`` gauge to the key count (obs armed only)."""
         if _ort.active():
             _om.indexed_points().set(len(self._keys), index=self._obs_label)
 
@@ -834,25 +657,3 @@ class PlanarIndex:
         twin._log = log
         twin._count_indexed()
         return twin
-
-    @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
-    def rekey(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        """Re-key points whose feature rows changed to ``rows`` (one per id).
-
-        Applied at once: a standalone index has no write log.  The caller
-        has already updated the shared store and grown the translator.
-        """
-        self._keys.update_batch(ids, ids, self._compute_keys(rows))
-        self._count_indexed()
-
-    @array_contract("ids: (m,) int64 cast", "rows: (m, d) float64 cast")
-    def insert(self, ids: np.ndarray, rows: np.ndarray) -> None:
-        """Index newly appended points (one feature row per id)."""
-        self._keys.insert(ids, self._compute_keys(rows))
-        self._count_indexed()
-
-    @array_contract("ids: (m,) int64 cast")
-    def delete(self, ids: np.ndarray) -> None:
-        """Drop points by id."""
-        self._keys.delete(ids)
-        self._count_indexed()

@@ -7,8 +7,8 @@ stack of the indices' working normals ``c''`` and starts from one
 expression, the Eq. 13 thresholds of :func:`thresholds`, computed once
 per query by the collection's planner: its router (:func:`choose`),
 EXPLAIN (:func:`scores`) and the chosen index's rank probes
-(:func:`interval_probes`) read that one matrix, and a standalone index
-and the tuning advisor call it too, so they agree by construction.
+(:func:`interval_probes`) read that one matrix; a range query's low
+bound and the tuning advisor call it too, so they agree by construction.
 
 Strategies (:class:`SelectionStrategy`):
 

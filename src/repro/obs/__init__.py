@@ -10,7 +10,7 @@ Three cooperating pieces (see ``docs/observability.md``):
   query (``collection.query`` → ``select`` → ``binary_search`` →
   ``verify_II`` → ``materialize``) into a ring buffer of recent traces.
 * :mod:`~repro.obs.explain` — structured EXPLAIN reports produced by
-  ``PlanarIndex.explain`` / ``IndexCollection.explain``.
+  ``PlanarIndexCollection.explain``.
 
 Production telemetry on top (this is what the serving layer consumes):
 
@@ -30,8 +30,8 @@ Production telemetry on top (this is what the serving layer consumes):
 
 Everything is **off by default**: the instrumented hot paths check one
 call (:func:`runtime.active`) and skip all bookkeeping, with a measured
-cost under 2% on ``PlanarIndex.query`` — and under 5% when armed at 1%
-head sampling (``benchmarks/bench_obs_overhead.py``).  One switch arms
+cost under 2% on ``PlanarIndexCollection.query`` — and under 5% when
+armed at 1% head sampling (``benchmarks/bench_obs_overhead.py``).  One switch arms
 it: ``REPRO_OBS=1`` (or a head-sampling rate such as ``REPRO_OBS=0.01``)
 in the environment, or :func:`enable` (``enable(rate)``) at runtime;
 rate 0 means off.

@@ -1,9 +1,8 @@
 """EXPLAIN report structures and text renderer.
 
 This module holds only *data* — the structured report types returned by
-``PlanarIndex.explain`` / ``IndexCollection.explain`` and a renderer that
-turns them into the fixed-width text block shown by ``repro demo
---explain``.  All computation (selection scores, interval ranks, actual
+``PlanarIndexCollection.explain`` and a renderer that turns them into the
+fixed-width text block shown by ``repro demo --explain``.  All computation (selection scores, interval ranks, actual
 execution) lives with the index classes in :mod:`repro.core`; keeping the
 shapes here avoids a circular import (``core`` imports ``obs``, never the
 reverse).

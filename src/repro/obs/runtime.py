@@ -32,7 +32,7 @@ an unsampled trace mutes everything its query touches, including shard
 work on executor threads.  The disarmed path short-circuits on
 ``ENABLED`` before reading the context, so it costs one module-attribute
 read plus a branch.  Both the disarmed (<2%) and armed-at-1%-sampling
-(≤5%) gates on ``PlanarIndex.query`` are enforced by
+(≤5%) gates on ``PlanarIndexCollection.query`` are enforced by
 ``benchmarks/bench_obs_overhead.py``.
 """
 

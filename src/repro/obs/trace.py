@@ -24,9 +24,8 @@ bounded by the ≤5% gate in ``benchmarks/bench_obs_overhead.py``.  The
 always-on ``repro_traces_total{kind,sampled}`` counter records *every*
 trace so throughput numbers never need extrapolating by the sample rate.
 
-Facade protocol: every traced entry point (``FunctionIndex._traced``,
-``PlanarIndex.query``/``topk``, the serve dispatch) opens its trace with
-:func:`root`::
+Facade protocol: every traced entry point (``FunctionIndex._traced``
+and the serve dispatch) opens its trace with :func:`root`::
 
     with trace.root(kind, shards=n) as tr:
         result = body()

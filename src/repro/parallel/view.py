@@ -116,11 +116,10 @@ class FeatureStoreView:
 
     def is_live(self, point_id: int) -> bool:
         """Whether ``point_id`` is live *and* owned by this shard."""
-        owned = (
+        return self._base.is_live(point_id) and (
             int(assign_shards(np.asarray([point_id]), self._n_shards, self._policy)[0])
             == self._shard
         )
-        return owned and self._base.is_live(point_id)
 
     def memory_bytes(self) -> int:
         """Footprint of the view's memoized id and scan caches."""

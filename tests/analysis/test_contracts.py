@@ -31,7 +31,8 @@ from repro.exceptions import (
     ReproError,
 )
 
-SRC = Path(__file__).resolve().parents[2] / "src"
+ROOT = Path(__file__).resolve().parents[2]
+SRC = ROOT / "src"
 
 
 # --------------------------------------------------------------------- #
@@ -289,7 +290,8 @@ class TestEnforcement:
 
 
 def _run_sanitized(code: str) -> subprocess.CompletedProcess:
-    env = dict(os.environ, REPRO_SANITIZE="1", PYTHONPATH=str(SRC))
+    # The repository root on the path makes the test helpers importable.
+    env = dict(os.environ, REPRO_SANITIZE="1", PYTHONPATH=os.pathsep.join([str(SRC), str(ROOT)]))
     return subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True
     )
@@ -315,12 +317,12 @@ class TestSanitizedProcess:
     def test_good_query_unaffected(self):
         proc = _run_sanitized(
             "import numpy as np\n"
-            "from repro.core.planar import PlanarIndex\n"
             "from repro.core.query import ScalarProductQuery\n"
+            "from tests.conftest import one_index\n"
             "rng = np.random.default_rng(7)\n"
-            "idx = PlanarIndex.from_features(rng.uniform(1, 9, (50, 3)), np.ones(3))\n"
+            "collection = one_index(rng.uniform(1, 9, (50, 3)), np.ones(3))\n"
             "q = ScalarProductQuery(np.array([1.0, 2.0, 1.0]), 20.0)\n"
-            "print('OK', len(idx.query(q).ids))\n"
+            "print('OK', len(collection.query(q).ids))\n"
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.startswith("OK")

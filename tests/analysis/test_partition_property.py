@@ -28,13 +28,16 @@ from __future__ import annotations
 from fractions import Fraction
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Comparison, PlanarIndex, ScalarProductQuery
+from repro import Comparison, ScalarProductQuery
 from repro.scan.baseline import SequentialScan
 
-from ..conftest import fraction_values
+from ..conftest import fraction_values, one_index
+
+pytestmark = pytest.mark.usefixtures("intervals_route")
 
 # Small magnitudes: products and sums stay far below 2**53, so float64
 # arithmetic over these integers is exact and equality is deterministic.
@@ -110,7 +113,8 @@ def real_partition_cases(draw):
 
 def _check_partition(features, index_normal, query_normal, offset, op):
     """Assert the partition and the answers; returns the exact-boundary ids."""
-    index = PlanarIndex.from_features(features, index_normal)
+    collection = one_index(features, index_normal)
+    index = collection[0]
     query = ScalarProductQuery(query_normal, offset, op)
     residuals = [value - Fraction(offset) for value in fraction_values(features, query_normal)]
     below = {i for i, r in enumerate(residuals) if r < 0}
@@ -121,14 +125,15 @@ def _check_partition(features, index_normal, query_normal, offset, op):
     satisfied = below if op.is_upper_bound else above
     if not op.is_strict:
         satisfied = satisfied | set(boundary.tolist())
-    got = index.query(query)
+    got = collection.query(query)
     np.testing.assert_array_equal(got.ids, np.array(sorted(satisfied), dtype=np.int64))
     np.testing.assert_array_equal(got.ids, SequentialScan(features).query(query))
 
     # 2. The certain intervals really are certain (strictly), so they are
     # valid for strict and non-strict operators alike.
-    wq = index.working_query(query)
-    r_lo, r_hi, n = index.interval_ranks(wq)
+    wq = collection.working_query(query)
+    plan = collection.plan(wq)
+    r_lo, r_hi, n = plan.r_lo, plan.r_hi, plan.n
     si_ids = set(index._keys.ids_in_rank_range(0, r_lo).tolist())
     li_ids = set(index._keys.ids_in_rank_range(r_hi, n).tolist())
     ii_ids = set(index._keys.ids_in_rank_range(r_lo, r_hi).tolist())
@@ -144,8 +149,12 @@ def _check_partition(features, index_normal, query_normal, offset, op):
     assert set(boundary.tolist()) <= ii_ids
 
     # 4. Strict vs non-strict answers differ by exactly the boundary set.
-    strict = index.query(query.with_op(Comparison.LT if op.is_upper_bound else Comparison.GT))
-    loose = index.query(query.with_op(Comparison.LE if op.is_upper_bound else Comparison.GE))
+    strict = collection.query(
+        query.with_op(Comparison.LT if op.is_upper_bound else Comparison.GT)
+    )
+    loose = collection.query(
+        query.with_op(Comparison.LE if op.is_upper_bound else Comparison.GE)
+    )
     np.testing.assert_array_equal(np.setdiff1d(loose.ids, strict.ids), boundary)
     return boundary
 
@@ -169,8 +178,7 @@ def test_real_valued_partition_matches_rational_arithmetic(case):
 @given(case=partition_cases())
 def test_stats_are_consistent(case):
     features, index_normal, query_normal, offset, op, _ = case
-    index = PlanarIndex.from_features(features, index_normal)
-    result = index.query(ScalarProductQuery(query_normal, offset, op))
+    result = one_index(features, index_normal).query(ScalarProductQuery(query_normal, offset, op))
     stats = result.stats
     assert stats.si_size + stats.ii_size + stats.li_size == stats.n_total
     assert stats.n_verified == stats.ii_size

@@ -7,7 +7,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from repro import ParameterDomain, QueryModel, ScalarProductQuery
+from repro import (
+    FeatureStore,
+    ParameterDomain,
+    PlanarIndexCollection,
+    QueryModel,
+    ScalarProductQuery,
+)
+from repro.geometry import Translator
+from repro.geometry.octant import sign_vector
 
 
 @pytest.fixture(autouse=True)
@@ -19,6 +27,25 @@ def _obs_state_isolation(tmp_path, monkeypatch):
     writing ``.repro-obs.json`` into the repository root.
     """
     monkeypatch.setenv("REPRO_OBS_STATE", str(tmp_path / "obs-state.json"))
+
+
+@pytest.fixture
+def intervals_route(monkeypatch):
+    """Answer every collection query on its chosen index's intervals
+    (Algorithm 1), never by the scan fallback."""
+    monkeypatch.setattr("repro.core.collection._SCAN_FALLBACK_FRACTION", 1.0)
+
+
+def one_index(features: np.ndarray | FeatureStore, normal: np.ndarray) -> PlanarIndexCollection:
+    """A one-index collection with index normal ``normal``.
+
+    ``features`` is a feature matrix or a store; the translator takes the
+    octant of ``normal`` and has observed every stored row.
+    """
+    store = features if isinstance(features, FeatureStore) else FeatureStore(features)
+    translator = Translator(sign_vector(normal, "normal"))
+    translator.observe(store.get_all()[1])
+    return PlanarIndexCollection(store, translator, np.atleast_2d(normal))
 
 
 @pytest.fixture

@@ -162,9 +162,11 @@ class TestMaintenance:
         features = features.copy()
         features[:50] = new_rows
         query = ScalarProductQuery(model.sample_normal(rng), 400.0)
+        wq = collection.working_query(query)
         for index in collection:
+            r_lo, r_hi, _ = index.interval_ranks(wq)
             assert np.array_equal(
-                index.query(query).ids, brute_force_ids(features, query)
+                index.finish_query(wq, r_lo, r_hi).ids, brute_force_ids(features, query)
             )
 
 

@@ -26,7 +26,7 @@ import pytest
 from repro import FunctionIndex, QueryModel, ScalarProductQuery, SortedKeyStore
 from repro.core import feature_store as feature_store_module
 from repro.core.feature_store import FeatureStore, require_id_space
-from repro.core.selection import interval_probes, key_offsets, thresholds
+from repro.core.selection import interval_probes
 from repro.core.sorted_keys import (
     ID_DTYPE,
     ID_MAX,
@@ -39,6 +39,7 @@ from repro.exceptions import IndexBuildError
 from repro.parallel.engine import ShardedFunctionIndex
 from repro.scan.baseline import SequentialScan
 
+from ..conftest import one_index
 from .test_batch_property import _Rational
 
 _F32_MAX = float(np.finfo(KEY_DTYPE).max)
@@ -187,23 +188,20 @@ def _points_with_keys(keys) -> np.ndarray:
     return np.column_stack([keys - 1.0, np.ones_like(keys)])
 
 
-def _probes(planar, wq):
-    """The float32 SI/LI probes ``planar.interval_ranks`` searches for ``wq``."""
-    column = planar.working_normal
-    offset = key_offsets(column, planar.translator.delta)
-    return interval_probes(thresholds(column, offset, wq), wq)
+def _probes(collection, wq):
+    """The float32 SI/LI probes the planned index searches for ``wq``."""
+    return interval_probes(collection.plan(wq).th.column(0), wq)
 
 
 def _planted_points(rng) -> np.ndarray:
     """Keys in quarter float32 ulps within two ulps of each offset's SI/LI
     probes, and of the offset itself, over a random background."""
     background = rng.uniform(1.0, 3.0, size=(300, 2))
-    probe_index = FunctionIndex(background, _MODEL, normals=_NORMAL[None, :])
-    planar = probe_index.collection[0]
+    collection = one_index(background, _NORMAL)
     keys = []
     for offset in _OFFSETS:
-        wq = planar.working_query(ScalarProductQuery(_NORMAL, offset))
-        probes = [float(p) for p in _probes(planar, wq)]
+        wq = collection.working_query(ScalarProductQuery(_NORMAL, offset))
+        probes = [float(p) for p in _probes(collection, wq)]
         for center in (*probes, offset):
             ulp = _ulp(center)
             keys.extend(center + step * ulp / 4.0 for step in range(-8, 9))
@@ -282,12 +280,10 @@ class TestFloat32Boundary:
 
     def test_planted_keys_straddle_the_probes(self, rng):
         """The suite really plants stored keys on both sides of each SI probe."""
-        points = _planted_points(rng)
-        index = FunctionIndex(points, _MODEL, normals=_NORMAL[None, :])
-        planar = index.collection[0]
-        keys = planar._keys.sorted_keys
+        collection = one_index(_planted_points(rng), _NORMAL)
+        keys = collection[0]._keys.sorted_keys
         for offset in _OFFSETS:
-            wq = planar.working_query(ScalarProductQuery(_NORMAL, offset))
-            probe, _ = _probes(planar, wq)
+            wq = collection.working_query(ScalarProductQuery(_NORMAL, offset))
+            probe, _ = _probes(collection, wq)
             assert np.any(keys == probe)
             assert np.any(keys == np.nextafter(probe, KEY_DTYPE.type(np.inf)))

@@ -22,7 +22,7 @@ from repro import FunctionIndex, QueryModel, load_index, save_index
 from repro.exceptions import DimensionMismatchError
 from repro.core import exact
 from repro.core.feature_store import FeatureStore
-from repro.core.planar import PlanarIndex
+from repro.core.collection import PlanarIndexCollection
 from repro.core.sorted_keys import ID_DTYPE, as_keys
 from repro.geometry.translation import Translator
 from repro.parallel.engine import ShardedFunctionIndex
@@ -209,22 +209,30 @@ def test_planted_keys_from_another_summation_order():
     translator = Translator(np.ones(3))
     translator.observe(features)
     ids = np.arange(features.shape[0], dtype=ID_DTYPE)
-    index = PlanarIndex(normal, store, translator, precomputed=(ids, stored))
+    order = np.lexsort((ids, as_keys(stored)))  # the persisted (key, id) order
+    collection = PlanarIndexCollection._from_prebuilt(
+        store, translator, [(normal, ids[order], stored[order])], "counted"
+    )
+    index = collection[0]
     held = dict(zip(index._keys.sorted_ids.tolist(), index._keys.sorted_keys.tolist()))
     assert all(held[i] != as_keys(recomputed[i]) for i in range(len(planted)))
 
     doomed = np.arange(0, len(planted), 2, dtype=np.int64)
-    index.delete(doomed)
+    collection.delete(doomed)
     store.delete(doomed)
     moved = np.arange(1, len(planted), 2, dtype=np.int64)
     new_rows = rng.uniform(-50.0, 50.0, size=(moved.size, 3))
     store.update(moved, new_rows)
-    index.rekey(moved, new_rows)
+    collection.rekey(moved)
+    collection.merge()
 
+    index = collection[0]
     live, rows = store.get_all()
     order = np.argsort(index._keys.sorted_ids)
     assert np.array_equal(index._keys.sorted_ids[order], live)
-    assert np.array_equal(index._keys.sorted_keys[order][: moved.size], as_keys(new_rows @ normal))
+    assert np.array_equal(
+        index._keys.sorted_keys[order][: moved.size], as_keys(normal @ new_rows.T)
+    )
 
 
 # --------------------------------------------------------------------- #

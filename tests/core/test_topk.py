@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import PlanarIndex, ScalarProductQuery, TopKBuffer
+from repro import ScalarProductQuery, TopKBuffer
 from repro.exceptions import InvalidQueryError
 
-from ..conftest import brute_force_topk
+from ..conftest import brute_force_topk, one_index
 
 
 class TestTopKBuffer:
@@ -65,7 +65,7 @@ class TestAlgorithm2:
     @pytest.fixture
     def index_and_features(self, rng):
         features = rng.uniform(1, 100, size=(2000, 4))
-        index = PlanarIndex.from_features(features, np.array([1.0, 2.0, 1.5, 3.0]))
+        index = one_index(features, np.array([1.0, 2.0, 1.5, 3.0]))
         return index, features
 
     @pytest.mark.parametrize("k", [1, 10, 100])
@@ -119,7 +119,7 @@ class TestMixedSignTopK:
     @pytest.mark.parametrize("op", ["<=", ">="])
     def test_negative_data(self, rng, op):
         features = rng.normal(0, 5, size=(800, 3))
-        index = PlanarIndex.from_features(features, np.array([1.0, 2.0, 1.0]))
+        index = one_index(features, np.array([1.0, 2.0, 1.0]))
         for _ in range(5):
             query = ScalarProductQuery(
                 rng.uniform(0.5, 3.0, 3), float(rng.uniform(-10, 10)), op
@@ -151,7 +151,7 @@ def test_property_topk_matches_bruteforce(features, data):
     op = data.draw(st.sampled_from(["<=", "<", ">=", ">"]))
     k = data.draw(st.integers(1, 20))
 
-    index = PlanarIndex.from_features(features, index_normal)
+    index = one_index(features, index_normal)
     query = ScalarProductQuery(query_normal, offset, op)
     result = index.topk(query, k)
     expected_ids, expected_dists = brute_force_topk(features, query, k)

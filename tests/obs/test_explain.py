@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FunctionIndex, PlanarIndex, ScalarProductQuery
+from repro import FunctionIndex, ScalarProductQuery
 from repro.exceptions import InvalidQueryError
 from repro.obs.explain import ExplainReport, IndexCandidate, render_report
+
+from ..conftest import one_index
 
 
 class TestReportStructures:
@@ -78,13 +80,13 @@ def built_index(uniform_points, uniform_model):
 
 
 class TestPlanarExplain:
-    def test_matches_query_stats(self, uniform_points):
-        index = PlanarIndex.from_features(uniform_points, np.array([1.0, 1.0, 1.0, 1.0]))
+    def test_matches_query_stats(self, uniform_points, intervals_route):
+        collection = one_index(uniform_points, np.array([1.0, 1.0, 1.0, 1.0]))
         query = ScalarProductQuery(
             np.array([2.0, 1.0, 1.0, 3.0]), float(uniform_points.sum(axis=1).mean())
         )
-        result = index.query(query)
-        report = index.explain(query)
+        result = collection.query(query)
+        report = collection.explain(query)
         assert report.route == "intervals"
         assert report.si_size == result.stats.si_size
         assert report.ii_size == result.stats.ii_size

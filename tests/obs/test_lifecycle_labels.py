@@ -11,11 +11,10 @@ Two bugs pinned here:
    and carries the gauge values across the rename.
 
 2. **``query_range`` mislabelled ``strategy="solo"``.**  Collection-routed
-   range queries used to call the member index's standalone entry point,
+   range queries used to call the member index's own entry point,
    recording ``repro_queries_total{strategy="solo"}`` while inequality
    and top-k recorded the real selection strategy.  The collection now
-   owns the range metrics; ``"solo"`` is reserved for genuinely
-   standalone :class:`~repro.core.planar.PlanarIndex` use.
+   owns the metrics of every query kind, so no query records ``"solo"``.
 
 Label assertions use a test-unique ``obs_prefix`` so the global metrics
 registry (shared across the whole test session) cannot pollute them.
@@ -31,7 +30,7 @@ from repro import (
     FunctionIndex,
     PlanarIndexCollection,
     QueryModel,
-    ScalarProductQuery,
+    ShardedFunctionIndex,
 )
 from repro.geometry.translation import Translator
 from repro.obs import metrics as obs_metrics
@@ -133,18 +132,39 @@ class TestRangeStrategyLabel:
             == solo_before
         )
 
-    def test_standalone_range_still_reports_solo(
-        self, uniform_points, uniform_model, obs_enabled
+    @pytest.mark.parametrize("n_shards", [1, 2])
+    def test_no_query_kind_records_solo(
+        self, uniform_points, uniform_model, obs_enabled, n_shards
     ):
-        index = FunctionIndex(uniform_points, uniform_model, n_indices=4, rng=0)
-        collection = index.collection
-        normal = uniform_model.sample_normal(0)
-        wq_low = collection.working_query(ScalarProductQuery(normal, 100.0, ">="))
-        wq_high = collection.working_query(ScalarProductQuery(normal, 600.0, "<="))
+        """Every query kind counts under the collection's strategy label."""
+        if n_shards == 1:
+            engine = FunctionIndex(uniform_points, uniform_model, n_indices=4, rng=0)
+        else:
+            engine = ShardedFunctionIndex(
+                uniform_points, uniform_model, n_indices=4, rng=0, n_shards=n_shards
+            )
         counter = obs_metrics.queries_total()
-        solo_before = counter.value(kind="range", route="intervals", strategy="solo")
-        collection[0].query_range(wq_low, wq_high)
-        assert (
-            counter.value(kind="range", route="intervals", strategy="solo")
-            == solo_before + 1
+        strategy = "counted"
+        counted_before = sum(
+            value for labels, value in counter.series().items() if labels[2] == strategy
         )
+        normal = uniform_model.sample_normal(0)
+        normals = np.vstack([normal, uniform_model.sample_normal(1)])
+        offsets = np.array([300.0, 500.0])
+        engine.query(normal, 300.0)
+        engine.query(normal, 300.0, ">=")
+        engine.topk(normal, 300.0, 5)
+        engine.query_range(normal, 100.0, 600.0)
+        engine.query_batch(normals, offsets)
+        engine.topk_batch(normals, offsets, 5)
+        if n_shards == 1:
+            engine.explain_report(normal, 300.0)
+        else:
+            engine.close()
+        counted = sum(
+            value for labels, value in counter.series().items() if labels[2] == strategy
+        )
+        # Eight queries, each counted by every shard collection that ran it
+        # (an injected shard fault skips that shard's count).
+        assert counted - counted_before >= 8
+        assert not [labels for labels in counter.series() if "solo" in labels]

@@ -52,6 +52,15 @@ class TestRestriction:
         assert view.is_live(4)
         assert not view.is_live(5)  # live in base, owned by shard 1
 
+    def test_is_live_is_false_outside_the_store(self, base):
+        """Like ``FeatureStore.is_live``: an id out of range or dead is not
+        live, whatever shard it would belong to."""
+        view = FeatureStoreView(base, 0, 4, "round_robin")
+        base.delete(np.asarray([8], dtype=np.int64))
+        for point_id in (-1, base.capacity, 5, 8):
+            assert not view.is_live(point_id)
+        assert not base.is_live(-1) and not base.is_live(base.capacity)
+
     def test_rejects_out_of_range_shard(self, base):
         with pytest.raises(ValueError):
             FeatureStoreView(base, 4, 4, "round_robin")
