@@ -191,9 +191,9 @@ class PlanarIndexCollection:
         obs_prefix: str = "",
     ) -> None:
         normals = np.ascontiguousarray(normals, dtype=np.float64)
-        if normals.ndim != 2 or normals.shape[0] == 0:
+        if normals.ndim != 2 or normals.shape[0] == 0 or normals.shape[1] != store.dim:
             raise IndexBuildError(
-                f"normals must be a non-empty (r, d') matrix, got shape {normals.shape}"
+                f"normals must be a non-empty (r, {store.dim}) matrix, got shape {normals.shape}"
             )
         keep = dedupe_parallel_normals(normals)
         self._store = store
@@ -583,9 +583,13 @@ class PlanarIndexCollection:
 
         Redundancy is decided by :func:`dedupe_parallel_normals` over the
         current normals plus ``normal``, the rule construction applies; a
-        zero normal raises :class:`~repro.exceptions.IndexBuildError`.
+        zero or wrong-length normal raises :class:`~repro.exceptions.IndexBuildError`.
         """
         normal = np.ascontiguousarray(normal, dtype=np.float64)
+        if normal.shape != (self._store.dim,):
+            raise IndexBuildError(
+                f"normal has shape {normal.shape}, features have dimension {self._store.dim}"
+            )
         existing = self.normals
         keep = dedupe_parallel_normals(np.vstack([existing, normal]))
         if keep[-1] != existing.shape[0]:

@@ -247,11 +247,24 @@ class FunctionIndex:
         self._scan_fallback = bool(scan_fallback)
         self._rng = as_rng(rng)
 
-        self._points = FeatureStore(pts)
         features = feature_map(pts)
         self._features = FeatureStore(features)
+        self._points = self._raw_store(pts)
         self._translator = Translator(query_model.octant(), margin=margin)
         self._translator.observe(features)
+
+    def _raw_store(self, points: np.ndarray) -> FeatureStore:
+        """The store :meth:`get_points` reads, bound after ``_features``.
+
+        Under the identity map it *is* the feature store, so each row is
+        held once; otherwise ``points`` get their own store, read-only
+        when the feature store is (a memory-mapped load).
+        """
+        if self._phi.is_identity:
+            return self._features
+        if not self._features.writable:
+            return FeatureStore.from_backing(points)
+        return FeatureStore(points)
 
     def _index_collections(
         self,
@@ -307,11 +320,11 @@ class FunctionIndex:
         return len(self._collections[0])
 
     def memory_bytes(self) -> int:
-        """Footprint of features, raw points, and all key structures."""
-        return (
-            self._features.memory_bytes()
-            + self._points.memory_bytes()
-            + sum(collection.memory_bytes() for collection in self._collections)
+        """Footprint of every distinct store (a shard's view included) and all key structures."""
+        stores = {self._features, self._points}
+        stores.update(collection._store for collection in self._collections)
+        return sum(store.memory_bytes() for store in stores) + sum(
+            collection.memory_bytes() for collection in self._collections
         )
 
     def get_points(self, ids: np.ndarray) -> np.ndarray:
@@ -687,8 +700,9 @@ class FunctionIndex:
         """Change the raw values of existing points and re-key every index."""
         ids = self._checked_ids(ids)
         new_points, features = self._ingest(new_points, ids.size)
-        self._points.update(ids, new_points)
         self._features.update(ids, features)
+        if self._points is not self._features:
+            self._points.update(ids, new_points)
         self._maintain_each(
             "update", ids, lambda collection, rows: collection.rekey(ids[rows])
         )
@@ -696,14 +710,14 @@ class FunctionIndex:
     def insert_points(self, new_points: np.ndarray) -> np.ndarray:
         """Add new data points; returns their assigned ids."""
         new_points, features = self._ingest(new_points)
-        point_ids = self._points.append(new_points)
-        feature_ids = self._features.append(features)
-        if not np.array_equal(point_ids, feature_ids):  # pragma: no cover
-            raise RuntimeError("point/feature stores diverged")
+        ids = self._features.append(features)
+        if self._points is not self._features:
+            # Both stores assign ids at their common capacity.
+            self._points.append(new_points)
         self._maintain_each(
-            "insert", feature_ids, lambda collection, rows: collection.insert(feature_ids[rows])
+            "insert", ids, lambda collection, rows: collection.insert(ids[rows])
         )
-        return feature_ids
+        return ids
 
     def delete_points(self, ids: np.ndarray) -> None:
         """Remove points from the index."""
@@ -717,7 +731,8 @@ class FunctionIndex:
             "delete", ids, lambda collection, rows: collection.delete(ids[rows])
         )
         self._features.delete(ids)
-        self._points.delete(ids)
+        if self._points is not self._features:
+            self._points.delete(ids)
 
     def merge_writes(self) -> None:
         """Merge every collection's write log into its indices now.
@@ -758,7 +773,7 @@ class FunctionIndex:
     @classmethod
     def _from_prebuilt(
         cls,
-        points: FeatureStore,
+        points: np.ndarray,
         features: FeatureStore,
         translator: Translator,
         collection: PlanarIndexCollection,
@@ -771,15 +786,16 @@ class FunctionIndex:
 
         The persistence load path: format v3 stores the derived state
         (features, per-index sorted keys), so nothing here re-applies
-        ``phi``, re-observes the translator, or re-keys indices.
+        ``phi``, re-observes the translator, or re-keys indices.  The raw
+        ``points`` are bound by :meth:`_raw_store`.
         """
         self = cls.__new__(cls)
         self._phi = feature_map
         self._model = query_model
         self._scan_fallback = bool(scan_fallback)
         self._rng = as_rng(rng)
-        self._points = points
         self._features = features
+        self._points = self._raw_store(points)
         self._translator = translator
         self._collections = [collection]
         return self

@@ -51,7 +51,9 @@ index in and defeat the zero-copy load (documented trade-off — use
 
 Feature maps are code, not data: built-in maps (identity / product)
 round-trip automatically; custom callables must be re-supplied at load
-time.
+time.  Under the identity map the index holds one store, so ``points.npy``
+and ``features.npy`` are written from the same rows; the format does not
+change.
 """
 
 from __future__ import annotations
@@ -114,10 +116,7 @@ def _feature_map_to_json(fmap: FeatureMap) -> dict:
     kind = getattr(fmap, "_persist_kind", None)
     if kind is not None:
         return dict(kind)
-    # Identity maps are recognizable structurally.
-    if fmap.in_dim == fmap.out_dim and all(
-        name == f"x_{i}" for i, name in enumerate(fmap.names)
-    ):
+    if fmap.is_identity:
         return {"type": "identity", "dim": fmap.in_dim}
     return {"type": "custom", "in_dim": fmap.in_dim, "out_dim": fmap.out_dim}
 
@@ -446,10 +445,8 @@ def _load_dir(path: Path, feature_map: FeatureMap | None, mode: str) -> Function
     translator.observe(-np.abs(delta)[None, :] * octant)
 
     if mmap_mode is None:
-        points_store = FeatureStore(arrays["points"])
         features_store = FeatureStore(arrays["features"])
     else:
-        points_store = FeatureStore.from_backing(arrays["points"])
         features_store = FeatureStore.from_backing(arrays["features"])
     normals = np.array(arrays["normals"], dtype=np.float64)
     if normals.ndim != 2 or normals.shape[0] != n_indices:
@@ -465,7 +462,7 @@ def _load_dir(path: Path, feature_map: FeatureMap | None, mode: str) -> Function
         features_store, translator, prebuilt, metadata["strategy"]
     )
     return FunctionIndex._from_prebuilt(
-        points_store,
+        arrays["points"],
         features_store,
         translator,
         collection,

@@ -78,6 +78,11 @@ class FeatureMap:
         """Names of the output components."""
         return self._names
 
+    @property
+    def is_identity(self) -> bool:
+        """Whether this map is ``phi(x) = x``: true only for :func:`identity_map`'s."""
+        return self._func is _identity
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FeatureMap({self._in_dim} -> {self._out_dim}, names={list(self._names)})"
 
@@ -112,9 +117,13 @@ class FeatureMap:
         return cls(func, in_dim, out_dim, names)
 
 
+def _identity(pts: np.ndarray) -> np.ndarray:
+    return pts
+
+
 def identity_map(dim: int) -> FeatureMap:
     """``phi(x) = x`` — reduces the problems to half-space range search."""
-    return FeatureMap(lambda pts: pts, dim, dim, [f"x_{i}" for i in range(dim)])
+    return FeatureMap(_identity, dim, dim, [f"x_{i}" for i in range(dim)])
 
 
 def product_map(in_dim: int, terms: Sequence[Sequence[int]], names: Sequence[str] | None = None) -> FeatureMap:

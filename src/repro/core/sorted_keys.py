@@ -220,19 +220,8 @@ class SortedKeyStore:
     def __len__(self) -> int:
         return int(self._keys.size)
 
-    def __contains__(self, point_id: int) -> bool:
-        return self._position(point_id) is not None
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SortedKeyStore(n={len(self)})"
-
-    def _position(self, point_id: int) -> int | None:
-        """Sorted position of ``point_id`` by one scan over the ids, or None."""
-        point_id = int(point_id)
-        if not 0 <= point_id <= ID_MAX:
-            return None
-        hits = np.flatnonzero(self._ids == point_id)
-        return int(hits[0]) if hits.size else None
 
     @property
     def sorted_keys(self) -> np.ndarray:
@@ -247,13 +236,6 @@ class SortedKeyStore:
         view = self._ids.view()
         view.setflags(write=False)
         return view
-
-    def key_of(self, point_id: int) -> float:
-        """The key currently stored for ``point_id``."""
-        position = self._position(point_id)
-        if position is None:
-            raise KeyError(point_id)
-        return float(self._keys[position])
 
     def memory_bytes(self) -> int:
         """Heap footprint of the key and id arrays (8 B per entry)."""
@@ -270,10 +252,6 @@ class SortedKeyStore:
         probe the search runs on (a :func:`key_probes` probe is unchanged).
         """
         return int(np.searchsorted(self._keys, _round(threshold, _DOWN), side="right"))
-
-    def rank_lt(self, threshold: float) -> int:
-        """Number of entries with key < threshold (probe rounded up)."""
-        return int(np.searchsorted(self._keys, _round(threshold, _UP), side="left"))
 
     def ids_in_rank_range(self, start: int, stop: int) -> np.ndarray:
         """Point ids at sorted positions ``[start, stop)``."""
@@ -337,11 +315,6 @@ class SortedKeyStore:
             ids = np.insert(ids, positions, add_ids)
             self._id_bound = max(bound, int(add_ids.max()) + 1)
         self._keys, self._ids = keys, ids
-
-    def update(self, point_id: int, new_key: float) -> None:
-        """Re-key one point (Section 4.4 update)."""
-        ids = np.array([point_id])
-        self.update_batch(ids, ids, np.array([float(new_key)]))
 
     @array_contract(
         "drop: (s,) uint32 cast",

@@ -52,15 +52,15 @@ def _build_engine(args: argparse.Namespace):
         from repro.core.persistence import load_index
 
         mono = load_index(args.index, mode="copy")
-        # Re-wrap the artifact's points behind the sharded facade so the
-        # service has one engine type to talk to.  Ids are re-assigned
-        # densely (0..n-1), as for any fresh build.
-        _ids, points = mono._points.get_all()
+        # Re-wrap the artifact's points, normals and strategy behind the
+        # sharded facade so the service has one engine type to talk to.
+        # Ids are re-assigned densely (0..n-1), as for any fresh build.
         return ShardedFunctionIndex(
-            points,
+            mono.get_points(mono.live_ids()),
             mono.query_model,
             feature_map=mono.feature_map,
-            n_indices=mono.n_indices,
+            normals=mono.collection.normals,
+            strategy=mono.collection.strategy,
             rng=args.seed,
             n_shards=args.shards,
             max_workers=args.workers,

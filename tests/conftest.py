@@ -93,6 +93,26 @@ def fraction_values(features: np.ndarray, normal: np.ndarray) -> list[Fraction]:
     ]
 
 
+def churn(index, points: np.ndarray, rng: np.random.Generator) -> dict[int, np.ndarray]:
+    """Insert, update and delete through ``index`` (built on ``points``).
+
+    Returns the raw row each live id was last written with.
+    """
+    n, dim = points.shape
+    rows = dict(enumerate(points))
+    extra = rng.uniform(1.0, 100.0, size=(30, dim))
+    rows.update(zip(index.insert_points(extra).tolist(), extra))
+    changed = np.array([3, n + 5, n + 15], dtype=np.int64)
+    new_values = rng.uniform(1.0, 100.0, size=(changed.size, dim))
+    index.update_points(changed, new_values)
+    rows.update(zip(changed.tolist(), new_values))
+    doomed = np.array([0, 7, n + 12], dtype=np.int64)
+    index.delete_points(doomed)
+    for point_id in doomed.tolist():
+        del rows[point_id]
+    return rows
+
+
 def brute_force_ids(
     features: np.ndarray, query: ScalarProductQuery, ids: np.ndarray | None = None
 ) -> np.ndarray:

@@ -76,6 +76,18 @@ class TestConstruction:
         with pytest.raises(IndexBuildError):
             PlanarIndexCollection(store, translator, np.empty((0, 2)))
 
+    def test_wrong_dimension_normals_rejected(self, rng):
+        features = rng.uniform(1, 2, size=(10, 3))
+        store = FeatureStore(features)
+        translator = Translator(np.ones(3))
+        translator.observe(features)
+        with pytest.raises(IndexBuildError, match="got shape"):
+            PlanarIndexCollection(store, translator, np.ones((1, 2)))
+        collection = PlanarIndexCollection(store, translator, np.ones((1, 3)))
+        with pytest.raises(IndexBuildError, match="features have dimension 3"):
+            collection.add_index(np.ones(2))
+        assert len(collection) == 1
+
     def test_iteration_and_getitem(self, rng):
         collection, _, _ = make_collection(rng, budget=5)
         assert len(list(collection)) == len(collection)

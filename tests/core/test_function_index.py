@@ -14,7 +14,7 @@ from repro import (
 )
 from repro.exceptions import DimensionMismatchError, InvalidQueryError
 
-from ..conftest import brute_force_ids
+from ..conftest import brute_force_ids, churn
 
 
 class TestConstruction:
@@ -145,11 +145,54 @@ class TestDynamics:
 
     def test_memory_accounts_for_everything(self, uniform_points, uniform_model):
         index = FunctionIndex(uniform_points, uniform_model, n_indices=3, rng=0)
-        # raw points + features + >= 1 key array
-        assert index.memory_bytes() > 2 * uniform_points.nbytes
+        # One store (the points are the features) + 3 key arrays.
+        assert index.memory_bytes() == (
+            index._features.memory_bytes() + index.collection.memory_bytes()
+        )
+        assert index.memory_bytes() > uniform_points.nbytes + 3 * len(uniform_points) * 8
 
     def test_live_ids_and_getters(self, uniform_points, uniform_model):
         index = FunctionIndex(uniform_points, uniform_model, n_indices=2, rng=0)
         ids = index.live_ids()
         assert np.array_equal(ids, np.arange(len(uniform_points)))
         assert np.allclose(index.get_features(ids[:3]), uniform_points[:3])
+
+
+class TestOneStore:
+    """Under the identity map the raw points are the feature store."""
+
+    def test_identity_index_holds_one_store(self, rng, uniform_model):
+        points = rng.uniform(1, 100, size=(200, 4))
+        index = FunctionIndex(points, uniform_model, n_indices=4, rng=0)
+        assert index._points is index._features
+        rows = churn(index, points, rng)
+        ids = np.array(sorted(rows), dtype=np.int64)
+        written = np.array([rows[point_id] for point_id in ids.tolist()])
+        assert np.array_equal(index.live_ids(), ids)
+        assert np.array_equal(index.get_points(ids), written)
+        assert np.array_equal(index.get_features(ids), written)
+        assert index.memory_bytes() == (
+            index._features.memory_bytes() + index.collection.memory_bytes()
+        )
+        normal = uniform_model.sample_normal(rng)
+        query = ScalarProductQuery(normal, 500.0)
+        assert np.array_equal(
+            index.query(normal, 500.0).ids, brute_force_ids(written, query, ids)
+        )
+
+    def test_product_map_keeps_its_raw_store(self, rng):
+        points = rng.uniform(1, 100, size=(200, 4))
+        fmap = product_map(4, [(0,), (1, 2), (3,)])
+        model = QueryModel.uniform(dim=3, low=1.0, high=5.0)
+        index = FunctionIndex(points, model, feature_map=fmap, n_indices=4, rng=0)
+        assert index._points is not index._features
+        rows = churn(index, points, rng)
+        ids = np.array(sorted(rows), dtype=np.int64)
+        written = np.array([rows[point_id] for point_id in ids.tolist()])
+        assert np.array_equal(index.get_points(ids), written)
+        assert np.array_equal(index.get_features(ids), fmap(written))
+        assert index.memory_bytes() == (
+            index._points.memory_bytes()
+            + index._features.memory_bytes()
+            + index.collection.memory_bytes()
+        )

@@ -106,6 +106,63 @@ class TestCustomMaps:
         with pytest.raises(PersistenceError, match="archive expects"):
             load_index(path, feature_map=wrong)
 
+    @pytest.mark.parametrize("version", [2, 4])
+    def test_map_named_like_the_identity_is_custom(self, tmp_path, rng, version):
+        points = rng.uniform(1, 100, size=(2000, 3))
+        fmap = FeatureMap.from_callable(lambda p: 2 * p, 3, 3, names=["x_0", "x_1", "x_2"])
+        model = QueryModel.uniform(dim=3, low=1.0, high=5.0)
+        index = FunctionIndex(points, model, feature_map=fmap, n_indices=4, rng=0)
+        path = save_index(index, tmp_path / "doubled", version=version)
+        with pytest.raises(PersistenceError, match="custom feature map"):
+            load_index(path)
+        loaded = load_index(path, feature_map=fmap, mode="copy")
+        normal = np.ones(3)
+        assert np.array_equal(loaded.query(normal, 250.0).ids, index.query(normal, 250.0).ids)
+        # A later write is keyed under phi, not under the identity.
+        point = np.array([[50.0, 50.0, 50.0]])
+        assert np.array_equal(loaded.insert_points(point), index.insert_points(point))
+        assert np.array_equal(loaded.query(normal, 250.0).ids, index.query(normal, 250.0).ids)
+
+
+class TestOneStore:
+    """Under the identity map a loaded index binds one store; a product map keeps two."""
+
+    @pytest.mark.parametrize("mode", ["copy", "mmap"])
+    @pytest.mark.parametrize("kind", ["identity", "product"])
+    def test_round_trip(self, tmp_path, rng, kind, mode):
+        points = rng.uniform(1, 10, size=(300, 4))
+        if kind == "identity":
+            fmap, model = None, QueryModel.uniform(dim=4, low=1.0, high=5.0)
+        else:
+            fmap = product_map(4, [(0,), (1, 2), (3,)])
+            model = QueryModel.uniform(dim=3, low=1.0, high=5.0)
+        index = FunctionIndex(points, model, feature_map=fmap, n_indices=5, rng=0)
+        loaded = load_index(save_index(index, tmp_path / "idx"), mode=mode)
+        assert (loaded._points is loaded._features) == (kind == "identity")
+        assert loaded.memory_bytes() == index.memory_bytes()
+        queries = [(model.sample_normal(rng), float(rng.uniform(10, 200))) for _ in range(6)]
+
+        def same_answers():
+            ids = index.live_ids()
+            assert np.array_equal(loaded.live_ids(), ids)
+            assert np.array_equal(loaded.get_points(ids), index.get_points(ids))
+            assert np.array_equal(loaded.get_features(ids), index.get_features(ids))
+            for normal, offset in queries:
+                assert np.array_equal(
+                    loaded.query(normal, offset).ids, index.query(normal, offset).ids
+                )
+
+        same_answers()
+        if mode == "copy":
+            extra = rng.uniform(1, 10, size=(5, 4))
+            assert np.array_equal(loaded.insert_points(extra), index.insert_points(extra))
+            changed = np.array([1, 301], dtype=np.int64)
+            for target in (loaded, index):
+                target.update_points(changed, extra[:2] + 1.0)
+                target.delete_points(np.array([2, 302], dtype=np.int64))
+            assert np.array_equal(loaded.get_points(changed), extra[:2] + 1.0)
+            same_answers()
+
 
 class TestErrors:
     def test_missing_file(self, tmp_path):

@@ -46,6 +46,16 @@ class TestIdentityMap:
         assert fmap.in_dim == fmap.out_dim == 3
 
 
+    def test_only_identity_map_is_identity(self):
+        assert identity_map(3).is_identity
+        names = ["x_0", "x_1", "x_2"]
+        assert not FeatureMap(lambda p: p, 3, 3, names).is_identity
+        assert not FeatureMap.from_callable(lambda p: 2 * p, 3, 3, names).is_identity
+        assert not product_map(3, [(0,), (1,), (2,)]).is_identity
+        with pytest.raises(AttributeError):
+            identity_map(3).is_identity = False
+
+
 class TestProductMap:
     def test_example1_power_factor_features(self):
         """phi(active, reactive, voltage, current) = (active, voltage*current)."""

@@ -25,7 +25,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro import FunctionIndex, QueryModel, ScalarProductQuery, load_index, save_index
+from repro import (
+    FunctionIndex,
+    QueryModel,
+    ScalarProductQuery,
+    load_index,
+    product_map,
+    save_index,
+)
 from repro.core import exact
 from repro.core.collection import PlanarIndexCollection
 from repro.core.feature_store import FeatureStore
@@ -166,7 +173,11 @@ class TestScanCopy:
         assert store.memory_bytes() == before + 4 * 3 * 4 + 3 * 8
 
     def test_raw_point_store_never_holds_one(self, uniform_points, uniform_model):
-        index = FunctionIndex(uniform_points, uniform_model, n_indices=3, rng=0)
+        # A product map keeps the raw points apart; the identity map's
+        # raw store is the feature store itself.
+        fmap = product_map(4, [(0,), (1,), (2,), (3,)])
+        index = FunctionIndex(uniform_points, uniform_model, fmap, n_indices=3, rng=0)
+        assert index._points is not index._features
         with mock.patch("repro.core.collection._SCAN_FALLBACK_FRACTION", 0.0):
             index.query(uniform_model.sample_normal(1), 500.0)
         assert index._features._scan is not None

@@ -15,14 +15,17 @@ key_lists = st.lists(
 )
 
 
+def stored(store: SortedKeyStore) -> dict[int, float]:
+    """Each held id's key, read off the sorted arrays."""
+    return dict(zip(store.sorted_ids.tolist(), store.sorted_keys.tolist()))
+
+
 def assert_invariants(store: SortedKeyStore) -> None:
-    """Structural invariants: ascending keys, ids unique, lookup consistent."""
+    """Structural invariants: ascending keys, ids unique."""
     keys = store.sorted_keys
     ids = store.sorted_ids
     assert np.all(np.diff(keys) >= 0)
     assert np.unique(ids).size == ids.size
-    for pid, key in zip(ids, keys):
-        assert store.key_of(int(pid)) == key
 
 
 class TestConstruction:
@@ -34,7 +37,6 @@ class TestConstruction:
     def test_custom_ids(self):
         store = SortedKeyStore(np.array([2.0, 1.0]), np.array([10, 20]))
         assert np.array_equal(store.sorted_ids, [20, 10])
-        assert 10 in store and 30 not in store
 
     def test_duplicate_ids_rejected(self):
         with pytest.raises(ValueError):
@@ -55,10 +57,9 @@ class TestConstruction:
 
 
 class TestBinarySearch:
-    def test_rank_le_and_lt(self):
+    def test_rank_le(self):
         store = SortedKeyStore(np.array([1.0, 2.0, 2.0, 3.0]))
         assert store.rank_le(2.0) == 3
-        assert store.rank_lt(2.0) == 1
         assert store.rank_le(0.5) == 0
         assert store.rank_le(9.0) == 4
 
@@ -71,33 +72,33 @@ class TestBinarySearch:
 class TestUpdate:
     def test_single_update_moves_entry(self):
         store = SortedKeyStore(np.array([1.0, 2.0, 3.0]))
-        store.update(0, 5.0)
+        store.update_batch([0], [0], [5.0])
         assert np.array_equal(store.sorted_keys, [2.0, 3.0, 5.0])
-        assert store.key_of(0) == 5.0
+        assert stored(store)[0] == 5.0
         assert_invariants(store)
 
     def test_update_with_duplicate_keys(self):
         store = SortedKeyStore(np.array([2.0, 2.0, 2.0]), np.array([7, 8, 9]))
-        store.update(8, 1.0)
-        assert store.key_of(8) == 1.0
+        store.update_batch([8], [8], [1.0])
+        assert stored(store)[8] == 1.0
         assert store.sorted_ids[0] == 8
         assert_invariants(store)
 
     def test_update_unknown_id(self):
         store = SortedKeyStore(np.array([1.0]))
         with pytest.raises(KeyError):
-            store.update(99, 1.0)
+            store.update_batch([99], [99], [1.0])
 
     def test_update_nonfinite_rejected(self):
         store = SortedKeyStore(np.array([1.0]))
         with pytest.raises(ValueError):
-            store.update(0, np.inf)
+            store.update_batch([0], [0], [np.inf])
 
     def test_batch_update_small(self):
         store = SortedKeyStore(np.arange(100.0))
         ids = np.array([0, 1])
         store.update_batch(ids, ids, np.array([200.0, 300.0]))
-        assert store.key_of(0) == 200.0
+        assert stored(store)[0] == 200.0
         assert store.rank_le(99.0) == 98
         assert_invariants(store)
 
@@ -105,8 +106,9 @@ class TestUpdate:
         store = SortedKeyStore(np.arange(10.0))
         ids = np.arange(8)
         store.update_batch(ids, ids, -np.arange(8.0))
+        keys = stored(store)
         for pid in ids:
-            assert store.key_of(int(pid)) == -float(pid)
+            assert keys[int(pid)] == -float(pid)
         assert_invariants(store)
 
     def test_batch_update_duplicate_ids_rejected(self):
@@ -144,7 +146,7 @@ class TestInsertDelete:
         store = SortedKeyStore(np.array([1.0, 2.0, 3.0]))
         store.delete(np.array([1]))
         assert np.array_equal(store.sorted_keys, [1.0, 3.0])
-        assert 1 not in store
+        assert 1 not in stored(store)
         assert_invariants(store)
 
     def test_delete_unknown_id(self):
@@ -155,9 +157,6 @@ class TestInsertDelete:
     def test_memory_reported(self):
         # float32 keys plus uint32 ids: 8 B per entry.
         store = SortedKeyStore(np.arange(1000.0))
-        assert store.memory_bytes() == 1000 * 8
-        # Point lookups scan the ids; they build no side structure.
-        assert store.key_of(0) == 0.0 and 0 in store
         assert store.memory_bytes() == 1000 * 8
 
 
@@ -171,7 +170,7 @@ class TestLocateByKey:
     def test_any_position_in_a_run_of_equal_keys(self):
         store = SortedKeyStore(np.full(100, 5.0))
         store.delete(np.array([99, 0, 50]))
-        assert len(store) == 97 and 0 not in store and 50 not in store
+        assert len(store) == 97 and not {0, 50, 99} & stored(store).keys()
         assert_invariants(store)
 
     def test_rekey_inside_runs_of_equal_keys(self):
@@ -179,14 +178,15 @@ class TestLocateByKey:
         store = SortedKeyStore(keys)
         ids = np.array([0, 14, 29, 4])
         store.update_batch(ids, ids, [-1.0, -2.0, -3.0, -4.0])
-        assert [store.key_of(int(i)) for i in ids] == [-1.0, -2.0, -3.0, -4.0]
+        keys = stored(store)
+        assert [keys[int(i)] for i in ids] == [-1.0, -2.0, -3.0, -4.0]
         assert_invariants(store)
 
     def test_drop_and_add_in_one_pass(self):
         store = SortedKeyStore(np.arange(6.0))
         store.update_batch(np.array([1, 4]), np.array([4, 9]), [0.5, 2.5])
         assert store.sorted_ids.tolist() == [0, 4, 2, 9, 3, 5]
-        assert 1 not in store and store.key_of(4) == 0.5
+        assert 1 not in stored(store) and stored(store)[4] == 0.5
         assert_invariants(store)
 
     def test_saturated_and_subnormal_keys(self):
@@ -238,7 +238,7 @@ def test_random_operation_sequences_keep_invariants(keys, data):
         if op == "update" and live:
             pid = data.draw(st.sampled_from(sorted(live)))
             key = data.draw(st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False))
-            store.update(pid, key)
+            store.update_batch([pid], [pid], [key])
             live[pid] = key
         elif op == "insert":
             key = data.draw(st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False))
@@ -260,6 +260,5 @@ def test_random_operation_sequences_keep_invariants(keys, data):
 def test_rank_le_matches_bruteforce(keys, threshold):
     # Brute force over the stored float32 keys, compared exactly in float64.
     store = SortedKeyStore(np.array(keys))
-    stored = [float(k) for k in store.sorted_keys]
-    assert store.rank_le(threshold) == sum(1 for k in stored if k <= threshold)
-    assert store.rank_lt(threshold) == sum(1 for k in stored if k < threshold)
+    keys = [float(k) for k in store.sorted_keys]
+    assert store.rank_le(threshold) == sum(1 for k in keys if k <= threshold)

@@ -20,6 +20,8 @@ from repro import (
 from repro.obs import metrics as obs_metrics
 from repro.parallel import SHARD_POLICIES
 
+from ..conftest import churn
+
 
 def _pair(points, model, n_shards, policy="round_robin", **kwargs):
     mono = FunctionIndex(points, model, n_indices=6, rng=0, **kwargs)
@@ -172,6 +174,43 @@ class TestMaintenance:
                 assert np.array_equal(
                     mono.query(normal, offset).ids, sharded.query(normal, offset).ids
                 )
+
+
+class TestOneStore:
+    def test_points_are_the_features_through_mutations(
+        self, uniform_points, uniform_model, n_shards
+    ):
+        rng = np.random.default_rng(4)
+        with ShardedFunctionIndex(
+            uniform_points, uniform_model, n_indices=4, rng=0, n_shards=n_shards
+        ) as engine:
+            assert engine._points is engine._features
+            rows = churn(engine, uniform_points, rng)
+            ids = np.array(sorted(rows), dtype=np.int64)
+            written = np.array([rows[point_id] for point_id in ids.tolist()])
+            assert np.array_equal(engine.get_points(ids), written)
+            views = engine._stores if n_shards > 1 else []
+            assert engine.memory_bytes() == (
+                engine._features.memory_bytes()
+                + sum(view.memory_bytes() for view in views)
+                + sum(collection.memory_bytes() for collection in engine.collections)
+            )
+
+    def test_a_scan_grows_memory_by_the_views_caches(
+        self, uniform_points, uniform_model, monkeypatch
+    ):
+        monkeypatch.setattr("repro.core.collection._SCAN_FALLBACK_FRACTION", 0.0)
+        with ShardedFunctionIndex(
+            uniform_points, uniform_model, n_indices=4, rng=0, n_shards=2
+        ) as engine:
+            before = engine.memory_bytes()
+            views_before = sum(view.memory_bytes() for view in engine._stores)
+            normal = uniform_model.sample_normal(np.random.default_rng(2))
+            stats = engine.query(normal, 500.0).stats
+            assert stats.n_verified == stats.n_total  # both shards scanned
+            grown = sum(view.memory_bytes() for view in engine._stores) - views_before
+            assert grown > 0
+            assert engine.memory_bytes() == before + grown
 
 
 class TestShardLayout:

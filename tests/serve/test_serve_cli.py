@@ -7,13 +7,19 @@ request, then SIGTERM and assert the graceful-shutdown lines landed.
 
 from __future__ import annotations
 
+import argparse
 import os
 import signal
 import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
+
+from repro import FunctionIndex, QueryModel, save_index
+from repro.core.selection import SelectionStrategy
+from repro.serve.cli import _build_engine
 
 from .conftest import http_json
 
@@ -84,3 +90,20 @@ def test_serve_cli_round_trip(tmp_path):
     assert process.returncode == 0, f"stdout:\n{out}\nstderr:\n{err}"
     assert "repro serve: listening on" in out
     assert "repro serve: drained and stopped" in out
+
+
+def test_index_artifact_keeps_its_normals_and_strategy(tmp_path):
+    rng = np.random.default_rng(3)
+    points = rng.uniform(1.0, 100.0, size=(600, 3))
+    model = QueryModel.uniform(dim=3, low=1.0, high=5.0, rq=4)
+    normals = np.array([[1.0, 2.0, 3.0], [3.0, 1.0, 2.0], [2.0, 3.0, 1.0]])
+    mono = FunctionIndex(points, model, normals=normals, strategy="min_stretch")
+    path = save_index(mono, tmp_path / "idx")
+    args = argparse.Namespace(index=str(path), seed=7, shards=2, workers=1)
+    with _build_engine(args) as engine:
+        for collection in engine.collections:
+            assert np.array_equal(collection.normals, normals)
+            assert collection.strategy is SelectionStrategy.MIN_STRETCH
+        for _ in range(8):
+            normal, offset = model.sample_normal(rng), float(rng.uniform(100.0, 900.0))
+            assert np.array_equal(engine.query(normal, offset).ids, mono.query(normal, offset).ids)
