@@ -52,17 +52,18 @@ def main() -> None:
           f"(verified only {ranged.stats.n_verified:,} of {len(points):,})")
 
     # ---------------- EXPLAIN ------------------------------------------ #
-    plan = index.explain(a1, 500.0)
+    report = index.explain_report(a1, 500.0)
     print(f"\nEXPLAIN <a1, x> <= 500:")
-    print(f"  route          : {plan['route']}")
-    print(f"  selected index : #{plan['index_position']} "
-          f"(strategy {plan['strategy']})")
-    print(f"  intervals      : SI={plan['si_size']:,}  II={plan['ii_size']:,}  "
-          f"LI={plan['li_size']:,}")
+    print(f"  route          : {report.route}")
+    print(f"  selected index : #{report.chosen_index} "
+          f"(strategy {report.strategy})")
+    print(f"  intervals      : SI={report.si_size:,}  II={report.ii_size:,}  "
+          f"LI={report.li_size:,}")
+    print(f"  verified       : {report.n_verified:,} of {report.n_total:,}")
     matched = index.collection[0].normal
-    plan = index.explain(matched, 500.0)
-    print(f"EXPLAIN with an index-parallel normal: route={plan['route']}, "
-          f"II={plan['ii_size']}")
+    report = index.explain_report(matched, 500.0)
+    print(f"EXPLAIN with an index-parallel normal: route={report.route}, "
+          f"II={report.ii_size}")
 
     # ---------------- persistence -------------------------------------- #
     with tempfile.TemporaryDirectory() as tmp:

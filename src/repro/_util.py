@@ -7,7 +7,7 @@ module is part of the public API.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -19,10 +19,7 @@ __all__ = [
     "as_2d_float",
     "describe_nonfinite",
     "require_finite_rows",
-    "require_positive",
-    "require_same_length",
     "require_unique",
-    "pairwise_sq_distance",
 ]
 
 #: Cap on how many offending positions a non-finite error message names.
@@ -113,36 +110,3 @@ def require_unique(values: np.ndarray, message: str) -> None:
     ordered = np.sort(values)
     if (ordered[1:] == ordered[:-1]).any():
         raise ValueError(message)
-
-
-def require_positive(value: float, name: str) -> float:
-    """Validate that ``value`` is strictly positive and return it."""
-    if not value > 0:
-        raise ValueError(f"{name} must be strictly positive, got {value!r}")
-    return value
-
-
-def require_same_length(name_a: str, a: Iterable, name_b: str, b: Iterable) -> None:
-    """Raise :class:`DimensionMismatchError` unless ``len(a) == len(b)``."""
-    len_a = len(a)  # type: ignore[arg-type]
-    len_b = len(b)  # type: ignore[arg-type]
-    if len_a != len_b:
-        raise DimensionMismatchError(
-            f"{name_a} has length {len_a} but {name_b} has length {len_b}"
-        )
-
-
-def pairwise_sq_distance(points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
-    """Squared Euclidean distances between every row of ``points_a`` and ``points_b``.
-
-    Returns an ``(len(points_a), len(points_b))`` matrix.  Used by the
-    moving-object baseline, where the all-pairs scan is the whole point.
-    """
-    a = as_2d_float(points_a, "points_a")
-    b = as_2d_float(points_b, "points_b")
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatchError(
-            f"point dimensionalities differ: {a.shape[1]} vs {b.shape[1]}"
-        )
-    diff = a[:, None, :] - b[None, :, :]
-    return np.einsum("ijk,ijk->ij", diff, diff)

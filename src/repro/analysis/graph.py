@@ -165,10 +165,6 @@ class ClassInfo:
     teardown_attrs: set = field(default_factory=set)
     #: ``self.X`` attrs referenced inside close/shutdown/__exit__/__del__
 
-    def defines_teardown(self) -> bool:
-        """Whether the class itself declares ``close`` or ``shutdown``."""
-        return "close" in self.methods or "shutdown" in self.methods
-
 
 @dataclass(frozen=True)
 class SubmissionSite:

@@ -13,8 +13,8 @@
   deletes (Section 4.4).
 
 Queries whose parameters fall outside the indexed octant cannot use the
-interval argument; by default they transparently fall back to a sequential
-scan (and are flagged as such in the answer) instead of failing.
+interval argument; they are answered by an exact sequential scan and
+flagged as such in the answer (``used_fallback``).
 
 The sharded engine (:class:`~repro.parallel.engine.ShardedFunctionIndex`)
 subclasses :class:`FunctionIndex` and only replaces how one
@@ -186,14 +186,11 @@ class FunctionIndex:
     strategy:
         Best-index heuristic (default: counted |II| against a key sketch;
         the paper's min-stretch / volume heuristic is ``"min_stretch"``).
-    scan_fallback:
-        Answer octant-incompatible queries by scanning instead of raising.
-    margin:
-        Translation slack forwarded to :class:`Translator`.
     rng:
         Seed or generator for index-normal sampling.
 
-    Every query validates, records its workload sketch, octant-checks,
+    Every query validates, records its workload sketch, octant-checks
+    (a query outside the octant is answered by the exact fallback scan),
     then runs one call per Planar index collection through
     :meth:`_fan_out` and merges the slices; the whole call is one trace
     (:meth:`_traced`).  The sharded engine
@@ -210,11 +207,9 @@ class FunctionIndex:
         n_indices: int = 10,
         normals: np.ndarray | None = None,
         strategy: SelectionStrategy | str = SelectionStrategy.COUNTED,
-        scan_fallback: bool = True,
-        margin: float = 0.0,
         rng: np.random.Generator | int | None = None,
     ) -> None:
-        self._bind(points, query_model, feature_map, scan_fallback, margin, rng)
+        self._bind(points, query_model, feature_map, rng)
         self._collections = self._index_collections(
             [(self._features, "")], n_indices, normals, strategy
         )
@@ -224,8 +219,6 @@ class FunctionIndex:
         points: np.ndarray,
         query_model: QueryModel,
         feature_map: FeatureMap | None,
-        scan_fallback: bool,
-        margin: float,
         rng: np.random.Generator | int | None,
     ) -> None:
         """Validate and store the points, ``phi(points)`` and the translator."""
@@ -244,13 +237,12 @@ class FunctionIndex:
             )
         self._phi = feature_map
         self._model = query_model
-        self._scan_fallback = bool(scan_fallback)
         self._rng = as_rng(rng)
 
         features = feature_map(pts)
         self._features = FeatureStore(features)
         self._points = self._raw_store(pts)
-        self._translator = Translator(query_model.octant(), margin=margin)
+        self._translator = Translator(query_model.octant())
         self._translator.observe(features)
 
     def _raw_store(self, points: np.ndarray) -> FeatureStore:
@@ -430,14 +422,11 @@ class FunctionIndex:
         """Octant-translate ``spq`` once (the translator is shared).
 
         ``None`` when the query does not fit the octant and must be
-        answered by the fallback scan; raises instead when
-        ``scan_fallback`` is off.
+        answered by the fallback scan.
         """
         try:
             return self._collections[0].working_query(spq)
         except InvalidQueryError:
-            if not self._scan_fallback:
-                raise
             return None
 
     def _fallback(
@@ -779,8 +768,6 @@ class FunctionIndex:
         collection: PlanarIndexCollection,
         feature_map: FeatureMap,
         query_model: QueryModel,
-        scan_fallback: bool = True,
-        rng: np.random.Generator | int | None = None,
     ) -> "FunctionIndex":
         """Bind a facade over already-constructed components.
 
@@ -792,8 +779,7 @@ class FunctionIndex:
         self = cls.__new__(cls)
         self._phi = feature_map
         self._model = query_model
-        self._scan_fallback = bool(scan_fallback)
-        self._rng = as_rng(rng)
+        self._rng = as_rng(None)
         self._features = features
         self._points = self._raw_store(points)
         self._translator = translator
@@ -812,44 +798,6 @@ class FunctionIndex:
         return self._collections[0]
 
 
-    def explain(
-        self,
-        normal: np.ndarray,
-        offset: float,
-        op: Comparison | str = Comparison.LE,
-    ) -> dict[str, object]:
-        """EXPLAIN-style plan for a query, without executing it.
-
-        Returns the selected index (position and normal), the interval
-        sizes the plan is based on, and the route the executor would take:
-        ``"intervals"`` (pruned evaluation), ``"scan"`` (cost-based
-        fallback for an unselective index), or ``"octant-fallback"``
-        (parameter signs incompatible with the indexed octant).
-        """
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        try:
-            wq = self.collection.working_query(spq)
-        except InvalidQueryError as exc:
-            return {
-                "route": "octant-fallback",
-                "reason": str(exc),
-                "n_total": len(self),
-            }
-        plan = self.collection.plan(wq)
-        index = plan.index
-        part = index._split(index._log.state, plan.r_lo, plan.r_hi, middle=False)
-        return {
-            "route": plan.route,
-            "strategy": self.collection.strategy.value,
-            "index_position": plan.position,
-            "index_normal": index.normal.copy(),
-            "si_size": part.si,
-            "ii_size": part.ii,
-            "li_size": part.li,
-            "n_total": plan.n,
-            "expected_verified": plan.n if plan.route == "scan" else part.ii,
-        }
-
     def explain_report(
         self,
         normal: np.ndarray,
@@ -858,19 +806,15 @@ class FunctionIndex:
     ) -> ExplainReport:
         """Structured EXPLAIN report for a query, executing it once.
 
-        Unlike :meth:`explain`, which predicts the plan without running it,
-        this runs the query through the exact code path :meth:`query` takes
-        and reports measured interval sizes, verification counts, and the
-        pruning achieved.  Octant-incompatible queries produce a report for
-        the sequential-scan fallback route instead of raising (when
-        ``scan_fallback`` is set).
+        Runs the query through the exact code path :meth:`query` takes and
+        reports the chosen index and route, measured interval sizes,
+        verification counts, and the pruning achieved.  Octant-incompatible
+        queries produce a report for the sequential-scan fallback route.
         """
         spq = self._query(normal, offset, op)
         try:
             return self.collection.explain(spq)
         except InvalidQueryError as exc:
-            if not self._scan_fallback:
-                raise
             ids = scan_store(self._features, "inequality", [spq])[0]
             if _ort.active():
                 _om.explain_total().inc(route="octant-fallback")

@@ -47,7 +47,9 @@ flips, and torn writes surface as precise
 corruption.  In ``mmap`` mode only the small arrays (normals, octant,
 delta) are verified eagerly; hashing the big ones would page the whole
 index in and defeat the zero-copy load (documented trade-off — use
-``mode="copy"`` for a full integrity check).
+``mode="copy"`` for a full integrity check).  :func:`load_build_inputs`,
+which reads every point to rebuild an index, verifies the point and
+feature arrays as well.
 
 Feature maps are code, not data: built-in maps (identity / product)
 round-trip automatically; custom callables must be re-supplied at load
@@ -84,7 +86,7 @@ from .function_index import FunctionIndex
 from .phi import FeatureMap, identity_map, product_map
 from .sorted_keys import ID_DTYPE, KEY_DTYPE
 
-__all__ = ["save_index", "load_index", "PersistenceError"]
+__all__ = ["save_index", "load_index", "load_build_inputs", "PersistenceError"]
 
 _FORMAT_VERSION = 4
 _SUPPORTED_VERSIONS = (1, 2)
@@ -98,6 +100,10 @@ _DTYPES = {"keys": KEY_DTYPE.name, "ids": ID_DTYPE.name}
 #: Arrays verified eagerly even under ``mode="mmap"`` — O(r d') bytes, so
 #: checking them never pages the bulk data in.
 _SMALL_ARRAYS = ("normals", "octant", "delta")
+
+#: Arrays :func:`load_build_inputs` reads in full — O(n d') bytes, paged
+#: in by the rebuild anyway — so it verifies them under a mapped load too.
+_BUILD_ARRAYS = _SMALL_ARRAYS + ("points", "features")
 
 
 def _domain_to_json(domain: ParameterDomain) -> dict:
@@ -286,16 +292,49 @@ def load_index(
     manifests (``mmap`` loads verify the small arrays only — see the
     module docstring); v1 archives load without verification.
     """
+    return _load(Path(path), feature_map, mode, _SMALL_ARRAYS)
+
+
+def load_build_inputs(
+    path: str | Path,
+    feature_map: FeatureMap | None = None,
+) -> tuple[np.ndarray, dict]:
+    """The live points of an artifact and the settings to rebuild it with.
+
+    Returns ``(points, spec)``: ``spec`` holds the ``query_model``,
+    ``feature_map``, ``normals`` and ``strategy`` keyword arguments of a
+    :class:`FunctionIndex` or sharded constructor.  The artifact loads as
+    by ``load_index(path, feature_map)`` — a v4 directory is
+    memory-mapped, so its key arrays are never copied — and the point and
+    feature arrays the points are read from are checksum-verified too, so
+    a damaged artifact is refused as a copy load refuses it.
+    """
+    index = _load(Path(path), feature_map, "auto", _BUILD_ARRAYS)
+    spec = {
+        "query_model": index.query_model,
+        "feature_map": index.feature_map,
+        "normals": index.collection.normals,
+        "strategy": index.collection.strategy,
+    }
+    return index.get_points(index.live_ids()), spec
+
+
+def _load(
+    path: Path,
+    feature_map: FeatureMap | None,
+    mode: str,
+    mapped_verified: tuple[str, ...],
+) -> FunctionIndex:
+    """:func:`load_index`, verifying ``mapped_verified`` under a mapped load."""
     if mode not in ("auto", "mmap", "copy"):
         raise ValueError(f"mode must be 'auto', 'mmap', or 'copy', got {mode!r}")
-    path = Path(path)
     if path.is_dir():
         if not (path / _MANIFEST_NAME).exists():
             raise PersistenceError(
                 f"directory {path} has no {_MANIFEST_NAME} — not a save_index "
                 f"directory"
             )
-        return _load_dir(path, feature_map, mode)
+        return _load_dir(path, feature_map, mode, mapped_verified)
     if mode == "mmap":
         raise PersistenceError(
             f"{path} is a v1/v2 .npz archive; arrays inside an archive cannot "
@@ -359,12 +398,18 @@ def _load_npz(path: Path, feature_map: FeatureMap | None) -> FunctionIndex:
     return index
 
 
-def _load_dir(path: Path, feature_map: FeatureMap | None, mode: str) -> FunctionIndex:
+def _load_dir(
+    path: Path,
+    feature_map: FeatureMap | None,
+    mode: str,
+    mapped_verified: tuple[str, ...],
+) -> FunctionIndex:
     """v3/v4 load: bind the persisted derived arrays, mmap'd or copied.
 
     v4 key and id arrays are bound as stored.  v3 ones hold float64 keys
     and int64 ids; a copy load hands them to the key stores, which cast
-    each once, and a memmap load is refused.
+    each once, and a memmap load is refused.  A copy load verifies every
+    array, a mapped one only ``mapped_verified``.
     """
     try:
         metadata = json.loads((path / _MANIFEST_NAME).read_text("utf-8"))
@@ -427,7 +472,7 @@ def _load_dir(path: Path, feature_map: FeatureMap | None, mode: str) -> Function
                         f"index directory {path}: {name}.npy holds "
                         f"{arrays[name].dtype}, the manifest records {dtype}"
                     )
-    verify_names = list(arrays) if mmap_mode is None else list(_SMALL_ARRAYS)
+    verify_names = list(arrays) if mmap_mode is None else list(mapped_verified)
     verify_checksums(
         {name: arrays[name] for name in verify_names},
         {name: manifest[name] for name in verify_names if name in manifest},

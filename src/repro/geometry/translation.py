@@ -46,24 +46,19 @@ class Translator:
         Axis-sign vector of the octant in which query hyperplanes cross the
         axes (entries +1/-1), typically from
         :func:`repro.geometry.octant_from_domains`.
-    margin:
-        Extra additive slack applied to every ``delta_i``.  A small positive
-        margin keeps boundary points strictly inside the working octant,
-        which makes the strict-inequality operators cheap; zero reproduces
-        the paper exactly.
+
+    ``delta`` grows to exactly the deepest excursion below zero seen so far
+    (Eq. 10), as in the paper.
     """
 
-    def __init__(self, octant: np.ndarray, margin: float = 0.0) -> None:
+    def __init__(self, octant: np.ndarray) -> None:
         signs = np.asarray(octant, dtype=np.float64)
         if signs.ndim != 1 or not np.all(np.isin(signs, (-1.0, 1.0))):
             raise InvalidQueryError(
                 "octant must be a 1-D vector of +1/-1 axis signs"
             )
-        if margin < 0:
-            raise ValueError(f"margin must be nonnegative, got {margin}")
         self._signs = signs
         self._signs.setflags(write=False)
-        self._margin = float(margin)
         self._delta = np.zeros(signs.size, dtype=np.float64)
 
     # ------------------------------------------------------------------ #
@@ -110,8 +105,7 @@ class Translator:
             return False
         # Required shift per axis: deepest excursion below zero after reflection.
         reflected = pts * self._signs
-        deficit = np.maximum(0.0, -reflected.min(axis=0))
-        needed = np.where(deficit > 0.0, deficit + self._margin, 0.0)
+        needed = np.maximum(0.0, -reflected.min(axis=0))
         grew = needed > self._delta
         if not np.any(grew):
             return False

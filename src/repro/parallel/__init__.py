@@ -8,13 +8,11 @@ to the monolithic :class:`~repro.core.function_index.FunctionIndex`.
 """
 
 from .engine import ShardedFunctionIndex
-from .sharding import SHARD_POLICIES, assign_shards, shard_ids
+from .sharding import assign_shards
 from .view import FeatureStoreView
 
 __all__ = [
     "ShardedFunctionIndex",
     "FeatureStoreView",
-    "SHARD_POLICIES",
     "assign_shards",
-    "shard_ids",
 ]

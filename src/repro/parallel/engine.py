@@ -94,7 +94,7 @@ from ..obs import spans as _osp
 from ..obs import trace as _otr
 from ..reliability import faults as _flt
 from ..reliability.degraded import DegradedInfo, FailurePolicy
-from .sharding import SHARD_POLICIES, assign_shards
+from .sharding import assign_shards
 from .view import FeatureStoreView
 
 __all__ = ["ShardedFunctionIndex"]
@@ -138,10 +138,8 @@ class ShardedFunctionIndex(FunctionIndex):
 
     n_shards:
         Number of data partitions ``S``.  ``1`` (the default) keeps the
-        monolithic layout and executes inline.
-    policy:
-        Shard-membership policy, ``"round_robin"`` or ``"hash"``
-        (:mod:`repro.parallel.sharding`).
+        monolithic layout and executes inline.  Point ``id`` belongs to
+        shard ``id % n_shards`` (:mod:`repro.parallel.sharding`).
     max_workers:
         Worker-pool size for the fan-out; defaults to
         ``min(n_shards, cpu_count)``.
@@ -166,7 +164,7 @@ class ShardedFunctionIndex(FunctionIndex):
         draws and answers stay bit-identical to the monolithic path.
 
     The single-collection extras of :class:`FunctionIndex` (``collection``,
-    ``explain``, ``explain_report``, conjunctions and disjunctions) raise
+    ``explain_report``, conjunctions and disjunctions) raise
     :class:`AttributeError` here: answered over shard 0 they would be
     wrong.
 
@@ -176,7 +174,6 @@ class ShardedFunctionIndex(FunctionIndex):
     """
 
     collection = _SingleCollectionOnly()
-    explain = _SingleCollectionOnly()
     explain_report = _SingleCollectionOnly()
     query_conjunction = _SingleCollectionOnly()
     query_disjunction = _SingleCollectionOnly()
@@ -190,11 +187,8 @@ class ShardedFunctionIndex(FunctionIndex):
         n_indices: int = 10,
         normals: np.ndarray | None = None,
         strategy: SelectionStrategy | str = SelectionStrategy.COUNTED,
-        scan_fallback: bool = True,
-        margin: float = 0.0,
         rng: np.random.Generator | int | None = None,
         n_shards: int = 1,
-        policy: str = "round_robin",
         max_workers: int | None = None,
         failure_policy: FailurePolicy | str | None = None,
         query_timeout_s: float | None = None,
@@ -203,10 +197,6 @@ class ShardedFunctionIndex(FunctionIndex):
     ) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
-        if policy not in SHARD_POLICIES:
-            raise ValueError(
-                f"unknown shard policy {policy!r}; choose from {SHARD_POLICIES}"
-            )
         if query_timeout_s is not None and not query_timeout_s > 0:
             raise ValueError(
                 f"query_timeout_s must be positive or None, got {query_timeout_s}"
@@ -217,9 +207,8 @@ class ShardedFunctionIndex(FunctionIndex):
             raise ValueError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         # Not FunctionIndex.__init__: the engine builds one collection per
         # shard instead of one over the whole store.
-        self._bind(points, query_model, feature_map, scan_fallback, margin, rng)
+        self._bind(points, query_model, feature_map, rng)
         self._n_shards = int(n_shards)
-        self._policy = str(policy)
         self._max_workers = (
             min(self._n_shards, os.cpu_count() or 1)
             if max_workers is None
@@ -243,7 +232,7 @@ class ShardedFunctionIndex(FunctionIndex):
             [self._features]
             if self._n_shards == 1
             else [
-                FeatureStoreView(self._features, shard, self._n_shards, self._policy)
+                FeatureStoreView(self._features, shard, self._n_shards)
                 for shard in range(self._n_shards)
             ]
         )
@@ -296,18 +285,13 @@ class ShardedFunctionIndex(FunctionIndex):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ShardedFunctionIndex(n={len(self)}, shards={self._n_shards}, "
-            f"policy={self._policy!r}, r={self.n_indices})"
+            f"r={self.n_indices})"
         )
 
     @property
     def n_shards(self) -> int:
         """Number of data partitions."""
         return self._n_shards
-
-    @property
-    def policy(self) -> str:
-        """Shard-membership policy."""
-        return self._policy
 
     @property
     def failure_policy(self) -> FailurePolicy:
@@ -682,7 +666,7 @@ class ShardedFunctionIndex(FunctionIndex):
         if ids is None:
             targets = [(shard, slice(None)) for shard in range(self._n_shards)]
         else:
-            assignment = assign_shards(ids, self._n_shards, self._policy)
+            assignment = assign_shards(ids, self._n_shards)
             masks = [assignment == shard for shard in range(self._n_shards)]
             targets = [(shard, mask) for shard, mask in enumerate(masks) if mask.any()]
         done = [

@@ -1,4 +1,4 @@
-"""Shard-membership policies for the parallel execution engine.
+"""Shard membership for the parallel execution engine.
 
 Membership is a *pure function of the point id* — no per-point state, no
 routing tables.  That is what lets :class:`~repro.parallel.view.FeatureStoreView`
@@ -6,73 +6,27 @@ stay a stateless filter over the shared :class:`~repro.core.feature_store.Featur
 any component can recompute which shard owns an id at any time and always
 agree with every other component.
 
-Two policies are provided (the trade-off mirrors classic distributed kNN
-partitioning, e.g. HD-Index's distributed RDB layout):
-
-``round_robin``
-    ``shard(id) = id % S``.  Ids are assigned densely by the feature
-    store, so consecutive inserts spread perfectly evenly across shards;
-    deletions of contiguous id ranges, however, drain shards unevenly.
-
-``hash``
-    ``shard(id) = splitmix64(id) % S``.  A finalizing 64-bit mixer makes
-    the shard of an id independent of insertion order and of any
-    structure in the workload's delete pattern, at the cost of a few
-    integer multiplies per id.
+The one rule is round-robin, ``shard(id) = id % S``.  Ids are assigned
+densely by the feature store, so consecutive inserts spread evenly across
+shards; deletions of contiguous id ranges, however, drain shards unevenly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["SHARD_POLICIES", "assign_shards", "shard_ids"]
-
-SHARD_POLICIES = ("round_robin", "hash")
+__all__ = ["assign_shards"]
 
 
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalizer (Steele et al.; public domain mixer).
-
-    Operates in uint64 with wrap-around semantics — the mixer is *defined*
-    over the 2^64 ring, so the hot-path float64/int64 dtype contract does
-    not apply to this intentionally modular arithmetic.
-    """
-    # uint64 wrap-around is the definition of splitmix64, hence the
-    # per-line REP002 suppressions below.
-    z = values.astype(np.uint64, copy=True)  # repro: noqa(REP002)
-    with np.errstate(over="ignore"):
-        z += np.uint64(0x9E3779B97F4A7C15)  # repro: noqa(REP002)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)  # repro: noqa(REP002)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D4A2C62D024255)  # repro: noqa(REP002)
-        z ^= z >> np.uint64(31)  # repro: noqa(REP002)
-    return z
-
-
-def assign_shards(
-    ids: np.ndarray, n_shards: int, policy: str = "round_robin"
-) -> np.ndarray:
+def assign_shards(ids: np.ndarray, n_shards: int) -> np.ndarray:
     """Shard index (``0 .. n_shards-1``) owning each id, as ``int64``.
 
-    Deterministic and stateless: the same ``(id, n_shards, policy)`` always
-    maps to the same shard, across processes and across calls.
+    Deterministic and stateless: the same ``(id, n_shards)`` always maps
+    to the same shard, across processes and across calls.
     """
     if n_shards <= 0:
         raise ValueError(f"n_shards must be positive, got {n_shards}")
     ids = np.ascontiguousarray(ids, dtype=np.int64)
     if np.any(ids < 0):
         raise ValueError("point ids must be nonnegative")
-    if policy == "round_robin":
-        return ids % np.int64(n_shards)
-    if policy == "hash":
-        # Modulus in uint64 space, cast back to the int64 contract dtype.
-        return (_splitmix64(ids) % np.uint64(n_shards)).astype(np.int64)  # repro: noqa(REP002)
-    raise ValueError(f"unknown shard policy {policy!r}; choose from {SHARD_POLICIES}")
-
-
-def shard_ids(
-    ids: np.ndarray, shard: int, n_shards: int, policy: str = "round_robin"
-) -> np.ndarray:
-    """Subset of ``ids`` owned by ``shard`` (order preserved)."""
-    assignment = assign_shards(ids, n_shards, policy)
-    ids = np.ascontiguousarray(ids, dtype=np.int64)
-    return ids[assignment == shard]
+    return ids % np.int64(n_shards)

@@ -33,17 +33,14 @@ class FeatureStoreView:
     for which ``assign_shards(id) == shard``.
     """
 
-    __slots__ = ("_base", "_shard", "_n_shards", "_policy", "_ids_cache", "_scan_cache")
+    __slots__ = ("_base", "_shard", "_n_shards", "_ids_cache", "_scan_cache")
 
-    def __init__(
-        self, base: FeatureStore, shard: int, n_shards: int, policy: str
-    ) -> None:
+    def __init__(self, base: FeatureStore, shard: int, n_shards: int) -> None:
         if not 0 <= shard < n_shards:
             raise ValueError(f"shard {shard} out of range [0, {n_shards})")
         self._base = base
         self._shard = int(shard)
         self._n_shards = int(n_shards)
-        self._policy = str(policy)
         # Memoized owned live ids and (lazily) the float32 scan copy of the
         # matching rows, both keyed by the base store's mutation
         # ``version``.  Recomputing membership over the whole base per scan
@@ -75,7 +72,7 @@ class FeatureStoreView:
 
     def _owned(self, ids: np.ndarray) -> np.ndarray:
         """Subset of ``ids`` owned by this shard (order preserved)."""
-        mask = assign_shards(ids, self._n_shards, self._policy) == self._shard
+        mask = assign_shards(ids, self._n_shards) == self._shard
         return ids[mask]
 
     def live_ids(self) -> np.ndarray:
@@ -117,7 +114,7 @@ class FeatureStoreView:
     def is_live(self, point_id: int) -> bool:
         """Whether ``point_id`` is live *and* owned by this shard."""
         return self._base.is_live(point_id) and (
-            int(assign_shards(np.asarray([point_id]), self._n_shards, self._policy)[0])
+            int(assign_shards(np.asarray([point_id]), self._n_shards)[0])
             == self._shard
         )
 

@@ -49,18 +49,17 @@ def _build_engine(args: argparse.Namespace):
     from repro.parallel.engine import ShardedFunctionIndex
 
     if args.index:
-        from repro.core.persistence import load_index
+        from repro.core.persistence import load_build_inputs
 
-        mono = load_index(args.index, mode="copy")
-        # Re-wrap the artifact's points, normals and strategy behind the
-        # sharded facade so the service has one engine type to talk to.
+        # Only the artifact's points, normals and strategy are re-wrapped
+        # behind the sharded facade (one engine type for the service), so
+        # its key arrays are mapped, not copied, and dropped before the
+        # engine builds its own.
         # Ids are re-assigned densely (0..n-1), as for any fresh build.
+        points, spec = load_build_inputs(args.index)
         return ShardedFunctionIndex(
-            mono.get_points(mono.live_ids()),
-            mono.query_model,
-            feature_map=mono.feature_map,
-            normals=mono.collection.normals,
-            strategy=mono.collection.strategy,
+            points,
+            **spec,
             rng=args.seed,
             n_shards=args.shards,
             max_workers=args.workers,

@@ -106,31 +106,33 @@ class TestExplain:
         points, model, index = setup
         # Query with an existing index normal: near-empty intermediate.
         normal = index.collection[0].normal
-        plan = index.explain(normal, 500.0)
-        assert plan["route"] == "intervals"
-        assert plan["ii_size"] <= 1
-        assert plan["si_size"] + plan["ii_size"] + plan["li_size"] == plan["n_total"]
-        assert plan["expected_verified"] == plan["ii_size"]
+        report = index.explain_report(normal, 500.0)
+        assert report.route == "intervals"
+        assert report.chosen_index == 0
+        assert report.ii_size <= 1
+        assert report.si_size + report.ii_size + report.li_size == report.n_total
+        assert report.n_verified == report.ii_size
 
     def test_scan_route_for_hostile_query(self, rng):
         points = rng.uniform(1, 100, size=(2000, 2))
         model = QueryModel.uniform(dim=2, low=1.0, high=50.0)
         index = FunctionIndex(points, model, normals=np.array([[1.0, 50.0]]), rng=0)
-        plan = index.explain(np.array([50.0, 1.0]), 2000.0)
-        assert plan["route"] == "scan"
-        assert plan["expected_verified"] == plan["n_total"]
+        report = index.explain_report(np.array([50.0, 1.0]), 2000.0)
+        assert report.route == "scan"
+        assert report.n_verified == report.n_total == len(points)
 
     def test_octant_fallback_route(self, setup):
         _, _, index = setup
-        plan = index.explain(np.array([-1.0, -1.0, -1.0, -1.0]), 100.0)
-        assert plan["route"] == "octant-fallback"
-        assert "reason" in plan
+        report = index.explain_report(np.array([-1.0, -1.0, -1.0, -1.0]), 100.0)
+        assert report.route == "octant-fallback"
+        assert report.notes  # the octant error names the reason
 
     def test_plan_matches_execution(self, setup, rng):
         points, model, index = setup
         normal = model.sample_normal(rng)
-        plan = index.explain(normal, 500.0)
+        report = index.explain_report(normal, 500.0)
         answer = index.query(normal, 500.0)
-        assert plan["n_total"] == answer.stats.n_total
-        assert plan["ii_size"] == answer.stats.ii_size
-        assert answer.stats.n_verified == plan["expected_verified"]
+        assert report.strategy == index.collection.strategy.value
+        assert report.n_total == answer.stats.n_total
+        assert report.ii_size == answer.stats.ii_size
+        assert report.n_verified == answer.stats.n_verified

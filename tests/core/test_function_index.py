@@ -12,7 +12,7 @@ from repro import (
     ScalarProductQuery,
     product_map,
 )
-from repro.exceptions import DimensionMismatchError, InvalidQueryError
+from repro.exceptions import DimensionMismatchError
 
 from ..conftest import brute_force_ids, churn
 
@@ -66,13 +66,6 @@ class TestQueries:
         assert answer.used_fallback
         query = ScalarProductQuery(np.array([-1.0, -1.0, -1.0, -1.0]), 100.0)
         assert np.array_equal(answer.ids, brute_force_ids(uniform_points, query))
-
-    def test_fallback_can_be_disabled(self, uniform_points, uniform_model):
-        index = FunctionIndex(
-            uniform_points, uniform_model, scan_fallback=False, rng=0
-        )
-        with pytest.raises(InvalidQueryError):
-            index.query(np.array([-1.0, -1.0, -1.0, -1.0]), 100.0)
 
     def test_topk_fallback(self, uniform_points, uniform_model):
         index = FunctionIndex(uniform_points, uniform_model, rng=0)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -162,6 +164,44 @@ class TestOneStore:
                 target.delete_points(np.array([2, 302], dtype=np.int64))
             assert np.array_equal(loaded.get_points(changed), extra[:2] + 1.0)
             same_answers()
+
+
+class TestConstructorArguments:
+    """No ``FunctionIndex`` argument is silently dropped by a save and load.
+
+    Each argument is either restored by :func:`load_index`, and checked
+    here by value, or consumed at build.  A new argument must be listed
+    as one or the other.
+    """
+
+    RESTORED = {
+        "feature_map": lambda index, sample: (
+            index.feature_map.names,
+            index.feature_map(sample).tolist(),
+        ),
+        "query_model": lambda index, sample: index.query_model.domains,
+        "normals": lambda index, sample: index.collection.normals.tolist(),
+        "strategy": lambda index, sample: index.collection.strategy,
+    }
+    CONSUMED_AT_BUILD = {"points", "n_indices", "rng"}
+
+    def test_every_argument_is_listed(self):
+        parameters = set(inspect.signature(FunctionIndex.__init__).parameters) - {"self"}
+        assert parameters == set(self.RESTORED) | self.CONSUMED_AT_BUILD
+
+    @pytest.mark.parametrize("mode", ["copy", "mmap"])
+    def test_restored_arguments_round_trip(self, tmp_path, rng, mode):
+        points = rng.uniform(1, 10, size=(300, 4))
+        index = FunctionIndex(
+            points,
+            QueryModel([ParameterDomain(values=[1.0, 2.0]), ParameterDomain(low=-1.0, high=-0.1)]),
+            feature_map=product_map(4, [(0,), (2, 3)]),
+            normals=np.array([[1.0, -0.5], [2.0, -0.2], [1.0, -1.0]]),
+            strategy="min_stretch",
+        )
+        loaded = load_index(save_index(index, tmp_path / "idx"), mode=mode)
+        for name, read in self.RESTORED.items():
+            assert read(loaded, points[:20]) == read(index, points[:20]), name
 
 
 class TestErrors:

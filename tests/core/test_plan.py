@@ -101,7 +101,6 @@ def test_constraints_and_explain_compute_thresholds_once_per_working_query(thres
     assert threshold_calls(lambda: index.query_conjunction(constraints)) == 2
     assert threshold_calls(lambda: index.query_disjunction(constraints)) == 2
     normal, offset = constraints[0]
-    assert threshold_calls(lambda: index.explain(normal, offset)) == 1
     assert threshold_calls(lambda: index.explain_report(normal, offset)) == 1
     query = ScalarProductQuery(normal, offset)
     assert threshold_calls(lambda: index.collection.explain(query)) == 1

@@ -432,7 +432,6 @@ def test_queries_never_rebind_the_selection_snapshot():
     index.topk(normal, offset, 5)
     index.query_range(normal, 100.0, offset)
     index.query_conjunction([(normal, offset), (normal[::-1], offset)])
-    index.explain(normal, offset)
     index.explain_report(normal, offset)
     collection.explain(ScalarProductQuery(normal, offset))
     assert collection._cache is snapshot

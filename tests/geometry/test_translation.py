@@ -18,10 +18,6 @@ class TestConstruction:
         with pytest.raises(InvalidQueryError):
             Translator(np.array([1.0, 0.0]))
 
-    def test_negative_margin_rejected(self):
-        with pytest.raises(ValueError):
-            Translator(np.array([1.0, 1.0]), margin=-0.1)
-
     def test_initial_delta_zero(self):
         translator = Translator(np.array([1.0, -1.0]))
         assert np.array_equal(translator.delta, [0.0, 0.0])
@@ -55,11 +51,6 @@ class TestObserve:
     def test_empty_batch_is_noop(self):
         translator = Translator(np.array([1.0, 1.0]))
         assert translator.observe(np.empty((0, 2))) is False
-
-    def test_margin_applied_to_shifted_axes_only(self):
-        translator = Translator(np.array([1.0, 1.0]), margin=0.5)
-        translator.observe([[-2.0, 3.0]])
-        assert np.array_equal(translator.delta, [2.5, 0.0])
 
     def test_dimension_mismatch(self):
         translator = Translator(np.array([1.0, 1.0]))

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro import FunctionIndex, ScalarProductQuery
-from repro.exceptions import InvalidQueryError
 from repro.obs.explain import ExplainReport, IndexCandidate, render_report
 
 from ..conftest import one_index
@@ -132,15 +131,3 @@ class TestOctantFallbackExplain:
         assert answer.used_fallback
         assert report.n_results == len(answer)
 
-    def test_fallback_disabled_raises(self, uniform_points, uniform_model):
-        strict = FunctionIndex(
-            uniform_points, uniform_model, n_indices=4, scan_fallback=False, rng=0
-        )
-        with pytest.raises(InvalidQueryError):
-            strict.explain_report(np.array([-1.0, 1.0, 1.0, 1.0]), 10.0)
-
-    def test_legacy_explain_dict_unchanged(self, built_index, uniform_model):
-        normal = uniform_model.sample_normal(2)
-        plan = built_index.explain(normal, 100.0)
-        assert isinstance(plan, dict)
-        assert {"route", "n_total"} <= set(plan)

@@ -11,22 +11,16 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import (
-    FunctionIndex,
-    InvalidQueryError,
-    QueryModel,
-    ShardedFunctionIndex,
-)
+from repro import FunctionIndex, QueryModel, ShardedFunctionIndex
 from repro.obs import metrics as obs_metrics
-from repro.parallel import SHARD_POLICIES
 
 from ..conftest import churn
 
 
-def _pair(points, model, n_shards, policy="round_robin", **kwargs):
-    mono = FunctionIndex(points, model, n_indices=6, rng=0, **kwargs)
+def _pair(points, model, n_shards):
+    mono = FunctionIndex(points, model, n_indices=6, rng=0)
     sharded = ShardedFunctionIndex(
-        points, model, n_indices=6, rng=0, n_shards=n_shards, policy=policy, **kwargs
+        points, model, n_indices=6, rng=0, n_shards=n_shards
     )
     return mono, sharded
 
@@ -41,10 +35,9 @@ def _sample_queries(model, count, seed=42):
     return queries
 
 
-@pytest.mark.parametrize("policy", SHARD_POLICIES)
 class TestBitIdenticalResults:
-    def test_inequality(self, uniform_points, uniform_model, n_shards, policy):
-        mono, sharded = _pair(uniform_points, uniform_model, n_shards, policy)
+    def test_inequality(self, uniform_points, uniform_model, n_shards):
+        mono, sharded = _pair(uniform_points, uniform_model, n_shards)
         with sharded:
             for normal, offset in _sample_queries(uniform_model, 10):
                 expected = mono.query(normal, offset)
@@ -52,8 +45,8 @@ class TestBitIdenticalResults:
                 assert np.array_equal(expected.ids, got.ids)
                 assert not got.used_fallback
 
-    def test_range(self, uniform_points, uniform_model, n_shards, policy):
-        mono, sharded = _pair(uniform_points, uniform_model, n_shards, policy)
+    def test_range(self, uniform_points, uniform_model, n_shards):
+        mono, sharded = _pair(uniform_points, uniform_model, n_shards)
         with sharded:
             for normal, offset in _sample_queries(uniform_model, 10):
                 expected = mono.query_range(normal, 0.4 * offset, offset)
@@ -61,8 +54,8 @@ class TestBitIdenticalResults:
                 assert np.array_equal(expected.ids, got.ids)
 
     @pytest.mark.parametrize("k", [1, 7, 50])
-    def test_topk(self, uniform_points, uniform_model, n_shards, policy, k):
-        mono, sharded = _pair(uniform_points, uniform_model, n_shards, policy)
+    def test_topk(self, uniform_points, uniform_model, n_shards, k):
+        mono, sharded = _pair(uniform_points, uniform_model, n_shards)
         with sharded:
             for normal, offset in _sample_queries(uniform_model, 8):
                 expected = mono.topk(normal, offset, k)
@@ -71,8 +64,8 @@ class TestBitIdenticalResults:
                 assert np.array_equal(expected.distances, got.distances)
                 assert got.n_total == len(sharded)
 
-    def test_batch(self, uniform_points, uniform_model, n_shards, policy):
-        mono, sharded = _pair(uniform_points, uniform_model, n_shards, policy)
+    def test_batch(self, uniform_points, uniform_model, n_shards):
+        mono, sharded = _pair(uniform_points, uniform_model, n_shards)
         queries = _sample_queries(uniform_model, 12)
         normals = np.vstack([normal for normal, _ in queries])
         offsets = np.asarray([offset for _, offset in queries])
@@ -114,15 +107,6 @@ class TestOctantFallback:
             expected_r = mono.query_range(bad_normal, -5.0, 5.0)
             got_r = sharded.query_range(bad_normal, -5.0, 5.0)
             assert np.array_equal(expected_r.ids, got_r.ids)
-
-    def test_fallback_disabled_raises(
-        self, mixed_sign_points, mixed_sign_model, n_shards
-    ):
-        _, sharded = _pair(
-            mixed_sign_points, mixed_sign_model, n_shards, scan_fallback=False
-        )
-        with sharded, pytest.raises(InvalidQueryError):
-            sharded.query(np.asarray([1.0, 1.0, 1.0]), 5.0)
 
 
 class TestMaintenance:
@@ -246,8 +230,6 @@ class TestShardLayout:
     def test_rejects_bad_configuration(self, uniform_points, uniform_model):
         with pytest.raises(ValueError):
             ShardedFunctionIndex(uniform_points, uniform_model, n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedFunctionIndex(uniform_points, uniform_model, policy="nope")
 
     def test_close_is_idempotent(self, uniform_points, uniform_model, n_shards):
         sharded = ShardedFunctionIndex(

@@ -1,7 +1,7 @@
 """Property tests: sharded and monolithic execution are interchangeable.
 
-Hypothesis drives dataset size, dimensionality, shard count, policy, and
-query geometry; every example asserts *bit-identical* ids and distances
+Hypothesis drives dataset size, dimensionality, shard count, and query
+geometry; every example asserts *bit-identical* ids and distances
 between :class:`~repro.parallel.engine.ShardedFunctionIndex` and
 :class:`~repro.core.function_index.FunctionIndex` for inequality, range,
 and top-k queries.  Integer-valued float64 inputs make every scalar
@@ -23,16 +23,15 @@ def sharded_cases(draw):
     dim = draw(st.integers(min_value=2, max_value=4))
     n = draw(st.integers(min_value=1, max_value=150))
     n_shards = draw(st.integers(min_value=1, max_value=6))
-    policy = draw(st.sampled_from(["round_robin", "hash"]))
     seed = draw(st.integers(min_value=0, max_value=2**16))
     n_indices = draw(st.integers(min_value=1, max_value=4))
     offset_scale = draw(st.floats(min_value=0.0, max_value=1.5))
     k = draw(st.integers(min_value=1, max_value=12))
-    return dim, n, n_shards, policy, seed, n_indices, offset_scale, k
+    return dim, n, n_shards, seed, n_indices, offset_scale, k
 
 
 def _build(case):
-    dim, n, n_shards, policy, seed, n_indices, offset_scale, k = case
+    dim, n, n_shards, seed, n_indices, offset_scale, k = case
     rng = np.random.default_rng(seed)
     # Integer-valued points and query parameters: scalar products are
     # exact in float64, ties happen often, and both paths must break them
@@ -46,7 +45,6 @@ def _build(case):
         n_indices=n_indices,
         rng=seed,
         n_shards=n_shards,
-        policy=policy,
     )
     normal = np.asarray(rng.integers(1, 6, size=dim), dtype=np.float64)
     offset = float(np.round(offset_scale * normal @ points.max(axis=0)))

@@ -1,47 +1,37 @@
-"""Unit tests for the shard-membership policies."""
+"""Unit tests for the shard-membership rule."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.parallel import SHARD_POLICIES, assign_shards, shard_ids
+from repro.parallel import assign_shards
 
 
 class TestAssignShards:
     def test_round_robin_is_modulo(self):
         ids = np.arange(100, dtype=np.int64)
-        assert np.array_equal(assign_shards(ids, 4, "round_robin"), ids % 4)
+        assert np.array_equal(assign_shards(ids, 4), ids % 4)
 
-    @pytest.mark.parametrize("policy", SHARD_POLICIES)
-    def test_deterministic_and_in_range(self, policy):
+    def test_deterministic_and_in_range(self):
         ids = np.arange(0, 10_000, 7, dtype=np.int64)
-        first = assign_shards(ids, 5, policy)
-        second = assign_shards(ids, 5, policy)
+        first = assign_shards(ids, 5)
+        second = assign_shards(ids, 5)
         assert np.array_equal(first, second)
         assert first.dtype == np.int64
         assert first.min() >= 0 and first.max() < 5
 
-    def test_hash_is_reasonably_balanced(self):
-        ids = np.arange(20_000, dtype=np.int64)
-        counts = np.bincount(assign_shards(ids, 4, "hash"), minlength=4)
-        # Every shard within 10% of the ideal quarter.
-        assert counts.min() > 0.9 * ids.size / 4
-        assert counts.max() < 1.1 * ids.size / 4
-
-    def test_hash_ignores_id_structure(self):
-        # Round-robin sends an arithmetic progression with stride == S to
-        # one shard; the hash policy must still spread it.
-        ids = np.arange(0, 40_000, 4, dtype=np.int64)
-        assert np.unique(assign_shards(ids, 4, "round_robin")).size == 1
-        assert np.unique(assign_shards(ids, 4, "hash")).size == 4
-
     def test_single_shard_owns_everything(self):
         ids = np.arange(50, dtype=np.int64)
-        for policy in SHARD_POLICIES:
-            assert np.array_equal(
-                assign_shards(ids, 1, policy), np.zeros(50, dtype=np.int64)
-            )
+        assert np.array_equal(assign_shards(ids, 1), np.zeros(50, dtype=np.int64))
+
+    def test_partition_is_disjoint_and_complete(self):
+        ids = np.arange(0, 999, 3, dtype=np.int64)
+        assignment = assign_shards(ids, 4)
+        parts = [ids[assignment == shard] for shard in range(4)]
+        merged = np.sort(np.concatenate(parts))
+        assert np.array_equal(merged, np.sort(ids))
+        assert sum(part.size for part in parts) == ids.size
 
     def test_rejects_bad_inputs(self):
         ids = np.arange(10, dtype=np.int64)
@@ -49,21 +39,3 @@ class TestAssignShards:
             assign_shards(ids, 0)
         with pytest.raises(ValueError):
             assign_shards(np.asarray([-1]), 2)
-        with pytest.raises(ValueError):
-            assign_shards(ids, 2, "unknown")
-
-
-class TestShardIds:
-    @pytest.mark.parametrize("policy", SHARD_POLICIES)
-    def test_partition_is_disjoint_and_complete(self, policy):
-        ids = np.arange(0, 999, 3, dtype=np.int64)
-        parts = [shard_ids(ids, shard, 4, policy) for shard in range(4)]
-        merged = np.sort(np.concatenate(parts))
-        assert np.array_equal(merged, np.sort(ids))
-        assert sum(part.size for part in parts) == ids.size
-
-    def test_order_preserved(self):
-        ids = np.asarray([8, 0, 4, 12, 2], dtype=np.int64)
-        assert np.array_equal(
-            shard_ids(ids, 0, 4, "round_robin"), np.asarray([8, 0, 4, 12])
-        )

@@ -13,11 +13,12 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from repro import FunctionIndex, QueryModel, save_index
+from repro import FunctionIndex, PersistenceError, QueryModel, save_index
 from repro.core.selection import SelectionStrategy
 from repro.serve.cli import _build_engine
 
@@ -107,3 +108,45 @@ def test_index_artifact_keeps_its_normals_and_strategy(tmp_path):
         for _ in range(8):
             normal, offset = model.sample_normal(rng), float(rng.uniform(100.0, 900.0))
             assert np.array_equal(engine.query(normal, offset).ids, mono.query(normal, offset).ids)
+
+
+@pytest.mark.parametrize("array", ["points", "features"])
+def test_damaged_index_artifact_is_refused(tmp_path, array):
+    """The arrays the engine is rebuilt from are checksum-verified."""
+    rng = np.random.default_rng(4)
+    points = rng.uniform(1.0, 100.0, size=(600, 3))
+    model = QueryModel.uniform(dim=3, low=1.0, high=5.0, rq=4)
+    path = save_index(FunctionIndex(points, model, n_indices=4, rng=0), tmp_path / "idx")
+    damaged = path / f"{array}.npy"
+    data = bytearray(damaged.read_bytes())
+    data[-1] ^= 0x01
+    damaged.write_bytes(bytes(data))
+    args = argparse.Namespace(index=str(path), seed=0, shards=2, workers=1)
+    with pytest.raises(PersistenceError, match=array):
+        _build_engine(args)
+
+
+def test_index_artifact_is_not_held_beside_the_engine(tmp_path):
+    """The artifact's key arrays are mapped, not copied, and dropped before the build.
+
+    Copying them would keep every key array alive beside the engine's own
+    until the build ends, pushing the traced peak past this bar.
+    """
+    rng = np.random.default_rng(5)
+    points = rng.uniform(1.0, 100.0, size=(10_000, 6))
+    model = QueryModel.uniform(dim=6, low=1.0, high=5.0, rq=4)
+    path = save_index(FunctionIndex(points, model, n_indices=100, rng=0), tmp_path / "idx")
+    key_bytes = sum(
+        np.load(array, mmap_mode="r").nbytes
+        for array in path.glob("*.npy")
+        if array.name.startswith(("keys_", "ids_"))
+    )
+    args = argparse.Namespace(index=str(path), seed=0, shards=2, workers=1)
+    tracemalloc.start()
+    try:
+        engine = _build_engine(args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    with engine:
+        assert peak < engine.memory_bytes() + key_bytes
