@@ -14,7 +14,8 @@ Arms:
 
 ``bare``
     The identical fan-out re-inlined here with *no* reliability code:
-    same executor, same per-shard ``collection.query``, same merge.
+    same wave plan, same per-shard ``collection.query`` in turn, same
+    merge.
 
 An informational test also measures the armed-but-never-firing cost
 (rule table scanned on every shard task), which is opt-in and allowed to
@@ -71,14 +72,12 @@ def _bare_query(engine: ShardedFunctionIndex, normal: np.ndarray, offset: float)
     """The exact disarmed fan-out pipeline with every reliability hook removed."""
     spq = engine._query(normal, offset, "<=")
     wq = engine._working(spq)
-    *pooled, last = engine.collections
-    futures = (
-        [engine._ensure_executor().submit(collection.query, wq) for collection in pooled]
-        if pooled
-        else []
-    )
-    tail = last.query(wq)  # the wave runs its last shard on the calling thread
-    return _merge_answer([future.result() for future in futures] + [tail], None)
+    plans = engine._plan_wave([wq])
+    parts = [
+        collection.query(wq, choices[0])
+        for collection, choices in zip(engine.collections, plans)
+    ]
+    return _merge_answer(parts, None)
 
 
 def test_disarmed_fault_overhead_below_two_percent(benchmark):
@@ -109,7 +108,7 @@ def test_disarmed_fault_overhead_below_two_percent(benchmark):
         assert np.array_equal(expected.ids, got.ids)
         assert expected.degraded is None
 
-    # Warm up caches, the thread pool, and BLAS threads.
+    # Warm up caches and BLAS threads.
     for normal, offset in queries:
         engine.query(normal, offset)
         _bare_query(engine, normal, offset)

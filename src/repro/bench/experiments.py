@@ -56,12 +56,11 @@ def _make_index(
     strategy: SelectionStrategy | str,
     rng,
     n_shards: int,
-    workers: int | None,
     feature_map=None,
 ):
     """Monolithic facade for one shard, the sharded engine otherwise.
 
-    Experiment runners accept ``n_shards``/``workers`` so the parallel
+    Experiment runners accept ``n_shards`` so the sharded
     engine can be measured through the exact same workloads as the
     monolithic path (``repro bench --shards 4``).
     """
@@ -82,7 +81,6 @@ def _make_index(
         strategy=strategy,
         rng=rng,
         n_shards=n_shards,
-        max_workers=workers,
     )
 
 
@@ -121,7 +119,6 @@ def run_query_experiment(
     strategy: SelectionStrategy | str = SelectionStrategy.MIN_STRETCH,
     rng: np.random.Generator | int | None = None,
     n_shards: int = 1,
-    workers: int | None = None,
 ) -> dict[str, float]:
     """One cell of Figures 6–10: query time and pruning for one config."""
     generator = as_rng(rng)
@@ -129,7 +126,7 @@ def run_query_experiment(
         points, rq=rq, inequality_parameter=inequality_parameter
     )
     index = _make_index(
-        points, workload.model, n_indices, strategy, generator, n_shards, workers
+        points, workload.model, n_indices, strategy, generator, n_shards
     )
     try:
         scan = SequentialScan(points)
@@ -241,7 +238,6 @@ def run_scalability_experiment(
     n_queries: int = 15,
     rng: np.random.Generator | int | None = None,
     n_shards: int = 1,
-    workers: int | None = None,
 ) -> list[dict[str, object]]:
     """Figure 12: index build time and query time vs dataset cardinality."""
     generator = as_rng(rng)
@@ -257,7 +253,6 @@ def run_scalability_experiment(
             SelectionStrategy.MIN_STRETCH,
             generator,
             n_shards,
-            workers,
         )
         build_s = time.perf_counter() - start
         try:
@@ -433,7 +428,6 @@ def run_topk_experiment(
     n_queries: int = 15,
     rng: np.random.Generator | int | None = None,
     n_shards: int = 1,
-    workers: int | None = None,
 ) -> list[dict[str, object]]:
     """Table 3: top-k time and checked-point fraction vs k."""
     generator = as_rng(rng)
@@ -445,7 +439,6 @@ def run_topk_experiment(
         SelectionStrategy.MIN_STRETCH,
         generator,
         n_shards,
-        workers,
     )
     try:
         scan = SequentialScan(points)

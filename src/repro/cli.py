@@ -74,15 +74,8 @@ def _add_parallel_args(parser: argparse.ArgumentParser) -> None:
         "--shards",
         type=int,
         default=_default_shards(),
-        help="partition the data across S shards and fan queries out on a "
-        "thread pool (default: $REPRO_SHARDS or 1 = monolithic)",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="thread-pool size for the sharded engine "
-        "(default: min(shards, cpu count))",
+        help="partition the data across S shards, each query running them "
+        "in turn (default: $REPRO_SHARDS or 1 = monolithic)",
     )
 
 
@@ -229,7 +222,6 @@ def _cmd_demo(args: argparse.Namespace) -> int:
                 n_indices=100,
                 rng=args.seed,
                 n_shards=args.shards,
-                max_workers=args.workers,
             )
         else:
             index = FunctionIndex(points, model, n_indices=100, rng=args.seed)
@@ -316,14 +308,14 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         points = load("indp", args.n, args.dim, rng=args.seed).points
         cell = run_query_experiment(
             points, rq=args.rq, n_indices=args.indices, rng=args.seed,
-            n_shards=args.shards, workers=args.workers,
+            n_shards=args.shards,
         )
         print_table("query experiment", [cell])
     elif args.experiment == "topk":
         points = load("indp", args.n, args.dim, rng=args.seed).points
         rows = run_topk_experiment(
             points, (50, 1000), n_indices=args.indices, rng=args.seed,
-            n_shards=args.shards, workers=args.workers,
+            n_shards=args.shards,
         )
         print_table("top-k experiment (Table 3)", rows)
     elif args.experiment == "selectivity":
@@ -343,7 +335,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         rows = run_scalability_experiment(
             "indp", sizes, dim=args.dim, rq=args.rq,
             n_indices=args.indices, rng=args.seed,
-            n_shards=args.shards, workers=args.workers,
+            n_shards=args.shards,
         )
         print_table("scalability (Fig 12)", rows)
     return 0

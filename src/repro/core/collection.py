@@ -10,7 +10,9 @@ index's intermediate interval against a sketch of its sorted keys
 (:func:`~repro.core.selection.choose`); the chosen index's exact
 interval then decides between verifying it and scanning a float32 copy of
 the features.  :meth:`PlanarIndexCollection.plan` is the one planner every
-query kind and EXPLAIN take their :class:`Plan` from.
+query kind and EXPLAIN take their :class:`Plan` from; sibling collections
+over one data set's shards can share one choice of index per query
+(:meth:`PlanarIndexCollection.wave_choices`).
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ from .selection import (
     interval_probes,
     key_offsets,
     key_sketch,
+    pooled_counts,
     scores,
     sketch_counts,
     thresholds,
@@ -49,7 +52,7 @@ from .sorted_keys import ID_DTYPE
 from .topk import TopKResult
 from .write_log import WriteLog, merge_threshold
 
-__all__ = ["Plan", "PlanarIndexCollection", "dedupe_parallel_normals"]
+__all__ = ["Choice", "Plan", "PlanarIndexCollection", "dedupe_parallel_normals"]
 
 # Two normals closer than this angle (radians) are considered parallel and
 # therefore redundant (Section 5.2).  float64 cannot resolve angles below
@@ -150,6 +153,21 @@ class Plan(NamedTuple):
     route: str
     cache: _SelectionCache
     th: Thresholds
+
+
+class Choice(NamedTuple):
+    """An index chosen for one working query outside :meth:`PlanarIndexCollection.plan`.
+
+    ``position`` is in the selection snapshot ``cache``; ``th`` is the
+    Eq. 13 threshold matrix it was chosen from, over the same normals,
+    and ``probes`` the rank probes of its column
+    (see :meth:`PlanarIndexCollection.wave_choices`).
+    """
+
+    position: int
+    cache: _SelectionCache
+    th: Thresholds
+    probes: tuple
 
 
 class PlanarIndexCollection:
@@ -326,6 +344,12 @@ class PlanarIndexCollection:
         """All index normals as an ``(r, d')`` matrix."""
         return np.vstack([index.normal for index in self._indices])
 
+    @property
+    def snapshot(self) -> _SelectionCache:
+        """The current selection snapshot: the member list and its selection
+        columns, rebound whole by every merge and lifecycle call."""
+        return self._cache
+
     def memory_bytes(self) -> int:
         """Key-structure footprint across all indices and the write log (excludes features)."""
         return self._log.memory_bytes() + sum(index.memory_bytes() for index in self._indices)
@@ -338,12 +362,15 @@ class PlanarIndexCollection:
         """Transform a query once for use across all indices."""
         return WorkingQuery.build(query, self._translator)
 
-    def plan(self, wq: WorkingQuery) -> Plan:
+    def plan(self, wq: WorkingQuery, choice: Choice | None = None) -> Plan:
         """The one planner: ``(position, index, r_lo, r_hi, n, route, cache, th)``.
 
         Snapshots the selection ``cache`` and computes its Eq. 13 threshold
         matrix ``th`` once; the strategy chooses ``position`` from it and
-        that ``index`` ranks its own column.  ``n`` counts the live points.
+        that ``index`` ranks its own column.  A ``choice`` made outside
+        (:meth:`wave_choices`) brings all three and the column's rank
+        probes, so nothing is selected or computed here but the ranks.
+        ``n`` counts the live points.
         The one routing decision: verifying the chosen index's intermediate
         interval (the write log's pending ids included) costs several times
         a scanned point per point, so above ``_SCAN_FALLBACK_FRACTION`` of
@@ -351,16 +378,21 @@ class PlanarIndexCollection:
         armed, counted selection records how far its sketch estimate was
         from the exact |II| (``repro_ii_estimate_error``).
         """
-        cache = self._cache
         obs_on = _ort.active()
-        started = time.perf_counter() if obs_on else 0.0
-        th = thresholds(cache.columns, cache.offsets, wq)
-        position = self._select_position(wq, cache, th)
-        if obs_on:
-            _osp.record("select", started, strategy=self._strategy.value, chosen=position)
-            _om.selection_total().inc(strategy=self._strategy.value, index=str(position))
-        index = cache.indices[position]
-        r_lo, r_hi, n = index.interval_ranks(wq, th.column(position))
+        if choice is None:
+            cache = self._cache
+            started = time.perf_counter() if obs_on else 0.0
+            th = thresholds(cache.columns, cache.offsets, wq)
+            position = self._select_position(wq, cache, th)
+            if obs_on:
+                _osp.record("select", started, strategy=self._strategy.value, chosen=position)
+                _om.selection_total().inc(strategy=self._strategy.value, index=str(position))
+            index = cache.indices[position]
+            r_lo, r_hi, n = index.interval_ranks(wq, th.column(position))
+        else:
+            position, cache, th, probes = choice
+            index = cache.indices[position]
+            r_lo, r_hi, n = index.interval_ranks(wq, probes=probes)
         if n and self._strategy is SelectionStrategy.COUNTED and obs_on:
             estimate = sketch_counts(th, cache.sketch)[position] * n / SKETCH_BUCKETS
             _om.ii_estimate_error().observe(abs(estimate - (r_hi - r_lo)) / n)
@@ -373,14 +405,66 @@ class PlanarIndexCollection:
         return Plan(position, index, r_lo, r_hi, n, route, cache, th)
 
     def _select_position(
-        self, wq: WorkingQuery, cache: "_SelectionCache | None" = None, th: Thresholds | None = None
+        self,
+        wq: WorkingQuery,
+        cache: "_SelectionCache | None" = None,
+        th: Thresholds | None = None,
+        pooled: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> int:
         """Position the configured strategy picks for ``wq``: :meth:`plan`'s
         :func:`~repro.core.selection.choose` call over its cache snapshot
-        and threshold matrix, or without them the position :meth:`plan` picks."""
+        and threshold matrix, or without them the position :meth:`plan` picks.
+        Counted selection over sibling snapshots counts their ``pooled``
+        sketches (:func:`~repro.core.selection.pooled_counts`)."""
         if cache is None or th is None:
             return self.plan(wq).position
-        return choose(self._strategy, cache.columns, th, cache.sketch, wq, self._rng)
+        counts = None if pooled is None else pooled_counts(th, *pooled)
+        return choose(self._strategy, cache.columns, th, cache.sketch, wq, self._rng, counts)
+
+    def wave_choices(
+        self, working: Sequence[WorkingQuery], caches: Sequence[_SelectionCache]
+    ) -> list[list[Choice]] | None:
+        """One index per working query, chosen once for sibling collections.
+
+        ``caches`` are the :attr:`snapshot` of every sibling (collections
+        over disjoint shards of one data set, with this collection's
+        strategy), each read once for the wave.  Siblings share normals
+        and the translator, so one threshold matrix per working query
+        serves them all, and so do the rank probes of the chosen column;
+        counted selection sums their sketch counts, each weighted by its
+        sibling's size — an estimate of the whole data's |II|.  Returns
+        one list of :class:`Choice` per cache, aligned with
+        ``working``, for each sibling's :meth:`plan`.  ``None`` when the
+        snapshots' normals differ (an ``add_index``/``drop_index``
+        reaching every sibling is in flight): each sibling must plan for
+        itself.  A merge rebinds only its own collection's snapshot and
+        never changes the normals, so it cannot skew a choice.
+        """
+        reference = caches[0]
+        columns = reference.columns
+        if any(not np.array_equal(cache.columns, columns) for cache in caches[1:]):
+            return None
+        pooled = None
+        if self._strategy is SelectionStrategy.COUNTED:
+            pooled = (
+                np.concatenate([cache.sketch for cache in caches]),
+                np.repeat([len(cache.indices[0]) for cache in caches], SKETCH_BUCKETS + 1),
+            )
+        obs_on = _ort.active()
+        offsets = reference.offsets
+        chosen = []
+        for wq in working:
+            started = time.perf_counter() if obs_on else 0.0
+            th = thresholds(columns, offsets, wq)
+            position = self._select_position(wq, reference, th, pooled)
+            if obs_on:
+                _osp.record("select", started, strategy=self._strategy.value, chosen=position)
+                _om.selection_total().inc(strategy=self._strategy.value, index=str(position))
+            chosen.append((position, th, interval_probes(th.column(position), wq)))
+        return [
+            [Choice(position, cache, th, probes) for position, th, probes in chosen]
+            for cache in caches
+        ]
 
     def _scan_result(
         self, wq: WorkingQuery, best: PlanarIndex, r_lo: int, r_hi: int, n: int
@@ -416,12 +500,9 @@ class PlanarIndexCollection:
         )
         return QueryResult(result_ids, stats)
 
-    def _query_impl(
-        self, wq: WorkingQuery, plan: Plan | None = None
-    ) -> tuple[QueryResult, str]:
-        """Execute one working query (planned here unless ``plan`` is given);
-        returns the result and the route taken."""
-        p = self.plan(wq) if plan is None else plan
+    def _query_impl(self, wq: WorkingQuery, p: Plan) -> tuple[QueryResult, str]:
+        """Execute one working query by its plan; returns the result and
+        the route taken."""
         if p.route == "intervals":
             return p.index.finish_query(wq, p.r_lo, p.r_hi), p.route
         return self._scan_result(wq, p.index, p.r_lo, p.r_hi, p.n), p.route
@@ -438,7 +519,9 @@ class PlanarIndexCollection:
         _om.count_query(kind, route, strategy, started)
         return result
 
-    def query(self, query: ScalarProductQuery | WorkingQuery) -> QueryResult:
+    def query(
+        self, query: ScalarProductQuery | WorkingQuery, choice: Choice | None = None
+    ) -> QueryResult:
         """Answer an inequality query via the best index (or a scan).
 
         After best-index selection, :meth:`plan` routes on the size of
@@ -446,26 +529,35 @@ class PlanarIndexCollection:
         scan over all live features instead — same answer, better worst
         case (the paper's "query time gets close to the baseline" regime).
         Pruning statistics stay interval-based.
-        A :class:`WorkingQuery` (the facade's octant check) is used as is.
+        A :class:`WorkingQuery` (the facade's octant check) is used as is;
+        ``choice`` is :meth:`plan`'s.
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        return self._observed("inequality", "query", lambda: self._query_impl(wq))
+        return self._observed(
+            "inequality", "query", lambda: self._query_impl(wq, self.plan(wq, choice))
+        )
 
     def query_batch(
-        self, queries: Sequence[ScalarProductQuery | WorkingQuery]
+        self,
+        queries: Sequence[ScalarProductQuery | WorkingQuery],
+        choices: Sequence[Choice | None] | None = None,
     ) -> list[QueryResult]:
         """Answer many inequality queries; positionally aligned with ``queries``.
 
         A loop over :meth:`query`, so every member is answered, routed and
-        counted exactly as a single call would be.
+        counted exactly as a single call would be; ``choices`` holds each
+        member's ``choice``.
         """
-        return [self.query(query) for query in queries]
+        if choices is None:
+            choices = [None] * len(queries)
+        return [self.query(query, choice) for query, choice in zip(queries, choices)]
 
     def topk(
         self,
         query: ScalarProductQuery | WorkingQuery,
         k: int,
         cutoff: "SharedCutoff | None" = None,
+        choice: Choice | None = None,
     ) -> TopKResult:
         """Answer a top-k nearest neighbor query via the best index.
 
@@ -473,37 +565,56 @@ class PlanarIndexCollection:
         ``cutoff`` threads a :class:`~repro.core.topk.SharedCutoff` into
         Algorithm 2's LBS termination test — the sharded engine shares one
         across sibling shards so the globally best k-th distance prunes
-        every shard's scan (see :meth:`PlanarIndex.topk`).
+        every shard's scan (see :meth:`PlanarIndex.topk`).  ``choice`` is
+        :meth:`plan`'s.
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
 
         def run() -> tuple[TopKResult, str]:
-            plan = self.plan(wq)
+            plan = self.plan(wq, choice)
             ranks = (plan.r_lo, plan.r_hi)
             return plan.index.topk(wq, k, ranks, cutoff), "intervals"
 
         return self._observed("topk", "topk", run, k=k)
 
     def topk_batch(
-        self, queries: Sequence[ScalarProductQuery | WorkingQuery], k: int
+        self,
+        queries: Sequence[ScalarProductQuery | WorkingQuery],
+        k: int,
+        choices: Sequence[Choice | None] | None = None,
+        cutoffs: "Sequence[SharedCutoff] | None" = None,
     ) -> list[TopKResult]:
-        """Answer many top-k queries; a loop over :meth:`topk`."""
+        """Answer many top-k queries; a loop over :meth:`topk`, with each
+        member's entry of ``choices`` and ``cutoffs`` when given."""
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
-        return [self.topk(query, k) for query in queries]
+        if choices is None:
+            choices = [None] * len(queries)
+        if cutoffs is None:
+            cutoffs = [None] * len(queries)
+        return [
+            self.topk(query, k, cutoff, choice)
+            for query, choice, cutoff in zip(queries, choices, cutoffs)
+        ]
 
-    def query_range(self, wq_low: WorkingQuery, wq_high: WorkingQuery) -> QueryResult:
+    def query_range(
+        self,
+        wq_low: WorkingQuery,
+        wq_high: WorkingQuery,
+        choice: Choice | None = None,
+    ) -> QueryResult:
         """Exact BETWEEN query routed through best-index selection.
 
         ``wq_low`` / ``wq_high`` are the ``>= low`` / ``<= high`` working
         queries over one shared normal (the facade builds them once for
-        octant validation).  The high bound is planned; the chosen index
-        ranks the low bound itself.  Metrics carry the collection's
-        strategy label, as :meth:`query` and :meth:`topk` do.
+        octant validation).  The high bound is planned (``choice`` is
+        :meth:`plan`'s); the chosen index ranks the low bound itself.
+        Metrics carry the collection's strategy label, as :meth:`query`
+        and :meth:`topk` do.
         """
 
         def run() -> tuple[QueryResult, str]:
-            plan = self.plan(wq_high)
+            plan = self.plan(wq_high, choice)
             ranks = (plan.r_lo, plan.r_hi)
             return plan.index._finish_range(wq_low, wq_high, ranks), "intervals"
 

@@ -338,18 +338,23 @@ class FunctionIndex:
     def _fan_out(
         self,
         kind: str,
-        call: Callable[[PlanarIndexCollection], _T],
+        call: Callable[..., _T],
         queries: Sequence[ScalarProductQuery],
+        working: Sequence[WorkingQuery],
         k: int | None = None,
         timeout_s: float | None = None,
     ) -> tuple[list[_T | None], DegradedInfo | None]:
-        """Run ``call`` on every collection: ``(slices, degraded)``.
+        """Run ``call(collection, choices)`` on every collection:
+        ``(slices, degraded)``.
 
+        ``choices`` holds one :class:`~repro.core.collection.Choice` per
+        planned query of ``working``, or ``None`` where the collection
+        plans the query itself (:meth:`PlanarIndexCollection.plan`).
         ``queries`` (and ``k``) describe the task so an implementation can
-        recompute a lost slice exactly; ``timeout_s`` bounds the wait.  One
-        collection answers inline, so neither is needed here.
+        recompute a lost slice exactly; ``timeout_s`` bounds the wave.
+        The one collection here plans for itself, and needs neither.
         """
-        return [call(self._collections[0])], None
+        return [call(self._collections[0], [None] * len(working))], None
 
     def _maintain_each(
         self,
@@ -493,12 +498,20 @@ class FunctionIndex:
                 working.append(wq)
         if plannable:
             subset = [queries[position] for position in plannable]
-            call = (
-                (lambda collection: collection.query_batch(working))
-                if k is None
-                else (lambda collection: collection.topk_batch(working, k))
+            if k is None:
+                def call(collection, choices):
+                    return collection.query_batch(working, choices)
+            else:
+                cutoffs = (
+                    [SharedCutoff() for _ in working] if len(self._collections) > 1 else None
+                )
+
+                def call(collection, choices):
+                    return collection.topk_batch(working, k, choices, cutoffs)
+
+            per_collection, degraded = self._fan_out(
+                kind, call, subset, working, k, timeout_s
             )
-            per_collection, degraded = self._fan_out(kind, call, subset, k, timeout_s)
             for slot, position in enumerate(plannable):
                 parts = [None if part is None else part[slot] for part in per_collection]
                 answers[position] = (
@@ -527,7 +540,10 @@ class FunctionIndex:
         if wq is None:
             return self._fallback("inequality", [spq], None)[0]
         parts, degraded = self._fan_out(
-            "inequality", lambda collection: collection.query(wq), [spq]
+            "inequality",
+            lambda collection, choices: collection.query(wq, choices[0]),
+            [spq],
+            [wq],
         )
         return _merge_answer(parts, degraded)
 
@@ -559,8 +575,9 @@ class FunctionIndex:
             return self._fallback("range", [low_q, high_q], None)[0]
         parts, degraded = self._fan_out(
             "range",
-            lambda collection: collection.query_range(wq_low, wq_high),
+            lambda collection, choices: collection.query_range(wq_low, wq_high, choices[0]),
             [low_q, high_q],
+            [wq_high],
         )
         return _merge_answer(parts, degraded)
 
@@ -621,7 +638,11 @@ class FunctionIndex:
             return self._fallback("topk", [spq], k)[0]
         cutoff = SharedCutoff() if len(self._collections) > 1 else None
         parts, degraded = self._fan_out(
-            "topk", lambda collection: collection.topk(wq, k, cutoff=cutoff), [spq], k
+            "topk",
+            lambda collection, choices: collection.topk(wq, k, cutoff, choices[0]),
+            [spq],
+            [wq],
+            k,
         )
         return _merge_topk(parts, k, len(self._features), degraded)
 

@@ -301,7 +301,7 @@ class PlanarIndex:
     # ------------------------------------------------------------------ #
 
     def interval_ranks(
-        self, wq: WorkingQuery, th: Thresholds | None = None
+        self, wq: WorkingQuery, th: Thresholds | None = None, probes: tuple | None = None
     ) -> tuple[int, int, int]:
         """Sorted-rank boundaries ``(r_lo, r_hi, n)`` of the intervals.
 
@@ -317,13 +317,17 @@ class PlanarIndex:
         strict and valid for the strict and non-strict operators alike.
         ``th`` is this index's column of the planner's threshold matrix;
         without it (a range query's low bound) the index computes it.
+        ``probes`` are the probes of that column when a sharded wave has
+        derived them once for every shard.
         """
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        if th is None:
-            column = self._working_normal
-            th = thresholds(column, key_offsets(column, self._translator.delta), wq)
-        r_lo, r_hi = self.probe_ranks(*interval_probes(th, wq))
+        if probes is None:
+            if th is None:
+                column = self._working_normal
+                th = thresholds(column, key_offsets(column, self._translator.delta), wq)
+            probes = interval_probes(th, wq)
+        r_lo, r_hi = self.probe_ranks(*probes)
         if obs_on:
             _osp.record("binary_search", started, index=self._obs_label)
         return r_lo, r_hi, len(self._keys)

@@ -47,6 +47,7 @@ __all__ = [
     "interval_probes",
     "key_offsets",
     "key_sketch",
+    "pooled_counts",
     "scores",
     "sketch_counts",
     "thresholds",
@@ -161,6 +162,16 @@ def sketch_counts(th: Thresholds, sketch: np.ndarray) -> np.ndarray:
     return ((sketch > th.lo) & (sketch <= th.hi)).sum(axis=0)
 
 
+def pooled_counts(th: Thresholds, sketches: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """:func:`sketch_counts` of several key sets' stacked ``sketches``, each
+    sketch row weighted by the number of keys its set holds (``weights``).
+
+    The estimated |II| of the union, in units of ``1 / SKETCH_BUCKETS``:
+    the sharded engine's one choice over its shards' sketches.
+    """
+    return weights @ ((sketches > th.lo) & (sketches <= th.hi))
+
+
 def _cosines(working_columns: np.ndarray, wq) -> np.ndarray:
     """``|cos|`` between every column and the query normal (Section 5.1.2).
 
@@ -192,11 +203,13 @@ def choose(
     sketch: np.ndarray,
     wq,
     rng: np.random.Generator,
+    counts: np.ndarray | None = None,
 ) -> int:
     """Position of the column ``strategy`` picks for ``wq``.
 
     ``th`` holds the thresholds of ``working_columns``.  Counted takes
-    the fewest sketch keys, ties by smaller stretch, then position;
+    the fewest ``counts`` (by default ``sketch``'s keys inside each
+    column's interval), ties by smaller stretch, then position;
     min-stretch the smallest stretch and min-angle the largest ``|cos|``
     (first position on ties); random draws from ``rng``.
     """
@@ -206,4 +219,6 @@ def choose(
         return int(np.argmax(_cosines(working_columns, wq)))
     if strategy is SelectionStrategy.MIN_STRETCH:
         return int(np.argmin(th.stretch))
-    return int(np.lexsort((th.stretch, sketch_counts(th, sketch)))[0])
+    if counts is None:
+        counts = sketch_counts(th, sketch)
+    return int(np.lexsort((th.stretch, counts))[0])

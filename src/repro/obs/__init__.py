@@ -18,9 +18,8 @@ Production telemetry on top (this is what the serving layer consumes):
   sampling at the rate ``REPRO_OBS`` arms the layer with, and one
   trace-root helper (:func:`~repro.obs.trace.root`).  The trace and its
   innermost span live in one context variable
-  (:data:`~repro.obs.runtime.CONTEXT`) that executor hops carry with
-  ``contextvars.copy_context().run``, so a sharded query is one tree,
-  not a pile of orphan roots.
+  (:data:`~repro.obs.runtime.CONTEXT`), so a sharded query, whose shards
+  run on the querying thread, is one tree, not a pile of orphan roots.
 * :mod:`~repro.obs.events` — a rotating JSONL query log
   (``REPRO_OBS_LOG``): one record per sampled query with latency, cost
   counters, shard fan-out, retries, and ``DegradedInfo``.

@@ -11,13 +11,15 @@ a live index); rate 0 means off in both places.
 holding ``(trace, span)``: the :class:`~repro.obs.trace.TraceContext` of
 the query being served and the innermost open
 :class:`~repro.obs.spans.SpanRecord`.  It is the only per-query state the
-layer keeps.  Work handed to an executor carries it across the hop by
-running under a copy of the submitting context::
+layer keeps.  A sharded query's shards run on the querying thread, so
+their spans stitch into its tree.  Work handed to an executor would
+carry it across the hop by running under a copy of the submitting
+context::
 
     executor.submit(contextvars.copy_context().run, fn, *args)
 
-so shard spans stitch into the issuing query's tree and nothing a task
-sets survives into the next task on the same pool thread.
+so that nothing a task sets survives into the next task on the same
+pool thread.
 
 Hot paths read :func:`active` into a local boolean once per query::
 
@@ -28,8 +30,8 @@ Hot paths read :func:`active` into a local boolean once per query::
         <record metrics / spans>
 
 :func:`active` is ``ENABLED and the current trace (if any) is sampled``:
-an unsampled trace mutes everything its query touches, including shard
-work on executor threads.  The disarmed path short-circuits on
+an unsampled trace mutes everything its query touches, including its
+shard work.  The disarmed path short-circuits on
 ``ENABLED`` before reading the context, so it costs one module-attribute
 read plus a branch.  Both the disarmed (<2%) and armed-at-1%-sampling
 (≤5%) gates on ``PlanarIndexCollection.query`` are enforced by

@@ -35,12 +35,13 @@ Two APIs, two cost profiles:
             record("binary_search", t0)
 
 The innermost open span lives in :data:`repro.obs.runtime.CONTEXT`, so
-spans nest per execution context, not per thread: shard work submitted
-with ``contextvars.copy_context().run`` opens its spans under the issuing
-query's root and a sharded query produces one tree instead of a pile of
-orphan roots.  A span that closes after its parent has closed (a worker
-abandoned at a deadline) is not attached — the parent's tree may
-already be published — but still feeds ``repro_span_seconds``.
+spans nest per execution context, not per thread: a sharded query's
+shards run on the querying thread and open their spans under its root,
+and work handed to another thread under ``contextvars.copy_context().run``
+does too, so a query produces one tree instead of a pile of orphan
+roots.  A span that closes after its parent has closed (work that
+outlived its query) is not attached — the parent's tree may already be
+published — but still feeds ``repro_span_seconds``.
 
 Everything here is O(1) per span — no per-point work ever happens in
 this module (REP006 stays structurally impossible).

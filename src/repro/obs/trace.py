@@ -9,16 +9,15 @@ A *trace* wraps one facade query end to end.  Each trace carries:
 * a **head-sampling decision** computed purely from the id bits against
   the rate ``REPRO_OBS`` armed the layer at.  The decision is made once,
   at the root, and inherited by everything the query touches — including
-  shard work on executor threads — so a trace is always complete or
-  absent, never half-recorded;
+  its shard work — so a trace is always complete or absent, never
+  half-recorded;
 * a **root span** that every span of the query nests under.
 
 The trace and its innermost open span live in one context variable,
-:data:`repro.obs.runtime.CONTEXT`.  Executor submissions run their work
-under ``contextvars.copy_context().run``, so shard spans stitch into the
-issuing query's tree and an unsampled trace mutes its shard work too
-(:func:`repro.obs.runtime.active` is false while the current trace is
-unsampled).  That is what lets tracing and the query log stay armed in
+:data:`repro.obs.runtime.CONTEXT`.  Shards run on the querying thread,
+so shard spans stitch into the issuing query's tree and an unsampled
+trace mutes its shard work too (:func:`repro.obs.runtime.active` is
+false while the current trace is unsampled).  That is what lets tracing and the query log stay armed in
 production at ``REPRO_OBS=0.01`` — the armed-but-unsampled cost is
 bounded by the ≤5% gate in ``benchmarks/bench_obs_overhead.py``.  The
 always-on ``repro_traces_total{kind,sampled}`` counter records *every*

@@ -5,9 +5,13 @@
 same code — that partitions the data into ``S`` shards, each owning its own
 :class:`~repro.core.collection.PlanarIndexCollection` over a
 :class:`~repro.parallel.view.FeatureStoreView` of one shared feature store.
-Queries fan out across shards on a thread pool — numpy releases the GIL
-inside ``matmul`` and ``searchsorted``, so the per-shard interval splits
-and verification products genuinely overlap.
+A query runs as one *wave*: the engine chooses one index per working
+query for every shard (one Eq. 13 threshold matrix, counted selection
+over the summed shard sketches), then runs the shards one after another
+on the calling thread.  On the 2-core host measured (EXPERIMENTS.md,
+"Shard waves on the served path") this beat the thread pool it
+replaced: a one-query wave spent more on hand-offs than the overlap
+saved.  The shard stays the unit of failure isolation.
 
 Exactness
 ---------
@@ -18,31 +22,40 @@ Results are *bit-identical* to the monolithic path:
   ``sort(concatenate(...))`` into exactly the monolithic sorted id array.
 * All shards share one translator and the same index normals, so octant
   validation, query canonicalization, and per-point scalar products are
-  the same floating-point computations as the monolithic path.
+  the same floating-point computations as the monolithic path.  Any
+  index answers exactly, so the wave's shared choice of index (or a
+  shard's own, while an ``add_index``/``drop_index`` has reached only
+  some shards) cannot move an answer.
 * Top-k runs Algorithm 2 once per shard against a *shared* pruning
   threshold (:class:`~repro.core.topk.SharedCutoff`): each shard's
   buffered k-th distance is an upper bound on the global k-th best (the
   shard exhibits ``k`` real points at or below it), so folding the
   minimum of all published bounds into every shard's LBS cutoff preserves
   Claim 3 while letting one shard's good candidates terminate another
-  shard's scan.  The strict cutoff comparison keeps boundary candidates,
-  so tie-breaks by id survive the merge through
-  :class:`~repro.core.topk.TopKBuffer` unchanged.
+  shard's scan — a later shard starts from every earlier one's bound.
+  The strict cutoff comparison keeps boundary candidates, so tie-breaks
+  by id survive the merge through :class:`~repro.core.topk.TopKBuffer`
+  unchanged.
 
 The single-shard configuration bypasses the view — shard 0 *is* the
-monolithic collection — and a fan-out without a deadline runs its last
-shard on the calling thread, so ``n_shards=1`` never starts a pool.
+monolithic collection — and plans each query as the monolithic facade
+does.
 
 Fault tolerance (see ``docs/reliability.md``)
 ---------------------------------------------
 Each fan-out wave collects per-shard results under an optional per-query
-deadline (``query_timeout_s``).  A shard failure is handled per the
-configured :class:`~repro.reliability.degraded.FailurePolicy`:
+deadline (``query_timeout_s``): a shard not started before the deadline,
+or whose slice comes back after it, fails with a
+:class:`~repro.exceptions.QueryTimeoutError`.  A running shard is never
+abandoned, so a stalled shard holds its wave until it returns; the
+serving layer answers its own deadline regardless.  A shard failure is
+handled per the configured
+:class:`~repro.reliability.degraded.FailurePolicy`:
 
 ``raise``
     Propagate a :class:`~repro.exceptions.ShardFailureError` carrying the
-    failed shard's identity and fan-out kind; still-pending futures are
-    cancelled instead of leaking work.
+    failed shard's identity and fan-out kind; the first failure stops the
+    wave, so later shards never start.
 ``degrade``
     Recover the failed shards by an exact sequential scan of their live
     points when possible; shards that cannot be recovered are dropped and
@@ -62,22 +75,18 @@ shard's update would corrupt the partition.
 
 from __future__ import annotations
 
-import contextvars
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as _FutTimeout
 from typing import Any, Callable, Sequence, TypeVar
 
 import numpy as np
 
-from ..core.collection import PlanarIndexCollection
+from ..core.collection import Choice, PlanarIndexCollection
 from ..core.domains import QueryModel
 from ..core.feature_store import FeatureStore
 from ..core.function_index import FunctionIndex, scan_store
 from ..core.phi import FeatureMap
-from ..core.planar import QueryResult
+from ..core.planar import QueryResult, WorkingQuery
 from ..core.query import ScalarProductQuery
 from ..core.selection import SelectionStrategy
 from ..core.stats import QueryStats
@@ -140,9 +149,6 @@ class ShardedFunctionIndex(FunctionIndex):
         Number of data partitions ``S``.  ``1`` (the default) keeps the
         monolithic layout and executes inline.  Point ``id`` belongs to
         shard ``id % n_shards`` (:mod:`repro.parallel.sharding`).
-    max_workers:
-        Worker-pool size for the fan-out; defaults to
-        ``min(n_shards, cpu_count)``.
     failure_policy:
         What to do when a shard of a fan-out fails:
         :class:`~repro.reliability.degraded.FailurePolicy` or its string
@@ -168,9 +174,8 @@ class ShardedFunctionIndex(FunctionIndex):
     :class:`AttributeError` here: answered over shard 0 they would be
     wrong.
 
-    The engine is also a context manager; :meth:`close` shuts the pool
-    down (idempotent, never raises, runs on ``__exit__`` even when the
-    body raised).
+    The engine is also a context manager whose ``__exit__`` calls
+    :meth:`close`.
     """
 
     collection = _SingleCollectionOnly()
@@ -189,7 +194,6 @@ class ShardedFunctionIndex(FunctionIndex):
         strategy: SelectionStrategy | str = SelectionStrategy.COUNTED,
         rng: np.random.Generator | int | None = None,
         n_shards: int = 1,
-        max_workers: int | None = None,
         failure_policy: FailurePolicy | str | None = None,
         query_timeout_s: float | None = None,
         max_retries: int = 2,
@@ -209,12 +213,6 @@ class ShardedFunctionIndex(FunctionIndex):
         # shard instead of one over the whole store.
         self._bind(points, query_model, feature_map, rng)
         self._n_shards = int(n_shards)
-        self._max_workers = (
-            min(self._n_shards, os.cpu_count() or 1)
-            if max_workers is None
-            else int(max_workers)
-        )
-        self._executor: ThreadPoolExecutor | None = None
         self._failure_policy = FailurePolicy.parse(failure_policy)
         self._query_timeout_s = (
             None if query_timeout_s is None else float(query_timeout_s)
@@ -249,34 +247,18 @@ class ShardedFunctionIndex(FunctionIndex):
     # ------------------------------------------------------------------ #
 
     def close(self) -> None:
-        """Shut down the fan-out thread pool.
+        """End the engine's life: the end of ``with`` and of a service.
 
-        Idempotent and exception-safe: the pool reference is cleared
-        *before* shutdown, so a second :meth:`close` (or closing after an
-        in-query failure) is a no-op, and shutdown errors are swallowed —
-        teardown must never mask the exception that triggered it.
+        Shards run on the calling thread, so the engine holds nothing to
+        release; closing is idempotent, never raises, and leaves the
+        engine usable.
         """
-        executor, self._executor = self._executor, None
-        if executor is None:
-            return
-        try:
-            executor.shutdown(wait=True, cancel_futures=True)
-        except Exception:  # repro: noqa(REP005) — close() must never raise (teardown path)
-            pass
 
     def __enter__(self) -> "ShardedFunctionIndex":
         return self
 
     def __exit__(self, *exc_info: object) -> None:
         self.close()
-
-    def _ensure_executor(self) -> ThreadPoolExecutor:
-        if self._executor is None:
-            self._executor = ThreadPoolExecutor(
-                max_workers=self._max_workers,
-                thread_name_prefix="repro-shard",
-            )
-        return self._executor
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -349,31 +331,29 @@ class ShardedFunctionIndex(FunctionIndex):
             cost["lbs_checked"] = int(sum(checked))
         return cost
 
-    def _run_shard(
-        self, kind: str, shard: int, fn: Callable[[PlanarIndexCollection], _T]
-    ) -> _T:
-        """Execute one shard's slice of a query, with per-shard telemetry.
+    def _run_shard(self, kind: str, shard: int, fn: Callable[[int], _T]) -> _T:
+        """Execute ``fn(shard)``, one shard's slice of a query, with
+        per-shard telemetry.
 
-        Pool workers run it under a copy of the submitting context, so
-        their spans nest under the issuing query's open span; counters
-        take one lock per increment.  The ``shard.query`` fault site fires
-        *before* the work, so injected failures never leave partial shard
-        state behind.  Inside a trace, the shard's work runs in a
+        It runs on the querying thread, so its spans nest under the
+        query's open span.  The ``shard.query`` fault site fires *before*
+        the work, so injected failures never leave partial shard state
+        behind.  Inside a trace, the shard's work runs in a
         ``shard.<kind>`` span carrying the trace id and per-shard cost
         counters, so the inner collection spans nest under it in the
         stitched tree.
         """
-        if _flt.ARMED:  # repro: noqa(REP012) — thread-shared by design: arming is process-wide and every pool thread must see it
+        if _flt.ARMED:  # repro: noqa(REP012) — thread-shared by design: arming is process-wide and every querying thread must see it
             _flt.check("shard.query", shard=shard, kind=kind)
         if not _ort.active():
-            return fn(self._collections[shard])
+            return fn(shard)
         ctx = _otr.current()
         attrs: dict[str, object] = {"shard": shard}
         if ctx is not None:
             attrs["trace_id"] = ctx.trace_id
         with _osp.span(f"shard.{kind}", **attrs) as shard_span:
             try:
-                result = fn(self._collections[shard])
+                result = fn(shard)
             except BaseException as exc:  # repro: noqa(REP005) — span annotates the failure kind, then re-raises unchanged
                 shard_span.annotate(error=type(exc).__name__)
                 raise
@@ -384,62 +364,60 @@ class ShardedFunctionIndex(FunctionIndex):
     def _execute_wave(
         self,
         kind: str,
-        fn: Callable[[PlanarIndexCollection], _T],
+        fn: Callable[[int], _T],
         shards: Sequence[int],
         deadline: float | None,
         fail_fast: bool,
         timeout_s: float | None,
     ) -> tuple[dict[int, _T], dict[int, BaseException]]:
-        """Run ``fn`` on ``shards``; collect per-shard results and failures.
+        """Run ``fn`` on ``shards`` in order; collect per-shard results and failures.
 
-        With a ``deadline`` (monotonic timestamp), every shard runs on the
-        pool and each pending result is awaited only for the remaining
-        budget; misses become :class:`QueryTimeoutError` and the stale
-        future is cancelled.  Without one the calling thread would only
-        block, so it runs the last shard itself — a one-shard wave never
-        starts the pool.  Under ``fail_fast`` the first failure cancels
-        every not-yet-started future instead of leaking queued work.
+        Every shard runs on the calling thread.  With a ``deadline``
+        (monotonic timestamp), a shard not started before it, or whose
+        slice comes back after it, fails with :class:`QueryTimeoutError`
+        and its late slice is dropped.  Under ``fail_fast`` the first
+        failure stops the wave: later shards never start.
         """
         results: dict[int, _T] = {}
         failures: dict[int, BaseException] = {}
-        inline = shards[-1] if deadline is None else None
-        pooled = [shard for shard in shards if shard != inline]
-        futures = {}
-        if pooled:
-            executor = self._ensure_executor()
-            # Each shard runs in a copy of this context: it inherits the
-            # query's trace and open span, and what it sets stays there.
-            futures = {
-                shard: executor.submit(
-                    contextvars.copy_context().run, self._run_shard, kind, shard, fn
-                )
-                for shard in pooled
-            }
-        if inline is not None:
-            try:
-                results[inline] = self._run_shard(kind, inline, fn)
-            except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                failures[inline] = exc
-        for shard, future in futures.items():
+        for shard in shards:
             if fail_fast and failures:
-                future.cancel()
-                continue
-            remaining: float | None = None
-            if deadline is not None:
-                remaining = max(0.0, deadline - time.monotonic())
+                break
             try:
-                results[shard] = future.result(timeout=remaining)
-            except _FutTimeout:
-                future.cancel()
-                failures[shard] = QueryTimeoutError(
-                    f"shard {shard} missed the {timeout_s}s deadline during "
-                    f"{kind} fan-out",
-                    shard=shard,
-                    kind=kind,
-                )
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise self._timeout(kind, shard, timeout_s)
+                result = self._run_shard(kind, shard, fn)
+                if deadline is not None and time.monotonic() > deadline:
+                    raise self._timeout(kind, shard, timeout_s)
+                results[shard] = result
             except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
                 failures[shard] = exc
         return results, failures
+
+    @staticmethod
+    def _timeout(kind: str, shard: int, timeout_s: float | None) -> QueryTimeoutError:
+        return QueryTimeoutError(
+            f"shard {shard} missed the {timeout_s}s deadline during {kind} fan-out",
+            shard=shard,
+            kind=kind,
+        )
+
+    def _plan_wave(self, working: Sequence[WorkingQuery]) -> list[list[Choice | None]]:
+        """Each shard's choices for one wave over ``working``.
+
+        Every shard's selection snapshot is read once, and one index per
+        working query is chosen over all of them, from one threshold
+        matrix (:meth:`~repro.core.collection.PlanarIndexCollection.wave_choices`);
+        each shard then plans from its own snapshot.  A single shard, or
+        snapshots whose normals differ, leave each shard to plan for
+        itself (``None``).
+        """
+        if self._n_shards > 1 and working:
+            caches = [collection.snapshot for collection in self._collections]
+            choices = self._collections[0].wave_choices(working, caches)
+            if choices is not None:
+                return choices
+        return [[None] * len(working)] * self._n_shards
 
     def _wrap_failure(
         self, kind: str, shard: int, error: BaseException
@@ -515,12 +493,14 @@ class ShardedFunctionIndex(FunctionIndex):
     def _fan_out(
         self,
         kind: str,
-        call: Callable[[PlanarIndexCollection], _T],
+        call: Callable[..., _T],
         queries: Sequence[ScalarProductQuery],
+        working: Sequence[WorkingQuery],
         k: int | None = None,
         timeout_s: float | None = None,
     ) -> tuple[list[_T | None], DegradedInfo | None]:
-        """Run ``call`` against every shard under the failure policy.
+        """Run ``call(collection, choices)`` against every shard under the
+        failure policy, as one planned wave (:meth:`_plan_wave`).
 
         ``timeout_s`` overrides the engine's construction-time
         ``query_timeout_s`` for this one fan-out — the serving layer
@@ -541,9 +521,14 @@ class ShardedFunctionIndex(FunctionIndex):
         if timeout is not None and not timeout > 0:
             raise ValueError(f"timeout_s must be positive, got {timeout}")
         shards = list(range(self._n_shards))
+        plans = self._plan_wave(working)
+
+        def run(shard: int) -> _T:
+            return call(self._collections[shard], plans[shard])
+
         results, failures = self._execute_wave(
             kind,
-            call,
+            run,
             shards,
             None if timeout is None else time.monotonic() + timeout,
             fail_fast=policy is FailurePolicy.RAISE,
@@ -566,7 +551,7 @@ class ShardedFunctionIndex(FunctionIndex):
                 self._backoff(attempt)
                 recovered_wave, failures = self._execute_wave(
                     kind,
-                    call,
+                    run,
                     retry_shards,
                     None if timeout is None else time.monotonic() + timeout,
                     fail_fast=False,

@@ -48,7 +48,7 @@ class FeatureStoreView:
         # monolithic scan, and scattered row gathers cost as much as the
         # scan itself — the materialized copy turns shard scans back into
         # contiguous streams.  Each cache is one tuple so a racing
-        # recompute in another pool thread is benign (last writer wins,
+        # recompute in another querying thread is benign (last writer wins,
         # both values correct for their version).
         self._ids_cache: tuple[int, np.ndarray] | None = None
         self._scan_cache: tuple[int, np.ndarray, np.ndarray] | None = None

@@ -99,9 +99,6 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--rq", type=int, default=4, help="randomness of query")
     parser.add_argument("--indices", type=int, default=8, help="index budget r")
     parser.add_argument("--shards", type=int, default=4, help="shard count")
-    parser.add_argument(
-        "--workers", type=int, default=None, help="thread-pool size"
-    )
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
         "--serve",
@@ -145,7 +142,6 @@ def _build_engine(args: argparse.Namespace):
         n_indices=args.indices,
         rng=args.seed,
         n_shards=args.shards,
-        max_workers=args.workers,
         failure_policy=args.policy.replace("-", "_"),
         query_timeout_s=args.timeout,
         max_retries=args.max_retries,

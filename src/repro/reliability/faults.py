@@ -204,8 +204,8 @@ class _RuleState:
 class FaultPlan:
     """An armed set of :class:`FaultRule` s with deterministic firing state.
 
-    Thread-safe: the sharded engine checks sites from pool workers, so
-    all counter updates happen under one lock.  ``seed`` fixes every
+    Thread-safe: concurrent queries (the service's executor threads)
+    check sites at once, so all counter updates happen under one lock.  ``seed`` fixes every
     probabilistic draw; counter-based rules (``every``/``times``/
     ``after``) are deterministic regardless.
     """

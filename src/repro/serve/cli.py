@@ -39,6 +39,11 @@ def configure_parser(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--indices", type=int, default=100, help="index budget")
     parser.add_argument("--seed", type=int, default=0, help="random seed")
     parser.add_argument(
+        "--workers", type=int, default=None,
+        help="accepted for compatibility; has no effect (shards run in "
+        "turn on the request's thread)",
+    )
+    parser.add_argument(
         "--ready-file", default=None,
         help="write host:port to this file once the socket is listening",
     )
@@ -62,7 +67,6 @@ def _build_engine(args: argparse.Namespace):
             **spec,
             rng=args.seed,
             n_shards=args.shards,
-            max_workers=args.workers,
         )
     from repro import QueryModel
     from repro.datasets import independent
@@ -75,7 +79,6 @@ def _build_engine(args: argparse.Namespace):
         n_indices=args.indices,
         rng=args.seed,
         n_shards=args.shards,
-        max_workers=args.workers,
     )
 
 

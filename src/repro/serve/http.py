@@ -2,7 +2,9 @@
 
 Just enough protocol for the query service: request-line + header
 parsing, ``Content-Length`` bodies, keep-alive, and JSON/text response
-rendering.  Deliberately not a framework — the endpoint surface is five
+rendering.  An answer's id array is written by one vectorized decimal
+encoder (:func:`encode_ids`) instead of one Python int per id; the bytes
+are exactly what ``json.dumps`` writes for the same list.  Deliberately not a framework — the endpoint surface is five
 routes (``docs/serving.md``), and the reproduction's no-dependency rule
 (README) applies to the serving layer too.
 
@@ -19,7 +21,9 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Mapping, Optional, Tuple
 
-__all__ = ["HttpError", "HttpRequest", "read_request", "render_response"]
+import numpy as np
+
+__all__ = ["HttpError", "HttpRequest", "encode_ids", "read_request", "render_response"]
 
 _MAX_HEADER_BYTES = 16 * 1024
 _MAX_BODY_BYTES = 8 * 1024 * 1024
@@ -35,6 +39,21 @@ _REASONS = {
     503: "Service Unavailable",
     504: "Gateway Timeout",
 }
+
+#: ``10**j``: an id below ``10**j`` has at most ``j`` decimal digits.
+_POWERS = 10 ** np.arange(19, dtype=np.int64)
+#: The four ASCII digits of ``0 .. 9999``, zero-padded, one uint32 each.
+_CHUNKS = (
+    (np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0"))
+    .astype(np.uint8)
+    .view(np.uint32)
+    .ravel()
+)
+#: ``", "`` padded to one uint32 slot.
+_SEPARATOR = np.frombuffer(b",   ", dtype=np.uint32)[0]
+#: An id array whose digit count changes more often than this (ids out
+#: of order) is not worth splitting into runs.
+_MAX_RUNS = 64
 
 
 class HttpError(Exception):
@@ -118,6 +137,67 @@ async def read_request(reader: asyncio.StreamReader) -> Optional[HttpRequest]:
     return HttpRequest(method=method.upper(), path=path, headers=headers, body=body)
 
 
+def encode_ids(ids: np.ndarray) -> bytes:
+    """``json.dumps(ids.tolist())`` as bytes, for a 1-D integer array, in bulk.
+
+    Each id is written as uint32 words of four digits (zero-padded, from
+    a lookup table) plus a separator word; every run of ids with the same
+    number of digits is then one block of bytes, its padding cut off.  An
+    answer's ascending ids have one run per digit count.  Arrays that are
+    not non-negative int64 values, or whose runs are many, take
+    ``json.dumps``.
+    """
+    values = np.asarray(ids)
+    if values.size == 0:
+        return b"[]"
+    if (
+        values.dtype.kind not in "iu"
+        or values.min() < 0
+        or values.max() > np.iinfo(np.int64).max
+    ):
+        return json.dumps(values.tolist()).encode("ascii")
+    values = values.astype(np.int64, copy=False)
+    digits = np.maximum(np.searchsorted(_POWERS, values, side="right"), 1)
+    cuts = np.flatnonzero(np.diff(digits)) + 1
+    if cuts.size >= _MAX_RUNS:
+        return json.dumps(values.tolist()).encode("ascii")
+    words = -(-int(digits.max()) // 4)
+    cells = np.empty((values.size, words + 1), dtype=np.uint32)
+    rest = values
+    for word in range(words - 1, -1, -1):
+        rest, chunk = np.divmod(rest, 10_000)
+        cells[:, word] = _CHUNKS[chunk]
+    cells[:, words] = _SEPARATOR
+    text = cells.view(np.uint8)
+    width = 4 * words
+    starts = [0, *cuts.tolist()]
+    ends = [*starts[1:], values.size]
+    blocks = [
+        text[start:end, width - int(digits[start]) : width + 2].tobytes()
+        for start, end in zip(starts, ends)
+    ]
+    return b"[" + b"".join(blocks)[:-2] + b"]"
+
+
+def _json_bytes(body: Any) -> bytes:
+    """``json.dumps(body)``, with a dict's array values by :func:`encode_ids`."""
+    if not isinstance(body, dict) or not any(
+        isinstance(value, np.ndarray) for value in body.values()
+    ):
+        return json.dumps(body).encode("utf-8")
+    items = [
+        json.dumps(key).encode("ascii")
+        + b": "
+        + (
+            encode_ids(value)
+            if isinstance(value, np.ndarray)
+            else json.dumps(value).encode("ascii")
+        )
+        for key, value in body.items()
+    ]
+    return b"{" + b", ".join(items) + b"}"
+
+
 def render_response(
     status: int,
     body: Any,
@@ -126,9 +206,10 @@ def render_response(
     extra_headers: Optional[Mapping[str, str]] = None,
     keep_alive: bool = True,
 ) -> bytes:
-    """Serialize one response; dict/list bodies are JSON-encoded."""
+    """Serialize one response; dict/list bodies are JSON-encoded (a dict's
+    id arrays by :func:`encode_ids`)."""
     if isinstance(body, (dict, list)):
-        payload = json.dumps(body).encode("utf-8")
+        payload = _json_bytes(body)
     elif isinstance(body, str):
         payload = body.encode("utf-8")
     else:

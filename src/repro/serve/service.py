@@ -468,6 +468,8 @@ class QueryService:
     def _shape_answer(op: str, answer: Any, trace_id: Optional[str]) -> dict:
         """Render an engine answer as the documented response JSON.
 
+        ``ids`` stays the engine's int64 array: :func:`render_response`
+        writes it in bulk, as the JSON list ``json.dumps`` would.
         ``degraded`` is the engine's ``DegradedInfo.to_dict()`` verbatim
         (exact completeness passthrough); ``trace_id`` is shared by every
         request the same coalesced engine call answered.
@@ -475,14 +477,14 @@ class QueryService:
         degraded = answer.degraded.to_dict() if answer.degraded is not None else None
         if op == "query":
             return {
-                "ids": answer.ids.tolist(),
+                "ids": answer.ids,
                 "count": int(answer.ids.size),
                 "used_fallback": bool(answer.used_fallback),
                 "degraded": degraded,
                 "trace_id": trace_id,
             }
         return {
-            "ids": answer.ids.tolist(),
+            "ids": answer.ids,
             "distances": answer.distances.tolist(),
             "n_checked": int(answer.n_checked),
             "degraded": degraded,

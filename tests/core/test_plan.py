@@ -3,8 +3,10 @@
 Every query kind and every EXPLAIN surface takes its plan from
 ``plan``, which computes the Eq. 13 threshold matrix of all ``r`` indices
 once per working query.  A spy on :func:`repro.core.selection.thresholds`
-counts the calls per query kind on a :class:`FunctionIndex` and a 2-shard
-engine.  The plan's ranks, every column of its matrix and EXPLAIN's
+counts the full matrices and the single columns built per query kind on a
+:class:`FunctionIndex` and a 2-shard engine: the engine builds the matrix
+once per working query for the whole wave, and each shard ranks its
+chosen index's column of it, computing no thresholds of its own.  The plan's ranks, every column of its matrix and EXPLAIN's
 candidate spans must equal each index's standalone
 :meth:`~repro.core.planar.PlanarIndex.interval_ranks`, for all four
 strategies, on real-valued data over six decades per column with writes
@@ -12,8 +14,6 @@ pending in the log and a translation grown since the last merge.
 """
 
 from __future__ import annotations
-
-import threading
 
 import numpy as np
 import pytest
@@ -42,23 +42,22 @@ def _no_faults():
 
 @pytest.fixture
 def threshold_calls(monkeypatch):
-    """A function counting ``thresholds`` calls made while it runs its argument."""
+    """A function counting the ``thresholds`` calls made while it runs its
+    argument: ``(full matrices, single columns)``."""
     original = selection.thresholds
-    lock = threading.Lock()
-    count = [0]
+    counts = {"matrix": 0, "column": 0}
 
-    def spy(*args):
-        with lock:
-            count[0] += 1
-        return original(*args)
+    def spy(working_columns, *args):
+        counts["matrix" if working_columns.ndim == 2 else "column"] += 1
+        return original(working_columns, *args)
 
     for module in (selection, collection_module, planar_module):
         monkeypatch.setattr(module, "thresholds", spy)
 
-    def calls(run) -> int:
-        before = count[0]
+    def calls(run) -> tuple[int, int]:
+        before = dict(counts)
         run()
-        return count[0] - before
+        return counts["matrix"] - before["matrix"], counts["column"] - before["column"]
 
     return calls
 
@@ -83,27 +82,29 @@ def _collections(engine):
 
 
 def test_every_query_kind_computes_thresholds_once_per_working_query(engine, threshold_calls):
-    per_query = len(_collections(engine))
+    # One matrix per planned working query, however many shards; a range
+    # query's low bound is ranked by each shard's chosen index alone.
+    shards = len(_collections(engine))
     normal, offset = np.array([1.0, 2.0, 0.5, 3.0]), 40.0
     normals = np.vstack([normal, normal[::-1], 2.0 * normal])
     offsets = np.array([offset, 10.0, -5.0])
-    assert threshold_calls(lambda: engine.query(normal, offset)) == per_query
-    assert threshold_calls(lambda: engine.topk(normal, offset, 5)) == per_query
-    assert threshold_calls(lambda: engine.query_range(normal, -offset, offset)) == 2 * per_query
-    assert threshold_calls(lambda: engine.query_batch(normals, offsets)) == 3 * per_query
-    assert threshold_calls(lambda: engine.topk_batch(normals, offsets, 5)) == 3 * per_query
+    assert threshold_calls(lambda: engine.query(normal, offset)) == (1, 0)
+    assert threshold_calls(lambda: engine.topk(normal, offset, 5)) == (1, 0)
+    assert threshold_calls(lambda: engine.query_range(normal, -offset, offset)) == (1, shards)
+    assert threshold_calls(lambda: engine.query_batch(normals, offsets)) == (3, 0)
+    assert threshold_calls(lambda: engine.topk_batch(normals, offsets, 5)) == (3, 0)
 
 
 def test_constraints_and_explain_compute_thresholds_once_per_working_query(threshold_calls):
     points, _ = _points(np.random.default_rng(6), 1500)
     index = FunctionIndex(points, MODEL, n_indices=6, rng=0)
     constraints = [(np.array([1.0, 2.0, 0.5, 3.0]), 40.0), (np.ones(DIM), -20.0, ">=")]
-    assert threshold_calls(lambda: index.query_conjunction(constraints)) == 2
-    assert threshold_calls(lambda: index.query_disjunction(constraints)) == 2
+    assert threshold_calls(lambda: index.query_conjunction(constraints)) == (2, 0)
+    assert threshold_calls(lambda: index.query_disjunction(constraints)) == (2, 0)
     normal, offset = constraints[0]
-    assert threshold_calls(lambda: index.explain_report(normal, offset)) == 1
+    assert threshold_calls(lambda: index.explain_report(normal, offset)) == (1, 0)
     query = ScalarProductQuery(normal, offset)
-    assert threshold_calls(lambda: index.collection.explain(query)) == 1
+    assert threshold_calls(lambda: index.collection.explain(query)) == (1, 0)
 
 
 @pytest.mark.parametrize("strategy", [s.value for s in SelectionStrategy])

@@ -192,8 +192,7 @@ class TestFacadeProtocol:
 
 @pytest.fixture
 def engine():
-    """A 2-shard engine whose pool is one thread, so every pooled task
-    of a test runs on the same worker.
+    """A 2-shard engine.
 
     Any ambient fault plan (the chaos CI lane arms ``REPRO_FAULTS``
     process-wide) is disarmed meanwhile and restored afterwards, as
@@ -206,23 +205,20 @@ def engine():
     points = rng.integers(1, 30, size=(200, 3)).astype(np.float64)
     model = QueryModel.uniform(dim=3, low=1.0, high=5.0, rq=4)
     try:
-        with ShardedFunctionIndex(
-            points, model, n_indices=2, rng=0, n_shards=2, max_workers=1
-        ) as sharded:
+        with ShardedFunctionIndex(points, model, n_indices=2, rng=0, n_shards=2) as sharded:
             yield sharded
     finally:
         if previous_plan is not None:
             _flt.arm(previous_plan)
 
 
-def _pooled_wave(engine, fn):
-    """Run ``fn`` on both shards through the engine's pool (a deadline
-    keeps the calling thread from running a shard inline)."""
+def _wave(engine, fn):
+    """Run ``fn`` on both shards as one engine wave, under a deadline."""
     return engine._execute_wave("probe", fn, [0, 1], time.monotonic() + 30.0, False, None)
 
 
 def _probe(seen):
-    def fn(collection):
+    def fn(shard):
         seen.append(
             (
                 threading.get_ident(),
@@ -237,76 +233,64 @@ def _probe(seen):
 
 
 class TestContextPropagation:
-    """Shard work on pool threads runs in a copy of the query's context."""
+    """Shard work runs on the querying thread, in the query's context."""
 
     def test_no_trace_is_noop(self, tracing, engine):
         seen = []
-        results, failures = _pooled_wave(engine, _probe(seen))
+        results, failures = _wave(engine, _probe(seen))
         assert not failures and set(results) == {0, 1}
-        assert all(ident != threading.get_ident() for ident, *_ in seen)
+        assert all(ident == threading.get_ident() for ident, *_ in seen)
         assert all(trace is None and active for _, trace, _, active in seen)
         # Without a trace each shard span is its own root, as before.
         assert [root.name for root in recent_traces()] == ["shard.probe"] * 2
 
-    def test_sampled_trace_stitches_pool_spans(self, tracing, engine):
+    def test_sampled_trace_stitches_shard_spans(self, tracing, engine):
         seen = []
         with obs_trace.root("inequality") as trace:
-            _pooled_wave(engine, _probe(seen))
-        assert all(ident != threading.get_ident() for ident, *_ in seen)
+            _wave(engine, _probe(seen))
+        assert all(ident == threading.get_ident() for ident, *_ in seen)
         assert all(current is trace.ctx for _, current, _, _ in seen)
         assert all(span.name == "shard.probe" for _, _, span, _ in seen)
         roots = recent_traces()
-        assert len(roots) == 1, "pool spans must stitch, not orphan"
+        assert len(roots) == 1, "shard spans must stitch, not orphan"
         assert [child.name for child in roots[0].children] == ["shard.probe"] * 2
         for child in roots[0].children:
             assert child.attrs["trace_id"] == trace.trace_id
 
-    def test_unsampled_trace_mutes_pool_work(self, tracing, engine):
+    def test_unsampled_trace_mutes_shard_work(self, tracing, engine):
         obs_runtime.enable(UNSAMPLED_RATE)
         shard_queries = obs_metrics.shard_queries_total()
         before = shard_queries.value(kind="probe", shard="0")
         seen = []
         with obs_trace.root("inequality") as trace:
             assert not trace.ctx.sampled
-            _pooled_wave(engine, _probe(seen))
-        assert all(ident != threading.get_ident() for ident, *_ in seen)
+            _wave(engine, _probe(seen))
         assert all(current is trace.ctx and not active for _, current, _, active in seen)
         assert recent_traces() == []
         assert shard_queries.value(kind="probe", shard="0") == before
 
     def test_failed_shard_leaks_nothing_to_the_next_task(self, tracing, engine):
-        def failing(collection):
+        def failing(shard):
             with obs_spans.span("inner"):
                 raise RuntimeError("shard exploded")
 
-        workers = set()
-
-        def failing_on(collection):
-            workers.add(threading.get_ident())
-            failing(collection)
-
         with obs_trace.root("inequality") as sampled:
             assert sampled.ctx.sampled
-            _, failures = _pooled_wave(engine, failing_on)
-        assert set(failures) == {0, 1}
+            _, failures = _wave(engine, failing)
+            assert set(failures) == {0, 1}
+            assert obs_spans.current_span().name == "query.inequality"
         obs_runtime.enable(UNSAMPLED_RATE)
         with obs_trace.root("inequality") as unsampled:
             assert not unsampled.ctx.sampled
-            _, failures = _pooled_wave(engine, failing_on)
+            _, failures = _wave(engine, failing)
         assert set(failures) == {0, 1}
         obs_runtime.enable(1.0)
-
-        def next_task():
-            return (
-                threading.get_ident(),
-                obs_trace.current(),
-                obs_spans.current_span(),
-                obs_runtime.active(),
-            )
-
-        ident, current, span, active = engine._ensure_executor().submit(next_task).result()
-        assert workers == {ident}
-        assert current is None and span is None and active
+        assert obs_trace.current() is None and obs_spans.current_span() is None
+        clear_traces()
+        seen = []
+        _wave(engine, _probe(seen))
+        assert all(trace is None and span.name == "shard.probe" for _, trace, span, _ in seen)
+        assert [root.name for root in recent_traces()] == ["shard.probe"] * 2
 
 
 class TestQueryLogIntegration:

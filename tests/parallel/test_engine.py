@@ -160,6 +160,99 @@ class TestMaintenance:
                 )
 
 
+def _assert_every_kind_matches(mono, sharded, model):
+    """Every query kind of ``sharded`` answers as ``mono`` does."""
+    queries = _sample_queries(model, 4, seed=5)
+    for normal, offset in queries:
+        assert np.array_equal(mono.query(normal, offset).ids, sharded.query(normal, offset).ids)
+        assert np.array_equal(
+            mono.query_range(normal, 0.4 * offset, offset).ids,
+            sharded.query_range(normal, 0.4 * offset, offset).ids,
+        )
+        expected_k, got_k = mono.topk(normal, offset, 9), sharded.topk(normal, offset, 9)
+        assert np.array_equal(expected_k.ids, got_k.ids)
+        assert np.array_equal(expected_k.distances, got_k.distances)
+    normals = np.vstack([normal for normal, _ in queries])
+    offsets = np.array([offset for _, offset in queries])
+    for expected, got in zip(mono.query_batch(normals, offsets), sharded.query_batch(normals, offsets)):
+        assert np.array_equal(expected.ids, got.ids)
+    for expected, got in zip(
+        mono.topk_batch(normals, offsets, 9), sharded.topk_batch(normals, offsets, 9)
+    ):
+        assert np.array_equal(expected.ids, got.ids)
+        assert np.array_equal(expected.distances, got.distances)
+
+
+class TestWavePlanning:
+    """One choice of index per wave, unless the shards' normals differ."""
+
+    def test_positions_are_chosen_once_for_every_shard(
+        self, uniform_points, uniform_model, n_shards
+    ):
+        _, sharded = _pair(uniform_points, uniform_model, max(2, n_shards))
+        with sharded:
+            normal, offset = _sample_queries(uniform_model, 1)[0]
+            wq = sharded._working(sharded._query(normal, offset, "<="))
+            plans = sharded._plan_wave([wq])
+            (first,) = plans[0]
+            for (choice,), collection in zip(plans, sharded.collections):
+                assert choice.position == first.position and choice.th is first.th
+                assert choice.cache is collection.snapshot
+
+    def test_lifecycle_fan_out_in_flight_keeps_answers_exact(
+        self, uniform_points, uniform_model, n_shards
+    ):
+        mono, sharded = _pair(uniform_points, uniform_model, max(2, n_shards))
+        with sharded:
+            normal, offset = _sample_queries(uniform_model, 1)[0]
+            wq = sharded._working(sharded._query(normal, offset, "<="))
+            first, *rest = sharded.collections
+            # add_index has reached the first shard only: the normals
+            # differ, so each shard plans for itself.
+            assert first.add_index(np.asarray([3.0, 1.0, 4.0, 1.0]))
+            assert sharded._plan_wave([wq]) == [[None]] * len(sharded.collections)
+            _assert_every_kind_matches(mono, sharded, uniform_model)
+            for collection in rest:
+                collection.add_index(np.asarray([3.0, 1.0, 4.0, 1.0]))
+            assert sharded._plan_wave([wq])[0] != [None]
+            # And a drop that has reached the first shard only.
+            first.drop_index(0)
+            assert sharded._plan_wave([wq]) == [[None]] * len(sharded.collections)
+            _assert_every_kind_matches(mono, sharded, uniform_model)
+
+    def test_lifecycle_fan_out_during_a_wave_keeps_answers_exact(
+        self, uniform_points, uniform_model, n_shards, monkeypatch
+    ):
+        """A whole add_index/drop_index fan-out lands between two shards of
+        one wave: the later shards still plan from the snapshots the wave
+        read, so the choice stays valid and the answers exact."""
+        mono, sharded = _pair(uniform_points, uniform_model, max(2, n_shards))
+        with sharded:
+            first = sharded.collections[0]
+            rng = np.random.default_rng(1)
+            calls = iter(range(1000))
+
+            def lifecycle():
+                # Dropping index 0 shifts every position the wave chose.
+                if next(calls) % 2:
+                    sharded.drop_index(0)
+                else:
+                    sharded.add_index(uniform_model.sample_normal(rng))
+
+            def racing(method):
+                def run(*args, **kwargs):
+                    result = method(*args, **kwargs)
+                    lifecycle()
+                    return result
+
+                return run
+
+            for name in ("query", "query_range", "topk", "query_batch", "topk_batch"):
+                monkeypatch.setattr(first, name, racing(getattr(first, name)))
+            _assert_every_kind_matches(mono, sharded, uniform_model)
+            assert all(len(c) == sharded.n_indices for c in sharded.collections)
+
+
 class TestOneStore:
     def test_points_are_the_features_through_mutations(
         self, uniform_points, uniform_model, n_shards
@@ -220,12 +313,12 @@ class TestShardLayout:
             uniform_points, uniform_model, n_indices=4, rng=0, n_shards=1
         ) as sharded:
             assert sharded.shard_sizes() == [len(uniform_points)]
-            # One shard means no view indirection and no thread pool.
+            # One shard means no view indirection, and it plans for itself.
             assert sharded._stores[0] is sharded._features
-            assert sharded._executor is None
             normal = uniform_model.sample_normal(0)
+            wq = sharded._working(sharded._query(normal, 300.0, "<="))
+            assert sharded._plan_wave([wq]) == [[None]]
             sharded.query(normal, 300.0)
-            assert sharded._executor is None
 
     def test_rejects_bad_configuration(self, uniform_points, uniform_model):
         with pytest.raises(ValueError):

@@ -164,6 +164,50 @@ class TestDegradePolicy:
                 engine.query(normal, offset)
 
 
+class TestInlineDeadline:
+    """Shards run in order on the calling thread, under the wave's deadline."""
+
+    @staticmethod
+    def _started(engine, monkeypatch) -> list[int]:
+        """Record the shards whose collection starts a query."""
+        started: list[int] = []
+        for shard, collection in enumerate(engine.collections):
+            query = collection.query
+
+            def recorded(*args, shard=shard, query=query, **kwargs):
+                started.append(shard)
+                return query(*args, **kwargs)
+
+            monkeypatch.setattr(collection, "query", recorded)
+        return started
+
+    def test_stall_raises_and_later_shards_never_start(self, monkeypatch):
+        _flt.disarm()
+        engine, points, _ = build_engine(failure_policy="raise", query_timeout_s=0.05)
+        normal, offset = _query_args(points)
+        started = self._started(engine, monkeypatch)
+        with engine, _flt.injected("shard.query:stall:ms=200:shard=0:times=1"):
+            with pytest.raises(QueryTimeoutError) as excinfo:
+                engine.query(normal, offset)
+        assert excinfo.value.shard == 0
+        assert started == [0]
+
+    def test_stall_is_recovered_under_degrade(self, monkeypatch):
+        _flt.disarm()
+        engine, points, _ = build_engine(failure_policy="degrade", query_timeout_s=0.05)
+        normal, offset = _query_args(points)
+        with engine:
+            baseline = engine.query(normal, offset)
+            started = self._started(engine, monkeypatch)
+            with _flt.injected("shard.query:stall:ms=200:shard=1:times=1"):
+                answer = engine.query(normal, offset)
+        assert np.array_equal(answer.ids, baseline.ids)
+        # Shard 1's slice came back late; shard 2 could not start in time.
+        assert started == [0, 1]
+        assert answer.degraded.recovered_shards == (1, 2)
+        assert answer.degraded.completeness == 1.0
+
+
 class TestRetryThenDegrade:
     def test_transient_fault_retried_to_full_answer(self):
         engine, points, _ = build_engine(failure_policy="retry_then_degrade")
