@@ -28,7 +28,7 @@ import time
 
 import numpy as np
 
-from repro import QueryModel, ShardedFunctionIndex
+from repro import QueryModel, ScalarProductQuery, ShardedFunctionIndex
 from repro.core.function_index import _merge_answer
 from repro.bench import print_table
 from repro.reliability import faults as _flt
@@ -70,9 +70,8 @@ def _build(rng: np.random.Generator):
 
 def _bare_query(engine: ShardedFunctionIndex, normal: np.ndarray, offset: float):
     """The exact disarmed fan-out pipeline with every reliability hook removed."""
-    spq = engine._query(normal, offset, "<=")
-    wq = engine._working(spq)
-    plans = engine._plan_wave([wq])
+    wq = engine._working(ScalarProductQuery(normal, offset))
+    plans = engine._choose([wq])
     parts = [
         collection.query(wq, choices[0])
         for collection, choices in zip(engine.collections, plans)

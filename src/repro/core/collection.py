@@ -9,10 +9,10 @@ uniformly from the query-parameter domains (Section 5.2), removes redundant
 index's intermediate interval against a sketch of its sorted keys
 (:func:`~repro.core.selection.choose`); the chosen index's exact
 interval then decides between verifying it and scanning a float32 copy of
-the features.  :meth:`PlanarIndexCollection.plan` is the one planner every
-query kind and EXPLAIN take their :class:`Plan` from; sibling collections
-over one data set's shards can share one choice of index per query
-(:meth:`PlanarIndexCollection.wave_choices`).
+the features.  :meth:`PlanarIndexCollection.wave_choices` is the one
+chooser, for one collection or for sibling collections over one data
+set's shards; :meth:`PlanarIndexCollection.plan` ranks and routes its
+:class:`Choice` into the :class:`Plan` every query kind and EXPLAIN run.
 """
 
 from __future__ import annotations
@@ -156,12 +156,11 @@ class Plan(NamedTuple):
 
 
 class Choice(NamedTuple):
-    """An index chosen for one working query outside :meth:`PlanarIndexCollection.plan`.
+    """The index chosen for one working query (:meth:`PlanarIndexCollection.wave_choices`).
 
     ``position`` is in the selection snapshot ``cache``; ``th`` is the
     Eq. 13 threshold matrix it was chosen from, over the same normals,
-    and ``probes`` the rank probes of its column
-    (see :meth:`PlanarIndexCollection.wave_choices`).
+    and ``probes`` the rank probes of its column.
     """
 
     position: int
@@ -365,12 +364,12 @@ class PlanarIndexCollection:
     def plan(self, wq: WorkingQuery, choice: Choice | None = None) -> Plan:
         """The one planner: ``(position, index, r_lo, r_hi, n, route, cache, th)``.
 
-        Snapshots the selection ``cache`` and computes its Eq. 13 threshold
-        matrix ``th`` once; the strategy chooses ``position`` from it and
-        that ``index`` ranks its own column.  A ``choice`` made outside
-        (:meth:`wave_choices`) brings all three and the column's rank
-        probes, so nothing is selected or computed here but the ranks.
-        ``n`` counts the live points.
+        Ranks and routes ``wq`` from a ``choice`` of :meth:`wave_choices`,
+        which brings the position, the selection ``cache`` it indexes, the
+        Eq. 13 threshold matrix ``th`` and the chosen column's rank probes:
+        nothing is selected or computed here but the chosen index's two
+        ranks.  Without a ``choice`` the collection makes one over its own
+        snapshot.  ``n`` counts the live points.
         The one routing decision: verifying the chosen index's intermediate
         interval (the write log's pending ids included) costs several times
         a scanned point per point, so above ``_SCAN_FALLBACK_FRACTION`` of
@@ -378,22 +377,12 @@ class PlanarIndexCollection:
         armed, counted selection records how far its sketch estimate was
         from the exact |II| (``repro_ii_estimate_error``).
         """
-        obs_on = _ort.active()
         if choice is None:
-            cache = self._cache
-            started = time.perf_counter() if obs_on else 0.0
-            th = thresholds(cache.columns, cache.offsets, wq)
-            position = self._select_position(wq, cache, th)
-            if obs_on:
-                _osp.record("select", started, strategy=self._strategy.value, chosen=position)
-                _om.selection_total().inc(strategy=self._strategy.value, index=str(position))
-            index = cache.indices[position]
-            r_lo, r_hi, n = index.interval_ranks(wq, th.column(position))
-        else:
-            position, cache, th, probes = choice
-            index = cache.indices[position]
-            r_lo, r_hi, n = index.interval_ranks(wq, probes=probes)
-        if n and self._strategy is SelectionStrategy.COUNTED and obs_on:
+            choice = self.wave_choices([wq], [self._cache])[0][0]
+        position, cache, th, probes = choice
+        index = cache.indices[position]
+        r_lo, r_hi, n = index.interval_ranks(wq, probes)
+        if n and self._strategy is SelectionStrategy.COUNTED and _ort.active():
             estimate = sketch_counts(th, cache.sketch)[position] * n / SKETCH_BUCKETS
             _om.ii_estimate_error().observe(abs(estimate - (r_hi - r_lo)) / n)
         verify = r_hi - r_lo
@@ -407,50 +396,45 @@ class PlanarIndexCollection:
     def _select_position(
         self,
         wq: WorkingQuery,
-        cache: "_SelectionCache | None" = None,
-        th: Thresholds | None = None,
-        pooled: tuple[np.ndarray, np.ndarray] | None = None,
+        cache: _SelectionCache,
+        th: Thresholds,
+        pooled: tuple[np.ndarray, np.ndarray] | None,
     ) -> int:
-        """Position the configured strategy picks for ``wq``: :meth:`plan`'s
-        :func:`~repro.core.selection.choose` call over its cache snapshot
-        and threshold matrix, or without them the position :meth:`plan` picks.
-        Counted selection over sibling snapshots counts their ``pooled``
-        sketches (:func:`~repro.core.selection.pooled_counts`)."""
-        if cache is None or th is None:
-            return self.plan(wq).position
+        """Position the configured strategy picks for ``wq``: the
+        :func:`~repro.core.selection.choose` call over the snapshot
+        ``cache`` and its threshold matrix ``th``.  Counted selection over
+        sibling snapshots counts their ``pooled`` sketches
+        (:func:`~repro.core.selection.pooled_counts`)."""
         counts = None if pooled is None else pooled_counts(th, *pooled)
         return choose(self._strategy, cache.columns, th, cache.sketch, wq, self._rng, counts)
 
     def wave_choices(
         self, working: Sequence[WorkingQuery], caches: Sequence[_SelectionCache]
-    ) -> list[list[Choice]] | None:
-        """One index per working query, chosen once for sibling collections.
+    ) -> list[list[Choice]]:
+        """The one chooser: one index per working query, for every snapshot.
 
-        ``caches`` are the :attr:`snapshot` of every sibling (collections
-        over disjoint shards of one data set, with this collection's
-        strategy), each read once for the wave.  Siblings share normals
-        and the translator, so one threshold matrix per working query
-        serves them all, and so do the rank probes of the chosen column;
-        counted selection sums their sketch counts, each weighted by its
-        sibling's size — an estimate of the whole data's |II|.  Returns
-        one list of :class:`Choice` per cache, aligned with
-        ``working``, for each sibling's :meth:`plan`.  ``None`` when the
-        snapshots' normals differ (an ``add_index``/``drop_index``
-        reaching every sibling is in flight): each sibling must plan for
-        itself.  A merge rebinds only its own collection's snapshot and
-        never changes the normals, so it cannot skew a choice.
+        ``caches`` are this collection's :attr:`snapshot`, or the snapshot
+        of every sibling (collections over disjoint shards of one data set,
+        with this collection's strategy and normals), each read once for
+        the wave.  One Eq. 13 threshold matrix per working query serves
+        them all, since siblings share normals and the translator, and so
+        do the rank probes of the chosen column.  Counted selection over
+        several snapshots sums their sketch counts, each weighted by its
+        sibling's size: an estimate of the whole data's |II|.  Returns one
+        list of :class:`Choice` per cache, aligned with ``working``, for
+        each sibling's :meth:`plan`.  A merge rebinds only its own
+        collection's snapshot and never changes the normals, so it cannot
+        skew a choice.
         """
         reference = caches[0]
-        columns = reference.columns
-        if any(not np.array_equal(cache.columns, columns) for cache in caches[1:]):
-            return None
         pooled = None
-        if self._strategy is SelectionStrategy.COUNTED:
+        if self._strategy is SelectionStrategy.COUNTED and len(caches) > 1:
             pooled = (
                 np.concatenate([cache.sketch for cache in caches]),
                 np.repeat([len(cache.indices[0]) for cache in caches], SKETCH_BUCKETS + 1),
             )
         obs_on = _ort.active()
+        columns = reference.columns
         offsets = reference.offsets
         chosen = []
         for wq in working:
@@ -538,9 +522,7 @@ class PlanarIndexCollection:
         )
 
     def query_batch(
-        self,
-        queries: Sequence[ScalarProductQuery | WorkingQuery],
-        choices: Sequence[Choice | None] | None = None,
+        self, queries: Sequence[WorkingQuery], choices: Sequence[Choice]
     ) -> list[QueryResult]:
         """Answer many inequality queries; positionally aligned with ``queries``.
 
@@ -548,8 +530,6 @@ class PlanarIndexCollection:
         counted exactly as a single call would be; ``choices`` holds each
         member's ``choice``.
         """
-        if choices is None:
-            choices = [None] * len(queries)
         return [self.query(query, choice) for query, choice in zip(queries, choices)]
 
     def topk(
@@ -579,17 +559,15 @@ class PlanarIndexCollection:
 
     def topk_batch(
         self,
-        queries: Sequence[ScalarProductQuery | WorkingQuery],
+        queries: Sequence[WorkingQuery],
         k: int,
-        choices: Sequence[Choice | None] | None = None,
+        choices: Sequence[Choice],
         cutoffs: "Sequence[SharedCutoff] | None" = None,
     ) -> list[TopKResult]:
         """Answer many top-k queries; a loop over :meth:`topk`, with each
-        member's entry of ``choices`` and ``cutoffs`` when given."""
+        member's entry of ``choices`` and of ``cutoffs`` when given."""
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
-        if choices is None:
-            choices = [None] * len(queries)
         if cutoffs is None:
             cutoffs = [None] * len(queries)
         return [

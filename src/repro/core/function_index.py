@@ -40,7 +40,7 @@ from ..obs import trace as _otr
 from ..reliability.degraded import DegradedInfo
 from ..obs.explain import ExplainReport
 from . import exact
-from .collection import PlanarIndexCollection
+from .collection import Choice, PlanarIndexCollection
 from .domains import QueryModel
 from .feature_store import FeatureStore
 from .phi import FeatureMap, identity_map
@@ -122,14 +122,16 @@ def _merge_answer(
 ) -> QueryAnswer:
     """Disjoint sorted per-collection id sets merge into one sorted answer.
 
-    ``None`` entries (unrecovered shards under a degrading policy) are
-    skipped; their absence is what ``degraded.completeness`` accounts.
+    A stable sort runs as timsort, which merges the sorted runs rather
+    than sorting them again.  ``None`` entries (unrecovered shards under
+    a degrading policy) are skipped; their absence is what
+    ``degraded.completeness`` accounts.
     """
     present = [part for part in parts if part is not None]
     if len(present) == 1:
         only = present[0]
         return QueryAnswer(only.ids, only.stats, False, degraded)
-    ids = np.sort(np.concatenate([part.ids for part in present]))
+    ids = np.sort(np.concatenate([part.ids for part in present]), kind="stable")
     stats = QueryStats.merged(part.stats for part in present)
     return QueryAnswer(ids, stats, False, degraded)
 
@@ -189,11 +191,12 @@ class FunctionIndex:
     rng:
         Seed or generator for index-normal sampling.
 
-    Every query validates, records its workload sketch, octant-checks
-    (a query outside the octant is answered by the exact fallback scan),
-    then runs one call per Planar index collection through
-    :meth:`_fan_out` and merges the slices; the whole call is one trace
-    (:meth:`_traced`).  The sharded engine
+    Every query validates and octant-translates (a query outside the
+    octant is answered by the exact fallback scan), records its workload
+    sketch, chooses one index per query for every Planar index
+    collection (:meth:`_choose`), then runs one call per collection
+    through :meth:`_fan_out` and merges the slices; the whole call is one
+    trace (:meth:`_traced`).  The sharded engine
     (:class:`~repro.parallel.engine.ShardedFunctionIndex`) is this class
     with one collection per shard: it overrides :meth:`_fan_out` and
     :meth:`_maintain_each` only.
@@ -340,21 +343,38 @@ class FunctionIndex:
         kind: str,
         call: Callable[..., _T],
         queries: Sequence[ScalarProductQuery],
-        working: Sequence[WorkingQuery],
+        choices: Sequence[Sequence[Choice]],
         k: int | None = None,
         timeout_s: float | None = None,
     ) -> tuple[list[_T | None], DegradedInfo | None]:
-        """Run ``call(collection, choices)`` on every collection:
+        """Run ``call(collection, choices[i])`` on every collection ``i``:
         ``(slices, degraded)``.
 
-        ``choices`` holds one :class:`~repro.core.collection.Choice` per
-        planned query of ``working``, or ``None`` where the collection
-        plans the query itself (:meth:`PlanarIndexCollection.plan`).
-        ``queries`` (and ``k``) describe the task so an implementation can
-        recompute a lost slice exactly; ``timeout_s`` bounds the wave.
-        The one collection here plans for itself, and needs neither.
+        ``choices`` is the wave's plan (:meth:`_choose`).  ``queries``
+        (and ``k``) describe the task so an implementation can recompute a
+        lost slice exactly; ``timeout_s`` bounds the wave.  The one
+        collection here needs neither.
         """
-        return [call(self._collections[0], [None] * len(working))], None
+        return [call(self._collections[0], choices[0])], None
+
+    def _choose(self, working: Sequence[WorkingQuery]) -> list[list[Choice]]:
+        """Each collection's choices for one wave over ``working``.
+
+        Every collection's selection snapshot is read once for the wave,
+        and :meth:`PlanarIndexCollection.wave_choices` chooses one index
+        per working query for all of them from one threshold matrix.
+        While an ``add_index``/``drop_index`` is still reaching the
+        collections one by one their normals differ, and each collection
+        chooses over its own snapshot instead.
+        """
+        caches = [collection.snapshot for collection in self._collections]
+        columns = caches[0].columns
+        if all(np.array_equal(cache.columns, columns) for cache in caches[1:]):
+            return self._collections[0].wave_choices(working, caches)
+        return [
+            collection.wave_choices(working, [cache])[0]
+            for collection, cache in zip(self._collections, caches)
+        ]
 
     def _maintain_each(
         self,
@@ -412,22 +432,13 @@ class FunctionIndex:
             )
         return result
 
-    def _query(
-        self, normal: np.ndarray, offset: float, op: Comparison | str
-    ) -> ScalarProductQuery:
-        """Build one query, checking it against the feature dimension."""
-        spq = ScalarProductQuery(np.asarray(normal, dtype=np.float64), offset, op)
-        if spq.dim != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"query has dimension {spq.dim}, feature space has {self._phi.out_dim}"
-            )
-        return spq
-
     def _working(self, spq: ScalarProductQuery) -> WorkingQuery | None:
         """Octant-translate ``spq`` once (the translator is shared).
 
         ``None`` when the query does not fit the octant and must be
-        answered by the fallback scan.
+        answered by the fallback scan.  A query of the wrong dimension
+        raises :class:`~repro.exceptions.DimensionMismatchError` here,
+        before anything records it.
         """
         try:
             return self._collections[0].working_query(spq)
@@ -471,31 +482,23 @@ class FunctionIndex:
         timeout_s: float | None,
     ) -> list:
         """Body of both batch calls; ``k`` selects top-k."""
-        if normals.shape[1] != self._phi.out_dim:
-            raise DimensionMismatchError(
-                f"queries have dimension {normals.shape[1]}, feature space "
-                f"has {self._phi.out_dim}"
-            )
         kind = "batch" if k is None else "batch_topk"
         queries = [
             ScalarProductQuery(normals[row], float(offsets[row]), op)
             for row in range(normals.shape[0])
         ]
+        translated = [self._working(spq) for spq in queries]
         if _tnr.RECORDING:
             sketch_kind = "batch" if k is None else "topk"
             for spq in queries:
                 _tnr.record_query(spq.normal, spq.offset, spq.op.value, sketch_kind, k or 0)
-        answers: list = [None] * len(queries)
-        plannable: list[int] = []
-        working: list[WorkingQuery] = []
         member_kind = "inequality" if k is None else "topk"
-        for position, spq in enumerate(queries):
-            wq = self._working(spq)
-            if wq is None:
-                answers[position] = self._fallback(member_kind, [spq], k)[0]
-            else:
-                plannable.append(position)
-                working.append(wq)
+        answers: list = [
+            self._fallback(member_kind, [spq], k)[0] if wq is None else None
+            for spq, wq in zip(queries, translated)
+        ]
+        plannable = [position for position, wq in enumerate(translated) if wq is not None]
+        working = [translated[position] for position in plannable]
         if plannable:
             subset = [queries[position] for position in plannable]
             if k is None:
@@ -510,7 +513,7 @@ class FunctionIndex:
                     return collection.topk_batch(working, k, choices, cutoffs)
 
             per_collection, degraded = self._fan_out(
-                kind, call, subset, working, k, timeout_s
+                kind, call, subset, self._choose(working), k, timeout_s
             )
             for slot, position in enumerate(plannable):
                 parts = [None if part is None else part[slot] for part in per_collection]
@@ -533,17 +536,17 @@ class FunctionIndex:
     def _query_one(
         self, normal: np.ndarray, offset: float, op: Comparison | str
     ) -> QueryAnswer:
-        spq = self._query(normal, offset, op)
+        spq = ScalarProductQuery(normal, offset, op)
+        wq = self._working(spq)
         if _tnr.RECORDING:
             _tnr.record_query(spq.normal, spq.offset, spq.op.value, "inequality")
-        wq = self._working(spq)
         if wq is None:
             return self._fallback("inequality", [spq], None)[0]
         parts, degraded = self._fan_out(
             "inequality",
             lambda collection, choices: collection.query(wq, choices[0]),
             [spq],
-            [wq],
+            self._choose([wq]),
         )
         return _merge_answer(parts, degraded)
 
@@ -564,20 +567,20 @@ class FunctionIndex:
     def _query_range(self, normal: np.ndarray, low: float, high: float) -> QueryAnswer:
         if not low <= high:
             raise InvalidQueryError(f"empty range ({low}, {high})")
-        low_q = self._query(normal, low, ">=")
-        high_q = self._query(normal, high, "<=")
+        low_q = ScalarProductQuery(normal, low, ">=")
+        high_q = ScalarProductQuery(normal, high, "<=")
+        wq_low, wq_high = self._working(low_q), self._working(high_q)
         if _tnr.RECORDING:
             # One sketch per bound (same normal, both operators).
             _tnr.record_query(low_q.normal, low, ">=", "range")
             _tnr.record_query(high_q.normal, high, "<=", "range")
-        wq_low, wq_high = self._working(low_q), self._working(high_q)
         if wq_low is None or wq_high is None:
             return self._fallback("range", [low_q, high_q], None)[0]
         parts, degraded = self._fan_out(
             "range",
             lambda collection, choices: collection.query_range(wq_low, wq_high, choices[0]),
             [low_q, high_q],
-            [wq_high],
+            self._choose([wq_high]),
         )
         return _merge_answer(parts, degraded)
 
@@ -630,10 +633,10 @@ class FunctionIndex:
     ) -> TopKResult:
         if k <= 0:
             raise InvalidQueryError(f"k must be positive, got {k}")
-        spq = self._query(normal, offset, op)
+        spq = ScalarProductQuery(normal, offset, op)
+        wq = self._working(spq)
         if _tnr.RECORDING:
             _tnr.record_query(spq.normal, spq.offset, spq.op.value, "topk", k)
-        wq = self._working(spq)
         if wq is None:
             return self._fallback("topk", [spq], k)[0]
         cutoff = SharedCutoff() if len(self._collections) > 1 else None
@@ -641,7 +644,7 @@ class FunctionIndex:
             "topk",
             lambda collection, choices: collection.topk(wq, k, cutoff, choices[0]),
             [spq],
-            [wq],
+            self._choose([wq]),
             k,
         )
         return _merge_topk(parts, k, len(self._features), degraded)
@@ -832,7 +835,7 @@ class FunctionIndex:
         verification counts, and the pruning achieved.  Octant-incompatible
         queries produce a report for the sequential-scan fallback route.
         """
-        spq = self._query(normal, offset, op)
+        spq = ScalarProductQuery(normal, offset, op)
         try:
             return self.collection.explain(spq)
         except InvalidQueryError as exc:

@@ -59,7 +59,7 @@ from ..obs import spans as _osp
 from . import exact
 from .feature_store import FeatureStore
 from .query import Comparison, ScalarProductQuery
-from .selection import Thresholds, interval_probes, key_offsets, thresholds
+from .selection import interval_probes, key_offsets, thresholds
 from .sorted_keys import SortedKeyStore
 from .stats import QueryStats
 from .topk import SharedCutoff, TopKBuffer, TopKResult
@@ -301,7 +301,7 @@ class PlanarIndex:
     # ------------------------------------------------------------------ #
 
     def interval_ranks(
-        self, wq: WorkingQuery, th: Thresholds | None = None, probes: tuple | None = None
+        self, wq: WorkingQuery, probes: tuple | None = None
     ) -> tuple[int, int, int]:
         """Sorted-rank boundaries ``(r_lo, r_hi, n)`` of the intervals.
 
@@ -315,17 +315,15 @@ class PlanarIndex:
         around each threshold into the intermediate interval and round
         away from the certain intervals, so both certain intervals are
         strict and valid for the strict and non-strict operators alike.
-        ``th`` is this index's column of the planner's threshold matrix;
-        without it (a range query's low bound) the index computes it.
-        ``probes`` are the probes of that column when a sharded wave has
-        derived them once for every shard.
+        ``probes`` are those of this index's column of the chooser's
+        threshold matrix (:class:`~repro.core.collection.Choice`); without
+        them (a range query's low bound) the index computes its column.
         """
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
         if probes is None:
-            if th is None:
-                column = self._working_normal
-                th = thresholds(column, key_offsets(column, self._translator.delta), wq)
+            column = self._working_normal
+            th = thresholds(column, key_offsets(column, self._translator.delta), wq)
             probes = interval_probes(th, wq)
         r_lo, r_hi = self.probe_ranks(*probes)
         if obs_on:

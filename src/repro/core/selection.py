@@ -5,7 +5,7 @@ independent of the dataset size — the index expected to minimize the
 intermediate interval.  Everything here works on the ``(d', r)`` column
 stack of the indices' working normals ``c''`` and starts from one
 expression, the Eq. 13 thresholds of :func:`thresholds`, computed once
-per query by the collection's planner: its router (:func:`choose`),
+per query by the collection's one chooser: the strategy (:func:`choose`),
 EXPLAIN (:func:`scores`) and the chosen index's rank probes
 (:func:`interval_probes`) read that one matrix; a range query's low
 bound and the tuning advisor call it too, so they agree by construction.

@@ -5,13 +5,14 @@
 same code — that partitions the data into ``S`` shards, each owning its own
 :class:`~repro.core.collection.PlanarIndexCollection` over a
 :class:`~repro.parallel.view.FeatureStoreView` of one shared feature store.
-A query runs as one *wave*: the engine chooses one index per working
-query for every shard (one Eq. 13 threshold matrix, counted selection
-over the summed shard sketches), then runs the shards one after another
-on the calling thread.  On the 2-core host measured (EXPERIMENTS.md,
-"Shard waves on the served path") this beat the thread pool it
-replaced: a one-query wave spent more on hand-offs than the overlap
-saved.  The shard stays the unit of failure isolation.
+A query runs as one *wave*: the facade chooses one index per working
+query for every shard, as it does for its one collection (one Eq. 13
+threshold matrix, counted selection over the summed shard sketches;
+:meth:`~repro.core.function_index.FunctionIndex._choose`), then the
+engine runs the shards one after another on the calling thread.  On the
+2-core host measured (EXPERIMENTS.md, "Shard waves on the served path")
+this beat the thread pool it replaced: a one-query wave spent more on
+hand-offs than the overlap saved.  The shard stays the unit of failure isolation.
 
 Exactness
 ---------
@@ -37,9 +38,8 @@ Results are *bit-identical* to the monolithic path:
   by id survive the merge through :class:`~repro.core.topk.TopKBuffer`
   unchanged.
 
-The single-shard configuration bypasses the view — shard 0 *is* the
-monolithic collection — and plans each query as the monolithic facade
-does.
+The single-shard configuration bypasses the view: shard 0 *is* the
+monolithic collection.
 
 Fault tolerance (see ``docs/reliability.md``)
 ---------------------------------------------
@@ -86,7 +86,7 @@ from ..core.domains import QueryModel
 from ..core.feature_store import FeatureStore
 from ..core.function_index import FunctionIndex, scan_store
 from ..core.phi import FeatureMap
-from ..core.planar import QueryResult, WorkingQuery
+from ..core.planar import QueryResult
 from ..core.query import ScalarProductQuery
 from ..core.selection import SelectionStrategy
 from ..core.stats import QueryStats
@@ -402,23 +402,6 @@ class ShardedFunctionIndex(FunctionIndex):
             kind=kind,
         )
 
-    def _plan_wave(self, working: Sequence[WorkingQuery]) -> list[list[Choice | None]]:
-        """Each shard's choices for one wave over ``working``.
-
-        Every shard's selection snapshot is read once, and one index per
-        working query is chosen over all of them, from one threshold
-        matrix (:meth:`~repro.core.collection.PlanarIndexCollection.wave_choices`);
-        each shard then plans from its own snapshot.  A single shard, or
-        snapshots whose normals differ, leave each shard to plan for
-        itself (``None``).
-        """
-        if self._n_shards > 1 and working:
-            caches = [collection.snapshot for collection in self._collections]
-            choices = self._collections[0].wave_choices(working, caches)
-            if choices is not None:
-                return choices
-        return [[None] * len(working)] * self._n_shards
-
     def _wrap_failure(
         self, kind: str, shard: int, error: BaseException
     ) -> ShardFailureError:
@@ -495,12 +478,13 @@ class ShardedFunctionIndex(FunctionIndex):
         kind: str,
         call: Callable[..., _T],
         queries: Sequence[ScalarProductQuery],
-        working: Sequence[WorkingQuery],
+        choices: Sequence[Sequence[Choice]],
         k: int | None = None,
         timeout_s: float | None = None,
     ) -> tuple[list[_T | None], DegradedInfo | None]:
-        """Run ``call(collection, choices)`` against every shard under the
-        failure policy, as one planned wave (:meth:`_plan_wave`).
+        """Run ``call(collection, choices[shard])`` against every shard
+        under the failure policy, as one wave planned by the facade
+        (:meth:`~repro.core.function_index.FunctionIndex._choose`).
 
         ``timeout_s`` overrides the engine's construction-time
         ``query_timeout_s`` for this one fan-out — the serving layer
@@ -521,10 +505,9 @@ class ShardedFunctionIndex(FunctionIndex):
         if timeout is not None and not timeout > 0:
             raise ValueError(f"timeout_s must be positive, got {timeout}")
         shards = list(range(self._n_shards))
-        plans = self._plan_wave(working)
 
         def run(shard: int) -> _T:
-            return call(self._collections[shard], plans[shard])
+            return call(self._collections[shard], choices[shard])
 
         results, failures = self._execute_wave(
             kind,

@@ -1,13 +1,16 @@
-"""The one planner: :meth:`PlanarIndexCollection.plan`.
+"""The one chooser and planner: :meth:`PlanarIndexCollection.wave_choices`
+and :meth:`PlanarIndexCollection.plan`.
 
-Every query kind and every EXPLAIN surface takes its plan from
-``plan``, which computes the Eq. 13 threshold matrix of all ``r`` indices
-once per working query.  A spy on :func:`repro.core.selection.thresholds`
-counts the full matrices and the single columns built per query kind on a
-:class:`FunctionIndex` and a 2-shard engine: the engine builds the matrix
-once per working query for the whole wave, and each shard ranks its
-chosen index's column of it, computing no thresholds of its own.  The plan's ranks, every column of its matrix and EXPLAIN's
-candidate spans must equal each index's standalone
+Every query kind and every EXPLAIN surface takes its plan from ``plan``,
+which ranks and routes a choice made by ``wave_choices``: the one place
+that computes the Eq. 13 threshold matrix of all ``r`` indices, once per
+working query.  A spy on :func:`repro.core.selection.thresholds` counts
+the full matrices and the single columns built per query kind on a
+:class:`FunctionIndex` and a 2-shard engine: both build the matrix once
+per working query for the whole wave, and each collection ranks its
+chosen index's column of it, computing no thresholds of its own.  The
+plan's ranks, every column of its matrix and EXPLAIN's candidate spans
+must equal each index's standalone
 :meth:`~repro.core.planar.PlanarIndex.interval_ranks`, for all four
 strategies, on real-valued data over six decades per column with writes
 pending in the log and a translation grown since the last merge.
@@ -131,7 +134,8 @@ def test_plan_ranks_equal_each_index_standalone_ranks(strategy):
         assert (plan.r_lo, plan.r_hi) == plan.index.interval_ranks(wq)[:2]
         for position, planar in enumerate(collection):
             own = planar.interval_ranks(wq)
-            assert planar.interval_ranks(wq, plan.th.column(position)) == own
+            probes = selection.interval_probes(plan.th.column(position), wq)
+            assert planar.interval_ranks(wq, probes) == own
         report = collection.explain(ScalarProductQuery(normal, offset, op))
         for candidate in report.candidates:
             r_lo, r_hi, _ = collection[candidate.position].interval_ranks(wq)

@@ -282,7 +282,7 @@ def _fresh_positions(collection, rows, queries) -> list[int]:
     translator.observe(rows)
     fresh = PlanarIndexCollection(FeatureStore(rows), translator, collection.normals)
     assert len(fresh) == len(collection)
-    return [fresh._select_position(fresh.working_query(q)) for q in queries]
+    return [fresh.plan(fresh.working_query(q)).position for q in queries]
 
 
 class TestCountedSelection:
@@ -303,7 +303,7 @@ class TestCountedSelection:
 
     def _assert_fresh(self, index, queries):
         collection = index.collection
-        got = [collection._select_position(collection.working_query(q)) for q in queries]
+        got = [collection.plan(collection.working_query(q)).position for q in queries]
         rows = index.get_features(index.live_ids())
         assert got == _fresh_positions(collection, rows, queries)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import numpy as np
@@ -114,7 +115,8 @@ class TestStretchValues:
 def test_scores_match_per_index_reference(seed, dim):
     """The vectorized scores over the selection cache equal, index by index,
     Eq. 15, |cos| and a loop counting the index's own sketch keys between its
-    thresholds — on real-valued data after an insert and a delete."""
+    thresholds — on real-valued data after an insert and a delete — and the
+    planner's choice under each of the four strategies is the reference's."""
     rng = np.random.default_rng(seed)
     model = QueryModel.uniform(dim=dim, low=0.5, high=4.0, rq=4)
     index = FunctionIndex(rng.uniform(-50.0, 50.0, size=(300, dim)), model, n_indices=8, rng=seed)
@@ -124,6 +126,12 @@ def test_scores_match_per_index_reference(seed, dim):
     cache = collection._cache
     delta = [float(v) for v in index.translator.delta]
     live = index.get_features(index.live_ids())
+    others = {
+        strategy: PlanarIndexCollection(
+            index._features, index.translator, collection.normals, strategy, seed
+        )
+        for strategy in ("min_stretch", "min_angle", "random")
+    }
     for normal in model.sample_normals(6, rng):
         offset = float(live[rng.integers(0, live.shape[0])] @ normal) + rng.normal()
         wq = collection.working_query(ScalarProductQuery(normal, offset))
@@ -148,5 +156,10 @@ def test_scores_match_per_index_reference(seed, dim):
             assert counts[position] == count
             assert stretch[position] == pytest.approx(eq15, rel=1e-12, abs=1e-300)
             assert cosines[position] == pytest.approx(cos, rel=1e-12)
-            reference.append((count, eq15, position))
-        assert collection._select_position(wq) == min(reference)[2]
+            reference.append((count, eq15, position, cos))
+        assert collection.plan(wq).position == min(reference)[2]
+        assert others["min_stretch"].plan(wq).position == min(reference, key=lambda r: r[1:3])[2]
+        by_angle = others["min_angle"].plan(wq).position
+        assert reference[by_angle][3] == pytest.approx(max(r[3] for r in reference), rel=1e-12)
+        draw = int(copy.deepcopy(others["random"]._rng).integers(0, len(collection)))
+        assert others["random"].plan(wq).position == draw

@@ -136,12 +136,14 @@ class TestMetricsRecorded:
         normal = uniform_model.sample_normal(4)
         small_index.query(normal, 30.0 * float(normal.sum()))
         trace = recent_traces()[-1]
-        # The facade now opens a trace root; the collection span nests under it.
+        # The facade now opens a trace root; the collection span nests under
+        # it, after the wave's index choice (as on a sharded engine).
         assert trace.name == "query.inequality"
         assert "trace_id" in trace.attrs
+        names = [child.name for child in trace.children]
+        assert names.index("select") < names.index("collection.query")
         (collection,) = [c for c in trace.children if c.name == "collection.query"]
         child_names = {child.name for child in collection.children}
-        assert "select" in child_names
         assert "binary_search" in child_names
         assert child_names & {"verify_II", "materialize", "scan"}
 

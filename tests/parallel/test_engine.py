@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import FunctionIndex, QueryModel, ShardedFunctionIndex
+from repro import FunctionIndex, QueryModel, ScalarProductQuery, ShardedFunctionIndex
 from repro.obs import metrics as obs_metrics
 
 from ..conftest import churn
@@ -183,6 +183,15 @@ def _assert_every_kind_matches(mono, sharded, model):
         assert np.array_equal(expected.distances, got.distances)
 
 
+def _wave_matrices(sharded, wq) -> int:
+    """Threshold matrices one wave over ``wq`` chose from; every shard's
+    choice indexes that shard's own snapshot."""
+    plans = sharded._choose([wq])
+    for (choice,), collection in zip(plans, sharded.collections):
+        assert choice.cache is collection.snapshot
+    return len({id(choice.th) for (choice,) in plans})
+
+
 class TestWavePlanning:
     """One choice of index per wave, unless the shards' normals differ."""
 
@@ -192,11 +201,12 @@ class TestWavePlanning:
         _, sharded = _pair(uniform_points, uniform_model, max(2, n_shards))
         with sharded:
             normal, offset = _sample_queries(uniform_model, 1)[0]
-            wq = sharded._working(sharded._query(normal, offset, "<="))
-            plans = sharded._plan_wave([wq])
+            wq = sharded._working(ScalarProductQuery(normal, offset))
+            plans = sharded._choose([wq])
             (first,) = plans[0]
             for (choice,), collection in zip(plans, sharded.collections):
                 assert choice.position == first.position and choice.th is first.th
+                assert choice.probes is first.probes
                 assert choice.cache is collection.snapshot
 
     def test_lifecycle_fan_out_in_flight_keeps_answers_exact(
@@ -205,19 +215,20 @@ class TestWavePlanning:
         mono, sharded = _pair(uniform_points, uniform_model, max(2, n_shards))
         with sharded:
             normal, offset = _sample_queries(uniform_model, 1)[0]
-            wq = sharded._working(sharded._query(normal, offset, "<="))
+            wq = sharded._working(ScalarProductQuery(normal, offset))
             first, *rest = sharded.collections
+            shards = len(sharded.collections)
             # add_index has reached the first shard only: the normals
-            # differ, so each shard plans for itself.
+            # differ, so each shard chooses over its own snapshot.
             assert first.add_index(np.asarray([3.0, 1.0, 4.0, 1.0]))
-            assert sharded._plan_wave([wq]) == [[None]] * len(sharded.collections)
+            assert _wave_matrices(sharded, wq) == shards
             _assert_every_kind_matches(mono, sharded, uniform_model)
             for collection in rest:
                 collection.add_index(np.asarray([3.0, 1.0, 4.0, 1.0]))
-            assert sharded._plan_wave([wq])[0] != [None]
+            assert _wave_matrices(sharded, wq) == 1
             # And a drop that has reached the first shard only.
             first.drop_index(0)
-            assert sharded._plan_wave([wq]) == [[None]] * len(sharded.collections)
+            assert _wave_matrices(sharded, wq) == shards
             _assert_every_kind_matches(mono, sharded, uniform_model)
 
     def test_lifecycle_fan_out_during_a_wave_keeps_answers_exact(
@@ -313,12 +324,18 @@ class TestShardLayout:
             uniform_points, uniform_model, n_indices=4, rng=0, n_shards=1
         ) as sharded:
             assert sharded.shard_sizes() == [len(uniform_points)]
-            # One shard means no view indirection, and it plans for itself.
+            # One shard means no view indirection, and it plans as the
+            # monolithic facade does: one wave over one snapshot.
             assert sharded._stores[0] is sharded._features
+            mono = FunctionIndex(uniform_points, uniform_model, n_indices=4, rng=0)
             normal = uniform_model.sample_normal(0)
-            wq = sharded._working(sharded._query(normal, 300.0, "<="))
-            assert sharded._plan_wave([wq]) == [[None]]
-            sharded.query(normal, 300.0)
+            spq = ScalarProductQuery(normal, 300.0)
+            ((choice,),) = sharded._choose([sharded._working(spq)])
+            ((expected,),) = mono._choose([mono._working(spq)])
+            assert choice.cache is sharded.collections[0].snapshot
+            assert choice.position == expected.position
+            assert np.array_equal(choice.th.lo, expected.th.lo)
+            assert np.array_equal(sharded.query(normal, 300.0).ids, mono.query(normal, 300.0).ids)
 
     def test_rejects_bad_configuration(self, uniform_points, uniform_model):
         with pytest.raises(ValueError):

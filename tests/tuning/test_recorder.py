@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from repro import ShardedFunctionIndex, TuningError
+from repro.exceptions import DimensionMismatchError
 from repro.tuning import (
     DEFAULT_CAPACITY,
     QuerySketch,
@@ -179,6 +180,26 @@ class TestFacadeHooks:
 
     def test_disarmed_facade_records_nothing(self, index, model):
         index.query(model.sample_normal(2), 500.0)
+        assert len(global_recorder()) == 0
+
+    @pytest.mark.parametrize("normal", [np.ones(3), -np.ones(5)], ids=["short", "long"])
+    def test_wrong_dimension_raises_before_recording(self, index, normal):
+        """The translator's dimension check is the facade's: every query
+        kind raises before the recorder sees the query, even one whose
+        signs would send it to the octant fallback."""
+        enable_recording()
+        batch = np.vstack([normal, normal])
+        calls = [
+            lambda: index.query(normal, 500.0),
+            lambda: index.topk(normal, 500.0, k=3),
+            lambda: index.query_range(normal, 100.0, 900.0),
+            lambda: index.query_batch(batch, [400.0, 600.0]),
+            lambda: index.topk_batch(batch, [400.0, 600.0], 3),
+            lambda: index.explain_report(normal, 500.0),
+        ]
+        for call in calls:
+            with pytest.raises(DimensionMismatchError):
+                call()
         assert len(global_recorder()) == 0
 
     def test_sharded_engine_records(self, points, model):
