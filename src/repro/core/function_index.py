@@ -17,10 +17,9 @@ interval argument; they are answered by an exact sequential scan and
 flagged as such in the answer (``used_fallback``).
 
 The sharded engine (:class:`~repro.parallel.engine.ShardedFunctionIndex`)
-subclasses :class:`FunctionIndex` and only replaces how one
-per-collection call runs (:meth:`FunctionIndex._fan_out`) and how a
-mutation reaches the owning collections
-(:meth:`FunctionIndex._maintain_each`).
+subclasses :class:`FunctionIndex` and only replaces how a query's or a
+write's per-collection calls reach the collections
+(:meth:`FunctionIndex._fan_out`).
 """
 
 from __future__ import annotations
@@ -44,7 +43,7 @@ from .collection import Choice, PlanarIndexCollection
 from .domains import QueryModel
 from .feature_store import FeatureStore
 from .phi import FeatureMap, identity_map
-from .planar import QueryStats, WorkingQuery
+from .planar import QueryResult, QueryStats, WorkingQuery
 from .query import Comparison, ScalarProductQuery
 from .selection import SelectionStrategy
 from .topk import SharedCutoff, TopKBuffer, TopKResult
@@ -101,7 +100,7 @@ def scan_store(
     Inequalities are decided by :mod:`repro.core.exact` as the scan
     baseline's are, but without its ``baseline`` metric series (the
     callers report their own route).  Backs both the octant fallback and
-    the sharded engine's recovery of a failed shard.
+    the recovery of a failed shard (:func:`_scanned`).
     """
     from ..scan.baseline import SequentialScan
 
@@ -115,6 +114,25 @@ def scan_store(
         inside, _ = exact.satisfying(rows[keep], high_q)
         return [ids[keep[inside]]]
     return [ids[exact.satisfying(rows, query)[0]] for query in queries]
+
+
+def _scanned(
+    store: Any,
+    kind: str,
+    queries: Sequence[ScalarProductQuery],
+    k: int | None = None,
+) -> list:
+    """:func:`scan_store`'s answers shaped as a collection's slices.
+
+    The exact stand-in for a failed shard's slice: an id answer becomes
+    a :class:`QueryResult` whose stats count every row as verified and
+    none as pruned.
+    """
+    answers = scan_store(store, kind, queries, k)
+    if k is not None:
+        return answers
+    n = len(store)
+    return [QueryResult(ids, QueryStats(n, 0, n, 0, n, int(ids.size))) for ids in answers]
 
 
 def _merge_answer(
@@ -196,10 +214,10 @@ class FunctionIndex:
     sketch, chooses one index per query for every Planar index
     collection (:meth:`_choose`), then runs one call per collection
     through :meth:`_fan_out` and merges the slices; the whole call is one
-    trace (:meth:`_traced`).  The sharded engine
+    trace (:meth:`_traced`).  Writes reach the collections through the
+    same :meth:`_fan_out`.  The sharded engine
     (:class:`~repro.parallel.engine.ShardedFunctionIndex`) is this class
-    with one collection per shard: it overrides :meth:`_fan_out` and
-    :meth:`_maintain_each` only.
+    with one collection per shard: it overrides :meth:`_fan_out` only.
     """
 
     def __init__(
@@ -341,21 +359,21 @@ class FunctionIndex:
     def _fan_out(
         self,
         kind: str,
-        call: Callable[..., _T],
-        queries: Sequence[ScalarProductQuery],
-        choices: Sequence[Sequence[Choice]],
-        k: int | None = None,
+        call: Callable[[int, Any], _T],
+        ids: np.ndarray | None = None,
+        recover: Callable[[Any], _T] | None = None,
         timeout_s: float | None = None,
     ) -> tuple[list[_T | None], DegradedInfo | None]:
-        """Run ``call(collection, choices[i])`` on every collection ``i``:
-        ``(slices, degraded)``.
+        """Run ``call(i, rows)`` on every collection ``i`` owning some of
+        ``ids`` (every collection when ``None``): ``(slices, degraded)``.
 
-        ``choices`` is the wave's plan (:meth:`_choose`).  ``queries``
-        (and ``k``) describe the task so an implementation can recompute a
-        lost slice exactly; ``timeout_s`` bounds the wave.  The one
-        collection here needs neither.
+        ``rows`` selects the collection's share of ``ids``.  A query
+        passes ``recover(store)``, the exact slice from a scan of a
+        collection's store, so an implementation can replace a lost
+        slice, and ``timeout_s`` bounds it; a write passes neither.  The
+        one collection here owns every id and needs neither.
         """
-        return [call(self._collections[0], choices[0])], None
+        return [call(0, slice(None))], None
 
     def _choose(self, working: Sequence[WorkingQuery]) -> list[list[Choice]]:
         """Each collection's choices for one wave over ``working``.
@@ -375,19 +393,6 @@ class FunctionIndex:
             collection.wave_choices(working, [cache])[0]
             for collection, cache in zip(self._collections, caches)
         ]
-
-    def _maintain_each(
-        self,
-        action: str,
-        ids: np.ndarray | None,
-        apply: Callable[[PlanarIndexCollection, Any], _T],
-    ) -> list[_T]:
-        """Apply a mutation to the collections owning ``ids`` (all if None).
-
-        ``apply(collection, rows)`` receives the index selecting the
-        collection's share of ``ids``; the single collection owns them all.
-        """
-        return [apply(self._collections[0], slice(None))]
 
     # ------------------------------------------------------------------ #
     # Queries
@@ -501,19 +506,23 @@ class FunctionIndex:
         working = [translated[position] for position in plannable]
         if plannable:
             subset = [queries[position] for position in plannable]
+            choices = self._choose(working)
             if k is None:
-                def call(collection, choices):
-                    return collection.query_batch(working, choices)
+                def call(i, _rows):
+                    return self._collections[i].query_batch(working, choices[i])
             else:
                 cutoffs = (
                     [SharedCutoff() for _ in working] if len(self._collections) > 1 else None
                 )
 
-                def call(collection, choices):
-                    return collection.topk_batch(working, k, choices, cutoffs)
+                def call(i, _rows):
+                    return self._collections[i].topk_batch(working, k, choices[i], cutoffs)
 
             per_collection, degraded = self._fan_out(
-                kind, call, subset, self._choose(working), k, timeout_s
+                kind,
+                call,
+                recover=lambda store: _scanned(store, kind, subset, k),
+                timeout_s=timeout_s,
             )
             for slot, position in enumerate(plannable):
                 parts = [None if part is None else part[slot] for part in per_collection]
@@ -542,11 +551,11 @@ class FunctionIndex:
             _tnr.record_query(spq.normal, spq.offset, spq.op.value, "inequality")
         if wq is None:
             return self._fallback("inequality", [spq], None)[0]
+        choices = self._choose([wq])
         parts, degraded = self._fan_out(
             "inequality",
-            lambda collection, choices: collection.query(wq, choices[0]),
-            [spq],
-            self._choose([wq]),
+            lambda i, _rows: self._collections[i].query(wq, choices[i][0]),
+            recover=lambda store: _scanned(store, "inequality", [spq])[0],
         )
         return _merge_answer(parts, degraded)
 
@@ -576,11 +585,11 @@ class FunctionIndex:
             _tnr.record_query(high_q.normal, high, "<=", "range")
         if wq_low is None or wq_high is None:
             return self._fallback("range", [low_q, high_q], None)[0]
+        choices = self._choose([wq_high])
         parts, degraded = self._fan_out(
             "range",
-            lambda collection, choices: collection.query_range(wq_low, wq_high, choices[0]),
-            [low_q, high_q],
-            self._choose([wq_high]),
+            lambda i, _rows: self._collections[i].query_range(wq_low, wq_high, choices[i][0]),
+            recover=lambda store: _scanned(store, "range", [low_q, high_q])[0],
         )
         return _merge_answer(parts, degraded)
 
@@ -640,12 +649,11 @@ class FunctionIndex:
         if wq is None:
             return self._fallback("topk", [spq], k)[0]
         cutoff = SharedCutoff() if len(self._collections) > 1 else None
+        choices = self._choose([wq])
         parts, degraded = self._fan_out(
             "topk",
-            lambda collection, choices: collection.topk(wq, k, cutoff, choices[0]),
-            [spq],
-            self._choose([wq]),
-            k,
+            lambda i, _rows: self._collections[i].topk(wq, k, cutoff, choices[i][0]),
+            recover=lambda store: _scanned(store, "topk", [spq], k)[0],
         )
         return _merge_topk(parts, k, len(self._features), degraded)
 
@@ -716,9 +724,7 @@ class FunctionIndex:
         self._features.update(ids, features)
         if self._points is not self._features:
             self._points.update(ids, new_points)
-        self._maintain_each(
-            "update", ids, lambda collection, rows: collection.rekey(ids[rows])
-        )
+        self._fan_out("update", lambda i, rows: self._collections[i].rekey(ids[rows]), ids)
 
     def insert_points(self, new_points: np.ndarray) -> np.ndarray:
         """Add new data points; returns their assigned ids."""
@@ -727,9 +733,7 @@ class FunctionIndex:
         if self._points is not self._features:
             # Both stores assign ids at their common capacity.
             self._points.append(new_points)
-        self._maintain_each(
-            "insert", ids, lambda collection, rows: collection.insert(ids[rows])
-        )
+        self._fan_out("insert", lambda i, rows: self._collections[i].insert(ids[rows]), ids)
         return ids
 
     def delete_points(self, ids: np.ndarray) -> None:
@@ -740,9 +744,7 @@ class FunctionIndex:
         if not self._features.writable:
             self._features.delete(np.empty(0, dtype=np.int64))  # raises
         ids = self._checked_ids(ids)
-        self._maintain_each(
-            "delete", ids, lambda collection, rows: collection.delete(ids[rows])
-        )
+        self._fan_out("delete", lambda i, rows: self._collections[i].delete(ids[rows]), ids)
         self._features.delete(ids)
         if self._points is not self._features:
             self._points.delete(ids)
@@ -755,7 +757,7 @@ class FunctionIndex:
         either way.  :func:`~repro.core.persistence.save_index` calls this
         first, so a saved index holds no log.
         """
-        self._maintain_each("merge", None, lambda collection, _rows: collection.merge())
+        self._fan_out("merge", lambda i, _rows: self._collections[i].merge())
 
     def add_index(self, normal: np.ndarray) -> bool:
         """Dynamically add one more Planar index (Section 4.2 adaptation).
@@ -763,8 +765,8 @@ class FunctionIndex:
         Every collection applies the same cosine redundancy rule to the
         same normals, so their verdicts agree; the common one is returned.
         """
-        verdicts = self._maintain_each(
-            "add_index", None, lambda collection, _rows: collection.add_index(normal)
+        verdicts, _ = self._fan_out(
+            "add_index", lambda i, _rows: self._collections[i].add_index(normal)
         )
         if len(set(verdicts)) != 1:  # pragma: no cover - collections share normals
             raise RuntimeError("collections diverged on add_index redundancy verdict")
@@ -778,9 +780,7 @@ class FunctionIndex:
         The tuning advisor's :func:`~repro.tuning.advisor.apply_plan`
         retires workload-mismatched normals through this hook.
         """
-        self._maintain_each(
-            "drop_index", None, lambda collection, _rows: collection.drop_index(position)
-        )
+        self._fan_out("drop_index", lambda i, _rows: self._collections[i].drop_index(position))
 
 
     @classmethod

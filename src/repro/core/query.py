@@ -95,7 +95,10 @@ class ScalarProductQuery:
     op: Comparison = Comparison.LE
 
     def __post_init__(self) -> None:
-        normal = as_1d_float(self.normal, "normal")
+        # A private copy: freezing the caller's own array (or a view of
+        # it) would make it read-only for the caller, or let the caller's
+        # later writes change this query.
+        normal = as_1d_float(np.array(self.normal, dtype=np.float64), "normal")
         if normal.size == 0 or not np.any(normal):
             raise InvalidQueryError("query normal must be nonzero")
         if not np.all(np.isfinite(normal)):

@@ -108,7 +108,7 @@ ENV_VARS: Tuple[EnvVar, ...] = (
     ),
     EnvVar(
         name="REPRO_FAULT_POLICY",
-        default="retry_then_degrade",
+        default="raise",
         help="default shard-failure policy for engines built without one",
     ),
     EnvVar(

@@ -43,12 +43,18 @@ monolithic collection.
 
 Fault tolerance (see ``docs/reliability.md``)
 ---------------------------------------------
-Each fan-out wave collects per-shard results under an optional per-query
-deadline (``query_timeout_s``): a shard not started before the deadline,
-or whose slice comes back after it, fails with a
-:class:`~repro.exceptions.QueryTimeoutError`.  A running shard is never
-abandoned, so a stalled shard holds its wave until it returns; the
-serving layer answers its own deadline regardless.  A shard failure is
+Query waves and writes reach the shards through one loop
+(:meth:`ShardedFunctionIndex._fan_out`, one shard at a time through
+:meth:`ShardedFunctionIndex._run_shard`): it fires the shard's fault
+site, tells shard faults from caller errors by one rule
+(:func:`_is_shard_fault`; a caller error propagates unwrapped), retries
+under ``retry_then_degrade``, and holds one deadline per call
+(``query_timeout_s``) that later shards and retries share.  A query
+shard not started before the deadline, or whose slice comes back after
+it, fails with a :class:`~repro.exceptions.QueryTimeoutError`, and no
+retry starts after it.  A running shard is never abandoned, so a
+stalled shard holds its wave until it returns; the serving layer
+answers its own deadline regardless.  A shard that still fails is
 handled per the configured
 :class:`~repro.reliability.degraded.FailurePolicy`:
 
@@ -62,34 +68,32 @@ handled per the configured
     the answer carries a :class:`~repro.reliability.degraded.DegradedInfo`
     with the exact live-point completeness fraction.
 ``retry_then_degrade``
-    Re-execute failed shards (bounded attempts, exponential backoff with
-    deterministic jitter) before falling back to ``degrade`` handling.
+    Re-execute a failed shard at once (bounded attempts, exponential
+    backoff with deterministic jitter, none starting past the deadline)
+    before falling back to ``degrade`` handling.
 
 Failed shards never contribute partial results — a shard either returns
 its complete slice (primary, retry, or recovery scan: all exact) or is
 excluded and accounted for — so every id in a degraded answer is correct.
-Maintenance fan-outs retry under ``retry_then_degrade`` but never degrade:
-a mutation that cannot be applied raises, because silently dropping a
-shard's update would corrupt the partition.
+Writes retry under ``retry_then_degrade`` but never degrade and have no
+deadline: a mutation that cannot be applied raises, because silently
+dropping a shard's update would corrupt the partition.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from typing import Any, Callable, Sequence, TypeVar
+from typing import Any, Callable, TypeVar
 
 import numpy as np
 
 from ..core.collection import Choice, PlanarIndexCollection
 from ..core.domains import QueryModel
 from ..core.feature_store import FeatureStore
-from ..core.function_index import FunctionIndex, scan_store
+from ..core.function_index import FunctionIndex
 from ..core.phi import FeatureMap
-from ..core.planar import QueryResult
-from ..core.query import ScalarProductQuery
 from ..core.selection import SelectionStrategy
-from ..core.stats import QueryStats
 from ..exceptions import (
     DegradedAnswerError,
     InjectedFaultError,
@@ -110,10 +114,14 @@ __all__ = ["ShardedFunctionIndex"]
 
 _T = TypeVar("_T")
 
-#: Exception families treated as *caller errors* during maintenance:
-#: deterministic validation failures that every shard would report
-#: identically, re-raised unwrapped so existing error contracts hold.
+#: Exception families treated as *caller errors* in a shard's part of a
+#: query or write: deterministic validation failures that every shard
+#: would report identically, re-raised unwrapped so existing error
+#: contracts hold.
 _CALLER_ERRORS = (ValueError, KeyError, IndexError, TypeError)
+
+#: Base backoff before a shard's first retry (doubled per later attempt).
+_RETRY_BACKOFF_S = 0.05
 
 
 def _is_shard_fault(error: BaseException) -> bool:
@@ -155,19 +163,19 @@ class ShardedFunctionIndex(FunctionIndex):
         name.  ``None`` (the default) resolves ``REPRO_FAULT_POLICY`` at
         construction, falling back to ``raise``.
     query_timeout_s:
-        Per-query deadline for each fan-out wave; a shard that has not
-        produced its slice by then counts as failed with a
+        Deadline for each query call, set when it starts and shared by
+        every shard and retry of it; a shard that has not produced its
+        slice by then counts as failed with a
         :class:`~repro.exceptions.QueryTimeoutError`.  ``None`` disables
         deadlines.
     max_retries:
         Bounded retry attempts per failed shard under
-        ``retry_then_degrade`` (also applied to maintenance fan-outs).
-    retry_backoff_s:
-        Base backoff before retry attempt ``i``: the engine sleeps
-        ``retry_backoff_s * 2**(i-1)`` scaled by a deterministic jitter
-        in ``[0.5, 1.5)``.  The jitter uses its own fixed-seed RNG — not
-        the engine's ``rng`` — so retries never perturb index-selection
-        draws and answers stay bit-identical to the monolithic path.
+        ``retry_then_degrade``, for queries and writes alike.  Before
+        attempt ``i`` the engine sleeps ``0.05 * 2**(i-1)`` seconds
+        scaled by a deterministic jitter in ``[0.5, 1.5)``.  The jitter
+        uses its own fixed-seed RNG — not the engine's ``rng`` — so
+        retries never perturb index-selection draws and answers stay
+        bit-identical to the monolithic path.
 
     The single-collection extras of :class:`FunctionIndex` (``collection``,
     ``explain_report``, conjunctions and disjunctions) raise
@@ -197,7 +205,6 @@ class ShardedFunctionIndex(FunctionIndex):
         failure_policy: FailurePolicy | str | None = None,
         query_timeout_s: float | None = None,
         max_retries: int = 2,
-        retry_backoff_s: float = 0.05,
     ) -> None:
         if n_shards <= 0:
             raise ValueError(f"n_shards must be positive, got {n_shards}")
@@ -207,8 +214,6 @@ class ShardedFunctionIndex(FunctionIndex):
             )
         if max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {max_retries}")
-        if retry_backoff_s < 0:
-            raise ValueError(f"retry_backoff_s must be >= 0, got {retry_backoff_s}")
         # Not FunctionIndex.__init__: the engine builds one collection per
         # shard instead of one over the whole store.
         self._bind(points, query_model, feature_map, rng)
@@ -218,7 +223,6 @@ class ShardedFunctionIndex(FunctionIndex):
             None if query_timeout_s is None else float(query_timeout_s)
         )
         self._max_retries = int(max_retries)
-        self._retry_backoff_s = float(retry_backoff_s)
         # Deterministic retry jitter.  Deliberately NOT self._rng: the
         # selection strategy may consume self._rng per query, so any extra
         # draw here would desynchronize sharded answers from FunctionIndex.
@@ -304,7 +308,7 @@ class ShardedFunctionIndex(FunctionIndex):
             gauge.set(len(collection[0]), shard=str(shard))
 
     # ------------------------------------------------------------------ #
-    # Fan-out machinery
+    # The shard loop: queries and writes alike
     # ------------------------------------------------------------------ #
 
     @staticmethod
@@ -331,29 +335,88 @@ class ShardedFunctionIndex(FunctionIndex):
             cost["lbs_checked"] = int(sum(checked))
         return cost
 
-    def _run_shard(self, kind: str, shard: int, fn: Callable[[int], _T]) -> _T:
-        """Execute ``fn(shard)``, one shard's slice of a query, with
-        per-shard telemetry.
+    def _run_shard(
+        self,
+        kind: str,
+        call: Callable[[int, Any], _T],
+        shard: int,
+        rows: Any,
+        write: bool,
+        deadline: float | None,
+        faults: list[BaseException],
+    ) -> _T:
+        """Run ``call(shard, rows)``, one shard's part of a query wave or
+        a write, under the failure policy.
 
-        It runs on the querying thread, so its spans nest under the
-        query's open span.  The ``shard.query`` fault site fires *before*
-        the work, so injected failures never leave partial shard state
-        behind.  Inside a trace, the shard's work runs in a
-        ``shard.<kind>`` span carrying the trace id and per-shard cost
-        counters, so the inner collection spans nest under it in the
-        stitched tree.
+        On the calling thread, an attempt checks the ``deadline`` (a
+        monotonic timestamp, ``None`` for writes), fires the shard's
+        fault site (``shard.maintenance`` for a write, else
+        ``shard.query``) before any work, and runs ``call``; a query's
+        part runs in a ``shard.<kind>`` span carrying the trace id and
+        cost counters, and a query slice that comes back after the
+        deadline is dropped as a :class:`QueryTimeoutError`.  A running
+        shard is never abandoned.
+
+        Each shard fault (:func:`_is_shard_fault`) is appended to
+        ``faults``.  Under ``retry_then_degrade`` it is retried with
+        backoff while retries remain and the retry would start before
+        the deadline; otherwise it raises as a
+        :class:`ShardFailureError` with the shard's identity.  Any other
+        error is the caller's and propagates unwrapped.
         """
-        if _flt.ARMED:  # repro: noqa(REP012) — thread-shared by design: arming is process-wide and every querying thread must see it
-            _flt.check("shard.query", shard=shard, kind=kind)
-        if not _ort.active():
-            return fn(shard)
+        attempt = 0
+        while True:
+            try:
+                if deadline is not None and time.monotonic() >= deadline:
+                    raise self._timeout(kind, shard)
+                if write:
+                    if _flt.ARMED:
+                        _flt.check("shard.maintenance", shard=shard, action=kind)
+                    return call(shard, rows)
+                if _flt.ARMED:
+                    _flt.check("shard.query", shard=shard, kind=kind)
+                if _ort.active():
+                    result = self._observed(kind, call, shard, rows)
+                else:
+                    result = call(shard, rows)
+                if deadline is not None and time.monotonic() > deadline:
+                    raise self._timeout(kind, shard)
+                return result
+            except Exception as exc:  # repro: noqa(REP005) — policy boundary: classify, retry, or wrap
+                if not _is_shard_fault(exc):
+                    raise
+                faults.append(exc)
+                label = f"maintenance:{kind}" if write else kind
+                delay = self._retry_delay(attempt + 1, deadline)
+                if delay is None:
+                    if isinstance(exc, ShardFailureError):
+                        raise
+                    raise ShardFailureError(
+                        f"shard {shard} failed during {label} fan-out: "
+                        f"{type(exc).__name__}: {exc}",
+                        shard=shard,
+                        kind=label,
+                    ) from exc
+                attempt += 1
+                started = time.perf_counter()
+                time.sleep(delay)
+                self._record_retry(label, shard, attempt, started)
+
+    def _observed(
+        self, kind: str, call: Callable[[int, Any], _T], shard: int, rows: Any
+    ) -> _T:
+        """``call(shard, rows)`` inside a ``shard.<kind>`` span.
+
+        It runs on the querying thread, so the inner collection spans
+        nest under it in the stitched tree.
+        """
         ctx = _otr.current()
         attrs: dict[str, object] = {"shard": shard}
         if ctx is not None:
             attrs["trace_id"] = ctx.trace_id
         with _osp.span(f"shard.{kind}", **attrs) as shard_span:
             try:
-                result = fn(shard)
+                result = call(shard, rows)
             except BaseException as exc:  # repro: noqa(REP005) — span annotates the failure kind, then re-raises unchanged
                 shard_span.annotate(error=type(exc).__name__)
                 raise
@@ -361,80 +424,41 @@ class ShardedFunctionIndex(FunctionIndex):
         _om.shard_queries_total().inc(kind=kind, shard=str(shard))
         return result
 
-    def _execute_wave(
-        self,
-        kind: str,
-        fn: Callable[[int], _T],
-        shards: Sequence[int],
-        deadline: float | None,
-        fail_fast: bool,
-        timeout_s: float | None,
-    ) -> tuple[dict[int, _T], dict[int, BaseException]]:
-        """Run ``fn`` on ``shards`` in order; collect per-shard results and failures.
-
-        Every shard runs on the calling thread.  With a ``deadline``
-        (monotonic timestamp), a shard not started before it, or whose
-        slice comes back after it, fails with :class:`QueryTimeoutError`
-        and its late slice is dropped.  Under ``fail_fast`` the first
-        failure stops the wave: later shards never start.
-        """
-        results: dict[int, _T] = {}
-        failures: dict[int, BaseException] = {}
-        for shard in shards:
-            if fail_fast and failures:
-                break
-            try:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise self._timeout(kind, shard, timeout_s)
-                result = self._run_shard(kind, shard, fn)
-                if deadline is not None and time.monotonic() > deadline:
-                    raise self._timeout(kind, shard, timeout_s)
-                results[shard] = result
-            except Exception as exc:  # repro: noqa(REP005) — fan-out failure boundary, classified by policy
-                failures[shard] = exc
-        return results, failures
-
     @staticmethod
-    def _timeout(kind: str, shard: int, timeout_s: float | None) -> QueryTimeoutError:
+    def _timeout(kind: str, shard: int) -> QueryTimeoutError:
         return QueryTimeoutError(
-            f"shard {shard} missed the {timeout_s}s deadline during {kind} fan-out",
+            f"shard {shard} missed the deadline during {kind} fan-out",
             shard=shard,
             kind=kind,
         )
 
-    def _wrap_failure(
-        self, kind: str, shard: int, error: BaseException
-    ) -> ShardFailureError:
-        """Attach shard identity to a propagated fan-out failure."""
-        if isinstance(error, ShardFailureError):
-            return error
-        return ShardFailureError(
-            f"shard {shard} failed during {kind} fan-out: "
-            f"{type(error).__name__}: {error}",
-            shard=shard,
-            kind=kind,
-        )
+    def _retry_delay(self, attempt: int, deadline: float | None) -> float | None:
+        """Backoff before retry ``attempt``, or ``None`` when it may not run.
 
-    def _backoff(self, attempt: int) -> None:
-        """Sleep before retry ``attempt`` (exponential, deterministic jitter)."""
-        if self._retry_backoff_s <= 0:
-            return
-        delay = self._retry_backoff_s * (2 ** (attempt - 1))
-        delay *= 0.5 + self._jitter.random()
-        time.sleep(delay)
+        Only ``retry_then_degrade`` retries, at most ``max_retries``
+        times, and never so late that the retry would start at or after
+        the call's deadline.  The delay is ``_RETRY_BACKOFF_S *
+        2**(attempt-1)`` scaled by a deterministic jitter in
+        ``[0.5, 1.5)``.
+        """
+        if (
+            self._failure_policy is not FailurePolicy.RETRY_THEN_DEGRADE
+            or attempt > self._max_retries
+        ):
+            return None
+        delay = _RETRY_BACKOFF_S * (2 ** (attempt - 1)) * (0.5 + self._jitter.random())
+        if deadline is not None and time.monotonic() + delay >= deadline:
+            return None
+        return delay
 
-    def _record_retry(
-        self, kind: str, shards: Sequence[int], attempt: int, started: float
-    ) -> None:
+    def _record_retry(self, kind: str, shard: int, attempt: int, started: float) -> None:
         # Reliability counters stay exact under head sampling (ENABLED),
         # while the span only joins sampled traces (active()).
         if not _ort.enabled():
             return
-        _om.shard_retries_total().inc(len(shards), kind=kind)
+        _om.shard_retries_total().inc(kind=kind)
         if _ort.active():
-            _osp.record(
-                "shard.retry", started, kind=kind, attempt=attempt, shards=len(shards)
-            )
+            _osp.record("shard.retry", started, kind=kind, attempt=attempt, shard=shard)
 
     def _record_degraded(self, kind: str, degraded: DegradedInfo) -> None:
         if not _ort.enabled():
@@ -450,110 +474,81 @@ class ShardedFunctionIndex(FunctionIndex):
                 completeness=round(degraded.completeness, 6),
             )
 
-    def _recover(
-        self,
-        kind: str,
-        queries: Sequence[ScalarProductQuery],
-        k: int | None,
-        shard: int,
-    ) -> Any:
-        """Exact stand-in for a failed shard's slice: scan its live points.
-
-        The octant fallback's scan over the shard's own rows, shaped like
-        the slice it replaces; its stats count every row as verified and
-        none as pruned.
-        """
-        store = self._stores[shard]
-        answers = scan_store(store, kind, queries, k)
-        if k is None:
-            n = len(store)
-            answers = [
-                QueryResult(ids, QueryStats(n, 0, n, 0, n, int(ids.size)))
-                for ids in answers
-            ]
-        return answers if kind.startswith("batch") else answers[0]
-
     def _fan_out(
         self,
         kind: str,
-        call: Callable[..., _T],
-        queries: Sequence[ScalarProductQuery],
-        choices: Sequence[Sequence[Choice]],
-        k: int | None = None,
+        call: Callable[[int, Any], _T],
+        ids: np.ndarray | None = None,
+        recover: Callable[[Any], _T] | None = None,
         timeout_s: float | None = None,
     ) -> tuple[list[_T | None], DegradedInfo | None]:
-        """Run ``call(collection, choices[shard])`` against every shard
-        under the failure policy, as one wave planned by the facade
-        (:meth:`~repro.core.function_index.FunctionIndex._choose`).
+        """Run ``call(shard, rows)`` on each shard in turn, each through
+        :meth:`_run_shard`.
 
-        ``timeout_s`` overrides the engine's construction-time
-        ``query_timeout_s`` for this one fan-out — the serving layer
-        passes a request's remaining deadline budget here so the engine
-        wave honors the end-to-end contract instead of a static knob.
+        A write passes the ``ids`` it touches: only the shards owning
+        some of them run (:func:`assign_shards`), ``rows`` selecting
+        each one's share, and a shard that still fails raises
+        :class:`ShardFailureError` under every policy, because silently
+        dropping a shard's update would corrupt the partition.
 
-        Returns ``(results, degraded)`` where ``results[shard]`` is the
-        shard's slice (or ``None`` for an unrecovered shard under a
-        degrading policy) and ``degraded`` is ``None`` unless at least one
-        shard failed its primary execution.  Failed shards are recovered
-        by :meth:`_recover` over ``queries``.  Raises
-        :class:`ShardFailureError` (with shard identity) under
-        ``FailurePolicy.RAISE`` and :class:`DegradedAnswerError` when no
+        A query wave passes ``recover(store)``, the exact stand-in for a
+        shard's slice from a scan of that shard's store, and runs on
+        every shard.  Its deadline, ``timeout_s`` or else the engine's
+        ``query_timeout_s`` (the serving layer passes a request's
+        remaining budget), is set once here: later shards and retries
+        share it.  Under ``raise`` the first failing shard raises and
+        later shards never start; otherwise the shards still failing are
+        recovered (``shard.scan`` fault site), those whose recovery also
+        fails are dropped as ``None``, and a :class:`DegradedInfo` states
+        what happened.  :class:`DegradedAnswerError` is raised when no
         shard survives.
+
+        Returns ``(slices, degraded)``: one slice per shard run;
+        ``degraded`` is ``None`` unless some shard faulted.
         """
-        policy = self._failure_policy
-        timeout = self._query_timeout_s if timeout_s is None else float(timeout_s)
-        if timeout is not None and not timeout > 0:
-            raise ValueError(f"timeout_s must be positive, got {timeout}")
-        shards = list(range(self._n_shards))
-
-        def run(shard: int) -> _T:
-            return call(self._collections[shard], choices[shard])
-
-        results, failures = self._execute_wave(
-            kind,
-            run,
-            shards,
-            None if timeout is None else time.monotonic() + timeout,
-            fail_fast=policy is FailurePolicy.RAISE,
-            timeout_s=timeout,
-        )
-        if not failures:
-            return [results[shard] for shard in shards], None
-        first_shard = min(failures)
-        first_error = failures[first_shard]
-        if policy is FailurePolicy.RAISE:
-            raise self._wrap_failure(kind, first_shard, first_error) from first_error
-        retries = 0
-        retry_recovered: list[int] = []
-        if policy is FailurePolicy.RETRY_THEN_DEGRADE:
-            for attempt in range(1, self._max_retries + 1):
-                if not failures:
-                    break
-                retry_shards = sorted(failures)
-                started = time.perf_counter()
-                self._backoff(attempt)
-                recovered_wave, failures = self._execute_wave(
-                    kind,
-                    run,
-                    retry_shards,
-                    None if timeout is None else time.monotonic() + timeout,
-                    fail_fast=False,
-                    timeout_s=timeout,
-                )
-                retries += len(retry_shards)
-                results.update(recovered_wave)
-                retry_recovered.extend(recovered_wave)
-                self._record_retry(kind, retry_shards, attempt, started)
-        scan_recovered: list[int] = []
+        write = recover is None
+        deadline = None
+        if not write:
+            timeout = self._query_timeout_s if timeout_s is None else float(timeout_s)
+            if timeout is not None and not timeout > 0:
+                raise ValueError(f"timeout_s must be positive, got {timeout}")
+            deadline = None if timeout is None else time.monotonic() + timeout
+        if ids is None:
+            targets = [(shard, slice(None)) for shard in range(self._n_shards)]
+        else:
+            assignment = assign_shards(ids, self._n_shards)
+            masks = [assignment == shard for shard in range(self._n_shards)]
+            targets = [(shard, mask) for shard, mask in enumerate(masks) if mask.any()]
+        results: list[_T | None] = []
+        faults: list[BaseException] = []
+        retried: list[int] = []
         failed: list[int] = []
-        for shard in sorted(failures):
+        for shard, rows in targets:
+            seen = len(faults)
+            try:
+                results.append(
+                    self._run_shard(kind, call, shard, rows, write, deadline, faults)
+                )
+            except ShardFailureError:
+                if write or self._failure_policy is FailurePolicy.RAISE:
+                    raise
+                results.append(None)
+                failed.append(shard)
+                continue
+            if len(faults) > seen:
+                retried.append(shard)
+        if write:
+            self._record_shard_sizes()
+        if write or not faults:
+            return results, None
+        lost: list[int] = []
+        for shard in failed:  # a query ran on every shard: slice i is shard i's
             try:
                 if _flt.ARMED:
                     _flt.check("shard.scan", shard=shard, kind=kind)
                 obs_on = _ort.active()
                 started = time.perf_counter() if obs_on else 0.0
-                results[shard] = self._recover(kind, queries, k, shard)
-                scan_recovered.append(shard)
+                results[shard] = recover(self._stores[shard])
                 if obs_on:
                     _osp.record(
                         "shard.recover",
@@ -563,85 +558,24 @@ class ShardedFunctionIndex(FunctionIndex):
                         **self._shard_cost(results[shard]),
                     )
             except Exception:  # repro: noqa(REP005) — recovery is best-effort; failures are accounted, not raised
-                failed.append(shard)
-        if len(failed) == self._n_shards:
+                lost.append(shard)
+        cause = f"{type(faults[0]).__name__}: {faults[0]}"
+        if len(lost) == self._n_shards:
             raise DegradedAnswerError(
                 f"every shard failed during {kind} fan-out; no degraded "
-                f"answer is possible (first cause: "
-                f"{type(first_error).__name__}: {first_error})"
-            ) from first_error
+                f"answer is possible (first cause: {cause})"
+            ) from faults[0]
         sizes = self.shard_sizes()
         total = sum(sizes)
-        dead = set(failed)
-        covered = sum(size for shard, size in enumerate(sizes) if shard not in dead)
+        covered = sum(size for shard, size in enumerate(sizes) if shard not in lost)
         degraded = DegradedInfo(
-            failed_shards=tuple(failed),
-            recovered_shards=tuple(sorted(set(retry_recovered) | set(scan_recovered))),
-            cause=f"{type(first_error).__name__}: {first_error}",
+            failed_shards=tuple(lost),
+            recovered_shards=tuple(
+                sorted(set(retried) | (set(failed) - set(lost)))
+            ),
+            cause=cause,
             completeness=(covered / total) if total else 1.0,
-            retries=retries,
+            retries=len(faults) - len(failed),
         )
         self._record_degraded(kind, degraded)
-        return [results.get(shard) for shard in shards], degraded
-
-    # ------------------------------------------------------------------ #
-    # Dynamic maintenance (fans out to owning shards)
-    # ------------------------------------------------------------------ #
-
-    def _maintain(self, action: str, shard: int, fn: Callable[[], _T]) -> _T:
-        """Run one shard's slice of a mutation under the failure policy.
-
-        Retries under ``retry_then_degrade`` but never degrades: a shard
-        mutation that cannot be applied raises a
-        :class:`ShardFailureError` with the shard's identity, because
-        silently dropping an update would corrupt the partition.
-        Deterministic validation errors (the library's ``ValueError`` /
-        ``KeyError`` families) pass through unwrapped — they are caller
-        errors every shard would report identically, not shard faults.
-        """
-        kind = f"maintenance:{action}"
-        attempt = 0
-        while True:
-            try:
-                if _flt.ARMED:
-                    _flt.check("shard.maintenance", shard=shard, action=action)
-                return fn()
-            except Exception as exc:  # repro: noqa(REP005) — policy boundary: classify, retry, or wrap
-                if not _is_shard_fault(exc):
-                    raise
-                if (
-                    self._failure_policy is FailurePolicy.RETRY_THEN_DEGRADE
-                    and attempt < self._max_retries
-                ):
-                    attempt += 1
-                    started = time.perf_counter()
-                    self._backoff(attempt)
-                    self._record_retry(kind, [shard], attempt, started)
-                    continue
-                raise self._wrap_failure(kind, shard, exc) from exc
-
-    def _maintain_each(
-        self,
-        action: str,
-        ids: np.ndarray | None,
-        apply: Callable[[PlanarIndexCollection, Any], _T],
-    ) -> list[_T]:
-        """Apply a mutation to each owning shard (every shard if ``ids`` is None).
-
-        Ownership masks come from :func:`assign_shards`; shards owning none
-        of ``ids`` are skipped.
-        """
-        if ids is None:
-            targets = [(shard, slice(None)) for shard in range(self._n_shards)]
-        else:
-            assignment = assign_shards(ids, self._n_shards)
-            masks = [assignment == shard for shard in range(self._n_shards)]
-            targets = [(shard, mask) for shard, mask in enumerate(masks) if mask.any()]
-        done = [
-            self._maintain(
-                action, shard, lambda s=shard, rows=rows: apply(self._collections[s], rows)
-            )
-            for shard, rows in targets
-        ]
-        self._record_shard_sizes()
-        return done
+        return results, degraded

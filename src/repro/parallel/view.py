@@ -151,8 +151,8 @@ class FeatureStoreView:
         """Shard-restricted streaming scan: ``(ids, values, E32)``.
 
         Streams the memoized float32 column copy (:func:`exact.scan`), so
-        ``S`` shards scanning concurrently together do the same arithmetic
-        as one monolithic scan — split ``S`` ways.
+        the ``S`` shards of a wave, scanning one after another, together
+        do the same arithmetic as one monolithic scan — split ``S`` ways.
         """
         if _ort.active():
             _om.store_scans().inc()

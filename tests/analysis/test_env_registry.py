@@ -57,3 +57,11 @@ def test_benchmark_scoped_vars_are_read_by_benchmarks():
                 f"{var.name} is registered with scope='benchmarks' but no "
                 f"benchmark reads it"
             )
+
+
+def test_fault_policy_default_is_what_the_engine_uses(monkeypatch):
+    from repro.reliability.degraded import FailurePolicy
+
+    monkeypatch.delenv("REPRO_FAULT_POLICY", raising=False)
+    (var,) = [var for var in ENV_VARS if var.name == "REPRO_FAULT_POLICY"]
+    assert FailurePolicy.parse(None) is FailurePolicy.parse(var.default)

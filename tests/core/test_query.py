@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import Comparison, ScalarProductQuery, TopKQuery
+from repro import Comparison, FunctionIndex, QueryModel, ScalarProductQuery, TopKQuery
 from repro.exceptions import InvalidQueryError
 
 
@@ -68,6 +68,19 @@ class TestScalarProductQuery:
         query = ScalarProductQuery([1.0, 2.0], 5.0)
         with pytest.raises(ValueError):
             query.normal[0] = 3.0
+
+    def test_callers_normal_is_copied_not_frozen(self):
+        a = np.array([1.0, 2.0, 3.0, 4.0])
+        points = np.random.default_rng(0).uniform(1.0, 40.0, size=(200, 4))
+        index = FunctionIndex(
+            points, QueryModel.uniform(dim=4, low=1.0, high=5.0, rq=4), n_indices=3, rng=0
+        )
+        index.query(a, 300.0)
+        index.topk(a, 300.0, 5)
+        query = ScalarProductQuery(a, 300.0)
+        assert a.flags.writeable
+        a[0] = 9.0
+        assert query.normal[0] == 1.0
 
     def test_canonical_noop_for_nonnegative_offset(self):
         query = ScalarProductQuery([1.0, -1.0], 0.0)

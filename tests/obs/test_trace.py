@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import threading
-import time
 
 import numpy as np
 import pytest
@@ -205,7 +204,9 @@ def engine():
     points = rng.integers(1, 30, size=(200, 3)).astype(np.float64)
     model = QueryModel.uniform(dim=3, low=1.0, high=5.0, rq=4)
     try:
-        with ShardedFunctionIndex(points, model, n_indices=2, rng=0, n_shards=2) as sharded:
+        with ShardedFunctionIndex(
+            points, model, n_indices=2, rng=0, n_shards=2, failure_policy="degrade"
+        ) as sharded:
             yield sharded
     finally:
         if previous_plan is not None:
@@ -213,8 +214,15 @@ def engine():
 
 
 def _wave(engine, fn):
-    """Run ``fn`` on both shards as one engine wave, under a deadline."""
-    return engine._execute_wave("probe", fn, [0, 1], time.monotonic() + 30.0, False, None)
+    """Run ``fn`` on both shards as one engine wave, under a deadline.
+
+    Returns ``(slices, failed)``: a failing shard is recovered by an
+    empty stand-in slice, and ``failed`` names the shards that needed it.
+    """
+    slices, degraded = engine._fan_out(
+        "probe", lambda shard, _rows: fn(shard), recover=lambda store: [], timeout_s=30.0
+    )
+    return slices, () if degraded is None else degraded.recovered_shards
 
 
 def _probe(seen):
@@ -237,8 +245,8 @@ class TestContextPropagation:
 
     def test_no_trace_is_noop(self, tracing, engine):
         seen = []
-        results, failures = _wave(engine, _probe(seen))
-        assert not failures and set(results) == {0, 1}
+        slices, failed = _wave(engine, _probe(seen))
+        assert not failed and slices == [[], []]
         assert all(ident == threading.get_ident() for ident, *_ in seen)
         assert all(trace is None and active for _, trace, _, active in seen)
         # Without a trace each shard span is its own root, as before.

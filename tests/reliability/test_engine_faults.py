@@ -9,6 +9,7 @@ from repro import ScalarProductQuery
 from repro.scan.baseline import SequentialScan
 from repro.exceptions import (
     DegradedAnswerError,
+    InvalidQueryError,
     QueryTimeoutError,
     ShardFailureError,
 )
@@ -206,6 +207,47 @@ class TestInlineDeadline:
         assert started == [0, 1]
         assert answer.degraded.recovered_shards == (1, 2)
         assert answer.degraded.completeness == 1.0
+
+
+class TestOneDeadline:
+    """A query call sets one deadline that every shard and retry shares."""
+
+    def test_no_retry_starts_after_the_deadline(self):
+        _flt.disarm()
+        engine, points, _ = build_engine(
+            failure_policy="retry_then_degrade", query_timeout_s=0.05
+        )
+        normal, offset = _query_args(points)
+        with engine:
+            baseline = engine.query(normal, offset)
+            with _flt.injected("shard.query:stall:ms=200:shard=0") as plan:
+                answer = engine.query(normal, offset)
+                (rule,) = plan.stats()
+        assert np.array_equal(answer.ids, baseline.ids)
+        # Shard 0 came back late and shards 1-2 could not start in time:
+        # all three are recovered by scans, none retried.
+        assert answer.degraded.retries == 0
+        assert answer.degraded.recovered_shards == (0, 1, 2)
+        assert rule["fires"] == 1
+
+
+class TestCallerErrorsInShardQueries:
+    """A caller error raised inside a shard's query is not a shard fault."""
+
+    @pytest.mark.parametrize("policy", ["raise", "degrade", "retry_then_degrade"])
+    def test_propagates_unwrapped(self, policy, monkeypatch):
+        _flt.disarm()
+        engine, points, _ = build_engine(failure_policy=policy)
+        normal, offset = _query_args(points)
+
+        def rejecting(*args, **kwargs):
+            raise InvalidQueryError("rejected by shard 1")
+
+        monkeypatch.setattr(engine.collections[1], "query", rejecting)
+        with engine:
+            with pytest.raises(InvalidQueryError, match="rejected by shard 1") as excinfo:
+                engine.query(normal, offset)
+        assert not isinstance(excinfo.value, ShardFailureError)
 
 
 class TestRetryThenDegrade:
