@@ -78,10 +78,10 @@ def _uninstrumented_query(collection: PlanarIndexCollection, query: ScalarProduc
     # plan, inlined: one threshold matrix, the strategy's pick, the chosen
     # column's probes and two float32 binary searches, then the route
     cache = collection._cache
-    th = thresholds(cache.columns, cache.offsets, wq)
+    th = thresholds(cache.columns, cache.offsets, wq, cache.column_min)
     position = choose(collection.strategy, cache.columns, th, cache.sketch, wq, collection._rng)
     index = cache.indices[position]
-    r_lo, r_hi = index.probe_ranks(*interval_probes(th.column(position), wq))
+    r_lo, r_hi = index.probe_ranks(*interval_probes(th, wq, position))
     n = len(index)
     state = index._log.state
     verify = r_hi - r_lo
@@ -100,7 +100,8 @@ def _uninstrumented_query(collection: PlanarIndexCollection, query: ScalarProduc
             feats = store.take_rows(verify_ids)
             keep, _ = exact.satisfying(feats, wq.query, exact.octant_bound(wq))
             accepted.append(verify_ids[keep])
-        result_ids = np.sort(np.concatenate(accepted))
+        result_ids = np.concatenate(accepted)
+        result_ids.sort()
     else:
         # the scan route, inlined: one float32 scan over the store
         ids, values, bound = store.scan_values(wq.query.normal)

@@ -30,6 +30,7 @@ import numpy as np
 
 from repro import QueryModel, ScalarProductQuery, ShardedFunctionIndex
 from repro.core.function_index import _merge_answer
+from repro.datasets.workloads import Workload
 from repro.bench import print_table
 from repro.reliability import faults as _flt
 
@@ -48,6 +49,8 @@ N_QUERIES = 200
 
 
 def _build(rng: np.random.Generator):
+    """The engine and ``N_QUERIES`` ``(normal, offset)`` pairs of the paper
+    workload: normals from the query model, Eq. 18 offsets (s = 0.25)."""
     points = rng.uniform(1.0, 100.0, size=(N_POINTS, DIM))
     model = QueryModel.uniform(dim=DIM, low=1.0, high=5.0, rq=4)
     engine = ShardedFunctionIndex(
@@ -58,13 +61,8 @@ def _build(rng: np.random.Generator):
         n_shards=N_SHARDS,
         failure_policy="raise",  # pin: env REPRO_FAULT_POLICY must not skew arms
     )
-    queries = [
-        (
-            rng.integers(1, 6, size=DIM).astype(np.float64),
-            float(rng.uniform(1_000, 30_000)),
-        )
-        for _ in range(N_QUERIES)
-    ]
+    workload = Workload(model, points.max(axis=0))
+    queries = [(q.normal, q.offset) for q in workload.sample_queries(N_QUERIES, rng)]
     return engine, queries
 
 
@@ -77,6 +75,19 @@ def _bare_query(engine: ShardedFunctionIndex, normal: np.ndarray, offset: float)
         for collection, choices in zip(engine.collections, plans)
     ]
     return _merge_answer(parts, None)
+
+
+def test_bare_arm_returns_shipped_answer():
+    """The bare arm answers every query of the gate as the shipped engine
+    does: same ids and stats, nothing degraded."""
+    engine, queries = _build(np.random.default_rng(42))
+    for normal, offset in queries:
+        expected = engine.query(normal, offset)
+        got = _bare_query(engine, normal, offset)
+        assert np.array_equal(expected.ids, got.ids)
+        assert expected.stats == got.stats
+        assert expected.degraded is None
+    engine.close()
 
 
 def test_disarmed_fault_overhead_below_two_percent(benchmark):
@@ -99,13 +110,6 @@ def test_disarmed_fault_overhead_below_two_percent(benchmark):
 
     rng = np.random.default_rng(42)
     engine, queries = _build(rng)
-
-    # Sanity: the bare arm is the same algorithm.
-    for normal, offset in queries[:5]:
-        expected = engine.query(normal, offset)
-        got = _bare_query(engine, normal, offset)
-        assert np.array_equal(expected.ids, got.ids)
-        assert expected.degraded is None
 
     # Warm up caches and BLAS threads.
     for normal, offset in queries:

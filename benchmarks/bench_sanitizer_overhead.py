@@ -51,7 +51,7 @@ def _bypassed(collection: PlanarIndexCollection, query: ScalarProductQuery) -> Q
     the same plan → ``finish_query``/scan chain, through the same
     decorated functions — only the contract layer could tell the arms apart."""
     wq = collection.working_query(query)
-    return collection._observed("inequality", "query", lambda: collection._query_impl(wq))
+    return collection._observed("inequality", "query", collection._query_impl, wq, None)
 
 
 def test_decorator_is_identity_when_disabled():

@@ -108,38 +108,56 @@ def dedupe_parallel_normals(normals: np.ndarray, tol: float = _PARALLEL_TOL) -> 
 class _SelectionCache:
     """Immutable snapshot of the member list plus its selection columns.
 
-    Best-index selection needs the ``(d', r)`` stack of working normals,
-    the translation key offsets and the ``(SKETCH_BUCKETS + 1, r)`` key
-    sketch; bundling them *with the member tuple they were computed from*
-    into one object that is rebound atomically (a single attribute store)
-    means a query thread that snapshots the cache once can never see
-    columns from one index generation paired with the member list of
-    another — the invariant that makes ``add_index``/``drop_index`` safe to
-    run concurrently with queries (a racing query may route through the
-    just-retired generation, but every generation answers exactly).  A
-    merge of the write log is such a mutation too: it rebinds copies of
-    every index over a fresh log, so a query holding the previous snapshot
-    reads runs and a log that still match.  The sketch is rebuilt when the
-    log merges; a stale one only chooses worse.  The key offsets also rank
-    the chosen interval, so they are derived from the translator's current
-    ``delta`` on every read instead of being stored: a query reads the
-    snapshot and never writes it, and a grown translation is never stale.
+    Best-index selection needs the ``(d', r)`` stack of working normals
+    (and its column minima, Eq. 15's divisor), the translation key
+    offsets and the ``(SKETCH_BUCKETS + 1, r)`` key sketch; bundling them
+    *with the member tuple they were computed from* into one object that
+    is rebound atomically (a single attribute store) means a query thread
+    that snapshots the cache once can never see columns from one index
+    generation paired with the member list of another — the invariant
+    that makes ``add_index``/``drop_index`` safe to run concurrently with
+    queries (a racing query may route through the just-retired
+    generation, but every generation answers exactly).  A merge of the
+    write log is such a mutation too: it rebinds copies of every index
+    over a fresh log, so a query holding the previous snapshot reads runs
+    and a log that still match.  The sketch is rebuilt when the log
+    merges; a stale one only chooses worse.
+
+    The key offsets also rank the chosen interval, so they must follow
+    the translation.  They are derived once per ``delta``: when the
+    snapshot is built, and again by the first read after an insert grew
+    ``delta``.  :attr:`offsets` keeps them paired with the
+    :attr:`~repro.geometry.translation.Translator.delta_view` array they
+    came from, one tuple rebound whole, and uses them only while that
+    array is still the translator's.  Growth binds a new array and never
+    writes an old one, so a grown translation is never read stale.
+    Readers racing on the memo each derive it from the array they read
+    and store a consistent pair; whichever store wins, the next read
+    checks identity again.
     """
 
-    __slots__ = ("indices", "columns", "sketch", "_translator")
+    __slots__ = ("indices", "columns", "column_min", "sketch", "_translator", "_offsets")
 
     def __init__(self, indices: Sequence[PlanarIndex], translator: Translator) -> None:
         self.indices: tuple[PlanarIndex, ...] = tuple(indices)
         self.columns = np.column_stack([index.working_normal for index in self.indices])
+        self.column_min = self.columns.min(axis=0)
         self.sketch = np.column_stack(
             [key_sketch(index.sorted_keys) for index in self.indices]
         )
         self._translator = translator
+        delta = translator.delta_view
+        self._offsets = (delta, key_offsets(self.columns, delta))
 
     @property
     def offsets(self) -> np.ndarray:
         """Every column's key offset at the current translation (:func:`key_offsets`)."""
-        return key_offsets(self.columns, self._translator.delta)
+        delta = self._translator.delta_view
+        memo = self._offsets
+        if memo[0] is not delta:
+            memo = (delta, key_offsets(self.columns, delta))
+            self._offsets = memo
+        return memo[1]
 
 
 class Plan(NamedTuple):
@@ -435,16 +453,17 @@ class PlanarIndexCollection:
             )
         obs_on = _ort.active()
         columns = reference.columns
+        column_min = reference.column_min
         offsets = reference.offsets
         chosen = []
         for wq in working:
             started = time.perf_counter() if obs_on else 0.0
-            th = thresholds(columns, offsets, wq)
+            th = thresholds(columns, offsets, wq, column_min)
             position = self._select_position(wq, reference, th, pooled)
             if obs_on:
                 _osp.record("select", started, strategy=self._strategy.value, chosen=position)
                 _om.selection_total().inc(strategy=self._strategy.value, index=str(position))
-            chosen.append((position, th, interval_probes(th.column(position), wq)))
+            chosen.append((position, th, interval_probes(th, wq, position)))
         return [
             [Choice(position, cache, th, probes) for position, th, probes in chosen]
             for cache in caches
@@ -484,22 +503,46 @@ class PlanarIndexCollection:
         )
         return QueryResult(result_ids, stats)
 
-    def _query_impl(self, wq: WorkingQuery, p: Plan) -> tuple[QueryResult, str]:
-        """Execute one working query by its plan; returns the result and
-        the route taken."""
+    def _query_impl(self, wq: WorkingQuery, p: Plan) -> QueryResult:
+        """Execute one working query by its plan's route."""
         if p.route == "intervals":
-            return p.index.finish_query(wq, p.r_lo, p.r_hi), p.route
-        return self._scan_result(wq, p.index, p.r_lo, p.r_hi, p.n), p.route
+            return p.index.finish_query(wq, p.r_lo, p.r_hi)
+        return self._scan_result(wq, p.index, p.r_lo, p.r_hi, p.n)
 
-    def _observed(self, kind: str, name: str, run: Callable[[], tuple], **attrs: Any) -> Any:
-        """The result of ``run() -> (result, route)``; with obs armed, one
-        ``collection.<name>`` span, counted and timed by ``kind`` and route."""
+    def _topk_impl(
+        self, wq: WorkingQuery, p: Plan, k: int, cutoff: "SharedCutoff | None"
+    ) -> TopKResult:
+        """Algorithm 2 on the planned index from the plan's ranks."""
+        return p.index.topk(wq, k, (p.r_lo, p.r_hi), cutoff)
+
+    def _range_impl(self, wq_high: WorkingQuery, p: Plan, wq_low: WorkingQuery) -> QueryResult:
+        """The planned index's BETWEEN pass; it ranks ``wq_low`` itself."""
+        return p.index._finish_range(wq_low, wq_high, (p.r_lo, p.r_hi))
+
+    def _observed(
+        self,
+        kind: str,
+        name: str,
+        body: Callable[..., Any],
+        wq: WorkingQuery,
+        choice: Choice | None,
+        *args: Any,
+        **attrs: Any,
+    ) -> Any:
+        """``body(wq, plan(wq, choice), *args)``; with obs armed, inside one
+        ``collection.<name>`` span, counted and timed by ``kind`` and route.
+
+        Only an inequality query routes: top-k and range queries always
+        walk the intervals.
+        """
         if not _ort.active():
-            return run()[0]
+            return body(wq, self.plan(wq, choice), *args)
         started = time.perf_counter()
         strategy = self._strategy.value
         with _osp.span(f"collection.{name}", strategy=strategy, **attrs):
-            result, route = run()
+            p = self.plan(wq, choice)
+            result = body(wq, p, *args)
+        route = p.route if kind == "inequality" else "intervals"
         _om.count_query(kind, route, strategy, started)
         return result
 
@@ -517,9 +560,7 @@ class PlanarIndexCollection:
         ``choice`` is :meth:`plan`'s.
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-        return self._observed(
-            "inequality", "query", lambda: self._query_impl(wq, self.plan(wq, choice))
-        )
+        return self._observed("inequality", "query", self._query_impl, wq, choice)
 
     def query_batch(
         self, queries: Sequence[WorkingQuery], choices: Sequence[Choice]
@@ -549,13 +590,7 @@ class PlanarIndexCollection:
         :meth:`plan`'s.
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
-
-        def run() -> tuple[TopKResult, str]:
-            plan = self.plan(wq, choice)
-            ranks = (plan.r_lo, plan.r_hi)
-            return plan.index.topk(wq, k, ranks, cutoff), "intervals"
-
-        return self._observed("topk", "topk", run, k=k)
+        return self._observed("topk", "topk", self._topk_impl, wq, choice, k, cutoff, k=k)
 
     def topk_batch(
         self,
@@ -590,13 +625,7 @@ class PlanarIndexCollection:
         Metrics carry the collection's strategy label, as :meth:`query`
         and :meth:`topk` do.
         """
-
-        def run() -> tuple[QueryResult, str]:
-            plan = self.plan(wq_high, choice)
-            ranks = (plan.r_lo, plan.r_hi)
-            return plan.index._finish_range(wq_low, wq_high, ranks), "intervals"
-
-        return self._observed("range", "query_range", run)
+        return self._observed("range", "query_range", self._range_impl, wq_high, choice, wq_low)
 
     # ------------------------------------------------------------------ #
     # EXPLAIN (see docs/observability.md)
@@ -635,7 +664,7 @@ class PlanarIndexCollection:
                     estimated_ii=round(int(counts[position]) * len(index) / SKETCH_BUCKETS),
                 )
             )
-        stats = self._query_impl(wq, plan)[0].stats
+        stats = self._query_impl(wq, plan).stats
         if _ort.active():
             _om.explain_total().inc(route=plan.route)
         return ExplainReport(

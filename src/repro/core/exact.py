@@ -125,10 +125,12 @@ def key_band(t_abs_max, ratio_max, key_offset, offset, dim: int):
     scaled by ``c''_i / a''_i``, hence the second subnormal term.  A key
     near a threshold has magnitude at most ``t_abs_max + |key_offset|``,
     and its float32 rounding (:func:`key_rounding`) is the last term.
-    Broadcasts over arrays for the tuning advisor's replay.
+    Broadcasts over arrays of columns for EXPLAIN and the tuning
+    advisor's replay; ``offset`` is the query's one ``b``.  On Python
+    floats (the chooser's one column) it makes no numpy call.
     """
-    key_offset = np.abs(key_offset)
-    negative = np.maximum(0.0, -offset)
+    key_offset = abs(key_offset)
+    negative = max(0.0, -offset)
     magnitude = 4.0 * t_abs_max + 5.0 * key_offset + 2.0 * ratio_max * negative
     return (
         error_bound(magnitude, dim)
@@ -309,10 +311,10 @@ def select(
         low, high = offset - bound, offset + bound
     # Negated tests keep NaN values in the band.
     if query.op.is_upper_bound:
-        candidates = np.flatnonzero(~(values > high))
+        candidates = (~(values > high)).nonzero()[0]
         band = ~(values[candidates] < low)
     else:
-        candidates = np.flatnonzero(~(values < low))
+        candidates = (~(values < low)).nonzero()[0]
         band = ~(values[candidates] > high)
     if not band.any():
         return candidates

@@ -204,7 +204,7 @@ class FeatureStore:
         """
         if _ort.active():
             _om.rows_gathered().inc(ids.size)
-        return np.take(self._data, ids, axis=0)
+        return self._data.take(ids, axis=0)
 
     def get_all(self) -> tuple[np.ndarray, np.ndarray]:
         """``(ids, rows)`` for every live row."""

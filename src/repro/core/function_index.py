@@ -405,6 +405,8 @@ class FunctionIndex:
         SLO completeness floor is evaluated over exact data; the summed
         cost counters ride the query-log record.
         """
+        if not _ort.enabled():
+            return body(*args)
         shards = len(self._collections)
         with _otr.root(kind, shards=shards) as trace:
             result = body(*args)

@@ -43,6 +43,7 @@ exceeds the current k-th best distance (Claim 3).
 from __future__ import annotations
 
 import copy
+import math
 import time
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -114,12 +115,9 @@ class WorkingQuery:
             if chosen is query:
                 raise
             normal_w, offset_w = translator.transform_query(chosen.normal, chosen.offset)
-        return cls(
-            query=chosen,
-            normal_w=normal_w,
-            offset_w=offset_w,
-            norm=float(np.linalg.norm(chosen.normal)),
-        )
+        # np.linalg.norm of a vector is this square root of its dot product.
+        normal = chosen.normal
+        return cls(chosen, normal_w, offset_w, math.sqrt(normal.dot(normal)))
 
     @property
     def op(self) -> Comparison:
@@ -323,16 +321,16 @@ class PlanarIndex:
         started = time.perf_counter() if obs_on else 0.0
         if probes is None:
             column = self._working_normal
-            th = thresholds(column, key_offsets(column, self._translator.delta), wq)
+            th = thresholds(column, key_offsets(column, self._translator.delta_view), wq)
             probes = interval_probes(th, wq)
-        r_lo, r_hi = self.probe_ranks(*probes)
+        r_lo, r_hi = self._keys.probe_ranks(*probes)
         if obs_on:
             _osp.record("binary_search", started, index=self._obs_label)
         return r_lo, r_hi, len(self._keys)
 
     def probe_ranks(self, probe_lo, probe_hi) -> tuple[int, int]:
         """Ranks of two float32 rank probes: the stored keys at most each."""
-        return self._keys.rank_le(probe_lo), self._keys.rank_le(probe_hi)
+        return self._keys.probe_ranks(probe_lo, probe_hi)
 
     def _split(
         self,
@@ -432,7 +430,8 @@ class PlanarIndex:
             _osp.record("verify_II", started, n_verified=n_verified)
             started = time.perf_counter()
 
-        result_ids = np.sort(np.concatenate(accepted))
+        result_ids = np.concatenate(accepted)
+        result_ids.sort()
         if obs_on:
             _osp.record("materialize", started, n_results=int(result_ids.size))
             self._record_partition("inequality", part.si, part.ii, part.li, n_verified)
@@ -584,7 +583,7 @@ class PlanarIndex:
         # from above in SI, working key * min(a''/c'') from below in LI.
         # The float32 head is widened toward the hyperplane by its rounding
         # so the bound holds for the float64 key it stands for.
-        key_offset = key_offsets(self._working_normal, self._translator.delta)
+        key_offset = key_offsets(self._working_normal, self._translator.delta_view)
         ratio = wq.normal_w / self._working_normal
         if upper:
             edge_ratio, side = float(ratio.max()), 1.0

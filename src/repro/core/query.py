@@ -9,12 +9,13 @@ are only known at query time; ``phi`` is fixed and indexed ahead of time.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .._util import as_1d_float, describe_nonfinite
-from ..exceptions import InvalidQueryError
+from .._util import describe_nonfinite
+from ..exceptions import DimensionMismatchError, InvalidQueryError
 from ..geometry.hyperplane import Hyperplane
 from . import exact
 
@@ -35,8 +36,8 @@ class Comparison(enum.Enum):
         if isinstance(op, Comparison):
             return op
         try:
-            return cls(op)
-        except ValueError:
+            return _BY_TEXT[op]
+        except (KeyError, TypeError):
             valid = ", ".join(repr(member.value) for member in cls)
             raise InvalidQueryError(f"unknown comparison {op!r}; expected one of {valid}") from None
 
@@ -64,6 +65,8 @@ class Comparison(enum.Enum):
             return lhs >= rhs
         return lhs > rhs
 
+
+_BY_TEXT = {member.value: member for member in Comparison}
 
 _FLIPPED = {
     Comparison.LE: Comparison.GE,
@@ -98,16 +101,22 @@ class ScalarProductQuery:
         # A private copy: freezing the caller's own array (or a view of
         # it) would make it read-only for the caller, or let the caller's
         # later writes change this query.
-        normal = as_1d_float(np.array(self.normal, dtype=np.float64), "normal")
-        if normal.size == 0 or not np.any(normal):
-            raise InvalidQueryError("query normal must be nonzero")
-        if not np.all(np.isfinite(normal)):
+        normal = np.array(self.normal, dtype=np.float64, order="C")
+        if normal.ndim != 1:
+            raise DimensionMismatchError(
+                f"normal must be one-dimensional, got shape {normal.shape}"
+            )
+        # The largest |a_i| is NaN or infinite iff some a_i is, zero iff all are.
+        peak = np.maximum.reduce(np.abs(normal)) if normal.size else 0.0
+        if not peak < math.inf:
             raise InvalidQueryError(
                 f"query normal must be finite; non-finite entries at "
                 f"{describe_nonfinite(normal)}"
             )
+        if peak == 0.0:
+            raise InvalidQueryError("query normal must be nonzero")
         offset = float(self.offset)
-        if not np.isfinite(offset):
+        if not math.isfinite(offset):
             raise InvalidQueryError(f"query offset must be finite, got {offset!r}")
         normal.setflags(write=False)
         object.__setattr__(self, "normal", normal)

@@ -105,36 +105,36 @@ class Thresholds(NamedTuple):
     hi: np.ndarray
     stretch: np.ndarray
     ratio: np.ndarray
-    t: np.ndarray
     offsets: np.ndarray
 
-    def column(self, position: int) -> "Thresholds":
-        """One column's thresholds, bit-identical to computing them for it alone."""
-        return Thresholds(*(f[position] if f.ndim == 1 else f[:, position] for f in self))
 
-
-def thresholds(working_columns: np.ndarray, offsets: np.ndarray, wq) -> Thresholds:
+def thresholds(
+    working_columns: np.ndarray, offsets: np.ndarray, wq, column_min=None
+) -> Thresholds:
     """Stored-key thresholds and stretch of every column for one working query.
 
-    ``t = T_i = (c''_i / a''_i) b''`` (Eq. 13) and ``ratio = c''_i / a''_i``
+    ``T_i = (c''_i / a''_i) b''`` (Eq. 13) and ``ratio = c''_i / a''_i``
     per component.  Shifted by the key ``offsets`` (:func:`key_offsets`)
     they bound the stored keys: keys at most ``lo = min_i T_i - <c'',
     delta>`` are in SI and keys above ``hi = max_i T_i - <c'', delta>`` in
     LI, before the guard band of :func:`interval_probes`.  ``stretch =
     (max_i T_i - min_i T_i) / min_i c''_i`` is the maximum stretch of
-    Eq. 15, zero iff the column is parallel to the query (Corollary 1).
-    Reductions run over the first axis, so a ``(d',)`` column gives
-    scalars.
+    Eq. 15, zero iff the column is parallel to the query (Corollary 1);
+    ``column_min`` is ``min_i c''_i`` when the caller holds it (the
+    selection snapshot does).  Reductions run over the first axis, so a
+    ``(d',)`` column gives scalars.
     """
     ratio = working_columns / _per_row(wq.normal_w, working_columns)
     t = ratio * wq.offset_w
-    t_min = t.min(axis=0)
-    t_max = t.max(axis=0)
-    stretch = (t_max - t_min) / working_columns.min(axis=0)
-    return Thresholds(t_min - offsets, t_max - offsets, stretch, ratio, t, offsets)
+    t_min = np.minimum.reduce(t, axis=0)
+    t_max = np.maximum.reduce(t, axis=0)
+    if column_min is None:
+        column_min = np.minimum.reduce(working_columns, axis=0)
+    stretch = (t_max - t_min) / column_min
+    return Thresholds(t_min - offsets, t_max - offsets, stretch, ratio, offsets)
 
 
-def interval_probes(th: Thresholds, wq) -> tuple:
+def interval_probes(th: Thresholds, wq, position: int | None = None) -> tuple:
     """float32 rank probes ``(probe_lo, probe_hi)`` of the certain intervals.
 
     ``th`` widened by the guard band :func:`repro.core.exact.key_band`
@@ -143,15 +143,29 @@ def interval_probes(th: Thresholds, wq) -> tuple:
     :func:`~repro.core.sorted_keys.key_probes`: a stored key at most
     ``probe_lo`` is certainly in SI and one above ``probe_hi`` certainly in
     LI, for the strict and non-strict operators alike.
+
+    Every column at once by default (EXPLAIN, the tuning advisor), or
+    only the column at ``position`` of a stack, in Python floats (the
+    chooser): the same operations in the same order, so its probes are
+    that column's of the whole stack, bit for bit.  ``max_i |T_i|`` is
+    ``max_i (c''_i / a''_i) * |b''|``: the ratios are positive and
+    rounding is monotone and symmetric.
     """
+    if position is None:
+        ratio_max = np.maximum.reduce(th.ratio, axis=0)
+        lo, hi, key_offset = th.lo, th.hi, th.offsets
+    else:
+        ratio_max = max(th.ratio[:, position].tolist())
+        lo, hi = th.lo.item(position), th.hi.item(position)
+        key_offset = th.offsets.item(position)
     tol = exact.key_band(
-        np.abs(th.t).max(axis=0),
-        th.ratio.max(axis=0),
-        th.offsets,
+        ratio_max * abs(wq.offset_w),
+        ratio_max,
+        key_offset,
         wq.query.offset,
         wq.normal_w.size,
     )
-    return key_probes(th.lo - tol, th.hi + tol)
+    return key_probes(lo - tol, hi + tol)
 
 
 def sketch_counts(th: Thresholds, sketch: np.ndarray) -> np.ndarray:
@@ -159,7 +173,7 @@ def sketch_counts(th: Thresholds, sketch: np.ndarray) -> np.ndarray:
 
     The intermediate interval at sketch resolution, without the guard band.
     """
-    return ((sketch > th.lo) & (sketch <= th.hi)).sum(axis=0)
+    return np.add.reduce((sketch > th.lo) & (sketch <= th.hi), axis=0)
 
 
 def pooled_counts(th: Thresholds, sketches: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -216,9 +230,13 @@ def choose(
     if strategy is SelectionStrategy.RANDOM:
         return int(rng.integers(0, working_columns.shape[1]))
     if strategy is SelectionStrategy.MIN_ANGLE:
-        return int(np.argmax(_cosines(working_columns, wq)))
+        return int(_cosines(working_columns, wq).argmax())
     if strategy is SelectionStrategy.MIN_STRETCH:
-        return int(np.argmin(th.stretch))
+        return int(th.stretch.argmin())
     if counts is None:
         counts = sketch_counts(th, sketch)
-    return int(np.lexsort((th.stretch, counts))[0])
+    tied = (counts == np.minimum.reduce(counts)).nonzero()[0]
+    if tied.size == 1:
+        return int(tied[0])
+    # A stable sort orders NaN last and keeps equal stretches by position.
+    return int(tied[th.stretch[tied].argsort(kind="stable")[0]])

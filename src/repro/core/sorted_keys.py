@@ -253,6 +253,15 @@ class SortedKeyStore:
         """
         return int(np.searchsorted(self._keys, _round(threshold, _DOWN), side="right"))
 
+    def probe_ranks(self, probe_lo, probe_hi) -> tuple[int, int]:
+        """:meth:`rank_le` of two float32 :func:`key_probes` probes.
+
+        They are searched as they are: rounding a float32 value down to
+        float32 returns it unchanged.
+        """
+        keys = self._keys
+        return int(keys.searchsorted(probe_lo, "right")), int(keys.searchsorted(probe_hi, "right"))
+
     def ids_in_rank_range(self, start: int, stop: int) -> np.ndarray:
         """Point ids at sorted positions ``[start, stop)``."""
         return self._ids[start:stop]

@@ -60,6 +60,7 @@ class Translator:
         self._signs = signs
         self._signs.setflags(write=False)
         self._delta = np.zeros(signs.size, dtype=np.float64)
+        self._delta.setflags(write=False)
 
     # ------------------------------------------------------------------ #
     # Introspection
@@ -79,6 +80,17 @@ class Translator:
     def delta(self) -> np.ndarray:
         """Current translation vector ``delta`` (copy)."""
         return self._delta.copy()
+
+    @property
+    def delta_view(self) -> np.ndarray:
+        """The current ``delta`` array itself, read-only.
+
+        :meth:`observe` never writes an array it has handed out: growth
+        binds a new one.  The object therefore names one translation, and
+        a value derived from it and kept with it (the selection
+        snapshot's key offsets) can be checked for staleness by identity.
+        """
+        return self._delta
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Translator(octant={self._signs.astype(np.int64).tolist()}, delta={self._delta.tolist()})"
@@ -109,7 +121,9 @@ class Translator:
         grew = needed > self._delta
         if not np.any(grew):
             return False
-        self._delta = np.where(grew, needed, self._delta)
+        delta = np.where(grew, needed, self._delta)
+        delta.setflags(write=False)
+        self._delta = delta
         return True
 
     # ------------------------------------------------------------------ #
@@ -140,7 +154,7 @@ class Translator:
         :meth:`transform_query`.
         """
         vec = as_1d_float(normal, "normal")
-        if vec.size != self.dim:
+        if vec.size != self._signs.size:
             raise DimensionMismatchError(
                 f"normal has dimension {vec.size}, translator has {self.dim}"
             )
@@ -163,7 +177,8 @@ class Translator:
             octant (some ``sign(O, i) * a_i <= 0``).
         """
         working_normal = self.reflect_normal(normal)
-        if np.any(working_normal <= 0.0):
+        # fmin skips NaN, so this is ``any(working_normal <= 0)`` in one call.
+        if np.fmin.reduce(working_normal) <= 0.0:
             bad = int(np.argmax(working_normal <= 0.0))
             raise InvalidQueryError(
                 f"query parameter {bad} has sign incompatible with the "
@@ -171,5 +186,5 @@ class Translator:
                 f"{int(self._signs[bad])}); re-derive domains or use the "
                 "sequential-scan fallback"
             )
-        working_offset = float(offset) + float(np.dot(working_normal, self._delta))
+        working_offset = float(offset) + float(working_normal.dot(self._delta))
         return working_normal, working_offset

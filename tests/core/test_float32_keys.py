@@ -188,7 +188,7 @@ def _points_with_keys(keys) -> np.ndarray:
 
 def _probes(collection, wq):
     """The float32 SI/LI probes the planned index searches for ``wq``."""
-    return interval_probes(collection.plan(wq).th.column(0), wq)
+    return interval_probes(collection.plan(wq).th, wq, 0)
 
 
 def _planted_points(rng) -> np.ndarray:

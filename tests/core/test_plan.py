@@ -110,33 +110,84 @@ def test_constraints_and_explain_compute_thresholds_once_per_working_query(thres
     assert threshold_calls(lambda: index.collection.explain(query)) == (1, 0)
 
 
+def _query(rng, step, collection, live, translator):
+    """``(normal, offset, op)`` of one step: an offset through a live point,
+    then on every third step a near-parallel normal, an offset that makes
+    ``b''`` negative, or both."""
+    normal = MODEL.sample_normal(rng)
+    if step % 3 == 1:
+        normal = collection[step % len(collection)].normal * rng.uniform(1.0, 1.0 + 1e-12, DIM)
+    offset = float(live[rng.integers(live.shape[0])] @ normal)
+    if step % 3 == 2:
+        # b'' = b + <a'', delta> < 0: the hyperplane misses the octant.
+        offset = -1.5 * float(np.abs(normal) @ translator.delta) - abs(offset)
+    return normal, offset, ("<=", "<", ">=", ">")[step % 4]
+
+
 @pytest.mark.parametrize("strategy", [s.value for s in SelectionStrategy])
 def test_plan_ranks_equal_each_index_standalone_ranks(strategy):
+    # Data over six decades per column, then scaled so the largest |x| is
+    # 2e38, where the largest keys saturate float32.
+    for peak in (None, 2e38):
+        _check_plans(strategy, peak)
+
+
+def _check_plans(strategy, peak):
     rng = np.random.default_rng(11)
     points, scales = _points(rng, 3000)
+    if peak is not None:
+        factor = peak / np.abs(points).max()
+        points, scales = points * factor, scales * factor
     index = FunctionIndex(points, MODEL, n_indices=8, strategy=strategy, rng=3)
     collection = index.collection
-    delta = index.translator.delta
+    translator = index.translator
+    delta = translator.delta
     index.update_points([3, 9], rng.uniform(-10.0, 10.0, size=(2, DIM)) * scales)
     index.delete_points([5, 17, 40])
     # Rows far below the data grow the translation without a merge.
     index.insert_points(-50.0 * np.abs(scales) * rng.uniform(1.0, 2.0, size=(4, DIM)))
     assert collection._log.state is not None
-    assert np.any(index.translator.delta > delta)
-    live = index.get_features(index.live_ids())
-    for step in range(40):
-        normal = MODEL.sample_normal(rng)
-        offset = float(live[rng.integers(live.shape[0])] @ normal)
-        op = ("<=", "<", ">=", ">")[step % 4]
-        wq = collection.working_query(ScalarProductQuery(normal, offset, op))
-        plan = collection.plan(wq)
-        assert plan.index is collection[plan.position]
+    assert np.any(translator.delta > delta)
+    for step in range(45):
+        if step % 15 == 14:
+            # A write mid-stream grows delta again; the next query must
+            # rank with the new key offsets.
+            delta = translator.delta
+            index.insert_points(-(4.0 + step) * 50.0 * np.abs(scales))
+            assert np.all(translator.delta > delta)
+        live_ids = index.live_ids()
+        live = index.get_features(live_ids)
+        normal, offset, op = _query(rng, step, collection, live, translator)
+        spq = ScalarProductQuery(normal, offset, op)
+        wq = collection.working_query(spq)
+        choice = collection.wave_choices([wq], [collection.snapshot])[0][0]
+        plan = collection.plan(wq, choice)
+        position = plan.position
+        assert plan.index is collection[position]
+        assert np.array_equal(
+            plan.th.offsets, selection.key_offsets(collection.snapshot.columns, translator.delta)
+        )
+        # The chooser's column equals EXPLAIN's all-candidate matrix there.
+        probe_lo, probe_hi = selection.interval_probes(plan.th, wq)
+        assert np.array(choice.probes).tobytes() == np.array(
+            [probe_lo[position], probe_hi[position]]
+        ).tobytes()
+        r_lo, r_hi = plan.index.probe_ranks(probe_lo[position], probe_hi[position])
+        assert (plan.r_lo, plan.r_hi) == (r_lo, r_hi)
+        state = plan.index._log.state
+        verify = r_hi - r_lo + (0 if state is None else state.pending.size)
+        fraction = collection_module._SCAN_FALLBACK_FRACTION
+        assert plan.route == ("intervals" if verify <= fraction * plan.n else "scan")
         assert (plan.r_lo, plan.r_hi) == plan.index.interval_ranks(wq)[:2]
         for position, planar in enumerate(collection):
             own = planar.interval_ranks(wq)
-            probes = selection.interval_probes(plan.th.column(position), wq)
+            probes = selection.interval_probes(plan.th, wq, position)
             assert planar.interval_ranks(wq, probes) == own
-        report = collection.explain(ScalarProductQuery(normal, offset, op))
+        report = collection.explain(spq)
+        if strategy != "random":
+            assert (report.chosen_index, report.route) == (plan.position, plan.route)
         for candidate in report.candidates:
             r_lo, r_hi, _ = collection[candidate.position].interval_ranks(wq)
             assert candidate.expected_ii == r_hi - r_lo
+        expected = live_ids[spq.evaluate(live)]
+        assert np.array_equal(index.query(normal, offset, op).ids, expected)

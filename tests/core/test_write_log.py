@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import FunctionIndex, QueryModel, ScalarProductQuery, load_index, save_index
+from repro.core.selection import key_offsets
 from repro.core.write_log import MERGE_ENTRY_COST, WriteLog, merge_threshold
 from repro.parallel.engine import ShardedFunctionIndex
 
@@ -411,11 +412,12 @@ def test_inserts_across_store_growth_race_queries_exactly():
 
 
 def test_queries_never_rebind_the_selection_snapshot():
-    """Every query kind only reads the selection snapshot, also after a grown translation.
+    """No query kind rebinds the selection snapshot, also after a grown translation.
 
     Only writers (merges and lifecycle calls) rebind it; a query that
     rebuilt it could store one over indices a racing merge has retired.
-    The key offsets follow the grown ``delta`` all the same.
+    A query only refreshes the snapshot's key-offset memo, so the
+    offsets follow the grown ``delta`` all the same.
     """
     rng = np.random.default_rng(17)
     index = FunctionIndex(rng.uniform(1.0, 100.0, size=(2000, 3)), MODEL[3], n_indices=8, rng=0)
@@ -437,6 +439,7 @@ def test_queries_never_rebind_the_selection_snapshot():
     assert collection._cache is snapshot
     wq = collection.working_query(ScalarProductQuery(normal, offset))
     assert np.array_equal(collection.plan(wq).th.offsets, snapshot.offsets)
+    assert np.array_equal(snapshot.offsets, key_offsets(snapshot.columns, index.translator.delta))
 
 
 def test_grown_translation_then_merge_racing_queries_keeps_writes_visible():
