@@ -171,6 +171,7 @@ class Plan(NamedTuple):
     route: str
     cache: _SelectionCache
     th: Thresholds
+    merged: bool = False
 
 
 class Choice(NamedTuple):
@@ -178,13 +179,16 @@ class Choice(NamedTuple):
 
     ``position`` is in the selection snapshot ``cache``; ``th`` is the
     Eq. 13 threshold matrix it was chosen from, over the same normals,
-    and ``probes`` the rank probes of its column.
+    and ``probes`` the rank probes of its column.  ``merged`` is set when
+    the wave chose for several sibling snapshots: the facade then sorts
+    the union of their slices once, so an interval slice is left unsorted.
     """
 
     position: int
     cache: _SelectionCache
     th: Thresholds
     probes: tuple
+    merged: bool = False
 
 
 class PlanarIndexCollection:
@@ -397,7 +401,7 @@ class PlanarIndexCollection:
         """
         if choice is None:
             choice = self.wave_choices([wq], [self._cache])[0][0]
-        position, cache, th, probes = choice
+        position, cache, th, probes, merged = choice
         index = cache.indices[position]
         r_lo, r_hi, n = index.interval_ranks(wq, probes)
         if n and self._strategy is SelectionStrategy.COUNTED and _ort.active():
@@ -409,7 +413,7 @@ class PlanarIndexCollection:
             verify += state.pending.size
             n = state.n_live(n)
         route = "intervals" if verify <= _SCAN_FALLBACK_FRACTION * n else "scan"
-        return Plan(position, index, r_lo, r_hi, n, route, cache, th)
+        return Plan(position, index, r_lo, r_hi, n, route, cache, th, merged)
 
     def _select_position(
         self,
@@ -426,8 +430,29 @@ class PlanarIndexCollection:
         counts = None if pooled is None else pooled_counts(th, *pooled)
         return choose(self._strategy, cache.columns, th, cache.sketch, wq, self._rng, counts)
 
+    def pooled_sketches(
+        self, caches: Sequence[_SelectionCache]
+    ) -> tuple[np.ndarray, np.ndarray] | None:
+        """Counted selection's pooled sketches of sibling ``caches`` and
+        their weights (:func:`~repro.core.selection.pooled_counts`), or
+        ``None`` when the wave does not pool (one snapshot, or another
+        strategy).
+
+        A snapshot's sketch and key count change only when it is rebound,
+        so the pair holds for as long as the same snapshots do.
+        """
+        if self._strategy is not SelectionStrategy.COUNTED or len(caches) < 2:
+            return None
+        return (
+            np.stack([cache.sketch for cache in caches]),
+            np.array([len(cache.indices[0]) for cache in caches], dtype=np.int64),
+        )
+
     def wave_choices(
-        self, working: Sequence[WorkingQuery], caches: Sequence[_SelectionCache]
+        self,
+        working: Sequence[WorkingQuery],
+        caches: Sequence[_SelectionCache],
+        pooled: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> list[list[Choice]]:
         """The one chooser: one index per working query, for every snapshot.
 
@@ -438,19 +463,18 @@ class PlanarIndexCollection:
         them all, since siblings share normals and the translator, and so
         do the rank probes of the chosen column.  Counted selection over
         several snapshots sums their sketch counts, each weighted by its
-        sibling's size: an estimate of the whole data's |II|.  Returns one
-        list of :class:`Choice` per cache, aligned with ``working``, for
-        each sibling's :meth:`plan`.  A merge rebinds only its own
+        sibling's size: an estimate of the whole data's |II|.  ``pooled``
+        is :meth:`pooled_sketches` of ``caches`` when the caller holds it
+        (the facade derives it once per generation of snapshots).  Returns
+        one list of :class:`Choice` per cache, aligned with ``working``,
+        for each sibling's :meth:`plan`.  A merge rebinds only its own
         collection's snapshot and never changes the normals, so it cannot
         skew a choice.
         """
         reference = caches[0]
-        pooled = None
-        if self._strategy is SelectionStrategy.COUNTED and len(caches) > 1:
-            pooled = (
-                np.concatenate([cache.sketch for cache in caches]),
-                np.repeat([len(cache.indices[0]) for cache in caches], SKETCH_BUCKETS + 1),
-            )
+        merged = len(caches) > 1
+        if pooled is None and merged:
+            pooled = self.pooled_sketches(caches)
         obs_on = _ort.active()
         columns = reference.columns
         column_min = reference.column_min
@@ -465,7 +489,7 @@ class PlanarIndexCollection:
                 _om.selection_total().inc(strategy=self._strategy.value, index=str(position))
             chosen.append((position, th, interval_probes(th, wq, position)))
         return [
-            [Choice(position, cache, th, probes) for position, th, probes in chosen]
+            [Choice(position, cache, th, probes, merged) for position, th, probes in chosen]
             for cache in caches
         ]
 
@@ -483,12 +507,15 @@ class PlanarIndexCollection:
         """
         obs_on = _ort.active()
         started = time.perf_counter() if obs_on else 0.0
-        ids, values, bound = self._store.scan_values(wq.query.normal)
-        take = self._store.take_rows
+        store = self._store
+        ids, values, bound = store.scan_values(wq.query.normal)
+        take = store.take_rows
         if ids is None:
-            result_ids = self._store.live_only(exact.select(values, wq.query, bound, take))
+            result_ids = store.live_only(exact.select(values, wq.query, bound, take))
         else:
-            result_ids = ids[exact.select(values, wq.query, bound, lambda at: take(ids[at]))]
+            result_ids = store.scan_ids(
+                exact.select(values, wq.query, bound, lambda at: take(ids[at]))
+            )
         part = best._split(best._log.state, r_lo, r_hi, middle=False)
         if obs_on:
             _osp.record("scan", started, n=n)
@@ -506,7 +533,7 @@ class PlanarIndexCollection:
     def _query_impl(self, wq: WorkingQuery, p: Plan) -> QueryResult:
         """Execute one working query by its plan's route."""
         if p.route == "intervals":
-            return p.index.finish_query(wq, p.r_lo, p.r_hi)
+            return p.index.finish_query(wq, p.r_lo, p.r_hi, not p.merged)
         return self._scan_result(wq, p.index, p.r_lo, p.r_hi, p.n)
 
     def _topk_impl(
@@ -557,7 +584,9 @@ class PlanarIndexCollection:
         case (the paper's "query time gets close to the baseline" regime).
         Pruning statistics stay interval-based.
         A :class:`WorkingQuery` (the facade's octant check) is used as is;
-        ``choice`` is :meth:`plan`'s.
+        ``choice`` is :meth:`plan`'s.  The ids ascend, except that an
+        interval answer to a ``merged`` choice is a shard's slice, left
+        unsorted for the facade's one sort of the union.
         """
         wq = query if isinstance(query, WorkingQuery) else self.working_query(query)
         return self._observed("inequality", "query", self._query_impl, wq, choice)

@@ -46,6 +46,7 @@ from .phi import FeatureMap, identity_map
 from .planar import QueryResult, QueryStats, WorkingQuery
 from .query import Comparison, ScalarProductQuery
 from .selection import SelectionStrategy
+from .sorted_keys import ID_DTYPE
 from .topk import SharedCutoff, TopKBuffer, TopKResult
 
 # Workload recording hook (repro.tuning).  Import-order safe: the recorder
@@ -138,20 +139,23 @@ def _scanned(
 def _merge_answer(
     parts: Sequence[Any], degraded: DegradedInfo | None
 ) -> QueryAnswer:
-    """Disjoint sorted per-collection id sets merge into one sorted answer.
+    """Disjoint per-collection id sets merge into one sorted answer.
 
-    A stable sort runs as timsort, which merges the sorted runs rather
-    than sorting them again.  ``None`` entries (unrecovered shards under
-    a degrading policy) are skipped; their absence is what
-    ``degraded.completeness`` accounts.
+    One collection's answer is already sorted.  Several collections'
+    slices are sorted as one union: a wave over sibling snapshots leaves
+    its interval slices unsorted (:class:`~repro.core.collection.Choice`),
+    so each id is sorted once, as on one collection.  ``None`` entries
+    (unrecovered shards under a degrading policy) are skipped; their
+    absence is what ``degraded.completeness`` accounts.
     """
-    present = [part for part in parts if part is not None]
-    if len(present) == 1:
-        only = present[0]
+    if len(parts) == 1:
+        only = parts[0]
         return QueryAnswer(only.ids, only.stats, False, degraded)
-    ids = np.sort(np.concatenate([part.ids for part in present]), kind="stable")
-    stats = QueryStats.merged(part.stats for part in present)
-    return QueryAnswer(ids, stats, False, degraded)
+    present = [part for part in parts if part is not None]
+    # Ids fit the key stores' 4-byte ID_DTYPE, which sorts faster.
+    ids = np.concatenate([part.ids for part in present], dtype=ID_DTYPE, casting="unsafe")
+    ids.sort()
+    return QueryAnswer(ids, QueryStats.merged([part.stats for part in present]), False, degraded)
 
 
 def _merge_topk(
@@ -375,6 +379,10 @@ class FunctionIndex:
         """
         return [call(0, slice(None))], None
 
+    #: The snapshots the last wave read and the constants derived from
+    #: them (:meth:`_choose`); the empty tuple matches no wave.
+    _wave: tuple = ((), False, None)
+
     def _choose(self, working: Sequence[WorkingQuery]) -> list[list[Choice]]:
         """Each collection's choices for one wave over ``working``.
 
@@ -384,11 +392,27 @@ class FunctionIndex:
         While an ``add_index``/``drop_index`` is still reaching the
         collections one by one their normals differ, and each collection
         chooses over its own snapshot instead.
+
+        Whether the normals agree, and counted selection's pooled
+        sketches, depend on the snapshots alone, so they are derived once
+        per generation of snapshots: a wave reuses them only while every
+        collection still holds the very snapshot objects they came from.
+        Every merge and lifecycle call rebinds its collection's snapshot,
+        so a rebound one is never paired with stale constants; racing
+        readers each store a consistent triple.
         """
+        if len(self._collections) == 1:
+            collection = self._collections[0]
+            return collection.wave_choices(working, [collection.snapshot])
         caches = [collection.snapshot for collection in self._collections]
-        columns = caches[0].columns
-        if all(np.array_equal(cache.columns, columns) for cache in caches[1:]):
-            return self._collections[0].wave_choices(working, caches)
+        wave = self._wave
+        if wave[0] != caches:
+            columns = caches[0].columns
+            shared = all(np.array_equal(cache.columns, columns) for cache in caches[1:])
+            pooled = self._collections[0].pooled_sketches(caches) if shared else None
+            wave = self._wave = (caches, shared, pooled)
+        if wave[1]:
+            return self._collections[0].wave_choices(working, caches, wave[2])
         return [
             collection.wave_choices(working, [cache])[0]
             for collection, cache in zip(self._collections, caches)

@@ -407,12 +407,14 @@ class PlanarIndex:
         wq: WorkingQuery,
         r_lo: int,
         r_hi: int,
+        ordered: bool = True,
     ) -> QueryResult:
         """Complete an inequality query from its interval ranks.
 
         The collection plans the ranks and routes on the interval size
         (see :meth:`PlanarIndexCollection.plan`) before paying for
-        verification.
+        verification.  The ids come back ascending unless ``ordered`` is
+        false: a shard's slice that the facade sorts with its siblings'.
         """
         obs_on = _ort.active()
         upper = wq.op.is_upper_bound
@@ -431,7 +433,8 @@ class PlanarIndex:
             started = time.perf_counter()
 
         result_ids = np.concatenate(accepted)
-        result_ids.sort()
+        if ordered:
+            result_ids.sort()
         if obs_on:
             _osp.record("materialize", started, n_results=int(result_ids.size))
             self._record_partition("inequality", part.si, part.ii, part.li, n_verified)

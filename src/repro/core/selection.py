@@ -176,14 +176,18 @@ def sketch_counts(th: Thresholds, sketch: np.ndarray) -> np.ndarray:
     return np.add.reduce((sketch > th.lo) & (sketch <= th.hi), axis=0)
 
 
-def pooled_counts(th: Thresholds, sketches: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """:func:`sketch_counts` of several key sets' stacked ``sketches``, each
-    sketch row weighted by the number of keys its set holds (``weights``).
+def pooled_counts(th: Thresholds, sketches: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """:func:`sketch_counts` of several key sets, each weighted by the
+    number of keys its set holds.
 
-    The estimated |II| of the union, in units of ``1 / SKETCH_BUCKETS``:
-    the sharded engine's one choice over its shards' sketches.
+    ``sketches`` stacks one ``(SKETCH_BUCKETS + 1, r)`` sketch per key set
+    and ``sizes`` holds their key counts.  The estimated |II| of the
+    union, in units of ``1 / SKETCH_BUCKETS``: the sharded engine's one
+    choice over its shards' sketches.
     """
-    return weights @ ((sketches > th.lo) & (sketches <= th.hi))
+    inside = sketches > th.lo
+    inside &= sketches <= th.hi
+    return sizes @ np.add.reduce(inside, axis=1)
 
 
 def _cosines(working_columns: np.ndarray, wq) -> np.ndarray:

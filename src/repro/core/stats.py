@@ -42,15 +42,15 @@ class QueryStats:
         the queries of a batch, so the merged fractions are the
         point-weighted means of the parts' fractions.
         """
-        parts = list(parts)
-        return cls(
-            n_total=sum(p.n_total for p in parts),
-            si_size=sum(p.si_size for p in parts),
-            ii_size=sum(p.ii_size for p in parts),
-            li_size=sum(p.li_size for p in parts),
-            n_verified=sum(p.n_verified for p in parts),
-            n_results=sum(p.n_results for p in parts),
-        )
+        n_total = si_size = ii_size = li_size = n_verified = n_results = 0
+        for p in parts:
+            n_total += p.n_total
+            si_size += p.si_size
+            ii_size += p.ii_size
+            li_size += p.li_size
+            n_verified += p.n_verified
+            n_results += p.n_results
+        return cls(n_total, si_size, ii_size, li_size, n_verified, n_results)
 
     @property
     def pruned_fraction(self) -> float:

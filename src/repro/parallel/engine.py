@@ -14,6 +14,19 @@ engine runs the shards one after another on the calling thread.  On the
 this beat the thread pool it replaced: a one-query wave spent more on
 hand-offs than the overlap saved.  The shard stays the unit of failure isolation.
 
+A wave costs close to one monolithic query (EXPERIMENTS.md, same row):
+
+* what depends on the shards' snapshots alone — whether their normals
+  agree, and the stacked sketches counted selection pools — is derived
+  once per generation of snapshots, not per wave;
+* an interval slice is left unsorted, and the merge sorts the union of
+  the slices once, so every answer id is sorted once, as on one index;
+* a scan slice maps scan positions to ids by arithmetic while the
+  shard's ids are every ``S``-th id
+  (:meth:`~repro.parallel.view.FeatureStoreView.scan_ids`);
+* with no deadline, no fault plan armed and observability off, each
+  shard is one plain call until one fails (:meth:`ShardedFunctionIndex._fan_out`).
+
 Exactness
 ---------
 Results are *bit-identical* to the monolithic path:
@@ -122,6 +135,9 @@ _CALLER_ERRORS = (ValueError, KeyError, IndexError, TypeError)
 
 #: Base backoff before a shard's first retry (doubled per later attempt).
 _RETRY_BACKOFF_S = 0.05
+
+#: The ``rows`` of a fan-out that touches no particular ids.
+_EVERY_ROW = slice(None)
 
 
 def _is_shard_fault(error: BaseException) -> bool:
@@ -344,6 +360,7 @@ class ShardedFunctionIndex(FunctionIndex):
         write: bool,
         deadline: float | None,
         faults: list[BaseException],
+        error: BaseException | None = None,
     ) -> _T:
         """Run ``call(shard, rows)``, one shard's part of a query wave or
         a write, under the failure policy.
@@ -355,7 +372,8 @@ class ShardedFunctionIndex(FunctionIndex):
         part runs in a ``shard.<kind>`` span carrying the trace id and
         cost counters, and a query slice that comes back after the
         deadline is dropped as a :class:`QueryTimeoutError`.  A running
-        shard is never abandoned.
+        shard is never abandoned.  ``error`` is the shard fault of an
+        attempt already made (:meth:`_fan_out`'s unguarded one).
 
         Each shard fault (:func:`_is_shard_fault`) is appended to
         ``faults``.  Under ``retry_then_degrade`` it is retried with
@@ -366,41 +384,44 @@ class ShardedFunctionIndex(FunctionIndex):
         """
         attempt = 0
         while True:
-            try:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise self._timeout(kind, shard)
-                if write:
+            if error is None:
+                try:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        raise self._timeout(kind, shard)
+                    if write:
+                        if _flt.ARMED:
+                            _flt.check("shard.maintenance", shard=shard, action=kind)
+                        return call(shard, rows)
                     if _flt.ARMED:
-                        _flt.check("shard.maintenance", shard=shard, action=kind)
-                    return call(shard, rows)
-                if _flt.ARMED:
-                    _flt.check("shard.query", shard=shard, kind=kind)
-                if _ort.active():
-                    result = self._observed(kind, call, shard, rows)
-                else:
-                    result = call(shard, rows)
-                if deadline is not None and time.monotonic() > deadline:
-                    raise self._timeout(kind, shard)
-                return result
-            except Exception as exc:  # repro: noqa(REP005) — policy boundary: classify, retry, or wrap
-                if not _is_shard_fault(exc):
-                    raise
-                faults.append(exc)
-                label = f"maintenance:{kind}" if write else kind
-                delay = self._retry_delay(attempt + 1, deadline)
-                if delay is None:
-                    if isinstance(exc, ShardFailureError):
+                        _flt.check("shard.query", shard=shard, kind=kind)
+                    if _ort.active():
+                        result = self._observed(kind, call, shard, rows)
+                    else:
+                        result = call(shard, rows)
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise self._timeout(kind, shard)
+                    return result
+                except Exception as exc:  # repro: noqa(REP005) — policy boundary: classify, retry, or wrap
+                    if not _is_shard_fault(exc):
                         raise
-                    raise ShardFailureError(
-                        f"shard {shard} failed during {label} fan-out: "
-                        f"{type(exc).__name__}: {exc}",
-                        shard=shard,
-                        kind=label,
-                    ) from exc
-                attempt += 1
-                started = time.perf_counter()
-                time.sleep(delay)
-                self._record_retry(label, shard, attempt, started)
+                    error = exc
+            faults.append(error)
+            label = f"maintenance:{kind}" if write else kind
+            delay = self._retry_delay(attempt + 1, deadline)
+            if delay is None:
+                if isinstance(error, ShardFailureError):
+                    raise error
+                raise ShardFailureError(
+                    f"shard {shard} failed during {label} fan-out: "
+                    f"{type(error).__name__}: {error}",
+                    shard=shard,
+                    kind=label,
+                ) from error
+            error = None
+            attempt += 1
+            started = time.perf_counter()
+            time.sleep(delay)
+            self._record_retry(label, shard, attempt, started)
 
     def _observed(
         self, kind: str, call: Callable[[int, Any], _T], shard: int, rows: Any
@@ -483,7 +504,10 @@ class ShardedFunctionIndex(FunctionIndex):
         timeout_s: float | None = None,
     ) -> tuple[list[_T | None], DegradedInfo | None]:
         """Run ``call(shard, rows)`` on each shard in turn, each through
-        :meth:`_run_shard`.
+        :meth:`_run_shard`.  A query wave with no deadline, no fault plan
+        armed and observability off makes each shard one plain call
+        instead, until one fails: the guarded loop takes over from that
+        shard, its error counted as the first attempt.
 
         A write passes the ``ids`` it touches: only the shards owning
         some of them run (:func:`assign_shards`), ``rows`` selecting
@@ -510,16 +534,31 @@ class ShardedFunctionIndex(FunctionIndex):
         deadline = None
         if not write:
             timeout = self._query_timeout_s if timeout_s is None else float(timeout_s)
-            if timeout is not None and not timeout > 0:
-                raise ValueError(f"timeout_s must be positive, got {timeout}")
-            deadline = None if timeout is None else time.monotonic() + timeout
+            if timeout is not None:
+                if not timeout > 0:
+                    raise ValueError(f"timeout_s must be positive, got {timeout}")
+                deadline = time.monotonic() + timeout
+        results: list[_T | None] = []
+        error = None
+        if deadline is None and not write and not _flt.ARMED and not _ort.active():
+            # Nothing to time, inject or trace: each shard is one plain
+            # call until one fails, and the guarded loop takes over there.
+            for shard in range(self._n_shards):
+                try:
+                    results.append(call(shard, _EVERY_ROW))
+                except Exception as exc:  # repro: noqa(REP005) — a shard fault goes on to the policy below; a caller error propagates
+                    if not _is_shard_fault(exc):
+                        raise
+                    error = exc
+                    break
+            else:
+                return results, None
         if ids is None:
-            targets = [(shard, slice(None)) for shard in range(self._n_shards)]
+            targets = [(shard, _EVERY_ROW) for shard in range(len(results), self._n_shards)]
         else:
             assignment = assign_shards(ids, self._n_shards)
             masks = [assignment == shard for shard in range(self._n_shards)]
             targets = [(shard, mask) for shard, mask in enumerate(masks) if mask.any()]
-        results: list[_T | None] = []
         faults: list[BaseException] = []
         retried: list[int] = []
         failed: list[int] = []
@@ -527,14 +566,16 @@ class ShardedFunctionIndex(FunctionIndex):
             seen = len(faults)
             try:
                 results.append(
-                    self._run_shard(kind, call, shard, rows, write, deadline, faults)
+                    self._run_shard(kind, call, shard, rows, write, deadline, faults, error)
                 )
             except ShardFailureError:
+                error = None
                 if write or self._failure_policy is FailurePolicy.RAISE:
                     raise
                 results.append(None)
                 failed.append(shard)
                 continue
+            error = None
             if len(faults) > seen:
                 retried.append(shard)
         if write:

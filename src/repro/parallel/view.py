@@ -49,8 +49,11 @@ class FeatureStoreView:
         # scan itself — the materialized copy turns shard scans back into
         # contiguous streams.  Each cache is one tuple so a racing
         # recompute in another querying thread is benign (last writer wins,
-        # both values correct for their version).
-        self._ids_cache: tuple[int, np.ndarray] | None = None
+        # both values correct for their version).  The ids cache also says
+        # whether the owned ids are every ``n_shards``-th id from ``shard``
+        # (no id of the base has died), which :meth:`scan_ids` maps
+        # without a gather.
+        self._ids_cache: tuple[int, np.ndarray, bool] | None = None
         self._scan_cache: tuple[int, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
@@ -81,14 +84,24 @@ class FeatureStoreView:
         O(1) in the steady state; O(n_base) only after a base-store
         mutation (the ``version`` stamp moves).
         """
+        return self._ids()[1]
+
+    def _ids(self) -> tuple[int, np.ndarray, bool]:
+        """The ids cache: ``(version, live owned ids, dense)``."""
         version = self._base.version
         cached = self._ids_cache
         if cached is not None and cached[0] == version:
-            return cached[1]
+            return cached
         ids = self._owned(self._base.live_ids())
         ids.setflags(write=False)
-        self._ids_cache = (version, ids)
-        return ids
+        # Ascending ids that all leave remainder ``shard`` are spaced at
+        # least ``n_shards`` apart, so this span means exactly that far.
+        dense = not ids.size or (
+            int(ids[0]) == self._shard
+            and int(ids[-1]) - int(ids[0]) == self._n_shards * (ids.size - 1)
+        )
+        cached = self._ids_cache = (version, ids, dense)
+        return cached
 
     def _scan_copy(self) -> tuple[np.ndarray, np.ndarray]:
         """float32 column copy of this shard's live rows and its magnitudes (memoized).
@@ -159,6 +172,19 @@ class FeatureStoreView:
         ids = self.live_ids()
         values, bound = exact.scan(*self._scan_copy(), normal)
         return ids, values, bound
+
+    def scan_ids(self, positions: np.ndarray) -> np.ndarray:
+        """The ids at ``positions`` of :meth:`scan_values`: its ``ids[positions]``.
+
+        While the owned ids are every ``n_shards``-th id from ``shard``
+        the position maps by arithmetic: a gather from the id array after
+        the scan has streamed the rows through the cache costs a cache
+        miss per answer id.
+        """
+        _, ids, dense = self._ids()
+        if dense:
+            return positions * self._n_shards + self._shard
+        return ids[positions]
 
     def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Shard-restricted batched scan: ``(ids, (n_owned, m) values)``.

@@ -1,20 +1,23 @@
 """Micro-batcher: coalesces concurrent requests into engine batch calls.
 
-The service admits requests onto one asyncio queue; this module drains
-that queue and turns *windows* of requests into single
-``ShardedFunctionIndex.query_batch`` / ``topk_batch`` calls, so a window
-of requests costs one trace and one shard fan-out wave instead of one
-each.  Answers are **bit-identical** to direct library calls: the
-batcher only regroups requests, and every batch member runs the
-single-query path, so batch ≡ loop-of-singles holds by construction.
+The service hands each admitted request to :meth:`MicroBatcher.enqueue`,
+which appends it to a pending list; this module turns *windows* of
+pending requests into single ``ShardedFunctionIndex.query_batch`` /
+``topk_batch`` calls, so a window of requests costs one trace and one
+shard fan-out wave instead of one each.  Answers are **bit-identical**
+to direct library calls: the batcher only regroups requests, and every
+batch member runs the single-query path, so batch ≡ loop-of-singles
+holds by construction.
 
 Coalescing policy (``window > 0``):
 
-* the first queued request opens a batch and drains whatever else is
-  already queued (same event-loop tick bursts coalesce for free);
-* the batch then *lingers* — up to the window deadline — only while
-  other admitted requests are still unanswered somewhere (in flight on
-  the engine, or mid-parse on another connection).  A lone request on an
+* the first pending request schedules one flush (``loop.call_soon``), so
+  whatever else is enqueued in the same event-loop tick joins its batch
+  (same-tick bursts coalesce for free);
+* the batch then *lingers* — on a timer, up to the window deadline —
+  only while other admitted requests are still unanswered somewhere (in
+  flight on the engine, or mid-parse on another connection); a request
+  enqueued meanwhile flushes again at once.  A lone request on an
   otherwise idle service flushes immediately, so the window adds **zero
   latency** to unconcurrent traffic;
 * ``batch_max`` caps a batch; excess requests start the next one.
@@ -25,12 +28,19 @@ baseline ``benchmarks/bench_serve.py`` measures the ≥3× amortization
 gate against.
 
 Requests in one batch may mix inequality and top-k ops (and operators
-and ``k``); the batcher groups by ``(op, comparison, k)`` and issues one
-engine call per group, concurrently.  Each group call runs on an
-executor thread under **one serve-level trace**: the engine's own
-``begin`` sees the active context and nests, so shard spans stitch under
-the serve root and every member request of the group reports the same
-``trace_id`` (see ``docs/serving.md``).
+and ``k``); the batcher groups by ``(op, comparison, k)`` and the flush
+starts one engine call per group on the loop's default executor,
+concurrently.  The executor thread hands the answers back to the event
+loop as one callback, which resolves the member futures: a lone request
+is read, flushed, answered and written in five loop turns, with no task
+created on the way.
+Each group call runs on an executor thread under **one serve-level
+trace**: the engine's own ``begin`` sees the active context and nests,
+so shard spans stitch under the serve root and every member request of
+the group reports the same ``trace_id`` (see ``docs/serving.md``).
+A request's deadline is one loop timer, cancelled when the answer
+arrives; if it fires first, the request's await raises
+:class:`asyncio.TimeoutError` (the service answers ``504``).
 """
 
 from __future__ import annotations
@@ -124,14 +134,20 @@ def _run_group(
     return answers, trace.trace_id
 
 
+def _expire(future: "asyncio.Future") -> None:
+    """A request's deadline timer: fail its await unless it was answered."""
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
 class MicroBatcher:
-    """Owns the request queue and the coalescing loop.
+    """Owns the pending list, the coalescing flush and the engine executor.
 
     Single-threaded under the event loop except for the engine calls,
-    which run on the loop's default executor.  ``outstanding`` counts
-    admitted requests whose futures are unresolved — the service uses it
-    as the admission queue depth (it is the true backlog: queued, in a
-    forming batch, or in flight on the engine).
+    which run on the loop's default executor.  ``outstanding`` counts admitted requests whose
+    futures are unresolved — the service uses it as the admission queue
+    depth (it is the true backlog: pending, in a forming batch, or in
+    flight on the engine).
     """
 
     def __init__(
@@ -148,10 +164,16 @@ class MicroBatcher:
         self._engine = engine
         self._window_s = window_s
         self._batch_max = batch_max
-        self._queue: "asyncio.Queue[PendingRequest]" = asyncio.Queue()
+        self._pending: list[PendingRequest] = []
+        #: The scheduled flush: a ``call_soon`` handle, or the linger
+        #: timer while ``_lingering``; None when no flush is due.
+        self._flush_handle: Optional[asyncio.Handle] = None
+        self._lingering = False
+        #: Loop time the forming batch opened (its window's start).
+        self._opened: Optional[float] = None
         self._outstanding = 0
         self._unresolved: set[PendingRequest] = set()
-        self._task: Optional[asyncio.Task] = None
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._stats = {"batches": 0, "batched_requests": 0, "max_batch": 0}
 
     @property
@@ -171,9 +193,8 @@ class MicroBatcher:
         return snapshot
 
     def start(self) -> None:
-        """Start the coalescing loop on the running event loop."""
-        if self._task is None:
-            self._task = asyncio.get_running_loop().create_task(self._run())
+        """Bind the running event loop: the flushes and answers run on it."""
+        self._loop = asyncio.get_running_loop()
 
     async def stop(self, drain_timeout_s: float = 10.0) -> None:
         """Drain the backlog within the budget, then fail-fast leftovers.
@@ -183,18 +204,17 @@ class MicroBatcher:
         normally; anything still unanswered when the budget runs out gets
         :class:`DrainTimeoutError` set on its future — an explicit 503
         instead of a dead connection — so shutdown is bounded no matter
-        what is stuck on the engine.
+        what is stuck on the engine.  An engine call still running is
+        not waited for: its executor thread finishes it and the late
+        answer is dropped.
         """
         deadline = asyncio.get_running_loop().time() + drain_timeout_s
         while self._outstanding > 0 and asyncio.get_running_loop().time() < deadline:
             await asyncio.sleep(0.005)
-        if self._task is not None:
-            self._task.cancel()
-            try:
-                await self._task
-            except asyncio.CancelledError:
-                pass
-            self._task = None
+        if self._flush_handle is not None:
+            self._flush_handle.cancel()
+            self._flush_handle = None
+        self._pending.clear()
         if self._unresolved:
             error = DrainTimeoutError(
                 f"{len(self._unresolved)} request(s) still unanswered when the "
@@ -204,63 +224,87 @@ class MicroBatcher:
                 self._resolve(member, error=error)
 
     async def enqueue(self, request: PendingRequest) -> tuple[Any, Optional[str]]:
-        """Queue one admitted request and await ``(answer, trace_id)``."""
-        request.future = asyncio.get_running_loop().create_future()
+        """Add one admitted request to the pending list and await
+        ``(answer, trace_id)``.
+
+        A request with a ``deadline`` arms one loop timer for its
+        remaining budget (at least 1 ms), cancelled once the answer
+        arrives; if it fires first, the await raises
+        :class:`asyncio.TimeoutError` while the request stays counted
+        until its engine call returns.
+        """
+        loop = self._loop
+        if loop is None:
+            raise RuntimeError("micro-batcher is not started")
+        future = request.future = loop.create_future()
         self._outstanding += 1
         self._unresolved.add(request)
         # Serve-layer families record unconditionally: running the service
         # is explicit opt-in, and /metrics must be useful without REPRO_OBS
         # (engine internals still arm separately).
         _om.serve_queue_depth().set(float(self._outstanding))
-        self._queue.put_nowait(request)
-        return await request.future
+        self._pending.append(request)
+        if self._flush_handle is None or self._lingering:
+            # A lingering batch re-checks at once: the newcomer may fill it.
+            if self._flush_handle is not None:
+                self._flush_handle.cancel()
+            self._lingering = False
+            self._flush_handle = loop.call_soon(self._flush)
+        if request.deadline is None:
+            return await future
+        timer = loop.call_later(
+            max(request.deadline.remaining_s(), 0.001), _expire, future
+        )
+        try:
+            return await future
+        finally:
+            timer.cancel()
 
-    async def _run(self) -> None:
-        """The coalescing loop: form batches, dispatch engine groups."""
-        while True:
-            first = await self._queue.get()
-            batch = [first]
-            if self._window_s > 0 and self._batch_max > 1:
-                await self._fill(batch)
+    def _flush(self, expired: bool = False) -> None:
+        """Cut the pending list into batches and dispatch them.
+
+        A batch takes up to ``batch_max`` pending requests under a
+        window, else one.  Under a window it *lingers* instead of
+        dispatching while it has room, other admitted requests are still
+        unanswered (they may join it), and neither the window nor the
+        tightest member's remaining deadline budget has run out — a batch
+        never idles a nearly-expired request past its 504 to wait for
+        company.  The linger is one timer that flushes with ``expired``
+        set, which dispatches the head batch as it is; an idle service
+        flushes at once.
+        """
+        self._flush_handle = None
+        self._lingering = False
+        loop = self._loop
+        pending = self._pending
+        size = self._batch_max if self._window_s > 0 else 1
+        while pending:
+            batch = pending[:size]
+            if not expired and len(batch) < size:
+                if self._opened is None:
+                    self._opened = loop.time()
+                linger = self._linger_s(batch, loop.time())
+                if linger > 0:
+                    self._flush_handle = loop.call_later(linger, self._flush, True)
+                    self._lingering = True
+                    return
+            del pending[: len(batch)]
+            self._opened = None
+            expired = False
             self._dispatch(batch)
 
-    async def _fill(self, batch: list) -> None:
-        """Grow ``batch`` up to the size cap / window deadline.
-
-        Lingering is conditional: once the queue is drained, keep
-        waiting only while other admitted requests are still unanswered
-        (they may join this window); an idle service flushes at once.
-        The linger is also capped by the *tightest member's* remaining
-        deadline budget — a batch never idles a nearly-expired request
-        past its 504 to wait for company.
-        """
-        loop = asyncio.get_running_loop()
-        deadline = loop.time() + self._window_s
-        while len(batch) < self._batch_max:
-            while len(batch) < self._batch_max:
-                try:
-                    batch.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            if len(batch) >= self._batch_max:
-                return
-            if self._outstanding <= len(batch):
-                return
-            remaining = deadline - loop.time()
-            for member in batch:
-                if member.deadline is not None:
-                    remaining = min(remaining, member.deadline.remaining_s())
-            if remaining <= 0:
-                return
-            try:
-                batch.append(
-                    await asyncio.wait_for(self._queue.get(), timeout=remaining)
-                )
-            except asyncio.TimeoutError:
-                return
+    def _linger_s(self, batch: list, now: float) -> float:
+        """How long ``batch`` may still wait for company (<= 0: dispatch now)."""
+        if self._outstanding <= len(batch):
+            return 0.0
+        remaining = self._opened + self._window_s - now
+        for member in batch:
+            if member.deadline is not None:
+                remaining = min(remaining, member.deadline.remaining_s())
+        return remaining
 
     def _dispatch(self, batch: list) -> None:
-        """Group a batch by ``(op, comparison, k)`` and fire engine calls."""
+        """Group a batch by ``(op, comparison, k)`` and start its engine calls."""
         if _flt.ARMED:
             try:
                 _flt.check("serve.flush", n=len(batch))
@@ -276,25 +320,25 @@ class MicroBatcher:
         for request in batch:
             key = (request.op, request.comparison, request.k)
             groups.setdefault(key, []).append(request)
-        loop = asyncio.get_running_loop()
         for (op, comparison, k), members in groups.items():
-            loop.create_task(self._execute_group(op, comparison, k, members))
+            self._submit(op, comparison, k, members)
 
-    async def _execute_group(
+    def _submit(
         self,
         op: str,
         comparison: str,
         k: int,
         members: list,
     ) -> None:
-        """Run one grouped engine call and resolve its member futures.
+        """Start one grouped engine call on the executor.
 
         Members whose deadline already expired fail fast with ``504``
         material instead of burning an engine slot; the survivors' engine
         call gets a deadline-derived ``timeout_s`` (the *loosest* member's
         remaining budget, so a tight stranger coalesced into the group
         cannot shrink everyone else's engine time — per-request deadline
-        enforcement stays at the service layer).
+        enforcement stays at the service layer).  The call runs as
+        :meth:`_call` on the loop's default executor.
         """
         live: list[PendingRequest] = []
         for member in members:
@@ -322,23 +366,55 @@ class MicroBatcher:
         offsets = np.asarray(
             [member.offset for member in live], dtype=np.float64
         )
-        loop = asyncio.get_running_loop()
         try:
-            answers, trace_id = await loop.run_in_executor(
-                None,
-                _run_group,
-                self._engine,
-                op,
-                normals,
-                offsets,
-                k,
-                comparison,
-                timeout_s,
+            self._loop.run_in_executor(
+                None, self._call, live, op, normals, offsets, k, comparison, timeout_s
             )
-        except Exception as exc:  # repro: noqa(REP005) — fan the group failure out to every member future; the HTTP layer maps it to a status
+        except RuntimeError as exc:  # the loop's executor is shut down
             for member in live:
                 self._resolve(member, error=exc)
+
+    def _call(
+        self,
+        live: list,
+        op: str,
+        normals: np.ndarray,
+        offsets: np.ndarray,
+        k: int,
+        comparison: str,
+        timeout_s: Optional[float],
+    ) -> None:
+        """One group's engine call, on an executor thread.
+
+        The answers, or the failure, go straight back to the loop as one
+        :meth:`_finish` callback: the future ``run_in_executor`` returns
+        is not awaited, so the answer costs no hop through it.
+        """
+        outcome: Any = None
+        error: Optional[Exception] = None
+        try:
+            outcome = _run_group(
+                self._engine, op, normals, offsets, k, comparison, timeout_s
+            )
+        except Exception as exc:  # repro: noqa(REP005) — fan the group failure out to every member future; the HTTP layer maps it to a status
+            error = exc
+        try:
+            self._loop.call_soon_threadsafe(self._finish, live, outcome, error)
+        except RuntimeError:  # the loop closed while the call ran; nobody awaits it
+            pass
+
+    def _finish(self, live: list, outcome: Any, error: Optional[Exception]) -> None:
+        """Resolve a group's member futures from its engine call's
+        ``(answers, trace_id)`` or its failure.
+
+        A failure fans out to every member future; the HTTP layer maps
+        it to a status.
+        """
+        if error is not None:
+            for member in live:
+                self._resolve(member, error=error)
             return
+        answers, trace_id = outcome
         for member, answer in zip(live, answers):
             self._resolve(member, result=(answer, trace_id))
 

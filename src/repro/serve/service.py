@@ -415,13 +415,11 @@ class QueryService:
         deadline.mark("admission")
         # From here the (tenant, op) breaker hears exactly one outcome —
         # engine trouble counts against it, client mistakes do not — so a
-        # half-open probe can never be stranded in flight.
+        # half-open probe can never be stranded in flight.  The batcher
+        # times the await out at the request's remaining budget.
         engine_ok = True
         try:
-            answer, trace_id = await asyncio.wait_for(
-                self._batcher.enqueue(pending),
-                timeout=max(deadline.remaining_s(), 0.001),
-            )
+            answer, trace_id = await self._batcher.enqueue(pending)
         except (InvalidQueryError, DimensionMismatchError) as exc:
             self._errors += 1
             _om.serve_requests_total().inc(tenant=tenant, op=op, status="error")

@@ -16,6 +16,7 @@ import pytest
 from repro.exceptions import DimensionMismatchError, DrainTimeoutError
 from repro.reliability import faults as _flt
 from repro.serve import MicroBatcher, PendingRequest
+from repro.serve.resilience import Deadline
 
 from .conftest import build_engine, integer_queries
 
@@ -296,3 +297,60 @@ class TestDrainBudget:
         assert outstanding == 0
         assert all(isinstance(r, DrainTimeoutError) for r in results)
         assert "drain budget" in str(results[0])
+
+
+class TestHandOff:
+    """The pending list, one flush and the executor callback: no task and
+    no live timer per request, and counters that keep their meaning."""
+
+    def test_sequential_requests_leave_no_timer_or_task(self, engine_and_queries):
+        engine, normals, offsets = engine_and_queries
+
+        async def main():
+            loop = asyncio.get_running_loop()
+            created = []
+
+            def counting(loop, coro, **kwargs):
+                task = asyncio.Task(coro, loop=loop, **kwargs)
+                created.append(task)
+                return task
+
+            batcher = MicroBatcher(engine, window_s=0.25, batch_max=64)
+            batcher.start()
+            loop.set_task_factory(counting)
+            try:
+                for i in range(1000):
+                    request = _request(normals, offsets, i % len(offsets))
+                    # A deadline arms the request's timer; the answer cancels it.
+                    request.deadline = Deadline(30.0)
+                    await batcher.enqueue(request)
+                live_timers = [h for h in loop._scheduled if not h.cancelled()]
+                held_timers = len(loop._scheduled)
+                leftover = asyncio.all_tasks() - {asyncio.current_task()}
+            finally:
+                loop.set_task_factory(None)
+                await batcher.stop()
+            return created, live_timers, held_timers, leftover, batcher.stats()
+
+        created, live_timers, held_timers, leftover, stats = asyncio.run(main())
+        assert created == []
+        assert live_timers == []
+        # Cancelled handles are purged as they pile up, never one per request.
+        assert held_timers < 250
+        assert not leftover
+        # A lone request on an idle batcher is a batch of one, every time.
+        assert stats["batches"] == 1000
+        assert stats["batched_requests"] == 1000
+        assert stats["max_batch"] == 1
+        assert stats["mean_batch"] == 1.0
+
+    def test_lone_request_and_burst_counters(self, engine_and_queries):
+        engine, normals, offsets = engine_and_queries
+        _results, lone, _ = _run_batch(
+            engine, [_request(normals, offsets, 0)], window_s=0.25
+        )
+        assert (lone["batches"], lone["batched_requests"], lone["max_batch"]) == (1, 1, 1)
+        requests = [_request(normals, offsets, i) for i in range(5)]
+        _results, burst, _ = _run_batch(engine, requests, window_s=0.25)
+        assert (burst["batches"], burst["batched_requests"], burst["max_batch"]) == (1, 5, 5)
+        assert burst["mean_batch"] == 5.0
