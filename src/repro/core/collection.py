@@ -514,7 +514,7 @@ class PlanarIndexCollection:
             result_ids = store.live_only(exact.select(values, wq.query, bound, take))
         else:
             result_ids = store.scan_ids(
-                exact.select(values, wq.query, bound, lambda at: take(ids[at]))
+                ids, exact.select(values, wq.query, bound, lambda at: take(ids[at]))
             )
         part = best._split(best._log.state, r_lo, r_hi, middle=False)
         if obs_on:

@@ -144,15 +144,17 @@ def _merge_answer(
     One collection's answer is already sorted.  Several collections'
     slices are sorted as one union: a wave over sibling snapshots leaves
     its interval slices unsorted (:class:`~repro.core.collection.Choice`),
-    so each id is sorted once, as on one collection.  ``None`` entries
-    (unrecovered shards under a degrading policy) are skipped; their
-    absence is what ``degraded.completeness`` accounts.
+    so each id is sorted once, as on one collection.  The answer holds
+    its ids as int64 (:class:`QueryAnswer`), whatever the parts' dtype.
+    ``None`` entries (unrecovered shards under a degrading policy) are
+    skipped; their absence is what ``degraded.completeness`` accounts.
     """
-    if len(parts) == 1:
-        only = parts[0]
-        return QueryAnswer(only.ids, only.stats, False, degraded)
     present = [part for part in parts if part is not None]
-    # Ids fit the key stores' 4-byte ID_DTYPE, which sorts faster.
+    if len(parts) == 1:
+        only = present[0]
+        return QueryAnswer(only.ids, only.stats, False, degraded)
+    # Sorted as the key stores' 4-byte ids, which sort faster: every id
+    # fits, since the feature store's capacity stays below 2**32.
     ids = np.concatenate([part.ids for part in present], dtype=ID_DTYPE, casting="unsafe")
     ids.sort()
     return QueryAnswer(ids, QueryStats.merged([part.stats for part in present]), False, degraded)

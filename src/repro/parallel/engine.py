@@ -21,11 +21,14 @@ A wave costs close to one monolithic query (EXPERIMENTS.md, same row):
   once per generation of snapshots, not per wave;
 * an interval slice is left unsorted, and the merge sorts the union of
   the slices once, so every answer id is sorted once, as on one index;
-* a scan slice maps scan positions to ids by arithmetic while the
-  shard's ids are every ``S``-th id
+* a scan slice maps scan positions to ids by arithmetic while the ids
+  it scanned are evenly spaced
   (:meth:`~repro.parallel.view.FeatureStoreView.scan_ids`);
-* with no deadline, no fault plan armed and observability off, each
-  shard is one plain call until one fails (:meth:`ShardedFunctionIndex._fan_out`).
+* each shard's part is an inline attempt in one loop that reads the
+  clock only under a deadline, fires fault sites only while a plan is
+  armed, opens a span only while observability is active, and enters
+  the retry and degrade logic only when a part raises
+  (:meth:`ShardedFunctionIndex._fan_out`).
 
 Exactness
 ---------
@@ -57,9 +60,8 @@ monolithic collection.
 Fault tolerance (see ``docs/reliability.md``)
 ---------------------------------------------
 Query waves and writes reach the shards through one loop
-(:meth:`ShardedFunctionIndex._fan_out`, one shard at a time through
-:meth:`ShardedFunctionIndex._run_shard`): it fires the shard's fault
-site, tells shard faults from caller errors by one rule
+(:meth:`ShardedFunctionIndex._fan_out`, one shard at a time): it fires
+the shard's fault site, tells shard faults from caller errors by one rule
 (:func:`_is_shard_fault`; a caller error propagates unwrapped), retries
 under ``retry_then_degrade``, and holds one deadline per call
 (``query_timeout_s``) that later shards and retries share.  A query
@@ -135,9 +137,6 @@ _CALLER_ERRORS = (ValueError, KeyError, IndexError, TypeError)
 
 #: Base backoff before a shard's first retry (doubled per later attempt).
 _RETRY_BACKOFF_S = 0.05
-
-#: The ``rows`` of a fan-out that touches no particular ids.
-_EVERY_ROW = slice(None)
 
 
 def _is_shard_fault(error: BaseException) -> bool:
@@ -234,6 +233,8 @@ class ShardedFunctionIndex(FunctionIndex):
         # shard instead of one over the whole store.
         self._bind(points, query_model, feature_map, rng)
         self._n_shards = int(n_shards)
+        #: A query wave's ``(shard, rows)`` targets: every row of every shard.
+        self._every_shard = tuple((shard, slice(None)) for shard in range(self._n_shards))
         self._failure_policy = FailurePolicy.parse(failure_policy)
         self._query_timeout_s = (
             None if query_timeout_s is None else float(query_timeout_s)
@@ -351,78 +352,6 @@ class ShardedFunctionIndex(FunctionIndex):
             cost["lbs_checked"] = int(sum(checked))
         return cost
 
-    def _run_shard(
-        self,
-        kind: str,
-        call: Callable[[int, Any], _T],
-        shard: int,
-        rows: Any,
-        write: bool,
-        deadline: float | None,
-        faults: list[BaseException],
-        error: BaseException | None = None,
-    ) -> _T:
-        """Run ``call(shard, rows)``, one shard's part of a query wave or
-        a write, under the failure policy.
-
-        On the calling thread, an attempt checks the ``deadline`` (a
-        monotonic timestamp, ``None`` for writes), fires the shard's
-        fault site (``shard.maintenance`` for a write, else
-        ``shard.query``) before any work, and runs ``call``; a query's
-        part runs in a ``shard.<kind>`` span carrying the trace id and
-        cost counters, and a query slice that comes back after the
-        deadline is dropped as a :class:`QueryTimeoutError`.  A running
-        shard is never abandoned.  ``error`` is the shard fault of an
-        attempt already made (:meth:`_fan_out`'s unguarded one).
-
-        Each shard fault (:func:`_is_shard_fault`) is appended to
-        ``faults``.  Under ``retry_then_degrade`` it is retried with
-        backoff while retries remain and the retry would start before
-        the deadline; otherwise it raises as a
-        :class:`ShardFailureError` with the shard's identity.  Any other
-        error is the caller's and propagates unwrapped.
-        """
-        attempt = 0
-        while True:
-            if error is None:
-                try:
-                    if deadline is not None and time.monotonic() >= deadline:
-                        raise self._timeout(kind, shard)
-                    if write:
-                        if _flt.ARMED:
-                            _flt.check("shard.maintenance", shard=shard, action=kind)
-                        return call(shard, rows)
-                    if _flt.ARMED:
-                        _flt.check("shard.query", shard=shard, kind=kind)
-                    if _ort.active():
-                        result = self._observed(kind, call, shard, rows)
-                    else:
-                        result = call(shard, rows)
-                    if deadline is not None and time.monotonic() > deadline:
-                        raise self._timeout(kind, shard)
-                    return result
-                except Exception as exc:  # repro: noqa(REP005) — policy boundary: classify, retry, or wrap
-                    if not _is_shard_fault(exc):
-                        raise
-                    error = exc
-            faults.append(error)
-            label = f"maintenance:{kind}" if write else kind
-            delay = self._retry_delay(attempt + 1, deadline)
-            if delay is None:
-                if isinstance(error, ShardFailureError):
-                    raise error
-                raise ShardFailureError(
-                    f"shard {shard} failed during {label} fan-out: "
-                    f"{type(error).__name__}: {error}",
-                    shard=shard,
-                    kind=label,
-                ) from error
-            error = None
-            attempt += 1
-            started = time.perf_counter()
-            time.sleep(delay)
-            self._record_retry(label, shard, attempt, started)
-
     def _observed(
         self, kind: str, call: Callable[[int, Any], _T], shard: int, rows: Any
     ) -> _T:
@@ -453,8 +382,11 @@ class ShardedFunctionIndex(FunctionIndex):
             kind=kind,
         )
 
-    def _retry_delay(self, attempt: int, deadline: float | None) -> float | None:
-        """Backoff before retry ``attempt``, or ``None`` when it may not run.
+    def _retried(
+        self, kind: str, shard: int, attempt: int, write: bool, deadline: float | None
+    ) -> bool:
+        """Back off before retry ``attempt`` of a shard's part and say
+        whether it may run.
 
         Only ``retry_then_degrade`` retries, at most ``max_retries``
         times, and never so late that the retry would start at or after
@@ -466,20 +398,38 @@ class ShardedFunctionIndex(FunctionIndex):
             self._failure_policy is not FailurePolicy.RETRY_THEN_DEGRADE
             or attempt > self._max_retries
         ):
-            return None
+            return False
         delay = _RETRY_BACKOFF_S * (2 ** (attempt - 1)) * (0.5 + self._jitter.random())
         if deadline is not None and time.monotonic() + delay >= deadline:
-            return None
-        return delay
-
-    def _record_retry(self, kind: str, shard: int, attempt: int, started: float) -> None:
+            return False
+        started = time.perf_counter()
+        time.sleep(delay)
         # Reliability counters stay exact under head sampling (ENABLED),
         # while the span only joins sampled traces (active()).
-        if not _ort.enabled():
-            return
-        _om.shard_retries_total().inc(kind=kind)
-        if _ort.active():
-            _osp.record("shard.retry", started, kind=kind, attempt=attempt, shard=shard)
+        if _ort.enabled():
+            label = f"maintenance:{kind}" if write else kind
+            _om.shard_retries_total().inc(kind=label)
+            if _ort.active():
+                _osp.record("shard.retry", started, kind=label, attempt=attempt, shard=shard)
+        return True
+
+    @staticmethod
+    def _shard_failure(
+        kind: str, shard: int, error: Exception, write: bool
+    ) -> ShardFailureError:
+        """``error``, the last fault of a shard that may not retry, as the
+        :class:`ShardFailureError` its fan-out raises."""
+        if isinstance(error, ShardFailureError):
+            return error
+        label = f"maintenance:{kind}" if write else kind
+        failure = ShardFailureError(
+            f"shard {shard} failed during {label} fan-out: "
+            f"{type(error).__name__}: {error}",
+            shard=shard,
+            kind=label,
+        )
+        failure.__cause__ = error
+        return failure
 
     def _record_degraded(self, kind: str, degraded: DegradedInfo) -> None:
         if not _ort.enabled():
@@ -503,11 +453,22 @@ class ShardedFunctionIndex(FunctionIndex):
         recover: Callable[[Any], _T] | None = None,
         timeout_s: float | None = None,
     ) -> tuple[list[_T | None], DegradedInfo | None]:
-        """Run ``call(shard, rows)`` on each shard in turn, each through
-        :meth:`_run_shard`.  A query wave with no deadline, no fault plan
-        armed and observability off makes each shard one plain call
-        instead, until one fails: the guarded loop takes over from that
-        shard, its error counted as the first attempt.
+        """Run ``call(shard, rows)`` on each shard in turn, one shard's
+        part of a query wave or a write, under the failure policy.
+
+        On the calling thread, an attempt checks the deadline (when there
+        is one), fires the shard's fault site (``shard.maintenance`` for
+        a write, else ``shard.query``; only while a fault plan is armed)
+        before any work, and runs ``call``; a query's part runs in a
+        ``shard.<kind>`` span carrying the trace id and cost counters
+        while observability is active, and a query slice that comes back
+        after the deadline is dropped as a :class:`QueryTimeoutError`.  A
+        running shard is never abandoned.  Each shard fault
+        (:func:`_is_shard_fault`) is collected; under
+        ``retry_then_degrade`` it is retried with backoff
+        (:meth:`_retried`), otherwise it is the shard's failure
+        (:meth:`_shard_failure`).  Any other error is the caller's and
+        propagates unwrapped.
 
         A write passes the ``ids`` it touches: only the shards owning
         some of them run (:func:`assign_shards`), ``rows`` selecting
@@ -538,52 +499,53 @@ class ShardedFunctionIndex(FunctionIndex):
                 if not timeout > 0:
                     raise ValueError(f"timeout_s must be positive, got {timeout}")
                 deadline = time.monotonic() + timeout
-        results: list[_T | None] = []
-        error = None
-        if deadline is None and not write and not _flt.ARMED and not _ort.active():
-            # Nothing to time, inject or trace: each shard is one plain
-            # call until one fails, and the guarded loop takes over there.
-            for shard in range(self._n_shards):
-                try:
-                    results.append(call(shard, _EVERY_ROW))
-                except Exception as exc:  # repro: noqa(REP005) — a shard fault goes on to the policy below; a caller error propagates
-                    if not _is_shard_fault(exc):
-                        raise
-                    error = exc
-                    break
-            else:
-                return results, None
         if ids is None:
-            targets = [(shard, _EVERY_ROW) for shard in range(len(results), self._n_shards)]
+            targets = self._every_shard
         else:
             assignment = assign_shards(ids, self._n_shards)
             masks = [assignment == shard for shard in range(self._n_shards)]
             targets = [(shard, mask) for shard, mask in enumerate(masks) if mask.any()]
-        faults: list[BaseException] = []
-        retried: list[int] = []
-        failed: list[int] = []
+        observed = not write and _ort.active()
+        results: list[_T | None] = []
+        faults: list[tuple[int, BaseException]] = []
         for shard, rows in targets:
-            seen = len(faults)
-            try:
-                results.append(
-                    self._run_shard(kind, call, shard, rows, write, deadline, faults, error)
-                )
-            except ShardFailureError:
-                error = None
-                if write or self._failure_policy is FailurePolicy.RAISE:
-                    raise
-                results.append(None)
-                failed.append(shard)
-                continue
-            error = None
-            if len(faults) > seen:
-                retried.append(shard)
+            attempt = 0
+            while True:
+                try:
+                    if deadline is not None and time.monotonic() >= deadline:
+                        raise self._timeout(kind, shard)
+                    if _flt.ARMED:
+                        if write:
+                            _flt.check("shard.maintenance", shard=shard, action=kind)
+                        else:
+                            _flt.check("shard.query", shard=shard, kind=kind)
+                    if observed:
+                        result = self._observed(kind, call, shard, rows)
+                    else:
+                        result = call(shard, rows)
+                    if deadline is not None and time.monotonic() > deadline:
+                        raise self._timeout(kind, shard)
+                    break
+                except Exception as exc:  # repro: noqa(REP005) — policy boundary: classify, retry, or wrap
+                    if not _is_shard_fault(exc):
+                        raise
+                    faults.append((shard, exc))
+                    attempt += 1
+                    if self._retried(kind, shard, attempt, write, deadline):
+                        continue
+                    if write or self._failure_policy is FailurePolicy.RAISE:
+                        raise self._shard_failure(kind, shard, exc, write)
+                    result = None
+                    break
+            results.append(result)
         if write:
             self._record_shard_sizes()
         if write or not faults:
             return results, None
+        # A query ran on every shard: slice i is shard i's, None if it failed.
+        failed = [shard for shard, part in enumerate(results) if part is None]
         lost: list[int] = []
-        for shard in failed:  # a query ran on every shard: slice i is shard i's
+        for shard in failed:
             try:
                 if _flt.ARMED:
                     _flt.check("shard.scan", shard=shard, kind=kind)
@@ -600,20 +562,19 @@ class ShardedFunctionIndex(FunctionIndex):
                     )
             except Exception:  # repro: noqa(REP005) — recovery is best-effort; failures are accounted, not raised
                 lost.append(shard)
-        cause = f"{type(faults[0]).__name__}: {faults[0]}"
+        first = faults[0][1]
+        cause = f"{type(first).__name__}: {first}"
         if len(lost) == self._n_shards:
             raise DegradedAnswerError(
                 f"every shard failed during {kind} fan-out; no degraded "
                 f"answer is possible (first cause: {cause})"
-            ) from faults[0]
+            ) from first
         sizes = self.shard_sizes()
         total = sum(sizes)
         covered = sum(size for shard, size in enumerate(sizes) if shard not in lost)
         degraded = DegradedInfo(
             failed_shards=tuple(lost),
-            recovered_shards=tuple(
-                sorted(set(retried) | (set(failed) - set(lost)))
-            ),
+            recovered_shards=tuple(sorted({shard for shard, _ in faults} - set(lost))),
             cause=cause,
             completeness=(covered / total) if total else 1.0,
             retries=len(faults) - len(failed),

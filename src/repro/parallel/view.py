@@ -49,12 +49,9 @@ class FeatureStoreView:
         # scan itself — the materialized copy turns shard scans back into
         # contiguous streams.  Each cache is one tuple so a racing
         # recompute in another querying thread is benign (last writer wins,
-        # both values correct for their version).  The ids cache also says
-        # whether the owned ids are every ``n_shards``-th id from ``shard``
-        # (no id of the base has died), which :meth:`scan_ids` maps
-        # without a gather.
-        self._ids_cache: tuple[int, np.ndarray, bool] | None = None
-        self._scan_cache: tuple[int, np.ndarray, np.ndarray] | None = None
+        # both values correct for their version).
+        self._ids_cache: tuple[int, np.ndarray] | None = None
+        self._scan_cache: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
 
     # ------------------------------------------------------------------ #
 
@@ -84,41 +81,34 @@ class FeatureStoreView:
         O(1) in the steady state; O(n_base) only after a base-store
         mutation (the ``version`` stamp moves).
         """
-        return self._ids()[1]
-
-    def _ids(self) -> tuple[int, np.ndarray, bool]:
-        """The ids cache: ``(version, live owned ids, dense)``."""
         version = self._base.version
         cached = self._ids_cache
         if cached is not None and cached[0] == version:
-            return cached
+            return cached[1]
         ids = self._owned(self._base.live_ids())
         ids.setflags(write=False)
-        # Ascending ids that all leave remainder ``shard`` are spaced at
-        # least ``n_shards`` apart, so this span means exactly that far.
-        dense = not ids.size or (
-            int(ids[0]) == self._shard
-            and int(ids[-1]) - int(ids[0]) == self._n_shards * (ids.size - 1)
-        )
-        cached = self._ids_cache = (version, ids, dense)
-        return cached
+        self._ids_cache = (version, ids)
+        return ids
 
-    def _scan_copy(self) -> tuple[np.ndarray, np.ndarray]:
-        """float32 column copy of this shard's live rows and its magnitudes (memoized).
+    def _scan_copy(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(ids, columns, magnitudes)``: this shard's live ids and the
+        float32 column copy of their rows (memoized).
 
         Materialized lazily on the first scan after a mutation; across all
         shards the caches add up to one float32 copy of the live feature
         matrix — the price of giving every shard a streamable local slice,
         exactly as a distributed deployment would hold its partition
-        locally.
+        locally.  The ids are the ones the rows were taken for, so a write
+        landing meanwhile cannot pair them with another version's rows.
         """
         version = self._base.version
         cached = self._scan_cache
         if cached is not None and cached[0] == version:
-            return cached[1], cached[2]
-        columns, magnitudes = exact.scan_columns(self._base.take_rows(self.live_ids()))
-        self._scan_cache = (version, columns, magnitudes)
-        return columns, magnitudes
+            return cached[1], cached[2], cached[3]
+        ids = self.live_ids()
+        columns, magnitudes = exact.scan_columns(self._base.take_rows(ids))
+        self._scan_cache = (version, ids, columns, magnitudes)
+        return ids, columns, magnitudes
 
     def __len__(self) -> int:
         """Number of live rows owned by this shard."""
@@ -137,7 +127,7 @@ class FeatureStoreView:
         if self._ids_cache is not None:
             total += int(self._ids_cache[1].nbytes)
         if self._scan_cache is not None:
-            total += int(self._scan_cache[1].nbytes + self._scan_cache[2].nbytes)
+            total += int(self._scan_cache[2].nbytes + self._scan_cache[3].nbytes)
         return total
 
     # ------------------------------------------------------------------ #
@@ -169,21 +159,27 @@ class FeatureStoreView:
         """
         if _ort.active():
             _om.store_scans().inc()
-        ids = self.live_ids()
-        values, bound = exact.scan(*self._scan_copy(), normal)
+        ids, columns, magnitudes = self._scan_copy()
+        values, bound = exact.scan(columns, magnitudes, normal)
         return ids, values, bound
 
-    def scan_ids(self, positions: np.ndarray) -> np.ndarray:
-        """The ids at ``positions`` of :meth:`scan_values`: its ``ids[positions]``.
+    def scan_ids(self, ids: np.ndarray, positions: np.ndarray) -> np.ndarray:
+        """``ids[positions]`` for the ``ids`` :meth:`scan_values` returned.
 
-        While the owned ids are every ``n_shards``-th id from ``shard``
-        the position maps by arithmetic: a gather from the id array after
-        the scan has streamed the rows through the cache costs a cache
-        miss per answer id.
+        While those ids are evenly spaced (no id between the first and
+        the last has died) a position maps by arithmetic: a gather from
+        the id array after the scan has streamed the rows through the
+        cache costs a cache miss per answer id.  The spacing is read off
+        ``ids`` itself, so a write landing after the scan cannot pair its
+        positions with another version's ids.
         """
-        _, ids, dense = self._ids()
-        if dense:
-            return positions * self._n_shards + self._shard
+        n = ids.size
+        if n:
+            first = int(ids[0])
+            # Ascending ids that all leave one remainder are spaced at
+            # least ``n_shards`` apart, so this span means exactly that far.
+            if int(ids[-1]) - first == self._n_shards * (n - 1):
+                return positions * self._n_shards + first
         return ids[positions]
 
     def scan_values_many(self, normals: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

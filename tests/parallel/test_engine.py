@@ -301,6 +301,52 @@ class TestOneStore:
             assert engine.memory_bytes() == before + grown
 
 
+class TestScanRoute:
+    """A shard's scan slice against the monolithic scan."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 1e9], ids=["scan", "intervals"])
+    def test_answers_keep_the_monolithic_dtype(
+        self, uniform_points, uniform_model, n_shards, monkeypatch, fraction
+    ):
+        monkeypatch.setattr("repro.core.collection._SCAN_FALLBACK_FRACTION", fraction)
+        mono, sharded = _pair(uniform_points, uniform_model, n_shards)
+        with sharded:
+            sharded.delete_points(np.arange(5, 2000, 7))
+            mono.delete_points(np.arange(5, 2000, 7))
+            for normal, offset in _sample_queries(uniform_model, 6):
+                expected = mono.query(normal, offset)
+                got = sharded.query(normal, offset)
+                assert np.array_equal(expected.ids, got.ids)
+                assert got.ids.dtype == expected.ids.dtype
+
+    def test_a_delete_after_a_shard_scan_keeps_its_ids(
+        self, uniform_points, uniform_model, monkeypatch
+    ):
+        """A write landing between a shard's scan and the mapping of its
+        positions to ids cannot pair them with the new version's ids:
+        the slice is the one the scanned ids give."""
+        from repro.parallel.view import FeatureStoreView
+
+        monkeypatch.setattr("repro.core.collection._SCAN_FALLBACK_FRACTION", 0.0)
+        with ShardedFunctionIndex(
+            uniform_points, uniform_model, n_indices=4, rng=0, n_shards=2
+        ) as engine:
+            normal = uniform_model.sample_normal(np.random.default_rng(2))
+            expected = engine.query(normal, 500.0).ids
+            victim = int(expected[expected % 2 == 0][len(expected) // 4])
+            scan_ids = FeatureStoreView.scan_ids
+
+            def delete_first(view, ids, positions):
+                if view.shard == 0 and engine._features.is_live(victim):
+                    engine._features.delete(np.asarray([victim]))
+                return scan_ids(view, ids, positions)
+
+            monkeypatch.setattr(FeatureStoreView, "scan_ids", delete_first)
+            got = engine.query(normal, 500.0).ids
+            assert not engine._features.is_live(victim)
+        assert np.array_equal(got, expected)
+
+
 class TestShardLayout:
     def test_more_shards_than_points(self, uniform_model):
         rng = np.random.default_rng(0)

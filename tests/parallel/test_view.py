@@ -120,3 +120,45 @@ class TestCacheInvalidation:
                 )
                 assert np.array_equal(ids_many, ids)
                 assert np.all(np.abs(values_many[:, 0] - values) <= bound)
+
+
+class TestScanPairing:
+    """A scan's ids, its values and ``scan_ids`` stay of one store version:
+    ``scan_ids(ids, positions)`` is ``ids[positions]`` for the ids the scan
+    returned, whatever writes land meanwhile."""
+
+    @pytest.mark.parametrize("dead", [[], [0], [5, 17], [39]], ids=["none", "first", "middle", "last"])
+    def test_equals_the_gather(self, base, dead):
+        base.delete(np.asarray(dead, dtype=np.int64))
+        for shard in range(4):
+            view = FeatureStoreView(base, shard, 4)
+            ids, _, _ = view.scan_values(np.asarray([1.0, 2.0, 3.0]))
+            positions = np.arange(0, ids.size, 2)
+            got = view.scan_ids(ids, positions)
+            assert np.array_equal(got, ids[positions])
+            assert got.dtype == ids.dtype
+
+    def test_a_delete_after_the_scan_maps_by_the_scanned_ids(self, base):
+        view = FeatureStoreView(base, 1, 4)
+        ids, _, _ = view.scan_values(np.asarray([1.0, 2.0, 3.0]))
+        positions = np.arange(ids.size)
+        base.delete(np.asarray([5], dtype=np.int64))
+        assert 5 not in view.live_ids()
+        assert np.array_equal(view.scan_ids(ids, positions), ids)
+
+    def test_a_delete_during_the_scan_keeps_ids_and_values_paired(self, base, monkeypatch):
+        """A write landing between reading the owned ids and building the
+        scan copy cannot pair one version's ids with another's values."""
+        view = FeatureStoreView(base, 1, 4)
+        scan_copy = FeatureStoreView._scan_copy
+
+        def delete_first(self):
+            if base.is_live(5):
+                base.delete(np.asarray([5], dtype=np.int64))
+            return scan_copy(self)
+
+        monkeypatch.setattr(FeatureStoreView, "_scan_copy", delete_first)
+        normal = np.asarray([1.0, 2.0, 3.0])
+        ids, values, bound = view.scan_values(normal)
+        assert ids.size == values.size
+        assert np.all(np.abs(values - base.get(ids) @ normal) <= bound)
